@@ -45,16 +45,18 @@ def test_criterion_3_larger_q_and_n():
     _emit("3b. Sp4(F9), operators of dimension 81, 100 samples", report)
 
 
-def test_criterion_4_similitudes():
+def test_criterion_4_similitudes(case_digest):
     cfg = RunConfig(p=3, base_degree=1, n=1, m=2, pairs=((1, 1),), sample=200, seed=42)
     report = run_check("gsp", cfg)
     assert sum(1 for c in report.cases if c.input.startswith("i=")) == 200
+    assert case_digest(report) == "c9b9535d01c206923ff3b337fe2d4cd874581fc08564e1844ee9033e233460e8"
     _emit("4. GL2(F9) -> GL2(F3) similitude identity, 200 samples", report)
 
 
-def test_criterion_5_support():
+def test_criterion_5_support(case_digest):
     cfg = RunConfig(p=3, base_degree=1, n=1, m=2, pairs=((1, 1),), sample=500, seed=42)
     report = run_check("support", cfg)
+    assert case_digest(report) == "a68aa433afdfdecef3ac5e90cb3a24c41e82222bc6b6aa7b2acc15b464b36a1b"
     off = sum(1 for c in report.cases if "[off conjugates]" in c.input)
     assert off > 0, "sampling never left the conjugates of Γ⋉Sp·Z"
     _emit("5. |trace|^2 = induced trivial character, 500 samples", report, f" [{off} off-support points]")
@@ -67,19 +69,22 @@ def test_criterion_6_orthogonal_decomposition():
     _emit("6. split 1+1 tensor factorization of extended traces, 200+ samples", report)
 
 
-def test_criterion_7_parabolic():
+def test_criterion_7_parabolic(case_digest):
     cfg = RunConfig(p=3, base_degree=1, n=1, m=2, pairs=((1, 1),), seed=42)
     report = run_check("parabolic", cfg)
+    assert case_digest(report) == "4f7b61a31dd9f99cd00d1b3f8631e2425b85dd584af7b6ce33c2d61250d3c706"
     _emit("7. Borel restriction = induced character, full enumeration", report)
 
 
-def test_criterion_8_torus_suite():
+def test_criterion_8_torus_suite(case_digest):
     cfg = RunConfig(p=3, base_degree=1, n=1, m=3, pairs=((1, 1),), sample=100, seed=42)
     report = run_check("sl2-torus", cfg)
+    assert case_digest(report) == "e1bd766bd1851b43067ed4c149594ae78c2dde6f8c1d5483328d172b06cd86b6"
     _emit("8a. torus propositions at q=3, m=3 (odd case)", report)
     cfg = RunConfig(p=3, base_degree=1, n=1, m=2, pairs=((1, 1),), sample=100, seed=42)
     report = run_check("sl2-torus", cfg)
     assert any(c.input == "tr nu'(sigma)" and c.rhs.startswith("-3") for c in report.cases)
+    assert case_digest(report) == "b064c31c36ab23f3122eaa5f7463b4c317171a2432e2909c647e644cf55acb47"
     _emit("8b. torus propositions at q=3, m=2 (even case, eta twist)", report)
 
 

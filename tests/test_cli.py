@@ -83,7 +83,7 @@ def test_operator_cache_roundtrip(tmp_path):
     assert [c.__dict__ for c in r1.cases] == [c.__dict__ for c in r2.cases]
 
 
-def test_all_mode_subsumes(capsys):
+def test_all_mode_subsumes(case_digest):
     cfg = RunConfig(p=3, n=1, m=2, pairs=((1, 1),), sample=4, seed=1)
     report = run_check("all", cfg)
     tags = {c.input.split("]")[0].strip("[") for c in report.cases if c.input.startswith("[")}
@@ -91,3 +91,4 @@ def test_all_mode_subsumes(capsys):
     assert report.ok
     skipped = [c for c in report.cases if "skipped" in c.input]
     assert any("orthogonal" in c.input for c in skipped)  # n=1 config
+    assert case_digest(report) == "c41322936d77c2222284f995baa83d1485246f55d4ddd171849e13965afe712b"
