@@ -3,7 +3,8 @@
 Class functions are stored on an explicit class partition; values live in
 Q(ζ_p).  Virtual characters are ordinary ring elements here: torus-side
 identities are verified entirely at the level of values, no representation
-spaces are ever materialized for them.
+spaces are ever materialized for them.  Every induced character is evaluated
+through one fixed-coset primitive, ``induced_trace``.
 """
 
 from __future__ import annotations
@@ -77,9 +78,6 @@ def inner_product(f1: ClassFunction, f2: ClassFunction) -> CycNum:
     return total * CycNum.rational(p, 1, size_total)
 
 
-twisted_inner_product = inner_product  # |σ^i ⋉ G(F')| = |G(F')|; same averaging
-
-
 def lift_class_function(cfg: NormConfig, spec: GroupSpec, chi: ClassFunction,
                         twisted: Partition, ambient_cap: int = 64,
                         cache: dict | None = None) -> ClassFunction:
@@ -97,28 +95,24 @@ def trace_class_function(ctx, partition: Partition) -> ClassFunction:
     return ClassFunction(partition, tuple(ctx.build_rho(rep).trace() for rep in partition.reps))
 
 
-def induced_value(y, reps, conj_fn, member_fn, chi_fn, p: int) -> CycNum:
-    """Σ over coset representatives r with r^{-1}·y·r in H of χ(r^{-1}·y·r).
+def coset_pairs(spec: GroupSpec, reps, j: int = 0) -> list:
+    """(r⁻¹, σʲ(r)) for each coset representative r, the input of induced_trace."""
+    return [(spec.inv(r), spec.frob(r, j)) for r in reps]
 
-    This is the fixed-coset form of the standard induced-character formula.
+
+def induced_trace(spec: GroupSpec, pairs, y, member, chi) -> CycNum:
+    """Σ over (r⁻¹, σʲ(r)) in pairs of [z ∈ H]·χ(z), where z = r⁻¹·y·σʲ(r).
+
+    The fixed-coset form of the induced-character formula: with j = 0 it is
+    Ind_H^G χ at y; with j ≠ 0 it is the character of Ind_{Γ⋉H}^{Γ⋉G} at
+    (σʲ, y).  member tests z ∈ H and chi evaluates χ on H.
     """
-    total = CycNum.zero(p)
-    for r in reps:
-        z = conj_fn(r, y)
-        if member_fn(z):
-            total = total + chi_fn(z)
+    total = CycNum.zero(spec.tower.p)
+    for r_inv, r_j in pairs:
+        z = spec.mul(spec.mul(r_inv, y), r_j)
+        if member(z):
+            total = total + chi(z)
     return total
-
-
-def induce_character(big_spec: GroupSpec, coset_reps, member_fn, chi_fn,
-                     partition: Partition, p: int) -> ClassFunction:
-    """Induced character as a class function on the big group's partition."""
-
-    def conj(r, y):
-        return big_spec.mul(big_spec.mul(big_spec.inv(r), y), r)
-
-    vals = tuple(induced_value(rep, coset_reps, conj, member_fn, chi_fn, p) for rep in partition.reps)
-    return ClassFunction(partition, vals)
 
 
 # -- elliptic torus characters ---------------------------------------------------

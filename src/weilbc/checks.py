@@ -3,8 +3,9 @@
 Every check compares two independently computed exact values in Q(ζ_p) and
 returns a Report; a report with zero failures is success.  Exhaustive checks
 over large enumerations aggregate one case per outer slice (counting matches
-over the inner loop) and additionally emit one case per mismatching element,
-so summary tallies always equal case tallies and failures carry full values.
+over the inner loop) and additionally emit a full case for each of the first
+three mismatching elements of the slice (``_exhaustive_cases``), so a failing
+slice always fails the report and its first failures carry full values.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import product as iproduct
 from math import gcd
-from pathlib import Path
 
 from .cyclotomic import CycNum, gauss_sum
 from .errors import ConfigInvalid
@@ -23,7 +24,6 @@ from .fieldtower import build_tower
 from .grouplib import (
     BorelSL2,
     HeisGroup,
-    Partition,
     SemidirectGroup,
     SpHGroup,
     SpZGroup,
@@ -32,20 +32,23 @@ from .grouplib import (
     block_embed,
     conjugacy_classes,
     heis_embed,
+    mat_vec,
     twisted_classes,
 )
 from .normmap import NormConfig, choose_t, gyoja_norm, verify_bijection
 from .characters import (
     ClassFunction,
+    coset_pairs,
     eta,
     indicator_basis,
+    induced_trace,
     inner_product,
     lift_class_function,
     omega,
     omega_prime,
     weil_torus_restriction,
 )
-from .schrodinger import RepContext, extended_gsp_trace
+from .schrodinger import RepContext, extended_gsp_trace, gsp_character_values
 
 CHECK_NAMES = (
     "star",
@@ -73,8 +76,6 @@ class RunConfig:
     seed: int = 42
     ambient_cap: int = 64
     enum_cap: int = 1_000_000
-    fmt: str = "json"
-    cache_dir: str | None = None
 
     def normalized_pairs(self) -> tuple:
         if self.pairs:
@@ -177,7 +178,6 @@ class Workspace:
         self.norm_cache: dict = {}
         self.part_cache: dict = {}
         self._spec_cache: dict = {}
-        self._cache_loaded = False
 
     def rng(self, label: str) -> random.Random:
         return random.Random(f"{self.cfg.seed}:{label}")
@@ -187,32 +187,22 @@ class Workspace:
         if got is None:
             got = RepContext(self.tower, self.cfg.n, level, self.scale)
             self._ctx[level] = got
-            self._maybe_load_cache(got)
         return got
 
-    def sp(self, level: int | None = None, n: int | None = None) -> SympGroup:
-        key = ("sp", level or self.cfg.m, n or self.cfg.n)
+    def _spec(self, cls, level: int | None, **kwargs):
+        key = (cls, level or self.cfg.m, tuple(kwargs.items()))
         if key not in self._spec_cache:
-            self._spec_cache[key] = SympGroup(
-                self.tower, n or self.cfg.n, level or self.cfg.m, cap=self.cfg.enum_cap
-            )
+            self._spec_cache[key] = cls(self.tower, self.cfg.n, key[1], cap=self.cfg.enum_cap, **kwargs)
         return self._spec_cache[key]
+
+    def sp(self, level: int | None = None) -> SympGroup:
+        return self._spec(SympGroup, level)
 
     def gsp(self, level: int | None = None) -> SympGroup:
-        key = ("gsp", level or self.cfg.m)
-        if key not in self._spec_cache:
-            self._spec_cache[key] = SympGroup(
-                self.tower, self.cfg.n, level or self.cfg.m, similitude=True, cap=self.cfg.enum_cap
-            )
-        return self._spec_cache[key]
+        return self._spec(SympGroup, level, similitude=True)
 
-    def sph(self, level: int | None = None, n: int | None = None) -> SpHGroup:
-        key = ("sph", level or self.cfg.m, n or self.cfg.n)
-        if key not in self._spec_cache:
-            self._spec_cache[key] = SpHGroup(
-                self.tower, n or self.cfg.n, level or self.cfg.m, cap=self.cfg.enum_cap
-            )
-        return self._spec_cache[key]
+    def sph(self) -> SpHGroup:
+        return self._spec(SpHGroup, None)
 
     def norm_cfgs(self) -> list[NormConfig]:
         return [choose_t(i, self.cfg.m, t) for i, t in self.cfg.normalized_pairs()]
@@ -223,57 +213,6 @@ class Workspace:
         rng = self.rng(label)
         count = self.cfg.sample if isinstance(self.cfg.sample, int) else default_count
         return [spec.random(rng) for _ in range(count)]
-
-    # -- operator disk cache ------------------------------------------------------
-
-    def _cache_path(self) -> Path | None:
-        if not self.cfg.cache_dir:
-            return None
-        c = self.cfg
-        name = f"ops_p{c.p}_b{c.base_degree}_n{c.n}_m{c.m}_s{c.psi_scale}.json"
-        return Path(c.cache_dir) / name
-
-    def _maybe_load_cache(self, ctx: RepContext):
-        path = self._cache_path()
-        if path is None or not path.exists() or ctx.dim > 32:
-            return
-        data = json.loads(path.read_text())
-        blob = data.get(str(ctx.level))
-        if not blob:
-            return
-        import numpy as np
-
-        for key, (den, entries) in blob.items():
-            g = tuple(int(v) for v in key.split(","))
-            from .schrodinger import WeilOperator
-
-            ctx._rho_cache[g] = WeilOperator(ctx, np.array(entries, dtype=np.int64), int(den))
-
-    def save_cache(self):
-        path = self._cache_path()
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        data = {}
-        if path.exists():
-            data = json.loads(path.read_text())
-        for level, ctx in self._ctx.items():
-            if ctx.dim > 32:
-                continue
-            blob = data.setdefault(str(level), {})
-            for g, op in ctx._rho_cache.items():
-                if not isinstance(g, tuple) or not all(isinstance(v, int) for v in g):
-                    continue
-                key = ",".join(str(v) for v in g)
-                if key not in blob:
-                    blob[key] = [op.den, op.arr.tolist()]
-        path.write_text(json.dumps(data))
-
-    def warm(self, elements, level: int | None = None):
-        """Populate the operator cache ahead of trace computations."""
-        ctx = self.ctx(level or self.cfg.m)
-        for g in elements:
-            ctx.build_rho(g)
 
 
 # -- individual checks ---------------------------------------------------------------
@@ -373,9 +312,10 @@ def check_gsp(ws: Workspace) -> list[Case]:
     cases = []
     for ncfg in ws.norm_cfgs():
         ctx_d = ws.ctx(ncfg.d)
-        gsp_d = SympGroup(ws.tower, 1, ncfg.d, similitude=True, cap=cfg.enum_cap)
+        gsp_d = ws.gsp(ncfg.d)
         part_d = conjugacy_classes(gsp_d, ws.part_cache)
-        pi_d = _gsp_class_function(ws, ctx_d, gsp_d, part_d)
+        values = gsp_character_values(ctx_d, part_d)
+        pi_d = ClassFunction(part_d, tuple(values[rep] for rep in part_d.reps))
         dim_case_lhs = pi_d.at(gsp_d.identity())
         dim_expected = CycNum.rational(cfg.p, (ws.tower.q**ncfg.d - 1) * ws.tower.q ** (ncfg.d * cfg.n))
         cases.append(Case(f"dim pi_{ncfg.d}", dim_case_lhs.to_text(), dim_expected.to_text(), dim_case_lhs == dim_expected))
@@ -388,13 +328,6 @@ def check_gsp(ws: Workspace) -> list[Case]:
     return cases
 
 
-def _gsp_class_function(ws: Workspace, ctx_d, gsp_d, part_d: Partition) -> ClassFunction:
-    from .schrodinger import gsp_character_values
-
-    values = gsp_character_values(ctx_d, part_d)
-    return ClassFunction(part_d, tuple(values[rep] for rep in part_d.reps))
-
-
 def check_support(ws: Workspace) -> list[Case]:
     """|tr ρ̃'(σ^i, g·h)|² equals the character induced from the trivial
     character of Γ ⋉ Sp·Z; in particular the trace vanishes off its conjugates."""
@@ -402,37 +335,28 @@ def check_support(ws: Workspace) -> list[Case]:
     ctx = ws.ctx(cfg.m)
     sph = ws.sph()
     spz = SpZGroup(ws.tower, cfg.n, cfg.m, cap=cfg.enum_cap)
-    heis = HeisGroup(ws.tower, cfg.n, cfg.m)
     rng = ws.rng("support")
     count = cfg.sample if isinstance(cfg.sample, int) else 500
     field = ws.tower.level_elements(cfg.m)
-    vreps = [tuple(v) for v in _vectors(field, 2 * cfg.n)]
+    # coset reps of Γ⋉Sp·Z in Γ⋉Sp·H: Heisenberg translations
+    reps = [(sph.sp.identity(), (v, ws.tower.zero)) for v in iproduct(field, repeat=2 * cfg.n)]
+    pairs = [coset_pairs(sph, reps, i) for i in range(cfg.m)]
+    one = CycNum.one(cfg.p)
     cases = []
     zero_count = 0
     for k in range(count):
         i = rng.randrange(cfg.m)
-        y = (ws.sp().random(rng), heis.random(rng))
+        y = (ws.sp().random(rng), sph.heis.random(rng))
         tr = ctx.extended_trace(i, y)
         lhs = tr * tr.conj()
-        hits = 0
-        for v in vreps:
-            r = (sph.sp.identity(), (v, ws.tower.zero))
-            z = sph.mul(sph.mul(sph.inv(r), y), sph.frob(r, i))
-            if spz.contains(z):
-                hits += 1
-        rhs = CycNum.rational(cfg.p, hits)
-        tag = " [off conjugates]" if hits == 0 else ""
-        if hits == 0:
+        rhs = induced_trace(sph, pairs[i], y, spz.contains, lambda z: one)
+        tag = ""
+        if rhs.is_zero():
+            tag = " [off conjugates]"
             zero_count += 1
         cases.append(Case(f"i={i},y={y}{tag}", lhs.to_text(), rhs.to_text(), lhs == rhs))
     cases.append(Case("sampled points off the conjugates", str(zero_count), "> 0 expected at desk scale", True))
     return cases
-
-
-def _vectors(field: list, k: int):
-    from itertools import product as iproduct
-
-    return iproduct(field, repeat=k)
 
 
 def check_orthogonal(ws: Workspace) -> list[Case]:
@@ -463,56 +387,58 @@ def check_orthogonal(ws: Workspace) -> list[Case]:
     return cases
 
 
+def _exhaustive_cases(label: str, describe, points) -> list[Case]:
+    """Cases of one exhaustively enumerated slice: a full case for each of the
+    first three mismatching points, then one matched/total aggregate case.
+
+    points yields (x, lhs, rhs); describe(x) is the input text of a mismatch.
+    """
+    cases = []
+    total = mism = 0
+    for x, lhs, rhs in points:
+        total += 1
+        if lhs != rhs:
+            mism += 1
+            if mism <= 3:
+                cases.append(Case(describe(x), lhs.to_text(), rhs.to_text(), False))
+    cases.append(Case(label, f"{total - mism}/{total}", f"{total}/{total}", mism == 0))
+    return cases
+
+
 def check_parabolic(ws: Workspace) -> list[Case]:
     """Restriction of tr ρ̃' to Γ⋉B(F')H(F') against the character induced
     from ε'∘det ⊗ ψ' on Γ⋉B(F')H_⊥(F'), enumerated exhaustively (n = 1)."""
     cfg = ws.cfg
     if cfg.n != 1:
         raise ConfigInvalid("the parabolic check is implemented for n = 1")
-    tower = ws.tower
-    ctx = ws.ctx(cfg.m)
-    borel = BorelSL2(tower, cfg.m, cap=cfg.enum_cap)
+    tower, m = ws.tower, cfg.m
+    ctx = ws.ctx(m)
+    borel = BorelSL2(tower, m, cap=cfg.enum_cap)
     sph = ws.sph()
-    field = tower.level_elements(cfg.m)
+    field = tower.level_elements(m)
     # coset reps of Γ⋉B·H_⊥ in Γ⋉B·H: Heisenberg translations along f_1
     reps = [(borel.identity(), ((tower.zero, y), tower.zero)) for y in field]
-    p = cfg.p
-    psi_exp = ctx.psi_exp
+    pairs = [coset_pairs(sph, reps, j) for j in range(m)]
+    # ε'∘det ⊗ ψ' on B·H_⊥, tabulated by (diagonal entry a, central part t)
+    chi_table = {
+        (a, t): tower.psi(t, m, ws.scale) * CycNum.rational(cfg.p, tower.quad_char(a, m))
+        for a in field if a != tower.zero for t in field
+    }
+
+    def in_sub(z):  # B·H_⊥: no f_1 component
+        return z[1][0][1] == tower.zero
+
+    def chi(z):
+        return chi_table[z[0][0], z[1][1]]
+
+    heis_parts = [((v0, v1), t) for v0 in field for v1 in field for t in field]
     cases = []
-    for j in range(cfg.m):
-        reps_pre = [(sph.inv(r), sph.frob(r, j)) for r in reps]
+    for j in range(m):
         for b in borel.elements():
-            sign_b = tower.quad_char(b[0], cfg.m)
-            mism = 0
-            total = 0
-            for v0 in field:
-                for v1 in field:
-                    for t in field:
-                        y = (b, ((v0, v1), t))
-                        lhs = ctx.extended_trace(j, y)
-                        acc = [0] * p
-                        for r_inv, r_j in reps_pre:
-                            z = sph.mul(sph.mul(r_inv, y), r_j)
-                            zs, (zv, zt) = z
-                            if zv[1] != tower.zero:
-                                continue
-                            acc[psi_exp(zt)] += sign_b
-                        top = acc[p - 1]
-                        rhs = CycNum(p, tuple(acc[k] - top for k in range(p - 1)))
-                        total += 1
-                        if lhs != rhs:
-                            mism += 1
-                            if mism <= 3:
-                                cases.append(Case(f"j={j},b={b},h={((v0,v1),t)}", lhs.to_text(), rhs.to_text(), False))
-            cases.append(Case(f"j={j},b={b} (all Heisenberg parts)", f"{total - mism}/{total}", f"{total}/{total}", mism == 0))
-    y = sph.identity()
-    val = CycNum.zero(cfg.p)
-    for r in reps:
-        z = sph.mul(sph.mul(sph.inv(r), y), sph.frob(r, 1))
-        zs, (zv, zt) = z
-        if zv[1] != tower.zero:
-            continue
-        val = val + CycNum.rational(cfg.p, tower.quad_char(zs[0], cfg.m)) * tower.psi(zt, cfg.m, ws.scale)
+            points = ((h, ctx.extended_trace(j, (b, h)), induced_trace(sph, pairs[j], (b, h), in_sub, chi))
+                      for h in heis_parts)
+            cases += _exhaustive_cases(f"j={j},b={b} (all Heisenberg parts)", lambda h: f"j={j},b={b},h={h}", points)
+    val = induced_trace(sph, coset_pairs(sph, reps, 1), sph.identity(), in_sub, chi)
     want = CycNum.rational(cfg.p, tower.q**cfg.n)
     cases.append(Case("induced trace at sigma = q^n", val.to_text(), want.to_text(), val == want))
     return cases
@@ -522,46 +448,70 @@ def check_sl2_torus(ws: Workspace) -> list[Case]:
     cfg = ws.cfg
     if cfg.n != 1:
         raise ConfigInvalid("the torus suite is specific to SL2 (n = 1)")
-    tower = ws.tower
-    cases = []
-    cases += _torus_level_one(ws)
+    cases = _torus_level_one(ws)
     if cfg.m >= 2:
         cases += _torus_extended(ws)
     return cases
 
 
+def _torus_nu(ctx: RepContext, sph: SpHGroup, tor: TorusSL2, om: dict):
+    """ν(σʲ, (τ,(v,t))) = Ind₁ - Ind₂ on Γ⋉T·H at the level of sph, where Ind₁
+    induces ρ̃ from Γ⋉H (coset reps: the torus) and Ind₂ induces om·ψ from
+    Γ⋉T·Z (coset reps: Heisenberg translations).
+
+    Both are evaluated per (j, τ) slice.  The torus part of r⁻¹·y·σʲ(r) does
+    not depend on y's Heisenberg part, so only the torus pairs fixing (τ, 1)
+    contribute to Ind₁ on the slice.  For each translation r exactly one v puts
+    r⁻¹·(τ,(v,0))·σʲ(r) in T·Z, and central (0,t) factors pass through twisted
+    conjugation untouched up to the ψ-phase, so the v ↦ value map at t = 0
+    determines Ind₂ on the slice.
+    """
+    tower, level = ctx.tower, ctx.level
+    field = tower.level_elements(level)
+    vpoints = [(a, b) for a in field for b in field]
+    ident_sp, heis_id = sph.sp.identity(), sph.heis.identity()
+    zero_cyc = CycNum.zero(tower.p)
+    tpairs = [coset_pairs(sph, [(t0, heis_id) for t0 in tor.elements()], j) for j in range(level)]
+    vpairs = [coset_pairs(sph, [(ident_sp, (v, tower.zero)) for v in vpoints], j) for j in range(level)]
+
+    def in_heis(z):
+        return z[0] == ident_sp
+
+    def slice_data(j, tau):
+        fixed = [(r_inv, r_j) for r_inv, r_j in tpairs[j] if in_heis(sph.mul(sph.mul(r_inv, (tau, heis_id)), r_j))]
+        ind2_map = {}
+        tinv = tor.inv(tau)
+        for v0, (r_inv, r_j) in zip(vpoints, vpairs[j]):
+            v_hit = tuple(tower.sub(a, b) for a, b in zip(mat_vec(tower, tinv, v0, 2), r_j[1][0]))
+            z = sph.mul(sph.mul(r_inv, (tau, (v_hit, tower.zero))), r_j)
+            assert z[1][0] == (tower.zero, tower.zero)
+            contrib = CycNum.rational(tower.p, om[z[0]]) * tower.psi(z[1][1], level, ctx.scale)
+            ind2_map[v_hit] = ind2_map.get(v_hit, zero_cyc) + contrib
+        return fixed, ind2_map
+
+    slices = {(j, tau): slice_data(j, tau) for j in range(level) for tau in tor.elements()}
+
+    def nu(j, tau, v, t):
+        fixed, ind2_map = slices[(j, tau)]
+        ind1 = induced_trace(sph, fixed, (tau, (v, t)), in_heis, lambda z: ctx.extended_trace(j, z[1]))
+        return ind1 - ind2_map.get(v, zero_cyc) * tower.psi(t, level, ctx.scale)
+
+    return nu
+
+
 def _torus_level_one(ws: Workspace) -> list[Case]:
     """The virtual character Ind - Ind equals ρ on T(F)H(F), plus the
     restriction-to-torus multiplicities."""
-    cfg = ws.cfg
     tower = ws.tower
-    p = cfg.p
     ctx1 = RepContext(tower, 1, 1, ws.scale)
     tor = TorusSL2(tower, 1)
-    sph1 = SpHGroup(tower, 1, 1)
-    om = omega(tor)
-    field1 = tower.level_elements(1)
-    vreps = [(sph1.sp.identity(), ((a, b), tower.zero)) for a in field1 for b in field1]
-    treps = [(t0, sph1.heis.identity()) for t0 in tor.elements()]
+    nu = _torus_nu(ctx1, SpHGroup(tower, 1, 1), tor, omega(tor))
     cases = []
     heis_elems = HeisGroup(tower, 1, 1).elements()
     for tau in tor.elements():
         for h in heis_elems:
-            y = (tau, h)
-            lhs = ctx1.extended_trace(0, y)
-            ind1 = CycNum.zero(p)
-            for r in treps:
-                z = sph1.mul(sph1.mul(sph1.inv(r), y), r)
-                if z[0] == sph1.sp.identity():
-                    ind1 = ind1 + ctx1.extended_trace(0, z[1])
-            ind2 = CycNum.zero(p)
-            for r in vreps:
-                z = sph1.mul(sph1.mul(sph1.inv(r), y), r)
-                zs, (zv, zt) = z
-                if zv != (tower.zero, tower.zero):
-                    continue
-                ind2 = ind2 + CycNum.rational(p, om[zs]) * tower.psi(zt, 1, ws.scale)
-            rhs = ind1 - ind2
+            lhs = ctx1.extended_trace(0, (tau, h))
+            rhs = nu(0, tau, *h)
             cases.append(Case(f"nu at ({tau},{h})", lhs.to_text(), rhs.to_text(), lhs == rhs))
     wtr = weil_torus_restriction(ctx1, tor)
     for g, tr, expected, okk in wtr["details"]:
@@ -586,9 +536,7 @@ def _torus_extended(ws: Workspace) -> list[Case]:
     p, m = cfg.p, cfg.m
     ctx = ws.ctx(m)
     tor = TorusSL2(tower, m)
-    tor1 = TorusSL2(tower, 1)
-    sph = ws.sph()
-    omp = omega_prime(tor, tor1)
+    omp = omega_prime(tor, TorusSL2(tower, 1))
     even = m % 2 == 0
     cases = []
     order2 = {g: (1 if tor.log(g) % 2 == 0 else -1) for g in tor.elements()}
@@ -603,81 +551,42 @@ def _torus_extended(ws: Workspace) -> list[Case]:
     field = tower.level_elements(m)
     Q = len(field)
     vpoints = [(a, b) for a in field for b in field]
-    norm_sq_total = CycNum.zero(p)
-    sign = -1 if even else 1
-    ident_sp = sph.sp.identity()
     torus_elems = tor.elements()
-    zero_cyc = CycNum.zero(p)
+    nu = _torus_nu(ctx, ws.sph(), tor, omp)
+    sign = CycNum.rational(p, -1 if even else 1)
 
-    def slice_data(j, tau):
-        """Per-(j, τ) data: valid torus reps for Ind₁ and the Ind₂ value map.
+    def nu_prime(j, tau, v, t):
+        return nu(j, tau, v, t) * sign
 
-        Central (0,t) factors pass through twisted conjugation untouched up
-        to the ψ'-phase, so the v ↦ value map at t = 0 determines the slice.
-        """
-        valid_t0 = []
-        for t0 in torus_elems:
-            r = (t0, sph.heis.identity())
-            z = sph.mul(sph.mul(sph.inv(r), (tau, sph.heis.identity())), sph.frob(r, j))
-            if z[0] == ident_sp:
-                valid_t0.append(r)
-        ind2_map = {}
-        tinv = tor.inv(tau)
-        for v0 in vpoints:
-            from .grouplib import mat_vec
+    def twist(j):  # η(σʲ) for m even
+        return CycNum.rational(p, eta(j) if even else 1)
 
-            v_hit = tuple(
-                tower.sub(a, b)
-                for a, b in zip(mat_vec(tower, tinv, v0, 2), tuple(tower.frobenius(c, j) for c in v0))
-            )
-            r = (ident_sp, (v0, tower.zero))
-            z = sph.mul(sph.mul(sph.inv(r), (tau, (v_hit, tower.zero))), sph.frob(r, j))
-            zs, (zv, zt) = z
-            assert zv == (tower.zero, tower.zero)
-            contrib = CycNum.rational(p, omp[zs]) * tower.psi(zt, m, ws.scale)
-            ind2_map[v_hit] = ind2_map.get(v_hit, zero_cyc) + contrib
-        return valid_t0, ind2_map
+    nu_values = []
 
-    def nu_prime_point(j, tau, v, t, valid_t0, ind2_map):
-        ind1 = zero_cyc
-        for r in valid_t0:
-            z = sph.mul(sph.mul(sph.inv(r), (tau, (v, t))), sph.frob(r, j))
-            ind1 = ind1 + ctx.extended_trace(j, z[1])
-        ind2 = ind2_map.get(v, zero_cyc) * tower.psi(t, m, ws.scale)
-        return (ind1 - ind2) * CycNum.rational(p, sign)
+    def slice_points(j, tau):
+        for v in vpoints:
+            rhs = nu_prime(j, tau, v, tower.zero)
+            nu_values.append(rhs)
+            yield v, ctx.extended_trace(j, (tau, (v, tower.zero))) * twist(j), rhs
 
-    slices = {}
     for j in range(m):
         for tau in torus_elems:
-            slices[(j, tau)] = slice_data(j, tau)
-            valid_t0, ind2_map = slices[(j, tau)]
-            mism = 0
-            total = 0
-            for v in vpoints:
-                y = (tau, (v, tower.zero))
-                lhs = ctx.extended_trace(j, y) * CycNum.rational(p, eta(j) if even else 1)
-                rhs = nu_prime_point(j, tau, v, tower.zero, valid_t0, ind2_map)
-                norm_sq_total = norm_sq_total + rhs * rhs.conj()
-                total += 1
-                if lhs != rhs:
-                    mism += 1
-                    if mism <= 3:
-                        cases.append(Case(f"nu' j={j},tau={tau},v={v}", lhs.to_text(), rhs.to_text(), False))
-            cases.append(Case(f"nu' identity j={j},tau={tau} (all v, t=0)", f"{total-mism}/{total}", f"{total}/{total}", mism == 0))
+            cases += _exhaustive_cases(f"nu' identity j={j},tau={tau} (all v, t=0)",
+                                       lambda v: f"nu' j={j},tau={tau},v={v}", slice_points(j, tau))
     rng = ws.rng("sl2-torus:t")
     for k in range(100):
         j = rng.randrange(m)
         tau = rng.choice(torus_elems)
         v = rng.choice(vpoints)
         t = rng.choice(field)
-        lhs = ctx.extended_trace(j, (tau, (v, t))) * CycNum.rational(p, eta(j) if even else 1)
-        rhs = nu_prime_point(j, tau, v, t, *slices[(j, tau)])
+        lhs = ctx.extended_trace(j, (tau, (v, t))) * twist(j)
+        rhs = nu_prime(j, tau, v, t)
         cases.append(Case(f"nu' sampled t: j={j},tau={tau},v={v},t={t}", lhs.to_text(), rhs.to_text(), lhs == rhs))
-    at_sigma = nu_prime_point(1 % m, tor.identity(), (tower.zero, tower.zero), tower.zero,
-                              *slices[(1 % m, tor.identity())])
+    at_sigma = nu_prime(1 % m, tor.identity(), (tower.zero, tower.zero), tower.zero)
     want = CycNum.rational(p, -tower.q if even else tower.q)
     cases.append(Case("tr nu'(sigma)", at_sigma.to_text(), want.to_text(), at_sigma == want))
     # ⟨ν',ν'⟩: central ψ'-scaling makes every t-slice contribute equally
+    norm_sq_total = sum((x * x.conj() for x in nu_values), CycNum.zero(p))
     group_size = m * len(torus_elems) * Q * Q * Q
     ip = norm_sq_total * CycNum.rational(p, Q, group_size)
     cases.append(Case("<nu',nu'> = 1", ip.to_text(), CycNum.one(p).to_text(), ip == CycNum.one(p)))
@@ -792,6 +701,4 @@ def run_check(name: str, cfg: RunConfig, ws: Workspace | None = None) -> Report:
             cases.extend(sub_cases)
     else:
         cases = CHECK_FUNCS[name](ws)
-    report = Report(name, cfg.as_dict(), cases, time.time() - t0)
-    ws.save_cache()
-    return report
+    return Report(name, cfg.as_dict(), cases, time.time() - t0)

@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--ambient-cap", type=int, default=64, help="largest allowed ambient level (q-degrees)")
     ap.add_argument("--enum-cap", type=int, default=1_000_000, help="largest enumerable group order")
     ap.add_argument("--format", dest="fmt", choices=("json", "tsv"), default="json")
-    ap.add_argument("--cache-dir", type=str, default=None, help="directory for the operator cache")
     ap.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
     return ap
 
@@ -73,15 +72,13 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         ambient_cap=args.ambient_cap,
         enum_cap=args.enum_cap,
-        fmt=args.fmt,
-        cache_dir=args.cache_dir,
     )
     try:
         report = run_check(args.check, cfg)
     except WeilbcError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    text = report.to_json() if cfg.fmt == "json" else report.to_tsv()
+    text = report.to_json() if args.fmt == "json" else report.to_tsv()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -197,26 +197,6 @@ class CycNum:
         return f"Cyc[{self.p}]({body})"
 
 
-def cyc_add(a: CycNum, b: CycNum) -> CycNum:
-    return a + b
-
-
-def cyc_mul(a: CycNum, b: CycNum) -> CycNum:
-    return a * b
-
-
-def cyc_neg(a: CycNum) -> CycNum:
-    return -a
-
-
-def cyc_inv(a: CycNum) -> CycNum:
-    return a.inverse()
-
-
-def cyc_conj(a: CycNum) -> CycNum:
-    return a.conj()
-
-
 def gauss_sum(tower, d: int, scale=None) -> CycNum:
     """G_d = Σ_{x in F_{q^d}} ψ_d(x²); satisfies G_d² = ε_d(-1)·q^d."""
     total = CycNum.zero(tower.p)

@@ -109,14 +109,13 @@ def find_modulus(p: int, degree: int) -> tuple[int, ...]:
 
 
 class _LevelData:
-    __slots__ = ("d", "size", "basis", "elements", "pos", "trace_vec", "psi_tables", "quad")
+    __slots__ = ("d", "size", "basis", "elements", "trace_vec", "psi_tables", "quad")
 
     def __init__(self, d: int, size: int):
         self.d = d
         self.size = size
         self.basis = None
         self.elements = None
-        self.pos = None
         self.trace_vec = None
         self.psi_tables: dict = {}
         self.quad: dict = {}
@@ -246,12 +245,6 @@ class Tower:
             red = (red + full[A:] @ self._redmat) % self.p
         return tuple(int(v) for v in red)
 
-    def scalar_mul(self, c: int, a):
-        c %= self.p
-        if self.tabulated:
-            return self._mul_t[self.from_int(c)][a]
-        return tuple((c * x) % self.p for x in a)
-
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("field inverse of zero")
@@ -339,12 +332,7 @@ class Tower:
                 elems = [self._encode(v) for v in combos]
                 elems.sort(key=self.elem_key)
                 lv.elements = elems
-            lv.pos = {x: i for i, x in enumerate(lv.elements)}
         return lv.elements
-
-    def level_pos(self, d: int) -> dict:
-        self.level_elements(d)
-        return self._levels[d].pos
 
     def in_level(self, x, d: int) -> bool:
         return self.frobenius(x, d) == x

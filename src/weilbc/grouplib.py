@@ -353,14 +353,6 @@ class SympGroup(_MatrixSpec):
         kind, lam = membership(self.tower, a, self.n, self.level)
         return kind == "sp" or (self.similitude and kind == "gsp")
 
-    def similitude_factor(self, a):
-        kind, lam = membership(self.tower, a, self.n, self.level)
-        if kind == "sp":
-            return self.tower.one
-        if kind == "gsp":
-            return lam
-        raise ValueError("not a similitude")
-
     def unipotent(self, b: tuple) -> tuple:
         """[[1, b], [0, 1]] with b an n×n block (must be symmetric)."""
         n, tower = self.n, self.tower

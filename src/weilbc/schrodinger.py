@@ -19,9 +19,11 @@ The Weyl constant pairs the plain (counting-measure) Gauss sum G with the
 from __future__ import annotations
 
 from itertools import product as iproduct
+from math import gcd
 
 import numpy as np
 
+from .characters import coset_pairs, induced_trace
 from .cyclotomic import CycNum, gauss_sum
 from .errors import FactorizationFailed, NotSymplectic, Singular
 from .fieldtower import Tower
@@ -63,10 +65,10 @@ class WeilOperator:
     __slots__ = ("ctx", "arr", "den")
 
     def __init__(self, ctx: "RepContext", arr: np.ndarray, den: int = 1):
+        den = int(den)  # a numpy integer here would leak numpy bools into CycNum equality
         if den < 0:
             den, arr = -den, -arr
-        g = int(np.gcd.reduce(np.abs(arr), axis=None)) if arr.size else 0
-        g = np.gcd(g, den)
+        g = gcd(int(np.gcd.reduce(np.abs(arr), axis=None)) if arr.size else 0, den)
         if g > 1:
             arr = arr // g
             den //= g
@@ -455,37 +457,25 @@ def _siegel_factor_inner(tower: Tower, n: int, level: int, g: tuple) -> list:
 # -- similitude character machinery -----------------------------------------------------
 
 
+def _similitude_cosets(ctx: RepContext, j: int):
+    """GSp and Sp at the context's level, and the (r⁻¹, σʲ(r)) pairs of the
+    coset representatives r = diag(λ·1, 1) of Sp in GSp."""
+    tower, n, level = ctx.tower, ctx.n, ctx.level
+    gsp = SympGroup(tower, n, level, similitude=True)
+    reps = [gsp.similitude_rep(lam) for lam in tower.level_elements(level) if lam != tower.zero]
+    return gsp, SympGroup(tower, n, level), coset_pairs(gsp, reps, j)
+
+
 def gsp_character_values(ctx: RepContext, partition) -> dict:
     """Values of π_d = Ind_{Sp}^{GSp} ρ_d on the classes of GSp(F_{q^d})."""
-    tower, n = ctx.tower, ctx.n
-    gsp = SympGroup(tower, n, ctx.level, similitude=True)
-    sp = SympGroup(tower, n, ctx.level)
-    reps = [gsp.similitude_rep(lam) for lam in tower.level_elements(ctx.level) if lam != tower.zero]
-    out = {}
-    for cls_rep in partition.reps:
-        total = CycNum.zero(ctx.p)
-        for r in reps:
-            y = mat_mul(tower, mat_mul(tower, mat_inv(tower, r, 2 * n), cls_rep, 2 * n), r, 2 * n)
-            if sp.contains(y):
-                total = total + ctx.build_rho(y).trace()
-        out[cls_rep] = total
-    return out
+    gsp, sp, pairs = _similitude_cosets(ctx, 0)
+    return {
+        rep: induced_trace(gsp, pairs, rep, sp.contains, lambda z: ctx.build_rho(z).trace())
+        for rep in partition.reps
+    }
 
 
 def extended_gsp_trace(ctx: RepContext, i: int, g: tuple) -> CycNum:
     """Character of Ind_{Γ⋉Sp(F')}^{Γ⋉GSp(F')} ρ̃' at (σ^i, g)."""
-    tower, n = ctx.tower, ctx.n
-    sp = SympGroup(tower, n, ctx.level)
-    total = CycNum.zero(ctx.p)
-    for lam in tower.level_elements(ctx.level):
-        if lam == tower.zero:
-            continue
-        r = SympGroup(tower, n, ctx.level, similitude=True).similitude_rep(lam)
-        y = mat_mul(tower, mat_mul(tower, mat_inv(tower, r, 2 * n), g, 2 * n), mat_frob_pow(tower, r, i), 2 * n)
-        if sp.contains(y):
-            total = total + ctx.extended_trace(i, y)
-    return total
-
-
-def mat_frob_pow(tower: Tower, g: tuple, i: int) -> tuple:
-    return tuple(tower.frobenius(x, i) for x in g)
+    gsp, sp, pairs = _similitude_cosets(ctx, i)
+    return induced_trace(gsp, pairs, g, sp.contains, lambda z: ctx.extended_trace(i, z))

@@ -4,9 +4,10 @@ import pytest
 
 from weilbc.characters import (
     ClassFunction,
+    coset_pairs,
     eta,
     indicator_basis,
-    induced_value,
+    induced_trace,
     inner_product,
     lift_class_function,
     omega,
@@ -113,21 +114,14 @@ def test_isometry_on_full_basis(t92, sl1_part):
 
 
 def test_induce_trivial_from_trivial_subgroup_of_c2(t92):
-    # C_2 realized as F_3^×; induced trivial character = regular character (2, 0)
-    c2 = MulGroup(t92, 1)
-    reps = c2.elements()
-    val_at = {}
-    for y in c2.elements():
-        val_at[y] = induced_value(
-            y,
-            reps,
-            conj_fn=lambda r, z: c2.mul(c2.mul(c2.inv(r), z), r),
-            member_fn=lambda z: z == c2.identity(),
-            chi_fn=lambda z: CycNum.one(3),
-            p=3,
-        )
-    assert val_at[c2.identity()] == CycNum.rational(3, 2)
-    assert val_at[2] == CycNum.zero(3)
+    # induced trivial character from {1} = regular character (|G| at 1, 0 elsewhere),
+    # on C_2 realized as F_3^× and on the cyclic torus T(F_3) of order 4
+    for group in (MulGroup(t92, 1), TorusSL2(t92, 1)):
+        ident = group.identity()
+        pairs = coset_pairs(group, group.elements())
+        for y in group.elements():
+            val = induced_trace(group, pairs, y, lambda z: z == ident, lambda z: CycNum.one(3))
+            assert val == CycNum.rational(3, group.order() if y == ident else 0)
 
 
 def test_induction_transitivity_on_torus_chain(t92):
@@ -138,14 +132,7 @@ def test_induction_transitivity_on_torus_chain(t92):
     elems = tor.elements()
 
     def ind(reps, sub_member, chi, y):
-        return induced_value(
-            y,
-            reps,
-            conj_fn=lambda r, z: tor.mul(tor.mul(tor.inv(r), z), r),
-            member_fn=sub_member,
-            chi_fn=chi,
-            p=3,
-        )
+        return induced_trace(tor, coset_pairs(tor, reps), y, sub_member, chi)
 
     def inner_ind(y):
         # Ind_{1}^{{±1}} 1 = regular character of the 2-element group
@@ -164,13 +151,8 @@ def test_induced_trivial_from_spz_at_sigma(t92):
     spz = SpZGroup(t92, 1, 2)
     field = t92.level_elements(2)
     reps = [(sph.sp.identity(), ((a, b), t92.zero)) for a in field for b in field]
-    y = sph.identity()
-    total = 0
-    for r in reps:
-        z = sph.mul(sph.mul(sph.inv(r), y), sph.frob(r, 1))
-        if spz.contains(z):
-            total += 1
-    assert total == 9
+    total = induced_trace(sph, coset_pairs(sph, reps, 1), sph.identity(), spz.contains, lambda z: CycNum.one(3))
+    assert total == CycNum.rational(3, 9)
 
 
 def test_omega_is_order_two(t92):
@@ -243,21 +225,3 @@ def test_class_function_ring_and_tsv(t92, sl1_part):
     assert text.splitlines()[0].startswith("class_id")
     assert len(text.splitlines()) == 8
 
-
-def test_induce_character_wrapper(t92):
-    """Regular character of T(F_3) from the trivial subgroup, as a ClassFunction."""
-    from weilbc.characters import induce_character
-    from weilbc.grouplib import Partition, conjugacy_classes
-
-    tor = TorusSL2(t92, 1)
-    part = conjugacy_classes(tor)  # abelian: singleton classes
-    chi = induce_character(
-        tor,
-        coset_reps=tor.elements(),
-        member_fn=lambda z: z == tor.identity(),
-        chi_fn=lambda z: CycNum.one(3),
-        partition=part,
-        p=3,
-    )
-    assert chi.at(tor.identity()) == CycNum.rational(3, 4)
-    assert all(chi.at(g).is_zero() for g in tor.elements() if g != tor.identity())

@@ -2,7 +2,7 @@
 
 import random
 
-from weilbc.checks import RunConfig, Workspace, run_check
+from weilbc.checks import RunConfig, run_check
 from weilbc.cli import main
 from weilbc.cyclotomic import CycNum
 from weilbc.fieldtower import build_tower
@@ -86,15 +86,6 @@ def test_ambient_cap_surfaces_as_cli_error(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "AmbientCapExceeded" in err
-
-
-def test_workspace_warm_populates_cache():
-    cfg = RunConfig(p=3, n=1, m=2, pairs=((1, 1),), sample=4, seed=2)
-    ws = Workspace(cfg)
-    sl = SympGroup(ws.tower, 1, 2)
-    elems = [sl.random(ws.rng("warm")) for _ in range(5)]
-    ws.warm(elems)
-    assert all(g in ws.ctx(2)._rho_cache for g in elems)
 
 
 def test_support_check_zero_points_really_vanish():

@@ -13,15 +13,18 @@ def test_parse_pairs():
 
 
 def test_cli_json_report(capsys):
-    rc = main(["star", "--p", "3", "--n", "1", "--m", "2", "--pairs", "1:1", "--sample", "5", "--seed", "3"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    data = json.loads(out)
-    assert data["check"] == "star"
-    assert set(data) == {"check", "config", "cases", "summary", "seconds"}
-    assert data["summary"] == {"pass": 5, "fail": 0}
-    assert len(data["cases"]) == 5
-    assert all(set(c) == {"input", "lhs", "rhs", "equal"} for c in data["cases"])
+    # the Sp4 run serializes cases whose values carry operator denominators
+    for args, count in [(["--n", "1", "--m", "2", "--pairs", "1:1", "--sample", "5", "--seed", "3"], 5),
+                        (["--n", "2", "--m", "2", "--sample", "4", "--seed", "0"], 4)]:
+        rc = main(["star", "--p", "3", *args])
+        out = capsys.readouterr().out
+        assert rc == 0
+        data = json.loads(out)
+        assert data["check"] == "star"
+        assert set(data) == {"check", "config", "cases", "summary", "seconds"}
+        assert data["summary"] == {"pass": count, "fail": 0}
+        assert len(data["cases"]) == count
+        assert all(set(c) == {"input", "lhs", "rhs", "equal"} for c in data["cases"])
 
 
 def test_cli_tsv_report(capsys):
@@ -67,18 +70,6 @@ def test_config_validation():
 def test_reports_deterministic_under_seed():
     cfg = RunConfig(p=3, n=1, m=2, pairs=((1, 1),), sample=12, seed=99)
     r1 = run_check("star", cfg, Workspace(cfg))
-    r2 = run_check("star", cfg, Workspace(cfg))
-    assert [c.__dict__ for c in r1.cases] == [c.__dict__ for c in r2.cases]
-
-
-def test_operator_cache_roundtrip(tmp_path):
-    cfg = RunConfig(p=3, n=1, m=2, pairs=((1, 1),), sample=6, seed=5, cache_dir=str(tmp_path))
-    r1 = run_check("star", cfg, Workspace(cfg))
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    blob = json.loads(files[0].read_text())
-    assert "2" in blob and len(blob["2"]) > 0
-    # second run loads the cache and reproduces the same report
     r2 = run_check("star", cfg, Workspace(cfg))
     assert [c.__dict__ for c in r1.cases] == [c.__dict__ for c in r2.cases]
 

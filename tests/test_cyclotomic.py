@@ -127,14 +127,3 @@ def test_galois_orbit_sums_to_rational():
         total = total + a.galois(k)
     assert total == CycNum.rational(5, -1)
 
-
-def test_functional_aliases():
-    from weilbc.cyclotomic import cyc_add, cyc_conj, cyc_inv, cyc_mul, cyc_neg
-
-    a = CycNum(3, (1, 2))
-    b = CycNum.root_of_unity(3, 1)
-    assert cyc_add(a, b) == a + b
-    assert cyc_mul(a, b) == a * b
-    assert cyc_neg(a) == -a
-    assert cyc_inv(b) == b.inverse()
-    assert cyc_conj(b) == b.conj()
