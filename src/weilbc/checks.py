@@ -558,8 +558,7 @@ def _torus_extended(ws: Workspace) -> list[Case]:
     def nu_prime(j, tau, v, t):
         return nu(j, tau, v, t) * sign
 
-    def twist(j):  # η(σʲ) for m even
-        return CycNum.rational(p, eta(j) if even else 1)
+    twist = [CycNum.rational(p, eta(j) if even else 1) for j in range(m)]  # η(σʲ) for m even
 
     nu_values = []
 
@@ -567,7 +566,7 @@ def _torus_extended(ws: Workspace) -> list[Case]:
         for v in vpoints:
             rhs = nu_prime(j, tau, v, tower.zero)
             nu_values.append(rhs)
-            yield v, ctx.extended_trace(j, (tau, (v, tower.zero))) * twist(j), rhs
+            yield v, ctx.extended_trace(j, (tau, (v, tower.zero))) * twist[j], rhs
 
     for j in range(m):
         for tau in torus_elems:
@@ -579,7 +578,7 @@ def _torus_extended(ws: Workspace) -> list[Case]:
         tau = rng.choice(torus_elems)
         v = rng.choice(vpoints)
         t = rng.choice(field)
-        lhs = ctx.extended_trace(j, (tau, (v, t))) * twist(j)
+        lhs = ctx.extended_trace(j, (tau, (v, t))) * twist[j]
         rhs = nu_prime(j, tau, v, t)
         cases.append(Case(f"nu' sampled t: j={j},tau={tau},v={v},t={t}", lhs.to_text(), rhs.to_text(), lhs == rhs))
     at_sigma = nu_prime(1 % m, tor.identity(), (tower.zero, tower.zero), tower.zero)
