@@ -55,3 +55,7 @@ class SupportMismatch(WeilbcError):
 
 class ConfigInvalid(WeilbcError):
     pass
+
+
+class OperatorOverflow(WeilbcError):
+    pass

@@ -3,7 +3,8 @@
 Operators are dense matrices of cyclotomic integers divided by a common
 denominator: a numpy int64 array of shape (dim, dim, p-1) plus a positive
 int denominator.  All arithmetic is exact; equality is array equality of
-the normalized form.
+the normalized form.  Products run through one float64 BLAS kernel that is
+exact because the entry bound is checked before every product.
 
 Generator formulas (X-coordinates first, matrices on column vectors):
 
@@ -14,6 +15,12 @@ Generator formulas (X-coordinates first, matrices on column vectors):
 
 The Weyl constant pairs the plain (counting-measure) Gauss sum G with the
 ε'(-2)^n factor; the homomorphism test suite pins this normalization.
+
+Dense operators are built only where whole operators are compared or
+multiplied (`build_rho`).  The extended trace of a symplectic element is
+read off its Siegel word instead: unipotent and Levi factors are monomial,
+and each Weyl entry is one ψ-exponent of the F_p-bilinear pairing x·w,
+tabulated per context as point coordinates and a trace-form Gram matrix.
 """
 
 from __future__ import annotations
@@ -25,21 +32,34 @@ import numpy as np
 
 from .characters import coset_pairs, induced_trace
 from .cyclotomic import CycNum, gauss_sum
-from .errors import FactorizationFailed, NotSymplectic, Singular
+from .errors import FactorizationFailed, NotSymplectic, OperatorOverflow, Singular
 from .fieldtower import Tower
 from .grouplib import (
     SympGroup,
-    SympSpace,
     mat_det,
     mat_identity,
     mat_inv,
     mat_mul,
     mat_neg,
     mat_transpose,
-    mat_vec,
 )
+from .modp import left_inverse, rref
 
 _RHO_CACHE_CAP = 6000
+_EXACT_BOUND = 2**53  # float64 holds every integer below this exactly
+_PATH_CHUNK = 1 << 20  # Siegel-word paths evaluated per numpy batch
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for int64 matrices, through float64 BLAS.
+
+    Exact: every partial sum is an integer of size at most
+    max|a|·max|b|·inner < 2^53, which is checked first.
+    """
+    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * a.shape[1]
+    if bound >= _EXACT_BOUND:
+        raise OperatorOverflow(f"product entry bound {bound} is not below 2^53")
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
 
 
 def _unit_vectors(p: int) -> np.ndarray:
@@ -82,18 +102,23 @@ class WeilOperator:
 
     def __matmul__(self, other: "WeilOperator") -> "WeilOperator":
         ctx = self.ctx
-        full = np.einsum("ikr,kjs->ijrs", self.arr, other.arr)
+        rows, inner, r = self.arr.shape
+        left = self.arr.transpose(0, 2, 1).reshape(rows * r, inner)  # ((i, r), k)
+        right = other.arr.reshape(inner, -1)  # (k, (j, s))
+        full = _exact_matmul(left, right).reshape(rows, r, -1, r).transpose(0, 2, 1, 3)
         return WeilOperator(ctx, ctx.fold(full), self.den * other.den)
 
     def scale(self, c: CycNum) -> "WeilOperator":
         ctx = self.ctx
-        vec = np.array(c.num, dtype=np.int64)
-        full = np.einsum("ijr,s->ijrs", self.arr, vec)
+        r = self.arr.shape[2]
+        vec = np.array([c.num], dtype=np.int64)  # (1, s)
+        full = _exact_matmul(self.arr.reshape(-1, 1), vec).reshape(self.arr.shape + (r,))
         return WeilOperator(ctx, ctx.fold(full), self.den * c.den)
 
     def conj_transpose(self) -> "WeilOperator":
-        out = np.einsum("ijr,sr->jis", self.arr, self.ctx.conjmat)
-        return WeilOperator(self.ctx, out, self.den)
+        r = self.arr.shape[2]
+        out = _exact_matmul(self.arr.reshape(-1, r), self.ctx.conjmat.T).reshape(self.arr.shape)
+        return WeilOperator(self.ctx, np.ascontiguousarray(out.transpose(1, 0, 2)), self.den)
 
     def trace(self) -> CycNum:
         vec = self.arr.trace(axis1=0, axis2=1)
@@ -126,7 +151,6 @@ class RepContext:
         self.level = level
         self.scale = tower.one if scale is None else scale
         self.p = tower.p
-        self.space = SympSpace(n)
         elems = tower.level_elements(level)
         self.Q = len(elems)
         self.points = [pt for pt in iproduct(elems, repeat=n)]
@@ -145,6 +169,7 @@ class RepContext:
         self._rho_cache: dict = {}
         self._gal_perm: dict[int, np.ndarray] = {}
         self._psi_exp_cache: dict = {}
+        self._coords = None
 
     # -- cyclotomic plumbing ----------------------------------------------------
 
@@ -166,6 +191,17 @@ class RepContext:
 
     def eps(self, x) -> int:
         return self.tower.quad_char(x, self.level)
+
+    def _coordinates(self) -> "_Coordinates":
+        """The F_p-coordinate model of the basis points, built on first use."""
+        if self._coords is None:
+            self._coords = _Coordinates(self)
+        return self._coords
+
+    def _image(self, mat: tuple) -> np.ndarray:
+        """Point index of mat·y for every basis point y."""
+        coords = self._coordinates()
+        return coords.index(coords.apply(mat))
 
     def identity_op(self) -> WeilOperator:
         arr = np.zeros((self.dim, self.dim, self.p - 1), dtype=np.int64)
@@ -202,63 +238,59 @@ class RepContext:
             exps[idx] = self.psi_exp(tower.add(k, pair))
         return self._monomial(cols, exps)
 
-    def op_unip(self, b: tuple) -> WeilOperator:
-        """Diagonal operator of [[1,b],[0,1]]; b must be symmetric n×n."""
+    def _unip_exps(self, b: tuple) -> np.ndarray:
+        """ζ-exponents of the diagonal of [[1,b],[0,1]]; b must be symmetric n×n."""
         tower, n = self.tower, self.n
         for i in range(n):
             for j in range(n):
                 if b[i * n + j] != b[j * n + i]:
                     raise NotSymplectic("unipotent block is not self-adjoint")
-        cols = np.arange(self.dim, dtype=np.intp)
-        exps = np.empty(self.dim, dtype=np.intp)
-        for idx, y in enumerate(self.points):
-            acc = tower.zero  # ⟨b y*, y*⟩ = Σ b_ij y_j y_i
-            for i in range(n):
-                for j in range(n):
-                    acc = tower.add(acc, tower.mul(b[i * n + j], tower.mul(y[j], y[i])))
-            exps[idx] = self.psi_exp(tower.mul(self._half, acc))
-        return self._monomial(cols, exps)
+        coords = self._coordinates()  # ψ'(⟨b y*, y*⟩/2) = ψ'((b/2)y*·y*)
+        half_b = tuple(tower.mul(self._half, x) for x in b)
+        return coords.pairing(coords.apply(half_b), coords.pts)
 
-    def op_levi(self, a: tuple) -> WeilOperator:
-        """Signed permutation of diag(a, (aᵀ)^{-1}): f ↦ ε'(det a) f(aᵀ y*)."""
-        tower, n = self.tower, self.n
-        det = mat_det(tower, a, n)
-        if det == tower.zero:
+    def _levi_perm(self, a: tuple) -> tuple[np.ndarray, int]:
+        """Columns y ↦ aᵀ y and the sign ε'(det a) of diag(a, (aᵀ)^{-1})."""
+        det = mat_det(self.tower, a, self.n)
+        if det == self.tower.zero:
             raise Singular("Levi block is singular")
-        sign = self.eps(det)
-        at = mat_transpose(a, n)
-        cols = np.empty(self.dim, dtype=np.intp)
-        for idx, y in enumerate(self.points):
-            cols[idx] = self.pos[mat_vec(tower, at, y, n)]
-        exps = np.zeros(self.dim, dtype=np.intp)
-        signs = np.full(self.dim, sign, dtype=np.int64)
-        return self._monomial(cols, exps, signs)
+        return self._image(mat_transpose(a, self.n)), self.eps(det)
 
-    def op_weyl(self, b: tuple | None = None) -> WeilOperator:
-        """Fourier operator of [[0,B],[-(Bᵀ)^{-1},0]]; B: X* → X, default identity."""
+    def _weyl_factor(self, b: tuple | None) -> tuple[np.ndarray, CycNum]:
+        """Point index of Bᵀy for every row y, and G^{-n}·ε'(-2)^n·ε'(det B)."""
         tower, n = self.tower, self.n
         B = mat_identity(tower, n) if b is None else b
         det = mat_det(tower, B, n)
         if det == tower.zero:
             raise NotSymplectic("Weyl block is singular")
-        bt = mat_transpose(B, n)
-        exps = np.empty((self.dim, self.dim), dtype=np.intp)
-        bty = [mat_vec(tower, bt, y, n) for y in self.points]
-        for col, x in enumerate(self.points):
-            for row in range(self.dim):
-                acc = tower.zero
-                w = bty[row]
-                for i in range(n):
-                    acc = tower.add(acc, tower.mul(x[i], w[i]))
-                exps[row, col] = self.psi_exp(acc)
-        arr = self._units[exps]
-        minus2 = tower.from_int(tower.p - 2)
-        sign = self.eps(minus2) ** n * self.eps(det)
-        const = self.gauss_inv
-        for _ in range(n - 1):
+        sign = self.eps(tower.from_int(tower.p - 2)) ** n * self.eps(det)
+        const = CycNum.rational(self.p, sign)
+        for _ in range(n):
             const = const * self.gauss_inv
-        const = const * CycNum.rational(self.p, sign)
-        return WeilOperator(self, arr).scale(const)
+        return self._image(mat_transpose(B, n)), const
+
+    def _weyl_exps(self, bty: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """ψ-exponents of ⟨x_col, Bᵀy_row⟩ for rows bty (the indices of Bᵀy):
+        against every column, or against cols entrywise."""
+        coords = self._coordinates()
+        if cols is None:
+            return coords.pts_g[bty] @ coords.pts.T % self.p
+        return coords.pairing(coords.pts[bty], coords.pts[cols])
+
+    def op_unip(self, b: tuple) -> WeilOperator:
+        """Diagonal operator of [[1,b],[0,1]]; b must be symmetric n×n."""
+        return self._monomial(np.arange(self.dim, dtype=np.intp), self._unip_exps(b))
+
+    def op_levi(self, a: tuple) -> WeilOperator:
+        """Signed permutation of diag(a, (aᵀ)^{-1}): f ↦ ε'(det a) f(aᵀ y*)."""
+        cols, sign = self._levi_perm(a)
+        signs = np.full(self.dim, sign, dtype=np.int64)
+        return self._monomial(cols, np.zeros(self.dim, dtype=np.intp), signs)
+
+    def op_weyl(self, b: tuple | None = None) -> WeilOperator:
+        """Fourier operator of [[0,B],[-(Bᵀ)^{-1},0]]; B: X* → X, default identity."""
+        bty, const = self._weyl_factor(b)
+        return WeilOperator(self, self._units[self._weyl_exps(bty)]).scale(const)
 
     def op_galois(self, j: int) -> WeilOperator:
         """I_σ^j: f ↦ f(σ^{-j}·), a permutation of the basis points."""
@@ -312,14 +344,75 @@ class RepContext:
         kind = _element_kind(g, self.n)
         fwd = self.galois_perm(-i)  # row y ↦ index of σ^{+i}(y)
         if kind == "sp":
-            mat = self.build_rho(g)
-            vec = mat.arr[np.arange(self.dim), fwd].sum(axis=0)
-            return CycNum(self.p, tuple(int(v) for v in vec), mat.den)
+            return self._word_trace(siegel_factor(self.tower, self.n, self.level, g), fwd)
         if kind == "heis":
             s, h = None, g
         else:
             s, h = g
         return self._trace_sph(fwd, s, h)
+
+    def _word_trace(self, word: list, fwd: np.ndarray) -> CycNum:
+        """Σ_y ρ(g)[y, fwd[y]] summed along the Siegel word of g, no matrix built.
+
+        A path follows one nonzero entry per factor.  Unipotent and Levi
+        factors are monomial, so they move a path deterministically; the
+        factors' signs and Weyl constants are common to all paths.  After
+        the last Weyl factor the word is monomial again, so the column a
+        path must reach there is fixed by its row; only earlier Weyl factors
+        branch over every column.  Words with at most one Weyl factor cost
+        O(dim), the singular-corner word with two costs O(dim²).
+        """
+        dim, p = self.dim, self.p
+        const = CycNum.one(p)
+        steps = []
+        for tag, param in word:
+            if tag == "weyl":
+                bty, c = self._weyl_factor(param)
+                const = const * c
+                steps.append((bty, None))
+            elif tag == "unip":
+                steps.append((np.arange(dim, dtype=np.intp), self._unip_exps(param)))
+            else:
+                cols, sign = self._levi_perm(param)
+                const = const * sign
+                steps.append((cols, np.zeros(dim, dtype=np.intp)))
+        goal, exp = fwd, np.zeros(dim, dtype=np.int64)
+        while steps and steps[-1][1] is not None:  # fold the monomial tail into the goal
+            cols, exps = steps.pop()
+            back = np.empty(dim, dtype=np.intp)
+            back[cols] = np.arange(dim)
+            goal = back[goal]
+            exp = exp + exps[goal]
+        hist = self._walk(steps, np.arange(dim, dtype=np.intp), goal, exp)
+        return const * CycNum(p, hist[: p - 1] - hist[p - 1])
+
+    def _walk(self, steps: list, cur: np.ndarray, goal: np.ndarray, exp: np.ndarray) -> np.ndarray:
+        """Histogram of ζ-exponents over the paths cur → goal through steps.
+
+        A step is (cols, exps) for a monomial factor and (bty, None) for a
+        Weyl factor, which the last step always is when steps is nonempty.
+        """
+        for k, (data, exps) in enumerate(steps):
+            if exps is not None:
+                exp = exp + exps[cur]
+                cur = data[cur]
+            elif k == len(steps) - 1:
+                exp = exp + self._weyl_exps(data[cur], goal)
+                cur = goal
+            else:
+                hist = np.zeros(self.p, dtype=np.int64)
+                every = np.arange(self.dim, dtype=np.intp)
+                chunk = max(1, _PATH_CHUNK // self.dim)
+                for lo in range(0, len(cur), chunk):
+                    sl = slice(lo, lo + chunk)
+                    branched = self._weyl_exps(data[cur[sl]]) + exp[sl, None]
+                    hist += self._walk(
+                        steps[k + 1:], np.tile(every, len(branched)),
+                        np.repeat(goal[sl], self.dim), branched.ravel(),
+                    )
+                return hist
+        hit = cur == goal
+        return np.bincount(exp[hit] % self.p, minlength=self.p)
 
     def _trace_sph(self, fwd: np.ndarray, s, h) -> CycNum:
         """Monomial fast path: tr(ρ(s)ρ(h)I^i) without forming the product.
@@ -362,6 +455,58 @@ class RepContext:
         phases = self._units[exps]
         total = self.fold(np.einsum("yr,ys->yrs", entries, phases)).sum(axis=0)
         return CycNum(self.p, tuple(int(c) for c in total), mat.den)
+
+
+class _Coordinates:
+    """Basis points of a RepContext as vectors over F_p.
+
+    The trace form is F_p-bilinear, so with coordinates c over an F_p-basis
+    β of the level and Gram matrix T[a, b] = Tr(scale·β_a·β_b), the
+    ψ'-exponent of x·w for points x, w is c(x)·(1_n ⊗ T)·c(w) mod p, and
+    y ↦ mat·y is an F_p-linear map of coordinates.  Building the model costs
+    O(k²) tower multiplications for the F_p-dimension k of the level.
+    """
+
+    def __init__(self, ctx: RepContext):
+        tower, p, n = ctx.tower, ctx.p, ctx.n
+        elems = tower.level_elements(ctx.level)
+        self.ctx = ctx
+        place = [p**a for a in range(tower.ambient_degree)]
+        digits = np.array([[tower.elem_key(x) // w % p for w in place] for x in elems], dtype=np.int64)
+        _, basis = rref(digits.T, p)  # positions of an F_p-basis among the elements
+        self.basis = [elems[k] for k in basis]
+        coords = digits @ left_inverse(digits[basis].T, p).T % p
+        self._of = dict(zip(elems, coords))
+        gram = np.array(
+            [[ctx.psi_exp(tower.mul(a, b)) for b in self.basis] for a in self.basis], dtype=np.int64
+        )
+        self.pts = np.array([self.vector(y) for y in ctx.points])
+        self._gram = np.kron(np.eye(n, dtype=np.int64), gram)
+        self.pts_g = self.pts @ self._gram % p
+        self._weights = p ** np.arange(self.pts.shape[1], dtype=np.int64)
+        self._pos = np.empty(ctx.dim, dtype=np.intp)
+        self._pos[self.pts @ self._weights] = np.arange(ctx.dim)
+
+    def vector(self, v) -> np.ndarray:
+        """Coordinates of one point v, a tuple of n level elements."""
+        return np.concatenate([self._of[c] for c in v])
+
+    def apply(self, mat: tuple) -> np.ndarray:
+        """Coordinates of mat·y for every basis point y (mat is n×n)."""
+        tower, n = self.ctx.tower, self.ctx.n
+        lin = np.array([  # c(mat·y) = c(y) @ lin; row (i, a) is the image of β_a·e_i
+            self.vector([tower.mul(mat[j * n + i], beta) for j in range(n)])
+            for i in range(n) for beta in self.basis
+        ])
+        return self.pts @ lin % self.ctx.p
+
+    def index(self, coords: np.ndarray) -> np.ndarray:
+        """Point indices of coordinate rows."""
+        return self._pos[coords @ self._weights]
+
+    def pairing(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """ψ'-exponents of x·w for coordinate rows xs, ws, entrywise."""
+        return (xs @ self._gram % self.ctx.p * ws).sum(axis=1) % self.ctx.p
 
 
 def _element_kind(g, n: int) -> str:

@@ -74,6 +74,15 @@ def test_star_identity_with_scaled_psi():
         assert ctx2.extended_trace(1, g) == ctx1.build_rho(N).trace()
 
 
+def test_star_at_f729():
+    """(⋆) on SL2(F_729): dimension-729 extended traces are read off the
+    Siegel word, so a sampled star at this size stays cheap."""
+    cfg = RunConfig(p=3, base_degree=2, n=1, m=3, sample=3, seed=0)
+    report = run_check("star", cfg)
+    assert report.ok
+    assert len(report.cases) == 6  # twists i = 1, 2
+
+
 def test_group_too_large_surfaces_as_cli_error(capsys):
     rc = main(["star", "--p", "3", "--n", "2", "--m", "2", "--sample", "all"])
     err = capsys.readouterr().err

@@ -1,12 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
+from weilbc import schrodinger
 from weilbc.cyclotomic import CycNum
-from weilbc.errors import NotSymplectic, Singular
+from weilbc.errors import NotSymplectic, OperatorOverflow, Singular
 from weilbc.fieldtower import build_tower
 from weilbc.grouplib import HeisGroup, SpHGroup, SympGroup, mat_mul, sp_act_heis
-from weilbc.schrodinger import RepContext, siegel_factor
+from weilbc.normmap import choose_t, gyoja_norm
+from weilbc.schrodinger import RepContext, WeilOperator, siegel_factor
 
 
 @pytest.fixture(scope="module")
@@ -123,11 +126,32 @@ def test_factorization_certificates_exhaustive_sl2_f3(t92):
         siegel_factor(t92, 1, 1, g)  # internal product check is the certificate
 
 
-def test_factorization_singular_corner_sp4(t92):
+def _dense_extended_trace(ctx, i, g):
+    return (ctx.build_rho(g) @ ctx.op_galois(i)).trace()
+
+
+def test_factorization_singular_corner_sp4(t92, monkeypatch):
     lower = (1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1)  # c = diag(1,0)
     word = siegel_factor(t92, 2, 1, lower)
     assert 3 <= len(word) <= 5
     assert sum(1 for tag, _ in word if tag == "weyl") == 2
+    # the two-Weyl word's matrix-free trace agrees with the dense operator,
+    # also after moving the corner by Levi and unipotent factors over F_9
+    ctx = RepContext(t92, 2, 1)
+    assert ctx.extended_trace(0, lower) == _dense_extended_trace(ctx, 0, lower)
+    ctx9 = RepContext(t92, 2, 2)
+    sp4 = SympGroup(t92, 2, 2)
+    levis = [(1, 0, 0, 1), (1, 1, 0, 1), (0, 1, 1, 0), (3, 1, 0, 4)]  # invertible over F_9
+    unips = [(0, 0, 0, 0), (2, 0, 0, 5), (1, 3, 3, 7), (4, 1, 1, 0)]  # symmetric
+    for a, b in zip(levis, unips):
+        g = mat_mul(t92, mat_mul(t92, sp4.levi(a), lower, 4), sp4.unipotent(b), 4)
+        assert sum(1 for tag, _ in siegel_factor(t92, 2, 2, g) if tag == "weyl") == 2
+        for i in (0, 1):
+            want = _dense_extended_trace(ctx9, i, g)
+            assert ctx9.extended_trace(i, g) == want
+            with monkeypatch.context() as mp:  # one row of paths per batch
+                mp.setattr(schrodinger, "_PATH_CHUNK", 1)
+                assert ctx9.extended_trace(i, g) == want
 
 
 def test_rho_identity_and_minus_one(ctx1, t92):
@@ -186,11 +210,23 @@ def test_sp_action_on_heisenberg(ctx2, t92):
 
 def test_extended_trace_examples(ctx2, t92):
     sl = SympGroup(t92, 1, 2)
-    # (0, g) restricts to tr ρ'
-    for cand in sl.elements()[:50]:
+    # the word-summed trace matches the dense operator on every element,
+    # both SL2 word shapes (c = 0, c invertible); (0, g) restricts to tr ρ'
+    for cand in sl.elements():
         assert ctx2.extended_trace(0, cand) == ctx2.build_rho(cand).trace()
+        assert ctx2.extended_trace(1, cand) == _dense_extended_trace(ctx2, 1, cand)
     # (1, 1) gives q^n
     assert ctx2.extended_trace(1, sl.identity()) == CycNum.rational(3, 3)
+
+
+def test_extended_trace_matches_dense_sp4(t92):
+    ctx = RepContext(t92, 2, 2)
+    sp4 = SympGroup(t92, 2, 2)
+    rng = random.Random(26)
+    for _ in range(12):
+        g = sp4.random(rng)
+        for i in (0, 1):
+            assert ctx.extended_trace(i, g) == _dense_extended_trace(ctx, i, g)
 
 
 def test_extended_trace_is_twisted_class_function(ctx2, t92):
@@ -247,3 +283,103 @@ def test_identity_factors_trivially(t92):
     sl = SympGroup(t92, 1, 1)
     word = siegel_factor(t92, 1, 1, sl.identity())
     assert len(word) == 1
+
+
+# -- the exact product kernel ---------------------------------------------------------
+
+
+def _reference_product(ctx, a, b):
+    """The einsum-and-fold product the BLAS kernel replaced."""
+    full = np.einsum("ikr,kjs->ijrs", a.arr, b.arr)
+    return WeilOperator(ctx, ctx.fold(full), a.den * b.den)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_product_kernel_matches_einsum_reference(p):
+    ctx = RepContext(build_tower(p, 1, 2), 1, 2)
+    rng = np.random.default_rng(p)
+    for bound in (2, 1000, 10**6):
+        a, b = (WeilOperator(ctx, rng.integers(-bound, bound, size=(ctx.dim, ctx.dim, p - 1)), 7)
+                for _ in range(2))
+        assert a @ b == _reference_product(ctx, a, b)
+        c = CycNum(p, [int(v) for v in rng.integers(-bound, bound, size=p - 1)], 3)
+        want = np.einsum("ijr,s->ijrs", a.arr, np.array(c.num))
+        assert a.scale(c) == WeilOperator(ctx, ctx.fold(want), a.den * c.den)
+        want = np.einsum("ijr,sr->jis", a.arr, ctx.conjmat)
+        assert a.conj_transpose() == WeilOperator(ctx, want, a.den)
+
+
+def test_product_kernel_refuses_inexact_bound(ctx2):
+    big = np.full((ctx2.dim, ctx2.dim, 2), 2**26, dtype=np.int64)  # 2^52 · dim ≥ 2^53
+    op = WeilOperator(ctx2, big + np.eye(ctx2.dim, dtype=np.int64)[:, :, None])
+    with pytest.raises(OperatorOverflow):
+        op @ op
+
+
+# -- Howe's character norm: an oracle that shares no code with the model ---------------
+
+
+def _kernel_dim(tower, g, size):
+    """dim ker(g - 1) over the field of g's entries, by elimination in the tower."""
+    rows = [[tower.sub(g[r * size + c], tower.one if r == c else tower.zero) for c in range(size)]
+            for r in range(size)]
+    rank = 0
+    for col in range(size):
+        piv = next((r for r in range(rank, size) if rows[r][col] != tower.zero), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = tower.inv(rows[rank][col])
+        rows[rank] = [tower.mul(inv, x) for x in rows[rank]]
+        for r in range(size):
+            if r != rank and rows[r][col] != tower.zero:
+                f = rows[r][col]
+                rows[r] = [tower.sub(x, tower.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return size - rank
+
+
+def _abs2(z):
+    return z * z.conj()
+
+
+def test_character_norm_oracle():
+    """|tr ρ_d(g)|² = (q^d)^{dim ker(g−1)} (Howe, Trans. AMS 177, 1973).
+
+    The rank comes from elimination over the tower, not from the Schrödinger
+    model, so a wrong Weyl constant or Gauss-sum normalization shows here.
+    Taking the absolute value squares away every sign: an ε'-sign error in a
+    generator formula passes this test.
+    """
+    cases = [((3, 1, 2), 1, 2, None), ((5, 1, 1), 1, 1, None),
+             ((3, 1, 1), 2, 1, 150), ((3, 1, 2), 2, 2, 20)]
+    for (p, b, m), n, level, count in cases:
+        tower = build_tower(p, b, m)
+        ctx = RepContext(tower, n, level)
+        sp = SympGroup(tower, n, level)
+        rng = random.Random(27)
+        elems = sp.elements() if count is None else [sp.random(rng) for _ in range(count)]
+        for g in elems:
+            want = CycNum.rational(p, ctx.Q ** _kernel_dim(tower, g, 2 * n))
+            assert _abs2(ctx.extended_trace(0, g)) == want
+
+
+@pytest.mark.parametrize("m,count", [(2, 60), (3, 20)])
+def test_twisted_character_norm_oracle(m, count):
+    """|tr ρ̃'(σ^i, g)|² = (q^d)^{dim ker(N−1)} for the twisted norm N of (σ^i, g).
+
+    The twisted form of Howe's identity through the base-change identity;
+    like the untwisted oracle it is blind to signs.
+    """
+    tower = build_tower(3, 1, m)
+    ctx = RepContext(tower, 1, m)
+    sp = SympGroup(tower, 1, m)
+    rng = random.Random(28)
+    cache: dict = {}
+    for i in range(1, m):
+        ncfg = choose_t(i, m, None)
+        for _ in range(count):
+            g = sp.random(rng)
+            N, _ = gyoja_norm(ncfg, sp, g, 64, cache=cache)
+            want = CycNum.rational(3, tower.q ** (ncfg.d * _kernel_dim(tower, N, 2)))
+            assert _abs2(ctx.extended_trace(i, g)) == want
