@@ -109,14 +109,13 @@ def find_modulus(p: int, degree: int) -> tuple[int, ...]:
 
 
 class _LevelData:
-    __slots__ = ("d", "size", "basis", "elements", "trace_vec", "psi_tables", "quad")
+    __slots__ = ("d", "size", "basis", "elements", "psi_tables", "quad")
 
     def __init__(self, d: int, size: int):
         self.d = d
         self.size = size
         self.basis = None
         self.elements = None
-        self.trace_vec = None
         self.psi_tables: dict = {}
         self.quad: dict = {}
 
@@ -190,9 +189,6 @@ class Tower:
         self._inv_t = [0] * size
         for x in range(1, size):
             self._inv_t[x] = int(self.pow(x, size - 2))
-        # p-power Frobenius permutation
-        img = dig @ self._pmat.T % p
-        self._pfrob = [int(v) for v in img @ weights]
 
     def _decode(self, x) -> np.ndarray:
         if self.tabulated:

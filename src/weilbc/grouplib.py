@@ -489,7 +489,6 @@ class HeisGroup(GroupSpec):
     def generators(self) -> list:
         tower, n = self.tower, self.n
         gens = []
-        basis_scalars = tower.level_elements(1)[1:] if self.level == 1 else None
         scalars = [x for x in tower.level_elements(self.level) if x != tower.zero]
         # translations by all c·e_i, c·f_i for c a field basis would suffice;
         # using every scalar keeps it simple at desk scale for small levels

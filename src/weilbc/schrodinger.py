@@ -16,11 +16,15 @@ Generator formulas (X-coordinates first, matrices on column vectors):
 The Weyl constant pairs the plain (counting-measure) Gauss sum G with the
 ε'(-2)^n factor; the homomorphism test suite pins this normalization.
 
-Dense operators are built only where whole operators are compared or
-multiplied (`build_rho`).  The extended trace of a symplectic element is
-read off its Siegel word instead: unipotent and Levi factors are monomial,
-and each Weyl entry is one ψ-exponent of the F_p-bilinear pairing x·w,
-tabulated per context as point coordinates and a trace-form Gram matrix.
+Every element g of Sp, H or Sp·H has one model, its steps (`_steps`): the
+unipotent, Levi and Weyl factors of the Siegel word of its Sp part, one
+monomial step for its H part, and a constant sign·G^{-n·w} for w Weyl
+factors.  Unipotent, Levi and Heisenberg steps are monomial, and each Weyl
+entry is one ψ-exponent of the F_p-bilinear pairing x·w, tabulated per
+context as point coordinates and a trace-form Gram matrix.  The extended
+trace walks the steps without building a matrix; dense operators, the
+product of the steps' dense factors, are built only where whole operators
+are compared or multiplied (`build_rho`).
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .grouplib import (
     mat_mul,
     mat_neg,
     mat_transpose,
+    mat_vec,
 )
 from .modp import left_inverse, rref
 
@@ -153,8 +158,7 @@ class RepContext:
         self.p = tower.p
         elems = tower.level_elements(level)
         self.Q = len(elems)
-        self.points = [pt for pt in iproduct(elems, repeat=n)]
-        self.pos = {pt: k for k, pt in enumerate(self.points)}
+        self.points = list(iproduct(elems, repeat=n))
         self.dim = len(self.points)
         self._units = _unit_vectors(self.p)
         self.conjmat = _conj_matrix(self.p)
@@ -164,9 +168,12 @@ class RepContext:
         ]
         self.gauss = gauss_sum(tower, level, self.scale)
         self.gauss_inv = self.gauss.inverse()
-        self._half = tower.from_int((tower.p + 1) // 2)
+        self._every = np.arange(self.dim, dtype=np.intp)  # read-only: shared by steps
+        self._flat = np.zeros(self.dim, dtype=np.intp)  # ζ-exponents of a permutation step
         self._cache_cap = _RHO_CACHE_CAP if self.dim <= 32 else 700
         self._rho_cache: dict = {}
+        self._step_cache: dict = {}
+        self._gauss_pow: dict[int, CycNum] = {}
         self._gal_perm: dict[int, np.ndarray] = {}
         self._psi_exp_cache: dict = {}
         self._coords = None
@@ -203,40 +210,87 @@ class RepContext:
         coords = self._coordinates()
         return coords.index(coords.apply(mat))
 
+    def _weyl_constant(self, w: int) -> CycNum:
+        """G^{-n·w}: the Gauss-sum part of the constant of w Weyl factors."""
+        got = self._gauss_pow.get(w)
+        if got is None:
+            got = CycNum.one(self.p)
+            for _ in range(self.n * w):
+                got = got * self.gauss_inv
+            self._gauss_pow[w] = got
+        return got
+
     def identity_op(self) -> WeilOperator:
         arr = np.zeros((self.dim, self.dim, self.p - 1), dtype=np.int64)
         arr[np.arange(self.dim), np.arange(self.dim), 0] = 1
         return WeilOperator(self, arr)
 
-    def _monomial(self, cols: np.ndarray, exps: np.ndarray, signs=None) -> WeilOperator:
+    def _monomial(self, cols: np.ndarray, exps: np.ndarray, sign: int = 1) -> WeilOperator:
         arr = np.zeros((self.dim, self.dim, self.p - 1), dtype=np.int64)
-        vecs = self._units[exps]
-        if signs is not None:
-            vecs = vecs * signs[:, None]
-        arr[np.arange(self.dim), cols] = vecs
+        arr[np.arange(self.dim), cols] = sign * self._units[exps]
         return WeilOperator(self, arr)
 
-    # -- generator operators -------------------------------------------------------
+    def _dense(self, step: tuple, sign: int = 1) -> WeilOperator:
+        """sign times the dense factor of one step (see `_steps`)."""
+        cols, exps = step
+        if exps is None:
+            return WeilOperator(self, sign * self._units[self._weyl_exps(cols)])
+        return self._monomial(cols, exps, sign)
 
-    def op_heis(self, h) -> WeilOperator:
-        """Operator of a Heisenberg element (v, t)."""
-        tower, n = self.tower, self.n
+    # -- the steps of ρ(g) ----------------------------------------------------------
+
+    def _steps(self, g, keep: bool = True) -> tuple[int, int, list, bool]:
+        """ρ(g) = sign·G^{-n·w}·F_1⋯F_k for g in Sp, H or Sp·H.
+
+        Returns (sign, w, [F_1, …, F_k], symplectic).  A monomial step
+        (cols, exps) has the entry ζ^exps[y] at (y, cols[y]); a Weyl step
+        (bty, None) has the entry ζ^(x·Bᵀy) at (y, x), bty holding the point
+        index of Bᵀy.  The Sp part of g gives the steps of its Siegel word,
+        whose Levi and Weyl signs make up sign and whose w Weyl factors each
+        carry G^{-n}; the H part gives one monomial step.  The Sp part's
+        steps are kept (bounded) when keep is set or g has an H part;
+        symplectic says g has none.
+        """
+        kind = _element_kind(g, self.n)
+        s, h = (g, None) if kind == "sp" else (None, g) if kind == "heis" else g
+        sign, w, steps = 1, 0, []
+        if s is not None:
+            got = self._step_cache.get(s)
+            if got is None:
+                got = self._sp_steps(s)
+                if keep or h is not None:
+                    _remember(self._step_cache, s, got, self._cache_cap)
+            sign, w, steps = got
+        if h is not None:
+            steps = steps + [self._heis_step(h)]
+        return sign, w, steps, h is None
+
+    def _sp_steps(self, s: tuple) -> tuple[int, int, list]:
+        """Sign, Weyl count and steps of the Siegel word of a symplectic s."""
+        sign, w, steps = 1, 0, []
+        for tag, param in siegel_factor(self.tower, self.n, self.level, s):
+            if tag == "unip":
+                steps.append((self._every, self._unip_exps(param)))
+                continue
+            if tag == "levi":
+                cols, eps = self._levi_perm(param)
+                steps.append((cols, self._flat))
+            else:
+                cols, eps = self._weyl_factor(param)
+                steps.append((cols, None))
+                w += 1
+            sign *= eps
+        return sign, w, steps
+
+    def _heis_step(self, h) -> tuple[np.ndarray, np.ndarray]:
+        """Step of h = (x, x*; t): row y has column y + x* and ζ-exponent
+        ψ'(t − ½·x·x*) − (y·x)."""
+        coords, p = self._coordinates(), self.p
         v, t = h
-        x, xs = v[:n], v[n:]
-        dot = tower.zero
-        for i in range(n):
-            dot = tower.add(dot, tower.mul(x[i], xs[i]))
-        k = tower.sub(t, tower.mul(self._half, dot))
-        cols = np.empty(self.dim, dtype=np.intp)
-        exps = np.empty(self.dim, dtype=np.intp)
-        for idx, y in enumerate(self.points):
-            shifted = tuple(tower.add(y[i], xs[i]) for i in range(n))
-            cols[idx] = self.pos[shifted]
-            pair = tower.zero  # ⟨y*, x⟩ = -Σ y_i x_i
-            for i in range(n):
-                pair = tower.sub(pair, tower.mul(y[i], x[i]))
-            exps[idx] = self.psi_exp(tower.add(k, pair))
-        return self._monomial(cols, exps)
+        vec = coords.vector(v)
+        cx, cxs = vec[: len(vec) // 2], vec[len(vec) // 2 :]
+        k = self.psi_exp(t) - (p + 1) // 2 * int(coords.pairing(cx[None], cxs[None])[0])
+        return coords.index((coords.pts + cxs) % p), (k - coords.pts_g @ cx) % p
 
     def _unip_exps(self, b: tuple) -> np.ndarray:
         """ζ-exponents of the diagonal of [[1,b],[0,1]]; b must be symmetric n×n."""
@@ -246,7 +300,7 @@ class RepContext:
                 if b[i * n + j] != b[j * n + i]:
                     raise NotSymplectic("unipotent block is not self-adjoint")
         coords = self._coordinates()  # ψ'(⟨b y*, y*⟩/2) = ψ'((b/2)y*·y*)
-        half_b = tuple(tower.mul(self._half, x) for x in b)
+        half_b = tuple(tower.mul(tower.half, x) for x in b)
         return coords.pairing(coords.apply(half_b), coords.pts)
 
     def _levi_perm(self, a: tuple) -> tuple[np.ndarray, int]:
@@ -256,18 +310,15 @@ class RepContext:
             raise Singular("Levi block is singular")
         return self._image(mat_transpose(a, self.n)), self.eps(det)
 
-    def _weyl_factor(self, b: tuple | None) -> tuple[np.ndarray, CycNum]:
-        """Point index of Bᵀy for every row y, and G^{-n}·ε'(-2)^n·ε'(det B)."""
+    def _weyl_factor(self, b: tuple | None) -> tuple[np.ndarray, int]:
+        """Point index of Bᵀy for every row y, and the sign ε'(-2)^n·ε'(det B)."""
         tower, n = self.tower, self.n
         B = mat_identity(tower, n) if b is None else b
         det = mat_det(tower, B, n)
         if det == tower.zero:
             raise NotSymplectic("Weyl block is singular")
         sign = self.eps(tower.from_int(tower.p - 2)) ** n * self.eps(det)
-        const = CycNum.rational(self.p, sign)
-        for _ in range(n):
-            const = const * self.gauss_inv
-        return self._image(mat_transpose(B, n)), const
+        return self._image(mat_transpose(B, n)), sign
 
     def _weyl_exps(self, bty: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """ψ-exponents of ⟨x_col, Bᵀy_row⟩ for rows bty (the indices of Bᵀy):
@@ -277,120 +328,87 @@ class RepContext:
             return coords.pts_g[bty] @ coords.pts.T % self.p
         return coords.pairing(coords.pts[bty], coords.pts[cols])
 
+    # -- generator operators -------------------------------------------------------
+
+    def op_heis(self, h) -> WeilOperator:
+        """Operator of a Heisenberg element (v, t)."""
+        return self._monomial(*self._heis_step(h))
+
     def op_unip(self, b: tuple) -> WeilOperator:
         """Diagonal operator of [[1,b],[0,1]]; b must be symmetric n×n."""
-        return self._monomial(np.arange(self.dim, dtype=np.intp), self._unip_exps(b))
+        return self._monomial(self._every, self._unip_exps(b))
 
     def op_levi(self, a: tuple) -> WeilOperator:
         """Signed permutation of diag(a, (aᵀ)^{-1}): f ↦ ε'(det a) f(aᵀ y*)."""
         cols, sign = self._levi_perm(a)
-        signs = np.full(self.dim, sign, dtype=np.int64)
-        return self._monomial(cols, np.zeros(self.dim, dtype=np.intp), signs)
+        return self._monomial(cols, self._flat, sign)
 
     def op_weyl(self, b: tuple | None = None) -> WeilOperator:
         """Fourier operator of [[0,B],[-(Bᵀ)^{-1},0]]; B: X* → X, default identity."""
-        bty, const = self._weyl_factor(b)
-        return WeilOperator(self, self._units[self._weyl_exps(bty)]).scale(const)
+        bty, sign = self._weyl_factor(b)
+        return self._dense((bty, None), sign).scale(self._weyl_constant(1))
 
     def op_galois(self, j: int) -> WeilOperator:
         """I_σ^j: f ↦ f(σ^{-j}·), a permutation of the basis points."""
-        perm = self.galois_perm(j)
-        cols = perm
-        exps = np.zeros(self.dim, dtype=np.intp)
-        return self._monomial(cols, exps)
+        return self._monomial(self.galois_perm(j), self._flat)
 
     def galois_perm(self, j: int) -> np.ndarray:
         """Column positions: point index y ↦ index of σ^{-j}(y)."""
         j = j % self.level
         got = self._gal_perm.get(j)
         if got is None:
-            tower = self.tower
-            got = np.array(
-                [self.pos[tuple(tower.frobenius(c, -j) for c in y)] for y in self.points],
-                dtype=np.intp,
-            )
+            frob, coords = self.tower.frobenius, self._coordinates()
+            got = coords.index(coords.image(lambda v: tuple(frob(c, -j) for c in v)))
             self._gal_perm[j] = got
         return got
 
-    # -- factorization and the representation ------------------------------------------
+    # -- the representation ------------------------------------------------------------
 
     def build_rho(self, g) -> WeilOperator:
-        """ρ of a symplectic matrix, Heisenberg element, or (s, h) product."""
-        kind = _element_kind(g, self.n)
-        if kind == "heis":
-            return self.op_heis(g)
-        if kind == "sph":
-            return self.build_rho(g[0]) @ self.op_heis(g[1])
-        key = g
-        cached = self._rho_cache.get(key)
-        if cached is not None:
-            return cached
-        word = siegel_factor(self.tower, self.n, self.level, g)
-        out = self.identity_op()
-        for tag, param in word:
-            if tag == "unip":
-                out = out @ self.op_unip(param)
-            elif tag == "levi":
-                out = out @ self.op_levi(param)
-            else:
-                out = out @ self.op_weyl(param)
-        if len(self._rho_cache) >= self._cache_cap:
-            self._rho_cache.pop(next(iter(self._rho_cache)))
-        self._rho_cache[key] = out
+        """ρ of a symplectic matrix, Heisenberg element, or (s, h) product:
+        the product of the dense factors of its steps."""
+        out = self._rho_cache.get(g)
+        if out is None:
+            sign, w, steps, symplectic = self._steps(g)
+            out = self._dense(steps[0], sign)
+            for step in steps[1:]:
+                out = out @ self._dense(step)
+            if w:
+                out = out.scale(self._weyl_constant(w))
+            if symplectic:
+                _remember(self._rho_cache, g, out, self._cache_cap)
         return out
 
     def extended_trace(self, i: int, g) -> CycNum:
-        """tr ρ̃'(σ^i, g) = tr(ρ(g)·I_σ^i), for g in Sp·H at this level."""
-        kind = _element_kind(g, self.n)
-        fwd = self.galois_perm(-i)  # row y ↦ index of σ^{+i}(y)
-        if kind == "sp":
-            return self._word_trace(siegel_factor(self.tower, self.n, self.level, g), fwd)
-        if kind == "heis":
-            s, h = None, g
-        else:
-            s, h = g
-        return self._trace_sph(fwd, s, h)
+        """tr ρ̃'(σ^i, g) = tr(ρ(g)·I_σ^i) for g in Sp·H at this level: the
+        sum Σ_y ρ(g)[y, σ^i y] along the steps of g, no matrix built.
 
-    def _word_trace(self, word: list, fwd: np.ndarray) -> CycNum:
-        """Σ_y ρ(g)[y, fwd[y]] summed along the Siegel word of g, no matrix built.
-
-        A path follows one nonzero entry per factor.  Unipotent and Levi
-        factors are monomial, so they move a path deterministically; the
-        factors' signs and Weyl constants are common to all paths.  After
-        the last Weyl factor the word is monomial again, so the column a
-        path must reach there is fixed by its row; only earlier Weyl factors
-        branch over every column.  Words with at most one Weyl factor cost
-        O(dim), the singular-corner word with two costs O(dim²).
+        A path follows one nonzero entry per factor.  Monomial steps move a
+        path deterministically, and the constant of the steps is common to
+        all paths.  After the last Weyl step the steps are monomial again, so
+        the column a path must reach there is fixed by its row; only earlier
+        Weyl steps branch over every column.  Elements with at most one Weyl
+        step cost O(dim), the singular-corner word with two costs O(dim²).
         """
+        sign, w, steps, _ = self._steps(g, keep=False)
         dim, p = self.dim, self.p
-        const = CycNum.one(p)
-        steps = []
-        for tag, param in word:
-            if tag == "weyl":
-                bty, c = self._weyl_factor(param)
-                const = const * c
-                steps.append((bty, None))
-            elif tag == "unip":
-                steps.append((np.arange(dim, dtype=np.intp), self._unip_exps(param)))
-            else:
-                cols, sign = self._levi_perm(param)
-                const = const * sign
-                steps.append((cols, np.zeros(dim, dtype=np.intp)))
-        goal, exp = fwd, np.zeros(dim, dtype=np.int64)
-        while steps and steps[-1][1] is not None:  # fold the monomial tail into the goal
-            cols, exps = steps.pop()
+        goal, exp = self.galois_perm(-i), np.zeros(dim, dtype=np.int64)  # row y ↦ σ^i(y)
+        last = len(steps)
+        while last and steps[last - 1][1] is not None:  # fold the monomial tail into the goal
+            cols, exps = steps[last - 1]
             back = np.empty(dim, dtype=np.intp)
-            back[cols] = np.arange(dim)
+            back[cols] = self._every
             goal = back[goal]
             exp = exp + exps[goal]
-        hist = self._walk(steps, np.arange(dim, dtype=np.intp), goal, exp)
-        return const * CycNum(p, hist[: p - 1] - hist[p - 1])
+            last -= 1
+        hist = self._walk(steps[:last], self._every, goal, exp)
+        total = CycNum(p, sign * (hist[: p - 1] - hist[p - 1]))
+        return self._weyl_constant(w) * total if w else total
 
     def _walk(self, steps: list, cur: np.ndarray, goal: np.ndarray, exp: np.ndarray) -> np.ndarray:
         """Histogram of ζ-exponents over the paths cur → goal through steps.
 
-        A step is (cols, exps) for a monomial factor and (bty, None) for a
-        Weyl factor, which the last step always is when steps is nonempty.
+        The last step is a Weyl step when steps is nonempty.
         """
         for k, (data, exps) in enumerate(steps):
             if exps is not None:
@@ -401,60 +419,17 @@ class RepContext:
                 cur = goal
             else:
                 hist = np.zeros(self.p, dtype=np.int64)
-                every = np.arange(self.dim, dtype=np.intp)
                 chunk = max(1, _PATH_CHUNK // self.dim)
                 for lo in range(0, len(cur), chunk):
                     sl = slice(lo, lo + chunk)
                     branched = self._weyl_exps(data[cur[sl]]) + exp[sl, None]
                     hist += self._walk(
-                        steps[k + 1:], np.tile(every, len(branched)),
+                        steps[k + 1:], np.tile(self._every, len(branched)),
                         np.repeat(goal[sl], self.dim), branched.ravel(),
                     )
                 return hist
         hit = cur == goal
         return np.bincount(exp[hit] % self.p, minlength=self.p)
-
-    def _trace_sph(self, fwd: np.ndarray, s, h) -> CycNum:
-        """Monomial fast path: tr(ρ(s)ρ(h)I^i) without forming the product.
-
-        The only nonzero column of ρ(h) in row z is z + x*, so the trace
-        collapses to one ρ(s)-entry per basis point.
-        """
-        tower, n = self.tower, self.n
-        v, t = h
-        x, xs = v[:n], v[n:]
-        dot = tower.zero
-        for k in range(n):
-            dot = tower.add(dot, tower.mul(x[k], xs[k]))
-        kk = tower.sub(t, tower.mul(self._half, dot))
-        neg_xs = tuple(tower.neg(c) for c in xs)
-        mat = self.build_rho(s) if s is not None else None
-        if mat is None:
-            total = np.zeros(self.p - 1, dtype=np.int64)
-            for y_idx in range(self.dim):
-                w = self.points[fwd[y_idx]]  # σ^i(y)
-                z = tuple(tower.add(w[k], neg_xs[k]) for k in range(n))
-                if self.pos[z] != y_idx:
-                    continue
-                pair = tower.zero
-                for k in range(n):
-                    pair = tower.sub(pair, tower.mul(z[k], x[k]))
-                total += self._units[self.psi_exp(tower.add(kk, pair))]
-            return CycNum(self.p, tuple(int(c) for c in total), 1)
-        cols = np.empty(self.dim, dtype=np.intp)
-        exps = np.empty(self.dim, dtype=np.intp)
-        for y_idx in range(self.dim):
-            w = self.points[fwd[y_idx]]  # σ^i(y)
-            z = tuple(tower.add(w[k], neg_xs[k]) for k in range(n))
-            cols[y_idx] = self.pos[z]
-            pair = tower.zero
-            for k in range(n):
-                pair = tower.sub(pair, tower.mul(z[k], x[k]))
-            exps[y_idx] = self.psi_exp(tower.add(kk, pair))
-        entries = mat.arr[np.arange(self.dim), cols]  # (dim, p-1)
-        phases = self._units[exps]
-        total = self.fold(np.einsum("yr,ys->yrs", entries, phases)).sum(axis=0)
-        return CycNum(self.p, tuple(int(c) for c in total), mat.den)
 
 
 class _Coordinates:
@@ -463,8 +438,9 @@ class _Coordinates:
     The trace form is F_p-bilinear, so with coordinates c over an F_p-basis
     β of the level and Gram matrix T[a, b] = Tr(scale·β_a·β_b), the
     ψ'-exponent of x·w for points x, w is c(x)·(1_n ⊗ T)·c(w) mod p, and
-    y ↦ mat·y is an F_p-linear map of coordinates.  Building the model costs
-    O(k²) tower multiplications for the F_p-dimension k of the level.
+    an F_p-linear map of points (mat·y, Frobenius) is a linear map of
+    coordinates.  Building the model costs O(k²) tower multiplications for
+    the F_p-dimension k of the level.
     """
 
     def __init__(self, ctx: RepContext):
@@ -488,17 +464,22 @@ class _Coordinates:
         self._pos[self.pts @ self._weights] = np.arange(ctx.dim)
 
     def vector(self, v) -> np.ndarray:
-        """Coordinates of one point v, a tuple of n level elements."""
+        """Coordinates of a tuple v of level elements, concatenated."""
         return np.concatenate([self._of[c] for c in v])
+
+    def image(self, f) -> np.ndarray:
+        """Coordinates of f(y) for every basis point y; f is F_p-linear on points."""
+        zero, n = self.ctx.tower.zero, self.ctx.n
+        lin = np.array([  # c(f(y)) = c(y) @ lin; row (i, a) is c(f(β_a·e_i))
+            self.vector(f(tuple(beta if k == i else zero for k in range(n))))
+            for i in range(n) for beta in self.basis
+        ])
+        return self.pts @ lin % self.ctx.p
 
     def apply(self, mat: tuple) -> np.ndarray:
         """Coordinates of mat·y for every basis point y (mat is n×n)."""
         tower, n = self.ctx.tower, self.ctx.n
-        lin = np.array([  # c(mat·y) = c(y) @ lin; row (i, a) is the image of β_a·e_i
-            self.vector([tower.mul(mat[j * n + i], beta) for j in range(n)])
-            for i in range(n) for beta in self.basis
-        ])
-        return self.pts @ lin % self.ctx.p
+        return self.image(lambda v: mat_vec(tower, mat, v, n))
 
     def index(self, coords: np.ndarray) -> np.ndarray:
         """Point indices of coordinate rows."""
@@ -507,6 +488,13 @@ class _Coordinates:
     def pairing(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
         """ψ'-exponents of x·w for coordinate rows xs, ws, entrywise."""
         return (xs @ self._gram % self.ctx.p * ws).sum(axis=1) % self.ctx.p
+
+
+def _remember(cache: dict, key, value, cap: int) -> None:
+    """Store value under key, first evicting the oldest entry if cache holds cap."""
+    if len(cache) >= cap:
+        cache.pop(next(iter(cache)))
+    cache[key] = value
 
 
 def _element_kind(g, n: int) -> str:

@@ -130,21 +130,28 @@ def _dense_extended_trace(ctx, i, g):
     return (ctx.build_rho(g) @ ctx.op_galois(i)).trace()
 
 
+_LOWER = (1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1)  # Sp4 element with c = diag(1,0)
+
+
+def _singular_corners(t92):
+    """The singular corner moved by Levi and unipotent factors over F_9."""
+    sp4 = SympGroup(t92, 2, 2)
+    levis = [(1, 0, 0, 1), (1, 1, 0, 1), (0, 1, 1, 0), (3, 1, 0, 4)]  # invertible over F_9
+    unips = [(0, 0, 0, 0), (2, 0, 0, 5), (1, 3, 3, 7), (4, 1, 1, 0)]  # symmetric
+    return [mat_mul(t92, mat_mul(t92, sp4.levi(a), _LOWER, 4), sp4.unipotent(b), 4)
+            for a, b in zip(levis, unips)]
+
+
 def test_factorization_singular_corner_sp4(t92, monkeypatch):
-    lower = (1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1)  # c = diag(1,0)
-    word = siegel_factor(t92, 2, 1, lower)
+    word = siegel_factor(t92, 2, 1, _LOWER)
     assert 3 <= len(word) <= 5
     assert sum(1 for tag, _ in word if tag == "weyl") == 2
     # the two-Weyl word's matrix-free trace agrees with the dense operator,
     # also after moving the corner by Levi and unipotent factors over F_9
     ctx = RepContext(t92, 2, 1)
-    assert ctx.extended_trace(0, lower) == _dense_extended_trace(ctx, 0, lower)
+    assert ctx.extended_trace(0, _LOWER) == _dense_extended_trace(ctx, 0, _LOWER)
     ctx9 = RepContext(t92, 2, 2)
-    sp4 = SympGroup(t92, 2, 2)
-    levis = [(1, 0, 0, 1), (1, 1, 0, 1), (0, 1, 1, 0), (3, 1, 0, 4)]  # invertible over F_9
-    unips = [(0, 0, 0, 0), (2, 0, 0, 5), (1, 3, 3, 7), (4, 1, 1, 0)]  # symmetric
-    for a, b in zip(levis, unips):
-        g = mat_mul(t92, mat_mul(t92, sp4.levi(a), lower, 4), sp4.unipotent(b), 4)
+    for g in _singular_corners(t92):
         assert sum(1 for tag, _ in siegel_factor(t92, 2, 2, g) if tag == "weyl") == 2
         for i in (0, 1):
             want = _dense_extended_trace(ctx9, i, g)
@@ -244,15 +251,90 @@ def test_rho_memoized(ctx2, t92):
     assert ctx2.build_rho(g) is ctx2.build_rho(g)
 
 
-def test_extended_trace_monomial_path_matches_product(ctx2, t92):
+def _refuse(*args):
+    raise AssertionError("the extended trace built a dense operator")
+
+
+def _dense_sph_trace(ctx, i, s, h):
+    rho_s = ctx.identity_op() if s is None else ctx.build_rho(s)
+    return ((rho_s @ ctx.op_heis(h)) @ ctx.op_galois(i)).trace()
+
+
+def test_extended_trace_monomial_path_matches_product(ctx2, t92, monkeypatch):
     sph = SpHGroup(t92, 1, 2)
     rng = random.Random(23)
     for _ in range(30):
         s, h = sph.random(rng)
         i = rng.randrange(2)
-        fast = ctx2.extended_trace(i, (s, h))
-        full = ((ctx2.build_rho(s) @ ctx2.op_heis(h)) @ ctx2.op_galois(i)).trace()
-        assert fast == full
+        assert ctx2.extended_trace(i, (s, h)) == _dense_sph_trace(ctx2, i, s, h)
+    for _ in range(30):  # H-only elements: one monomial step
+        h = sph.heis.random(rng)
+        i = rng.randrange(2)
+        assert ctx2.extended_trace(i, h) == _dense_sph_trace(ctx2, i, None, h)
+    # Sp4(F9): random Sp·H elements and singular-corner Sp parts, whose steps
+    # are two Weyl steps and then the H step; tracing builds no operator
+    ctx = RepContext(t92, 2, 2)
+    sph4 = SpHGroup(t92, 2, 2)
+    elems = [sph4.random(rng) for _ in range(6)]
+    elems += [(g, sph4.heis.random(rng)) for g in _singular_corners(t92)]
+    for s, h in elems:
+        for i in (0, 1):
+            with monkeypatch.context() as mp:
+                mp.setattr(RepContext, "build_rho", _refuse)
+                fast = ctx.extended_trace(i, (s, h))
+            assert fast == _dense_sph_trace(ctx, i, s, h)
+
+
+def test_steps_factor_the_sp_part_once(t92, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return siegel_factor(*args)
+
+    monkeypatch.setattr(schrodinger, "siegel_factor", counting)
+    rng = random.Random(29)
+    ctx = RepContext(t92, 2, 2)
+    s, h = SpHGroup(t92, 2, 2).random(rng)
+    ctx.extended_trace(0, (s, h))
+    ctx.extended_trace(1, (s, h))  # the same Sp·H element traced twice
+    assert calls == [s]
+    g = SympGroup(t92, 2, 2).random(rng)
+    ctx.build_rho(g)
+    ctx.extended_trace(1, g)  # build_rho, then a trace of the same element
+    assert calls == [s, g]
+
+
+def _reference_heis(ctx, h):
+    """The Heisenberg operator by its formula, point by point over the tower:
+    f(y*) ↦ ψ'(t − ½·x·x* + ⟨y*, x⟩) f(x* + y*)."""
+    tower, n = ctx.tower, ctx.n
+    v, t = h
+    x, xs = v[:n], v[n:]
+    dot = tower.zero
+    for i in range(n):
+        dot = tower.add(dot, tower.mul(x[i], xs[i]))
+    k = tower.sub(t, tower.mul(tower.half, dot))
+    pos = {pt: idx for idx, pt in enumerate(ctx.points)}
+    arr = np.zeros((ctx.dim, ctx.dim, ctx.p - 1), dtype=np.int64)
+    for idx, y in enumerate(ctx.points):
+        shifted = tuple(tower.add(y[i], xs[i]) for i in range(n))
+        pair = tower.zero  # ⟨y*, x⟩ = -Σ y_i x_i
+        for i in range(n):
+            pair = tower.sub(pair, tower.mul(y[i], x[i]))
+        arr[idx, pos[shifted]] = tower.psi(tower.add(k, pair), ctx.level, ctx.scale).num
+    return WeilOperator(ctx, arr)
+
+
+def test_op_heis_matches_pointwise_reference(ctx2, t92):
+    for h in HeisGroup(t92, 1, 2).elements():
+        assert ctx2.op_heis(h) == _reference_heis(ctx2, h)
+    ctx = RepContext(t92, 2, 2)
+    heis = HeisGroup(t92, 2, 2)
+    rng = random.Random(30)
+    for _ in range(20):
+        h = heis.random(rng)
+        assert ctx.op_heis(h) == _reference_heis(ctx, h)
 
 
 def test_weyl_det_basis_independence(t92):
