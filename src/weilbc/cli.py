@@ -82,7 +82,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        print(f"{report.check}: pass={report.n_pass} fail={report.n_fail} ({report.seconds:.1f}s) -> {args.out}")
+        print(f"{report.check}: pass={report.n_pass} fail={report.n_fail} skip={len(report.skipped)}"
+              f" ({report.seconds:.1f}s) -> {args.out}")
     else:
         print(text)
     return 0 if report.ok else 1

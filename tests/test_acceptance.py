@@ -56,7 +56,7 @@ def test_criterion_4_similitudes(case_digest):
 def test_criterion_5_support(case_digest):
     cfg = RunConfig(p=3, base_degree=1, n=1, m=2, pairs=((1, 1),), sample=500, seed=42)
     report = run_check("support", cfg)
-    assert case_digest(report) == "a68aa433afdfdecef3ac5e90cb3a24c41e82222bc6b6aa7b2acc15b464b36a1b"
+    assert case_digest(report) == "0292789137f79dcbf5b544cb6628dbc2dbd8ae3c00eea52004cf4ae85fb9662e"
     off = sum(1 for c in report.cases if "[off conjugates]" in c.input)
     assert off > 0, "sampling never left the conjugates of Γ⋉Sp·Z"
     _emit("5. |trace|^2 = induced trivial character, 500 samples", report, f" [{off} off-support points]")

@@ -21,8 +21,9 @@ def test_cli_json_report(capsys):
         assert rc == 0
         data = json.loads(out)
         assert data["check"] == "star"
-        assert set(data) == {"check", "config", "cases", "summary", "seconds"}
-        assert data["summary"] == {"pass": count, "fail": 0}
+        assert set(data) == {"check", "config", "cases", "skipped", "summary", "seconds"}
+        assert data["summary"] == {"pass": count, "fail": 0, "skip": 0}
+        assert data["skipped"] == []
         assert len(data["cases"]) == count
         assert all(set(c) == {"input", "lhs", "rhs", "equal"} for c in data["cases"])
 
@@ -80,6 +81,11 @@ def test_all_mode_subsumes(case_digest):
     tags = {c.input.split("]")[0].strip("[") for c in report.cases if c.input.startswith("[")}
     assert {"star", "gsp", "support", "parabolic", "sl2-torus", "homomorphism", "gyoja-bijection", "gauss"} <= tags
     assert report.ok
-    skipped = [c for c in report.cases if "skipped" in c.input]
-    assert any("orthogonal" in c.input for c in skipped)  # n=1 config
-    assert case_digest(report) == "c41322936d77c2222284f995baa83d1485246f55d4ddd171849e13965afe712b"
+    # the n=1 config skips orthogonal; a skip is recorded apart, never as a passing case
+    assert [name for name, _ in report.skipped] == ["orthogonal"]
+    assert "orthogonal" not in tags
+    summary = report.to_dict()["summary"]
+    assert summary == {"pass": len(report.cases), "fail": 0, "skip": 1}
+    tsv = report.to_tsv().splitlines()
+    assert tsv[-2].startswith("#skipped\torthogonal\t") and "\tskip=1\t" in tsv[-1]
+    assert case_digest(report) == "62965a6a03a67c076a97a4724a074a16a6991d47aee3e3d7f072a3d26dbde6fc"
