@@ -221,21 +221,16 @@ class RepContext:
         return got
 
     def identity_op(self) -> WeilOperator:
-        arr = np.zeros((self.dim, self.dim, self.p - 1), dtype=np.int64)
-        arr[np.arange(self.dim), np.arange(self.dim), 0] = 1
-        return WeilOperator(self, arr)
-
-    def _monomial(self, cols: np.ndarray, exps: np.ndarray, sign: int = 1) -> WeilOperator:
-        arr = np.zeros((self.dim, self.dim, self.p - 1), dtype=np.int64)
-        arr[np.arange(self.dim), cols] = sign * self._units[exps]
-        return WeilOperator(self, arr)
+        return self._dense((self._every, self._flat))
 
     def _dense(self, step: tuple, sign: int = 1) -> WeilOperator:
         """sign times the dense factor of one step (see `_steps`)."""
         cols, exps = step
         if exps is None:
             return WeilOperator(self, sign * self._units[self._weyl_exps(cols)])
-        return self._monomial(cols, exps, sign)
+        arr = np.zeros((self.dim, self.dim, self.p - 1), dtype=np.int64)
+        arr[self._every, cols] = sign * self._units[exps]
+        return WeilOperator(self, arr)
 
     # -- the steps of ρ(g) ----------------------------------------------------------
 
@@ -285,12 +280,15 @@ class RepContext:
     def _heis_step(self, h) -> tuple[np.ndarray, np.ndarray]:
         """Step of h = (x, x*; t): row y has column y + x* and ζ-exponent
         ψ'(t − ½·x·x*) − (y·x)."""
-        coords, p = self._coordinates(), self.p
+        tower, n, coords = self.tower, self.n, self._coordinates()
         v, t = h
+        dot = tower.zero
+        for i in range(n):
+            dot = tower.add(dot, tower.mul(v[i], v[n + i]))
+        k = self.psi_exp(tower.sub(t, tower.mul(tower.half, dot)))
         vec = coords.vector(v)
         cx, cxs = vec[: len(vec) // 2], vec[len(vec) // 2 :]
-        k = self.psi_exp(t) - (p + 1) // 2 * int(coords.pairing(cx[None], cxs[None])[0])
-        return coords.index((coords.pts + cxs) % p), (k - coords.pts_g @ cx) % p
+        return coords.index((coords.pts + cxs) % self.p), (k - coords.pts_g @ cx) % self.p
 
     def _unip_exps(self, b: tuple) -> np.ndarray:
         """ζ-exponents of the diagonal of [[1,b],[0,1]]; b must be symmetric n×n."""
@@ -332,16 +330,16 @@ class RepContext:
 
     def op_heis(self, h) -> WeilOperator:
         """Operator of a Heisenberg element (v, t)."""
-        return self._monomial(*self._heis_step(h))
+        return self._dense(self._heis_step(h))
 
     def op_unip(self, b: tuple) -> WeilOperator:
         """Diagonal operator of [[1,b],[0,1]]; b must be symmetric n×n."""
-        return self._monomial(self._every, self._unip_exps(b))
+        return self._dense((self._every, self._unip_exps(b)))
 
     def op_levi(self, a: tuple) -> WeilOperator:
         """Signed permutation of diag(a, (aᵀ)^{-1}): f ↦ ε'(det a) f(aᵀ y*)."""
         cols, sign = self._levi_perm(a)
-        return self._monomial(cols, self._flat, sign)
+        return self._dense((cols, self._flat), sign)
 
     def op_weyl(self, b: tuple | None = None) -> WeilOperator:
         """Fourier operator of [[0,B],[-(Bᵀ)^{-1},0]]; B: X* → X, default identity."""
@@ -350,7 +348,7 @@ class RepContext:
 
     def op_galois(self, j: int) -> WeilOperator:
         """I_σ^j: f ↦ f(σ^{-j}·), a permutation of the basis points."""
-        return self._monomial(self.galois_perm(j), self._flat)
+        return self._dense((self.galois_perm(j), self._flat))
 
     def galois_perm(self, j: int) -> np.ndarray:
         """Column positions: point index y ↦ index of σ^{-j}(y)."""
@@ -386,29 +384,31 @@ class RepContext:
         A path follows one nonzero entry per factor.  Monomial steps move a
         path deterministically, and the constant of the steps is common to
         all paths.  After the last Weyl step the steps are monomial again, so
-        the column a path must reach there is fixed by its row; only earlier
-        Weyl steps branch over every column.  Elements with at most one Weyl
-        step cost O(dim), the singular-corner word with two costs O(dim²).
+        they are folded into the column a path must reach there, fixed by its
+        row; only earlier Weyl steps branch over every column.  Elements with
+        at most one Weyl step cost O(dim), the singular-corner word with two
+        costs O(dim²).
         """
         sign, w, steps, _ = self._steps(g, keep=False)
         dim, p = self.dim, self.p
         goal, exp = self.galois_perm(-i), np.zeros(dim, dtype=np.int64)  # row y ↦ σ^i(y)
         last = len(steps)
-        while last and steps[last - 1][1] is not None:  # fold the monomial tail into the goal
+        while w and steps[last - 1][1] is not None:  # fold the monomial tail into the goal
             cols, exps = steps[last - 1]
             back = np.empty(dim, dtype=np.intp)
             back[cols] = self._every
             goal = back[goal]
             exp = exp + exps[goal]
             last -= 1
-        hist = self._walk(steps[:last], self._every, goal, exp)
-        total = CycNum(p, sign * (hist[: p - 1] - hist[p - 1]))
+        *hist, top = self._walk(steps[:last], self._every, goal, exp).tolist()
+        total = CycNum(p, [sign * (c - top) for c in hist])  # ζ^{p-1} = −Σ_{e<p-1} ζ^e
         return self._weyl_constant(w) * total if w else total
 
     def _walk(self, steps: list, cur: np.ndarray, goal: np.ndarray, exp: np.ndarray) -> np.ndarray:
         """Histogram of ζ-exponents over the paths cur → goal through steps.
 
-        The last step is a Weyl step when steps is nonempty.
+        A Weyl step that comes last goes straight to the goal; an earlier one
+        branches over every column.
         """
         for k, (data, exps) in enumerate(steps):
             if exps is not None:
