@@ -278,8 +278,8 @@ class RepContext:
         return sign, w, steps
 
     def _heis_step(self, h) -> tuple[np.ndarray, np.ndarray]:
-        """Step of h = (x, x*; t): row y has column y + x* and ζ-exponent
-        ψ'(t − ½·x·x*) − (y·x)."""
+        """Step of h = (x, x*; t): row y has column y + x* and the
+        ψ'-exponent of t − ½·x·x* − y·x."""
         tower, n, coords = self.tower, self.n, self._coordinates()
         v, t = h
         dot = tower.zero
