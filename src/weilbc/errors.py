@@ -59,3 +59,7 @@ class ConfigInvalid(WeilbcError):
 
 class OperatorOverflow(WeilbcError):
     pass
+
+
+class WitnessFailed(WeilbcError):
+    pass

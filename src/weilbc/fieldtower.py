@@ -13,6 +13,8 @@ digit varying fastest, so the prime field occupies indices 0..p-1.
 
 from __future__ import annotations
 
+from math import lcm
+
 import numpy as np
 
 from . import modp
@@ -152,8 +154,12 @@ class Tower:
                 cur[0] = 0
                 cur = (cur + top * red[0]) % p
         self._redmat = np.array(red, dtype=np.int64) if red else np.zeros((0, A), dtype=np.int64)
+        # A×A windows of [I_A; _redmat], whose row r is the digit vector of x^r
+        powers = np.vstack([np.eye(A, dtype=np.int64), self._redmat])
+        self._windows = np.lib.stride_tricks.sliding_window_view(powers, (A, A))[:, 0]
         self._ppow = [p**k for k in range(A + 1)]
-        self._frob_cache: dict[int, object] = {}
+        self._frob_mats: dict[int, np.ndarray] = {}
+        self._frob_perms: dict[int, list] = {}
         self._levels: dict[int, _LevelData] = {}
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
@@ -268,19 +274,30 @@ class Tower:
         e = (self.base_degree * j) % self._A
         if e == 0:
             return x
-        fr = self._frob_cache.get(e)
-        if fr is None:
+        if not self.tabulated:
+            vec = self.frob_matrix(j) @ np.array(x, dtype=np.int64) % self.p
+            return tuple(int(v) for v in vec)
+        perm = self._frob_perms.get(e)
+        if perm is None:
+            img = self._digits @ self.frob_matrix(j).T % self.p
+            perm = [int(v) for v in img @ np.array(self._ppow[: self._A], dtype=np.int64)]
+            self._frob_perms[e] = perm
+        return perm[x]
+
+    # -- F_p-linear maps on ambient digit columns ---------------------------------
+
+    def frob_matrix(self, j: int) -> np.ndarray:
+        """Matrix of x ↦ x^{q^j}; j may be negative."""
+        e = (self.base_degree * j) % self._A
+        mat = self._frob_mats.get(e)
+        if mat is None:
             mat = modp.mat_pow(self._pmat, e, self.p)
-            if self.tabulated:
-                img = self._digits @ mat.T % self.p
-                fr = [int(v) for v in img @ np.array(self._ppow[: self._A], dtype=np.int64)]
-            else:
-                fr = mat
-            self._frob_cache[e] = fr
-        if self.tabulated:
-            return fr[x]
-        vec = fr @ np.array(x, dtype=np.int64) % self.p
-        return tuple(int(v) for v in vec)
+            self._frob_mats[e] = mat
+        return mat
+
+    def mul_matrix(self, y) -> np.ndarray:
+        """Matrix of x ↦ y·x: column k is the digit vector of y·x^k."""
+        return (self._decode(y) @ self._windows).T % self.p
 
     # -- levels ----------------------------------------------------------------
 
@@ -302,8 +319,7 @@ class Tower:
     def _level_basis(self, d: int) -> np.ndarray:
         lv = self._level(d)
         if lv.basis is None:
-            e = (self.base_degree * d) % self._A
-            mat = (modp.mat_pow(self._pmat, e, self.p) - np.eye(self._A, dtype=np.int64)) % self.p
+            mat = (self.frob_matrix(d) - np.eye(self._A, dtype=np.int64)) % self.p
             basis = modp.kernel_basis(mat, self.p)
             assert basis.shape[0] == self.base_degree * d
             lv.basis = basis
@@ -511,7 +527,7 @@ def get_embedding(src: Tower, dst: Tower) -> Embedding:
 def enlarge_tower(tower: Tower, new_m: int, ambient_cap: int | None = None) -> tuple[Tower, Embedding]:
     """Tower with the same (p, base_degree) whose ambient contains level new_m."""
     if new_m % tower.m != 0:
-        new_m = _lcm(new_m, tower.m)
+        new_m = lcm(new_m, tower.m)
     if ambient_cap is not None and new_m > ambient_cap:
         raise AmbientCapExceeded(
             f"required ambient level {new_m} exceeds the configured cap {ambient_cap}"
@@ -519,8 +535,3 @@ def enlarge_tower(tower: Tower, new_m: int, ambient_cap: int | None = None) -> t
     big = build_tower(tower.p, tower.base_degree, new_m)
     return big, get_embedding(tower, big)
 
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)

@@ -29,10 +29,10 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if i != r:
             m[[r, i]] = m[[i, r]]
         m[r] = (m[r] * inv_mod(m[r, c], p)) % p
-        hit = np.nonzero(m[:, c])[0]
-        for j in hit:
-            if j != r:
-                m[j] = (m[j] - m[j, c] * m[r]) % p
+        # clear column c outside row r; columns left of c are zero in row r
+        f = m[:, c].copy()
+        f[r] = 0
+        m[:, c:] = (m[:, c:] - np.outer(f, m[r, c:])) % p
         pivots.append(c)
         r += 1
     return m, pivots

@@ -6,41 +6,46 @@ the Lang equation α^{-1} σ^d(α) = σ^{-it}(g σ^i(g) ⋯ σ^{i(t-1)}(g)).
 Witness search: every solution of the Lang equation lies in G(F_{q^{d·k}})
 exactly when the d-twisted product of k copies of the target is trivial, so
 the minimal field of definition is computed first (a cheap loop at level m)
-and the equation is then solved by exact linear algebra over F_p:
+and the equation is then solved by exact linear algebra over F_p.  Every
+equation below is one F_p-linear system u ↦ σ^d(u) − M·u on vectors over the
+ambient field, assembled from the tower's Frobenius and multiplication
+matrices (`_semilinear`):
 
-* the matrix equation σ^d(α) = α·h decouples into row equations, whose
-  solution space carries an F_{q^d}-symplectic form v, w ↦ v·J·wᵀ whenever h
-  is symplectic; a Darboux basis of that form stacks to a symplectic witness;
-* for similitude groups any basis of the solution space stacks to an
-  invertible witness;
-* for Sp·H the Sp part is solved as above and the Heisenberg part reduces to
-  one affine-semilinear vector equation plus one additive Hilbert-90 scalar
-  equation.
+* the matrix equation σ^d(α) = α·h decouples into row equations
+  σ^d(v) = v·h, the kernel of the system with M = hᵀ; for symplectic h the
+  solution space carries an F_{q^d}-symplectic form v, w ↦ v·J·wᵀ, and a
+  Darboux basis of that form stacks to a symplectic witness;
+* for similitude groups and GL₁ any F_{q^d}-basis of the solution space
+  stacks to an invertible witness (GL₁ is the 1×1 case, solved, not searched);
+* for Sp·H the Sp part is solved as above and the Heisenberg part is one
+  affine system σ^d(u) − m·u = v plus one additive Hilbert-90 system
+  σ^d(z) − z = c; Sp×Z elements are Sp·H elements with v = 0, so u = 0.
 
-Abelian groups take the classical norm directly (no witness needed).
+Norms on abelian groups are classical and need no witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from . import modp
-from .errors import AmbientCapExceeded, ConfigInvalid
+from .errors import AmbientCapExceeded, ConfigInvalid, WitnessFailed
 from .fieldtower import Embedding, Tower, build_tower, get_embedding
 from .grouplib import (
     GroupSpec,
     MulGroup,
     Partition,
     SpHGroup,
-    SpZGroup,
     SympGroup,
     SympSpace,
     conjugacy_classes,
-    mat_inv,
+    mat_det,
+    mat_frob,
     mat_mul,
+    mat_transpose,
     mat_vec,
     twisted_classes,
 )
@@ -98,6 +103,7 @@ class LangWitness:
     ambient_degree: int  # in q-degrees
     tower: Tower
     embedding: Embedding
+    group: GroupSpec  # the spec's group over the whole ambient field, where alpha lives
 
 
 def _min_defining_level(spec: GroupSpec, h, d: int) -> int:
@@ -108,90 +114,51 @@ def _min_defining_level(spec: GroupSpec, h, d: int) -> int:
     while q != ident:
         q = spec.mul(q, spec.frob(h, d * k))
         k += 1
-        if k > _K0_GUARD:  # pragma: no cover
-            raise RuntimeError("twisted order guard exceeded")
+        if k > _K0_GUARD:
+            raise WitnessFailed(f"twisted order of the Lang target exceeds {_K0_GUARD}")
     return k
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+def _semilinear(big: Tower, d: int, M: tuple, n2: int) -> np.ndarray:
+    """F_p-matrix of u ↦ σ^d(u) − M·u on column vectors u of n2 ambient entries."""
+    blocks = [[-big.mul_matrix(M[r * n2 + c]) for c in range(n2)] for r in range(n2)]
+    frob = np.kron(np.eye(n2, dtype=np.int64), big.frob_matrix(d))
+    return (np.block(blocks) + frob) % big.p
 
 
-def _mul_matrix(tower: Tower, y) -> np.ndarray:
-    """Matrix of multiplication by y on ambient F_p coefficients."""
-    A = tower.ambient_degree
-    gen_vec = np.zeros(A, dtype=np.int64)
-    if A > 1:
-        gen_vec[1] = 1
-    else:
-        gen_vec[0] = 1
-    gen = tower._encode(gen_vec)
-    cols = []
-    cur = y
-    for _ in range(A):
-        cols.append(tower._decode(cur))
-        cur = tower.mul(cur, gen)
-    return np.array(cols, dtype=np.int64).T % tower.p
+def _split(big: Tower, vec: np.ndarray, n2: int) -> tuple:
+    """Ambient entries of a stacked digit vector."""
+    A = big.ambient_degree
+    return tuple(big._encode(vec[k * A : (k + 1) * A]) for k in range(n2))
 
 
-def _frob_matrix(tower: Tower, d: int) -> np.ndarray:
-    """Matrix of x ↦ x^{q^d} on ambient F_p coefficients."""
-    e = (tower.base_degree * d) % tower.ambient_degree
-    return modp.mat_pow(tower._pmat, e, tower.p)
+def _solve(big: Tower, d: int, M: tuple, rhs: tuple) -> tuple:
+    """One u with σ^d(u) − M·u = rhs."""
+    n2 = len(rhs)
+    b = np.concatenate([big._decode(x) for x in rhs])
+    sol = modp.solve(_semilinear(big, d, M, n2), b, big.p)
+    if sol is None:
+        raise WitnessFailed("semilinear equation unsolvable at this level")
+    return _split(big, sol, n2)
 
 
-def _row_solution_space(big: Tower, d: int, h_mat: tuple, n2: int) -> list[tuple]:
-    """F_p-basis of {row v : σ^d(v) = v·h} inside (ambient)^{n2}."""
-    p, A = big.p, big.ambient_degree
-    S = _frob_matrix(big, d)
-    mulmats = [[_mul_matrix(big, h_mat[j * n2 + c]) for c in range(n2)] for j in range(n2)]
-    M = np.zeros((n2 * A, n2 * A), dtype=np.int64)
-    for j in range(n2):
-        for c in range(n2):
-            blk = -mulmats[j][c] % p
-            if c == j:
-                blk = (blk + S) % p
-            M[c * A : (c + 1) * A, j * A : (j + 1) * A] = blk
-    kern = modp.kernel_basis(M, p)
-    rows = []
-    for vec in kern:
-        rows.append(tuple(big._encode(vec[j * A : (j + 1) * A]) for j in range(n2)))
-    return rows
-
-
-def _fqd_basis_rows(big: Tower, d: int, rows: list[tuple], n2: int, want: int) -> list[tuple]:
-    """Select `want` rows that are independent over F_{q^d}."""
-    p, A = big.p, big.ambient_degree
-    scalars = [big._encode(vec) for vec in _subfield_basis_vectors(big, d)]
+def _fqd_basis_rows(big: Tower, d: int, rows: list[tuple], n2: int) -> list[tuple]:
+    """Select n2 of the length-n2 rows that are independent over F_{q^d}."""
+    p = big.p
+    scalars = big._level_basis(d).T  # digit columns of an F_p-basis of F_{q^d}
     chosen: list[tuple] = []
-    echelon = np.zeros((0, n2 * A), dtype=np.int64)
-
-    def coeffs(row):
-        return np.concatenate([big._decode(x) for x in row]) % p
-
-    def in_span(vec):
-        if echelon.shape[0] == 0:
-            return not vec.any()
-        sol = modp.solve(echelon.T, vec, p)
-        return sol is not None
-
+    echelon = np.zeros((0, n2 * big.ambient_degree), dtype=np.int64)
     for row in rows:
-        vec = coeffs(row)
-        if in_span(vec):
+        vec = np.concatenate([big._decode(x) for x in row])
+        if modp.solve(echelon.T, vec, p) is not None:
             continue
         chosen.append(row)
-        add = [coeffs(tuple(big.mul(s, x) for x in row)) for s in scalars]
-        echelon = np.vstack([echelon] + add)
-        if len(chosen) == want:
+        # the F_{q^d}-line of the row: its products with each basis scalar
+        line = np.concatenate([big.mul_matrix(x) @ scalars for x in row]).T % p
+        echelon = np.vstack([echelon, line])
+        if len(chosen) == n2:
             return chosen
-    raise RuntimeError("solution space thinner than expected")  # pragma: no cover
-
-
-def _subfield_basis_vectors(big: Tower, d: int) -> list[np.ndarray]:
-    S = _frob_matrix(big, d)
-    p = big.p
-    mat = (S - np.eye(big.ambient_degree, dtype=np.int64)) % p
-    return [v for v in modp.kernel_basis(mat, p)]
+    raise WitnessFailed("Lang solution space thinner than expected")
 
 
 def _darboux_alpha(big: Tower, d: int, rows: list[tuple], n: int) -> tuple:
@@ -206,10 +173,12 @@ def _darboux_alpha(big: Tower, d: int, rows: list[tuple], n: int) -> tuple:
     while left:
         u = left.pop(0)
         pick = next((k for k, w in enumerate(left) if form(u, w) != big.zero), None)
-        assert pick is not None, "degenerate pairing on Lang solution space"
+        if pick is None:
+            raise WitnessFailed("degenerate pairing on Lang solution space")
         w = left.pop(pick)
         c = form(u, w)
-        assert big.frobenius(c, d) == c, "pairing escaped the fixed field"
+        if big.frobenius(c, d) != c:
+            raise WitnessFailed("pairing escaped the fixed field")
         ci = big.inv(c)
         w = tuple(big.mul(ci, x) for x in w)
         new_left = []
@@ -228,146 +197,87 @@ def _darboux_alpha(big: Tower, d: int, rows: list[tuple], n: int) -> tuple:
     return tuple(x for row in rows_out for x in row)
 
 
-def _lang_matrix(spec, big: Tower, emb: Embedding, h, d: int, similitude: bool):
-    n = spec.n
-    n2 = 2 * n
-    h_big = tuple(emb.embed(x) for x in h)
-    rows = _row_solution_space(big, d, h_big, n2)
-    basis = _fqd_basis_rows(big, d, rows, n2, n2)
-    if similitude:
-        alpha = tuple(x for row in basis for x in row)
-        from .grouplib import mat_det
-
-        assert mat_det(big, alpha, n2) != big.zero
+def _lang_matrix(big_spec: GroupSpec, h_big: tuple, d: int, n2: int) -> tuple:
+    """Witness of σ^d(α) = α·h for an n2×n2 matrix h in Sp, GSp or GL₁."""
+    big = big_spec.tower
+    kern = modp.kernel_basis(_semilinear(big, d, mat_transpose(h_big, n2), n2), big.p)
+    basis = _fqd_basis_rows(big, d, [_split(big, v, n2) for v in kern], n2)
+    if isinstance(big_spec, SympGroup) and not big_spec.similitude:
+        alpha = _darboux_alpha(big, d, basis, n2 // 2)
+        # SympGroup.inv is exact only on Sp: check α·J·αᵀ = J on pairs of rows
+        rows = [alpha[k * n2 : (k + 1) * n2] for k in range(n2)]
+        J = big_spec.space.gram(big)
+        if any(big_spec.space.form(big, rows[a], rows[b]) != J[a * n2 + b]
+               for a in range(n2) for b in range(a + 1, n2)):
+            raise WitnessFailed("Darboux witness is not symplectic")
     else:
-        alpha = _darboux_alpha(big, d, basis, n)
-    # verify σ^d(α) = α·h
-    lhs = tuple(big.frobenius(x, d) for x in alpha)
-    rhs = mat_mul(big, alpha, h_big, n2)
-    assert lhs == rhs, "Lang witness verification failed"
-    return alpha, h_big
+        alpha = tuple(x for row in basis for x in row)
+        if mat_det(big, alpha, n2) == big.zero:
+            raise WitnessFailed("Lang witness is singular")
+    if mat_frob(big, alpha, d) != mat_mul(big, alpha, h_big, n2):
+        raise WitnessFailed("Lang witness verification failed")
+    return alpha
 
 
-def _solve_affine_semilinear_vec(big: Tower, d: int, mmat: tuple, rhs_vec: tuple, n2: int) -> tuple:
-    """One u with σ^d(u) - m·u = rhs (column vectors of length n2)."""
-    p, A = big.p, big.ambient_degree
-    S = _frob_matrix(big, d)
-    M = np.zeros((n2 * A, n2 * A), dtype=np.int64)
-    for c in range(n2):
-        for j in range(n2):
-            blk = -_mul_matrix(big, mmat[c * n2 + j]) % p
-            if c == j:
-                blk = (blk + S) % p
-            M[c * A : (c + 1) * A, j * A : (j + 1) * A] = blk
-    b = np.concatenate([big._decode(x) for x in rhs_vec]) % p
-    sol = modp.solve(M, b, p)
-    assert sol is not None, "affine semilinear equation unsolvable at this level"
-    return tuple(big._encode(sol[j * A : (j + 1) * A]) for j in range(n2))
+def _sph_lang(big_spec: SpHGroup, h_big, d: int):
+    big, n2 = big_spec.tower, 2 * big_spec.n
+    sp = big_spec.sp
+    s_h, (v_h, t_h) = h_big
+    alpha_s = _lang_matrix(sp, s_h, d, n2)
+    # m = (σ^d a)^{-1} a;  σ^d(u) - m·u = v_h;  σ^d(z) - z = t_h + ½⟨m u, σ^d u⟩
+    mmat = sp.mul(sp.inv(sp.frob(alpha_s, d)), alpha_s)
+    u = _solve(big, d, mmat, v_h)
+    mu_vec = mat_vec(big, mmat, u, n2)
+    c = big.add(t_h, big.mul(big.half, sp.space.form(big, mu_vec, mat_frob(big, u, d))))
+    (z,) = _solve(big, d, (big.one,), (c,))
+    alpha = (alpha_s, (u, z))
+    if big_spec.mul(big_spec.inv(alpha), big_spec.frob(alpha, d)) != h_big:
+        raise WitnessFailed("Sp·H Lang witness verification failed")
+    return alpha
 
 
-def _solve_additive(big: Tower, d: int, c) -> object:
-    p, A = big.p, big.ambient_degree
-    S = _frob_matrix(big, d)
-    M = (S - np.eye(A, dtype=np.int64)) % p
-    sol = modp.solve(M, big._decode(c), p)
-    assert sol is not None, "additive Hilbert-90 equation unsolvable at this level"
-    return big._encode(sol)
-
-
-def _strategy(spec: GroupSpec) -> str:
-    if spec.abelian:
-        return "abelian"
-    if isinstance(spec, SpZGroup):
-        return "spz"
+def _entries(spec: GroupSpec, f, g):
+    """g with f applied to every field entry."""
     if isinstance(spec, SpHGroup):
-        return "sph"
+        s, (v, t) = g
+        return (tuple(map(f, s)), (tuple(map(f, v)), f(t)))
+    if isinstance(spec, MulGroup):
+        return f(g)
+    return tuple(map(f, g))
+
+
+def _big_group(spec: GroupSpec, big: Tower) -> GroupSpec:
+    """The spec's group over the whole ambient field of big."""
+    if isinstance(spec, SpHGroup):  # Sp×Z included: it has the same product
+        return SpHGroup(big, spec.n, big.m)
     if isinstance(spec, SympGroup):
-        return "gl" if spec.similitude else "sp"
-    raise TypeError(f"no norm strategy for {type(spec).__name__}")
+        return SympGroup(big, spec.n, big.m, similitude=spec.similitude)
+    if isinstance(spec, MulGroup):
+        return MulGroup(big, big.m)
+    raise TypeError(f"no Lang solver for {type(spec).__name__}")
 
 
 def lang_solve(spec: GroupSpec, h, d: int, ambient_cap: int = DEFAULT_AMBIENT_CAP) -> LangWitness:
     """Solve α^{-1}σ^d(α) = h with α in the group over a large enough field."""
     tower = spec.tower
     k0 = _min_defining_level(spec, h, d)
-    need = _lcm(d * k0, tower.m)
+    need = lcm(d * k0, tower.m)
     if need > ambient_cap:
         raise AmbientCapExceeded(
             f"Lang witness needs ambient level {need} (cap {ambient_cap})"
         )
     big = build_tower(tower.p, tower.base_degree, need)
     emb = get_embedding(tower, big)
-    strategy = _strategy(spec)
-    if strategy == "abelian":
-        alpha = _abelian_lang(spec, big, emb, h, d)
-    elif strategy in ("sp", "gl"):
-        alpha, _ = _lang_matrix(spec, big, emb, h, d, similitude=(strategy == "gl"))
-    elif strategy == "sph":
-        alpha = _sph_lang(spec, big, emb, h, d)
-    else:  # spz
-        alpha = _spz_lang(spec, big, emb, h, d)
-    return LangWitness(alpha=alpha, target=h, ambient_degree=need, tower=big, embedding=emb)
-
-
-def _abelian_lang(spec: GroupSpec, big: Tower, emb: Embedding, h, d: int):
-    """Spec-level witness search by enumeration of the (small) cyclic group.
-
-    Used only for the abelian examples; abelian norms never need a witness.
-    """
-    if isinstance(spec, MulGroup):
-        h_big = emb.embed(h)
-        elems = big.level_elements(big.m)
-        for x in elems:
-            if x == big.zero:
-                continue
-            if big.mul(big.inv(x), big.frobenius(x, d)) == h_big:
-                return x
-        raise RuntimeError("no abelian witness at computed level")  # pragma: no cover
-    h_big = tuple(emb.embed(x) for x in h)
-    from .grouplib import TorusSL2
-
-    assert isinstance(spec, TorusSL2)
-    tor = TorusSL2(big, big.m)
-    for x in tor.elements():
-        if mat_mul(big, mat_inv(big, x, 2), tuple(big.frobenius(c, d) for c in x), 2) == h_big:
-            return x
-    raise RuntimeError("no abelian witness at computed level")  # pragma: no cover
-
-
-def _sph_lang(spec: SpHGroup, big: Tower, emb: Embedding, h, d: int):
-    n = spec.n
-    s_h, (v_h, t_h) = h
-    sp_big = SympGroup(big, n, big.m)
-    alpha_s, s_h_big = _lang_matrix(spec.sp, big, emb, s_h, d, similitude=False)
-    v_h_big = tuple(emb.embed(x) for x in v_h)
-    t_h_big = emb.embed(t_h)
-    # m = (σ^d a)^{-1} a;  σ^d(u) - m·u = v_h;  σ^d(z) - z = t_h + ½⟨m u, σ^d u⟩
-    a_frob = tuple(big.frobenius(x, d) for x in alpha_s)
-    mmat = mat_mul(big, mat_inv(big, a_frob, 2 * n), alpha_s, 2 * n)
-    u = _solve_affine_semilinear_vec(big, d, mmat, v_h_big, 2 * n)
-    mu_vec = mat_vec(big, mmat, u, 2 * n)
-    u_frob = tuple(big.frobenius(x, d) for x in u)
-    half = big.from_int((big.p + 1) // 2)
-    c = big.add(t_h_big, big.mul(half, SympSpace(n).form(big, mu_vec, u_frob)))
-    z = _solve_additive(big, d, c)
-    alpha = (alpha_s, (u, z))
-    sph_big = SpHGroup(big, n, big.m)
-    chk = sph_big.mul(sph_big.inv(alpha), sph_big.frob(alpha, d))
-    assert chk == (s_h_big, (v_h_big, t_h_big)), "Sp·H Lang witness verification failed"
-    return alpha
-
-
-def _spz_lang(spec: SpZGroup, big: Tower, emb: Embedding, h, d: int):
-    n = spec.n
-    s_h, (v_h, t_h) = h
-    alpha_s, _ = _lang_matrix(spec.sp, big, emb, s_h, d, similitude=False)
-    z = _solve_additive(big, d, emb.embed(t_h))
-    zero_v = tuple(big.zero for _ in range(2 * n))
-    alpha = (alpha_s, (zero_v, z))
-    spz_big = SpZGroup(big, n, big.m)
-    chk = spz_big.mul(spz_big.inv(alpha), spz_big.frob(alpha, d))
-    assert chk == (tuple(emb.embed(x) for x in s_h), (zero_v, emb.embed(t_h)))
-    return alpha
+    big_spec = _big_group(spec, big)
+    h_big = _entries(spec, emb.embed, h)
+    if isinstance(big_spec, SpHGroup):
+        alpha = _sph_lang(big_spec, h_big, d)
+    elif isinstance(big_spec, MulGroup):
+        (alpha,) = _lang_matrix(big_spec, (h_big,), d, 1)
+    else:
+        alpha = _lang_matrix(big_spec, h_big, d, big_spec.size)
+    return LangWitness(alpha=alpha, target=h, ambient_degree=need, tower=big,
+                       embedding=emb, group=big_spec)
 
 
 def gyoja_norm(cfg: NormConfig, spec: GroupSpec, g, ambient_cap: int = DEFAULT_AMBIENT_CAP,
@@ -384,39 +294,24 @@ def gyoja_norm(cfg: NormConfig, spec: GroupSpec, g, ambient_cap: int = DEFAULT_A
         result = g
     elif spec.abelian:
         result = twisted_product(spec, cfg.i, g, cfg.mu)
-        assert spec.frob(result, cfg.d) == result
+        if spec.frob(result, cfg.d) != result:
+            raise WitnessFailed("norm did not land at level d")
     else:
         # The Lang target is the t-fold twisted product itself: with
         # σ^d(α) = α·P_t, the commutation P_t·σ^d(P_μ) = P_μ·P_t of powers of
         # (σ^i, g) forces σ^d-stability of the conjugated norm.
         target = twisted_product(spec, cfg.i, g, cfg.t)
         witness = lang_solve(spec, target, cfg.d, ambient_cap)
-        big, emb = witness.tower, witness.embedding
+        big_spec, emb = witness.group, witness.embedding
         p_mu = twisted_product(spec, cfg.i, g, cfg.mu)
-        result = _conjugate_in_big(spec, big, emb, witness.alpha, p_mu, cfg.d)
+        out = big_spec.conj(witness.alpha, _entries(spec, emb.embed, p_mu))
+        if big_spec.frob(out, cfg.d) != out:
+            raise WitnessFailed("norm did not land at level d")
+        result = _entries(spec, emb.pull_back, out)
     cls = partition.index_of(result) if partition is not None else None
     if cache is not None:
         cache[key] = (result, None)
     return (result, cls)
-
-
-def _conjugate_in_big(spec: GroupSpec, big: Tower, emb: Embedding, alpha, p_mu, d: int):
-    strategy = _strategy(spec)
-    if strategy in ("sp", "gl"):
-        n2 = 2 * spec.n
-        p_big = tuple(emb.embed(x) for x in p_mu)
-        out = mat_mul(big, mat_mul(big, alpha, p_big, n2), mat_inv(big, alpha, n2), n2)
-        assert all(big.frobenius(x, d) == x for x in out), "norm did not land at level d"
-        return tuple(emb.pull_back(x) for x in out)
-    # Sp·H or Sp×Z
-    group_cls = SpZGroup if strategy == "spz" else SpHGroup
-    big_spec = group_cls(big, spec.n, big.m)
-    p_big = (tuple(emb.embed(x) for x in p_mu[0]),
-             (tuple(emb.embed(x) for x in p_mu[1][0]), emb.embed(p_mu[1][1])))
-    out = big_spec.mul(big_spec.mul(alpha, p_big), big_spec.inv(alpha))
-    assert big_spec.frob(out, d) == out, "norm did not land at level d"
-    return (tuple(emb.pull_back(x) for x in out[0]),
-            (tuple(emb.pull_back(x) for x in out[1][0]), emb.pull_back(out[1][1])))
 
 
 @dataclass

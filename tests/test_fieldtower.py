@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from weilbc.cyclotomic import CycNum
@@ -176,3 +179,21 @@ def test_level_membership_and_level_of(t92):
     assert not t92.in_level(3, 1)
     assert t92.level_of(3) == 2
     assert t92.level_of(1) == 1
+
+
+@pytest.mark.parametrize("p, base_degree, m", [(3, 1, 1), (3, 1, 2), (7, 1, 2), (3, 1, 6), (5, 1, 4), (3, 2, 9), (3, 1, 18)])
+def test_mul_and_frob_matrices_act_on_digits(p, base_degree, m):
+    t = build_tower(p, base_degree, m)
+    rng = random.Random(p + base_degree + m)
+
+    def digits(x):
+        return np.asarray(t._decode(x)) % t.p
+
+    def rand():
+        return t._encode(np.array([rng.randrange(t.p) for _ in range(t.ambient_degree)]))
+
+    for _ in range(6):
+        x, y = rand(), rand()
+        assert np.array_equal(t.mul_matrix(y) @ digits(x) % t.p, digits(t.mul(y, x)))
+        for j in (1, -1, 2):
+            assert np.array_equal(t.frob_matrix(j) @ digits(x) % t.p, digits(t.frobenius(x, j)))

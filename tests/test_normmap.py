@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from weilbc.errors import AmbientCapExceeded, ConfigInvalid
+from weilbc import normmap
+from weilbc.errors import AmbientCapExceeded, ConfigInvalid, WitnessFailed
 from weilbc.fieldtower import build_tower
 from weilbc.grouplib import (
     MulGroup,
@@ -81,21 +83,70 @@ def test_lang_abelian_nonsquare_needs_f81(t92):
     assert big.mul(big.inv(a), big.frobenius(a, 1)) == w.embedding.embed(zeta)
 
 
-def test_lang_matrix_witness_verified(t92):
-    sl = SympGroup(t92, 1, 2)
-    rng = random.Random(4)
-    for _ in range(10):
-        h = sl.random(rng)
-        w = lang_solve(sl, h, 1)
-        big, emb = w.tower, w.embedding
-        a = w.alpha
-        lhs = tuple(big.frobenius(x, 1) for x in a)
-        from weilbc.grouplib import mat_mul
+def _embedded(spec, emb, h):
+    if isinstance(spec, SpHGroup):
+        s, (v, t) = h
+        return (tuple(map(emb.embed, s)), (tuple(map(emb.embed, v)), emb.embed(t)))
+    if isinstance(spec, MulGroup):
+        return emb.embed(h)
+    return tuple(map(emb.embed, h))
 
-        assert lhs == mat_mul(big, a, tuple(emb.embed(x) for x in h), 2)
-        # Darboux construction produces a symplectic witness
-        sp_big = SympGroup(big, 1, big.m)
-        assert sp_big.contains(a)
+
+def _big_group(spec, big):
+    if isinstance(spec, SpHGroup):
+        return SpHGroup(big, spec.n, big.m)
+    if isinstance(spec, MulGroup):
+        return MulGroup(big, big.m)
+    return SympGroup(big, spec.n, big.m, similitude=spec.similitude)
+
+
+def test_lang_matrix_witness_verified():
+    groups = [
+        (SympGroup(build_tower(3, 1, 2), 1, 2), 10),
+        (SympGroup(build_tower(3, 1, 2), 1, 2, similitude=True), 10),
+        (SympGroup(build_tower(3, 1, 2), 2, 2), 6),
+        (SpHGroup(build_tower(5, 1, 2), 1, 2), 6),
+        (MulGroup(build_tower(3, 1, 2), 2), 8),
+        (MulGroup(build_tower(3, 1, 4), 4), 8),
+    ]
+    for spec, samples in groups:
+        rng = random.Random(4)
+        for _ in range(samples):
+            h = spec.random(rng)
+            w = lang_solve(spec, h, 1)
+            big_spec = _big_group(spec, w.tower)
+            a = w.alpha
+            assert big_spec.mul(big_spec.inv(a), big_spec.frob(a, 1)) == _embedded(spec, w.embedding, h)
+            if isinstance(spec, SympGroup) and not spec.similitude:
+                # Darboux construction produces a symplectic witness
+                assert big_spec.contains(a)
+
+
+def test_spz_witness_is_the_sph_witness(t92):
+    spz, sph = SpZGroup(t92, 1, 2), SpHGroup(t92, 1, 2)
+    rng = random.Random(13)
+    for _ in range(6):
+        h = spz.random(rng)
+        assert lang_solve(spz, h, 1).alpha == lang_solve(sph, h, 1).alpha
+
+
+@pytest.mark.parametrize("symplectic, message", [(True, "verification failed"), (False, "not symplectic")])
+def test_bad_witness_raises_witness_failed(t92, monkeypatch, symplectic, message):
+    darboux = normmap._darboux_alpha
+
+    def perturbed(big, d, rows, n):
+        alpha = darboux(big, d, rows, n)
+        if not symplectic:  # swap the two rows: determinant -1
+            return alpha[2:] + alpha[:2]
+        # left factor [[1, x], [0, 1]] with x outside F_3: still symplectic, not Lang
+        x = big._encode(np.eye(big.ambient_degree, dtype=np.int64)[1])
+        sp = SympGroup(big, 1, big.m)
+        return sp.mul(sp.unipotent((x,)), alpha)
+
+    monkeypatch.setattr(normmap, "_darboux_alpha", perturbed)
+    sl = SympGroup(t92, 1, 2)
+    with pytest.raises(WitnessFailed, match=message):
+        lang_solve(sl, sl.random(random.Random(4)), 1)
 
 
 def test_ambient_cap_raises(t92):
