@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .cyclotomic import CycNum
 from .errors import SupportMismatch
 from .grouplib import GroupSpec, Partition, TorusSL2
-from .normmap import NormConfig, gyoja_norm
+from .normmap import DEFAULT_AMBIENT_CAP, NormConfig, gyoja_norm
 
 
 @dataclass(frozen=True)
@@ -32,30 +32,6 @@ class ClassFunction:
     def _match(self, other: "ClassFunction"):
         if self.partition is not other.partition:
             raise SupportMismatch("class functions live on different partitions")
-
-    def __add__(self, other):
-        self._match(other)
-        return ClassFunction(self.partition, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other):
-        self._match(other)
-        return ClassFunction(self.partition, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def __mul__(self, other):
-        if isinstance(other, ClassFunction):
-            self._match(other)
-            return ClassFunction(self.partition, tuple(a * b for a, b in zip(self.values, other.values)))
-        return ClassFunction(self.partition, tuple(v * other for v in self.values))
-
-    def conj(self):
-        return ClassFunction(self.partition, tuple(v.conj() for v in self.values))
-
-    def to_tsv(self) -> str:
-        lines = ["class_id\trepresentative\tvalue\tcomplex"]
-        for k, v in enumerate(self.values):
-            z = v.to_complex()
-            lines.append(f"{k}\t{self.partition.reps[k]}\t{v.to_text()}\t{z.real:+.6f}{z.imag:+.6f}j")
-        return "\n".join(lines)
 
 
 def indicator_basis(partition: Partition, p: int) -> list[ClassFunction]:
@@ -79,7 +55,7 @@ def inner_product(f1: ClassFunction, f2: ClassFunction) -> CycNum:
 
 
 def lift_class_function(cfg: NormConfig, spec: GroupSpec, chi: ClassFunction,
-                        twisted: Partition, ambient_cap: int = 64,
+                        twisted: Partition, ambient_cap: int = DEFAULT_AMBIENT_CAP,
                         cache: dict | None = None) -> ClassFunction:
     """Pull a class function on G(F_d) back to the coset σ^i ⋉ G(F')."""
     target = chi.partition
@@ -88,11 +64,6 @@ def lift_class_function(cfg: NormConfig, spec: GroupSpec, chi: ClassFunction,
         el, _ = gyoja_norm(cfg, spec, rep, ambient_cap, cache=cache)
         vals.append(chi.values[target.index_of(el)])
     return ClassFunction(twisted, tuple(vals))
-
-
-def trace_class_function(ctx, partition: Partition) -> ClassFunction:
-    """tr ρ_d as a class function on the partition's group."""
-    return ClassFunction(partition, tuple(ctx.build_rho(rep).trace() for rep in partition.reps))
 
 
 def coset_pairs(spec: GroupSpec, reps, j: int = 0) -> list:
@@ -140,26 +111,14 @@ def eta(j: int) -> int:
     return -1 if j % 2 else 1
 
 
-def weil_torus_restriction(ctx, torus: TorusSL2) -> dict:
-    """Multiplicities of torus characters in ρ restricted to the elliptic torus.
+def weil_torus_restriction(ctx, torus: TorusSL2) -> list:
+    """(t, tr ρ(t), |T|·[t = 1] − ω(t)) for each t of the elliptic torus.
 
-    Verified through the pointwise identity tr ρ(t) = |T|·[t = 1] - ω(t),
-    which is equivalent to: every character appears once except ω.
-    Multiplicities are keyed by the exponent of the torus character with
-    respect to the canonical generator; ω corresponds to exponent |T|/2.
+    The two values agree everywhere exactly when ρ restricted to the torus
+    contains every torus character once except ω, which it omits.
     """
     om = omega(torus)
     order = torus.order()
-    p = ctx.p
     ident = torus.identity()
-    ok = True
-    details = []
-    for g in torus.elements():
-        tr = ctx.build_rho(g).trace()
-        expected = CycNum.rational(p, (order if g == ident else 0) - om[g])
-        details.append((g, tr, expected, tr == expected))
-        if tr != expected:
-            ok = False
-    mult = {k: 1 for k in range(order)}
-    mult[order // 2] = 0
-    return {"verified": ok, "multiplicities": mult if ok else None, "details": details}
+    return [(g, ctx.build_rho(g).trace(), CycNum.rational(ctx.p, (order if g == ident else 0) - om[g]))
+            for g in torus.elements()]

@@ -13,7 +13,9 @@ import argparse
 import sys
 
 from .checks import CHECK_NAMES, RunConfig, run_check
-from .errors import WeilbcError
+from .errors import ConfigInvalid, WeilbcError
+from .fieldtower import ENUM_CAP
+from .normmap import DEFAULT_AMBIENT_CAP
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,8 +37,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--psi-scale", type=int, default=1, help="index (from 1) of the scaling a in F_q^x")
     ap.add_argument("--sample", type=str, default="200", help="sample size per case family, or 'all'")
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--ambient-cap", type=int, default=64, help="largest allowed ambient level (q-degrees)")
-    ap.add_argument("--enum-cap", type=int, default=1_000_000, help="largest enumerable group order")
+    ap.add_argument("--ambient-cap", type=int, default=DEFAULT_AMBIENT_CAP,
+                    help="largest allowed ambient level (q-degrees)")
+    ap.add_argument("--enum-cap", type=int, default=ENUM_CAP, help="largest enumerable group order")
     ap.add_argument("--format", dest="fmt", choices=("json", "tsv"), default="json")
     ap.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
     return ap
@@ -47,8 +50,11 @@ def parse_pairs(text: str) -> tuple:
         return ()
     out = []
     for tok in text.split(","):
-        i_s, t_s = tok.strip().split(":")
-        out.append((int(i_s), int(t_s)))
+        try:
+            i_s, t_s = tok.strip().split(":")
+            out.append((int(i_s), int(t_s)))
+        except ValueError:
+            raise ConfigInvalid(f"--pairs takes comma-separated i:t integer pairs, got {tok.strip()!r}") from None
     return tuple(out)
 
 
@@ -61,19 +67,19 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError:
             print(f"error: --sample must be an integer or 'all', got {args.sample!r}", file=sys.stderr)
             return 2
-    cfg = RunConfig(
-        p=args.p,
-        base_degree=args.base_degree,
-        n=args.n,
-        m=args.m,
-        pairs=parse_pairs(args.pairs),
-        psi_scale=args.psi_scale,
-        sample=sample,
-        seed=args.seed,
-        ambient_cap=args.ambient_cap,
-        enum_cap=args.enum_cap,
-    )
     try:
+        cfg = RunConfig(
+            p=args.p,
+            base_degree=args.base_degree,
+            n=args.n,
+            m=args.m,
+            pairs=parse_pairs(args.pairs),
+            psi_scale=args.psi_scale,
+            sample=sample,
+            seed=args.seed,
+            ambient_cap=args.ambient_cap,
+            enum_cap=args.enum_cap,
+        )
         report = run_check(args.check, cfg)
     except WeilbcError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

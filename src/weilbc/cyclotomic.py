@@ -143,14 +143,6 @@ class CycNum:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("value is not rational")
-        return Fraction(self.num[0], self.den)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
@@ -170,17 +162,6 @@ class CycNum:
 
     def to_text(self) -> str:
         return ",".join(f"{c}/{self.den}" for c in self.num)
-
-    @classmethod
-    def from_text(cls, p: int, text: str) -> "CycNum":
-        parts = [Fraction(tok) for tok in text.split(",")]
-        if len(parts) != p - 1:
-            raise ValueError("wrong coefficient count")
-        den = 1
-        for f in parts:
-            den = den * f.denominator // gcd(den, f.denominator)
-        num = tuple(int(f * den) for f in parts)
-        return cls(p, num, den)
 
     def __repr__(self):
         terms = []

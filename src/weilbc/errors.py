@@ -63,3 +63,7 @@ class OperatorOverflow(WeilbcError):
 
 class WitnessFailed(WeilbcError):
     pass
+
+
+class InvariantBroken(WeilbcError):
+    """An internal consistency check failed; the result cannot be trusted."""

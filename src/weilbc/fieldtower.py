@@ -22,13 +22,14 @@ from .cyclotomic import CycNum
 from .errors import (
     AmbientCapExceeded,
     EvenCharacteristic,
+    InvariantBroken,
     LevelMismatch,
     NotPrime,
     ZeroArgument,
 )
 
 TABLE_CAP = 100  # tabulate add/mul when the ambient field has at most this many elements
-ENUM_CAP = 1_000_000
+ENUM_CAP = 1_000_000  # largest field level or group order to enumerate
 
 
 def is_prime(n: int) -> bool:
@@ -321,7 +322,8 @@ class Tower:
         if lv.basis is None:
             mat = (self.frob_matrix(d) - np.eye(self._A, dtype=np.int64)) % self.p
             basis = modp.kernel_basis(mat, self.p)
-            assert basis.shape[0] == self.base_degree * d
+            if basis.shape[0] != self.base_degree * d:
+                raise InvariantBroken(f"fixed field of level {d} has the wrong dimension")
             lv.basis = basis
         return lv.basis
 
@@ -348,12 +350,6 @@ class Tower:
 
     def in_level(self, x, d: int) -> bool:
         return self.frobenius(x, d) == x
-
-    def level_of(self, x) -> int:
-        for d in sorted(_divisors(self._A // self.base_degree)):
-            if self.in_level(x, d):
-                return d
-        raise LevelMismatch("element level not found")  # unreachable
 
     # -- trace / norm / characters ---------------------------------------------
 
@@ -417,27 +413,14 @@ class Tower:
             for _ in range(self.base_degree * d):
                 acc = (acc + mat @ vec) % self.p
                 mat = self._pmat @ mat % self.p
-            assert not acc[1:].any(), "trace did not land in the prime field"
+            if acc[1:].any():
+                raise InvariantBroken("trace did not land in the prime field")
             got = int(acc[0])
             table[x] = got
         return got
 
     def psi(self, x, d: int, scale=None) -> CycNum:
         return CycNum.root_of_unity(self.p, self.psi_exponent(x, d, scale))
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_text(self) -> str:
-        coeffs = ",".join(str(c) for c in self.modulus)
-        return f"{self.p};{self.base_degree};{self.m};{coeffs}"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Tower":
-        p_s, b_s, m_s, coeffs = text.strip().split(";")
-        tw = build_tower(int(p_s), int(b_s), int(m_s))
-        if tuple(int(c) for c in coeffs.split(",")) != tw.modulus:
-            raise ValueError("serialized modulus does not match canonical choice")
-        return tw
 
     def __repr__(self):
         return f"Tower(p={self.p}, q={self.q}, m={self.m}, ambient=p^{self.ambient_degree})"

@@ -12,11 +12,10 @@ Group elements are hashable tuples:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
-from .errors import DimensionMismatch, GroupTooLarge, LevelMismatch
-from .fieldtower import Tower
-
-ENUM_CAP = 1_000_000
+from .errors import DimensionMismatch, GroupTooLarge, InvariantBroken, LevelMismatch
+from .fieldtower import ENUM_CAP, Tower
 
 
 # -- matrix helpers over a tower -------------------------------------------------
@@ -175,30 +174,7 @@ def membership(tower: Tower, g: tuple, n: int, level: int):
     return ("gsp", lam)
 
 
-# -- Heisenberg group -------------------------------------------------------------
-
-
-def heis_mul(tower: Tower, space: SympSpace, h1: tuple, h2: tuple) -> tuple:
-    (v1, t1), (v2, t2) = h1, h2
-    if len(v1) != len(v2):
-        raise LevelMismatch("Heisenberg elements of different sizes")
-    v = tuple(tower.add(x, y) for x, y in zip(v1, v2))
-    t = tower.add(tower.add(t1, t2), tower.mul(tower.half, space.form(tower, v1, v2)))
-    return (v, t)
-
-
-def heis_inv(tower: Tower, h: tuple) -> tuple:
-    v, t = h
-    return (tuple(tower.neg(x) for x in v), tower.neg(t))
-
-
-def heis_identity(tower: Tower, n: int) -> tuple:
-    return (tuple(tower.zero for _ in range(2 * n)), tower.zero)
-
-
-def heis_frob(tower: Tower, h: tuple, j: int) -> tuple:
-    v, t = h
-    return (tuple(tower.frobenius(x, j) for x in v), tower.frobenius(t, j))
+# -- Sp action on the Heisenberg group ---------------------------------------------
 
 
 def sp_act_heis(tower: Tower, s: tuple, h: tuple, n: int) -> tuple:
@@ -463,16 +439,24 @@ class HeisGroup(GroupSpec):
         self.space = SympSpace(n)
 
     def identity(self):
-        return heis_identity(self.tower, self.n)
+        return (tuple(self.tower.zero for _ in range(2 * self.n)), self.tower.zero)
 
     def mul(self, a, b):
-        return heis_mul(self.tower, self.space, a, b)
+        tower = self.tower
+        (v1, t1), (v2, t2) = a, b
+        if len(v1) != len(v2):
+            raise LevelMismatch("Heisenberg elements of different sizes")
+        v = tuple(tower.add(x, y) for x, y in zip(v1, v2))
+        t = tower.add(tower.add(t1, t2), tower.mul(tower.half, self.space.form(tower, v1, v2)))
+        return (v, t)
 
     def inv(self, a):
-        return heis_inv(self.tower, a)
+        v, t = a
+        return (tuple(self.tower.neg(x) for x in v), self.tower.neg(t))
 
     def frob(self, a, j):
-        return heis_frob(self.tower, a, j)
+        v, t = a
+        return (tuple(self.tower.frobenius(x, j) for x in v), self.tower.frobenius(t, j))
 
     def order(self):
         Q = self.tower.q**self.level
@@ -505,7 +489,7 @@ class HeisGroup(GroupSpec):
         self.check_order()
         field = self.tower.level_elements(self.level)
         out = []
-        for vec in _tuples(field, 2 * self.n):
+        for vec in product(field, repeat=2 * self.n):
             for t in field:
                 out.append((vec, t))
         return out
@@ -514,10 +498,6 @@ class HeisGroup(GroupSpec):
         field = self.tower.level_elements(self.level)
         v = tuple(rng.choice(field) for _ in range(2 * self.n))
         return (v, rng.choice(field))
-
-    def center(self) -> list:
-        z = tuple([self.tower.zero] * (2 * self.n))
-        return [(z, t) for t in self.tower.level_elements(self.level)]
 
 
 class SpHGroup(GroupSpec):
@@ -682,7 +662,7 @@ class MulGroup(GroupSpec):
         return rng.choice(self.elements())
 
 
-class TorusSL2(GroupSpec):
+class TorusSL2(_MatrixSpec):
     """Elliptic-model maximal torus of SL₂: matrices [[a, bw],[b, a]], a²-wb²=1.
 
     w is the smallest nonsquare of the base field F_q, so the group is the
@@ -691,6 +671,7 @@ class TorusSL2(GroupSpec):
     """
 
     abelian = True
+    size = 2
 
     def __init__(self, tower: Tower, level: int, cap: int = ENUM_CAP):
         super().__init__(tower, level, cap)
@@ -709,18 +690,6 @@ class TorusSL2(GroupSpec):
         self._gen = None
         self._log = None
 
-    def identity(self):
-        return mat_identity(self.tower, 2)
-
-    def mul(self, a, b):
-        return mat_mul(self.tower, a, b, 2)
-
-    def inv(self, a):
-        return mat_inv(self.tower, a, 2)
-
-    def frob(self, a, j):
-        return mat_frob(self.tower, a, j)
-
     def is_split(self) -> bool:
         return self.tower.in_level(self.w, self.level) and self.tower.quad_char(self.w, self.level) == 1
 
@@ -738,10 +707,6 @@ class TorusSL2(GroupSpec):
         if not all(tower.in_level(x, self.level) for x in g):
             return False
         return mat_det(tower, g, 2) == tower.one
-
-    def sort_key(self, a):
-        key = self.tower.elem_key
-        return tuple(key(x) for x in a)
 
     def elements(self):
         if self._elems is None:
@@ -802,22 +767,6 @@ class TorusSL2(GroupSpec):
         return out
 
 
-# -- twisted elements ---------------------------------------------------------------
-
-
-def twisted_mul(spec: GroupSpec, m: int, a: tuple, b: tuple) -> tuple:
-    """(σ^i, g)(σ^j, h) = (σ^{i+j}, g·σ^i(h))."""
-    i, g = a
-    j, h = b
-    return ((i + j) % m, spec.mul(g, spec.frob(h, i)))
-
-
-def twisted_inv(spec: GroupSpec, m: int, a: tuple) -> tuple:
-    i, g = a
-    gi = spec.inv(g)
-    return ((-i) % m, spec.frob(gi, -i))
-
-
 # -- conjugacy classes -----------------------------------------------------------------
 
 
@@ -840,24 +789,15 @@ class Partition:
     def __len__(self):
         return len(self.reps)
 
-    def to_tsv(self) -> str:
-        lines = ["class_id\trepresentative\tsize"]
-        for k, (rep, size) in enumerate(zip(self.reps, self.sizes)):
-            lines.append(f"{k}\t{_flat(rep)}\t{size}")
-        return "\n".join(lines)
 
-
-def _flat(x) -> str:
-    if isinstance(x, tuple):
-        return "(" + ",".join(_flat(v) for v in x) + ")"
-    return str(x)
-
-
-def _orbit_partition(spec: GroupSpec, elements: list, act) -> tuple[list, list, dict]:
+def _classes(spec: GroupSpec, key: tuple, twist: int, act, cache: dict | None) -> Partition:
+    """Orbits of act(s, ·) over the generators s of spec, memoized in cache under key."""
+    if cache is not None and key in cache:
+        return cache[key]
     gens = spec.generators()
     seen: dict = {}
     orbits = []
-    for start in elements:
+    for start in spec.elements():
         if start in seen:
             continue
         idx = len(orbits)
@@ -877,32 +817,19 @@ def _orbit_partition(spec: GroupSpec, elements: list, act) -> tuple[list, list, 
     order = sorted(range(len(orbits)), key=lambda k: spec.sort_key(reps[k]))
     remap = {old: new for new, old in enumerate(order)}
     class_of = {g: remap[i] for g, i in seen.items()}
-    return ([reps[k] for k in order], [len(orbits[k]) for k in order], class_of)
-
-
-def conjugacy_classes(spec: GroupSpec, cache: dict | None = None) -> Partition:
-    key = ("conj", spec.descriptor())
-    if cache is not None and key in cache:
-        return cache[key]
-    elements = spec.elements()
-    reps, sizes, class_of = _orbit_partition(spec, elements, lambda s, g: spec.conj(s, g))
-    part = Partition(spec, 0, reps, sizes, class_of)
+    part = Partition(spec, twist, [reps[k] for k in order], [len(orbits[k]) for k in order], class_of)
     if cache is not None:
         cache[key] = part
     return part
+
+
+def conjugacy_classes(spec: GroupSpec, cache: dict | None = None) -> Partition:
+    return _classes(spec, ("conj", spec.descriptor()), 0, spec.conj, cache)
 
 
 def twisted_classes(spec: GroupSpec, i: int, cache: dict | None = None) -> Partition:
     """Orbits of g ↦ h·g·σ^i(h)^{-1} on the coset σ^i ⋉ G."""
-    key = ("tw", spec.descriptor(), i)
-    if cache is not None and key in cache:
-        return cache[key]
-    elements = spec.elements()
-    reps, sizes, class_of = _orbit_partition(spec, elements, lambda s, g: spec.twisted_conj(s, g, i))
-    part = Partition(spec, i, reps, sizes, class_of)
-    if cache is not None:
-        cache[key] = part
-    return part
+    return _classes(spec, ("tw", spec.descriptor(), i), i, lambda s, g: spec.twisted_conj(s, g, i), cache)
 
 
 class SemidirectGroup(GroupSpec):
@@ -917,10 +844,15 @@ class SemidirectGroup(GroupSpec):
         return (0, self.base.identity())
 
     def mul(self, a, b):
-        return twisted_mul(self.base, self.m, a, b)
+        """(σ^i, g)(σ^j, h) = (σ^{i+j}, g·σ^i(h))."""
+        i, g = a
+        j, h = b
+        return ((i + j) % self.m, self.base.mul(g, self.base.frob(h, i)))
 
     def inv(self, a):
-        return twisted_inv(self.base, self.m, a)
+        i, g = a
+        gi = self.base.inv(g)
+        return ((-i) % self.m, self.base.frob(gi, -i))
 
     def frob(self, a, j):
         return (a[0], self.base.frob(a[1], j))
@@ -962,18 +894,9 @@ def _closure(spec: GroupSpec) -> list:
                 queue.append(nxt)
                 if len(seen) > spec.cap:
                     raise GroupTooLarge("closure exceeded the enumeration cap")
-    out = sorted(seen, key=spec.sort_key)
-    assert len(out) == spec.order(), "generators do not generate the whole group"
-    return out
-
-
-def _tuples(pool: list, k: int):
-    if k == 0:
-        yield ()
-        return
-    for rest in _tuples(pool, k - 1):
-        for x in pool:
-            yield rest + (x,)
+    if len(seen) != spec.order():
+        raise InvariantBroken("generators do not generate the whole group")
+    return sorted(seen, key=spec.sort_key)
 
 
 def block_embed(tower: Tower, g1: tuple, g2: tuple) -> tuple:

@@ -70,7 +70,7 @@ class NormConfig:
             raise ConfigInvalid("twist exponent out of range")
         d = gcd(self.i, self.m) if self.i else self.m
         if d != self.d or (self.t * self.i - self.d) % self.m != 0:
-            raise ConfigInvalid("t·i ≢ d (mod m)")
+            raise ConfigInvalid(f"pair ({self.i},{self.t}) violates t·i ≡ gcd(i,m) (mod m)")
 
 
 def choose_t(i: int, m: int, t: int | None = None) -> NormConfig:
@@ -316,32 +316,18 @@ def gyoja_norm(cfg: NormConfig, spec: GroupSpec, g, ambient_cap: int = DEFAULT_A
 
 @dataclass
 class BijectionReport:
-    cfg: NormConfig
     twisted_count: int
     target_count: int
-    mapping: list
     well_defined: bool
     injective: bool
     surjective: bool
     sigma_equivariant: bool
 
-    @property
-    def ok(self) -> bool:
-        return (self.well_defined and self.injective and self.surjective
-                and self.sigma_equivariant and self.twisted_count == self.target_count)
-
-    def to_tsv(self) -> str:
-        lines = ["twisted_rep\tnorm_class_rep\ttwisted_size\tnorm_class_size"]
-        for rep, cls_rep, tw_size, cl_size in self.mapping:
-            lines.append(f"{rep}\t{cls_rep}\t{tw_size}\t{cl_size}")
-        return "\n".join(lines)
-
 
 def verify_bijection(cfg: NormConfig, spec: GroupSpec, target_spec: GroupSpec,
                      ambient_cap: int = DEFAULT_AMBIENT_CAP, members_per_class: int = 2,
-                     cache: dict | None = None) -> BijectionReport:
-    """Check the class bijection σ^i ⋉ G(F') → classes of G(F_d)."""
-    part_cache: dict = {}
+                     cache: dict | None = None, part_cache: dict | None = None) -> BijectionReport:
+    """Check the class bijection σ^i ⋉ G(F') → classes of G(F_d); part_cache holds partitions."""
     tw = twisted_classes(spec, cfg.i, part_cache)
     target = conjugacy_classes(target_spec, part_cache)
     norm_cache = cache if cache is not None else {}
@@ -371,9 +357,4 @@ def verify_bijection(cfg: NormConfig, spec: GroupSpec, target_spec: GroupSpec,
         rhs = target.index_of(target_spec.frob(n_el, 1))
         if lhs != rhs:
             equivariant = False
-    mapping = [
-        (tw.reps[k], target.reps[assigned[k]], tw.sizes[k], target.sizes[assigned[k]])
-        for k in range(len(tw.reps))
-    ]
-    return BijectionReport(cfg, len(tw), len(target), mapping, well_defined,
-                           injective, surjective, equivariant)
+    return BijectionReport(len(tw), len(target), well_defined, injective, surjective, equivariant)

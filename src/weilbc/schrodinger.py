@@ -129,9 +129,6 @@ class WeilOperator:
         vec = self.arr.trace(axis1=0, axis2=1)
         return CycNum(self.ctx.p, tuple(int(v) for v in vec), self.den)
 
-    def entry(self, i: int, j: int) -> CycNum:
-        return CycNum(self.ctx.p, tuple(int(v) for v in self.arr[i, j]), self.den)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeilOperator):
             return NotImplemented
@@ -139,12 +136,6 @@ class WeilOperator:
 
     def __hash__(self):  # pragma: no cover
         return hash((self.den, self.arr.tobytes()))
-
-    def is_identity(self) -> bool:
-        return self == self.ctx.identity_op()
-
-    def is_unitary(self) -> bool:
-        return (self @ self.conj_transpose()).is_identity()
 
 
 class RepContext:

@@ -10,6 +10,9 @@ from weilbc.errors import ConfigInvalid
 def test_parse_pairs():
     assert parse_pairs("1:1,2:2") == ((1, 1), (2, 2))
     assert parse_pairs("") == ()
+    for bad in ("1", "1:x", "1:2:3"):
+        with pytest.raises(ConfigInvalid):
+            parse_pairs(bad)
 
 
 def test_cli_json_report(capsys):
@@ -89,3 +92,19 @@ def test_all_mode_subsumes(case_digest):
     tsv = report.to_tsv().splitlines()
     assert tsv[-2].startswith("#skipped\torthogonal\t") and "\tskip=1\t" in tsv[-1]
     assert case_digest(report) == "62965a6a03a67c076a97a4724a074a16a6991d47aee3e3d7f072a3d26dbde6fc"
+
+
+@pytest.mark.parametrize("args", [["--pairs", "1"], ["--pairs", "1:x"], ["--n", "0"], ["--m", "0"],
+                                  ["--base-degree", "0"], ["--m", "1"]])
+def test_cli_rejects_malformed_or_empty_config(args, capsys):
+    assert main(["star", "--sample", "3", *args]) == 2
+    assert "ConfigInvalid" in capsys.readouterr().err
+
+
+def test_check_without_cases_is_skipped_not_passed():
+    cfg = RunConfig(p=3, n=1, m=1, sample=2)
+    with pytest.raises(ConfigInvalid):
+        run_check("star", cfg)
+    report = run_check("all", cfg)
+    assert [name for name, _ in report.skipped] == ["star", "gsp", "orthogonal", "gyoja-bijection"]
+    assert report.cases and report.ok

@@ -107,17 +107,10 @@ def test_to_complex_examples():
     assert CycNum.rational(3, 3).to_complex() == 3
 
 
-def test_text_roundtrip():
-    a = CycNum(5, (1, -2, 0, 7), 6)
-    assert CycNum.from_text(5, a.to_text()) == a
-    assert CycNum.from_text(3, "1/1,2/1") == CycNum(3, (1, 2))
-
-
 def test_rational_embedding_and_fraction():
     a = CycNum.rational(3, 4, 6)
     assert a.num == (2, 0) and a.den == 3
-    assert a.as_fraction() == Fraction(2, 3)
-    assert a.is_rational()
+    assert a == Fraction(2, 3) and a != Fraction(3, 2)
 
 
 def test_galois_orbit_sums_to_rational():

@@ -147,13 +147,6 @@ def test_psi_scaling():
         assert t.psi(x, 2, scale=a) == t.psi(t.mul(a, x), 2)
 
 
-def test_serialization_roundtrip(t92):
-    text = t92.to_text()
-    assert text == "3;1;2;1,0,1"
-    t2 = Tower.from_text(text)
-    assert t2.modulus == t92.modulus and t2.q == t92.q
-
-
 def test_enlargement_reembeds_consistently(t92):
     big, emb = enlarge_tower(t92, 4)
     assert big.ambient_degree == 4
@@ -177,8 +170,9 @@ def test_embedding_root_is_smallest():
 def test_level_membership_and_level_of(t92):
     assert t92.in_level(2, 1)
     assert not t92.in_level(3, 1)
-    assert t92.level_of(3) == 2
-    assert t92.level_of(1) == 1
+    # the smallest level holding an element: 2 for the root 3 of x²+1, 1 for F_3
+    assert min(d for d in t92.levels() if t92.in_level(3, d)) == 2
+    assert min(d for d in t92.levels() if t92.in_level(1, d)) == 1
 
 
 @pytest.mark.parametrize("p, base_degree, m", [(3, 1, 1), (3, 1, 2), (7, 1, 2), (3, 1, 6), (5, 1, 4), (3, 2, 9), (3, 1, 18)])

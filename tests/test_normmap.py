@@ -83,23 +83,6 @@ def test_lang_abelian_nonsquare_needs_f81(t92):
     assert big.mul(big.inv(a), big.frobenius(a, 1)) == w.embedding.embed(zeta)
 
 
-def _embedded(spec, emb, h):
-    if isinstance(spec, SpHGroup):
-        s, (v, t) = h
-        return (tuple(map(emb.embed, s)), (tuple(map(emb.embed, v)), emb.embed(t)))
-    if isinstance(spec, MulGroup):
-        return emb.embed(h)
-    return tuple(map(emb.embed, h))
-
-
-def _big_group(spec, big):
-    if isinstance(spec, SpHGroup):
-        return SpHGroup(big, spec.n, big.m)
-    if isinstance(spec, MulGroup):
-        return MulGroup(big, big.m)
-    return SympGroup(big, spec.n, big.m, similitude=spec.similitude)
-
-
 def test_lang_matrix_witness_verified():
     groups = [
         (SympGroup(build_tower(3, 1, 2), 1, 2), 10),
@@ -114,9 +97,9 @@ def test_lang_matrix_witness_verified():
         for _ in range(samples):
             h = spec.random(rng)
             w = lang_solve(spec, h, 1)
-            big_spec = _big_group(spec, w.tower)
+            big_spec = w.group
             a = w.alpha
-            assert big_spec.mul(big_spec.inv(a), big_spec.frob(a, 1)) == _embedded(spec, w.embedding, h)
+            assert big_spec.mul(big_spec.inv(a), big_spec.frob(a, 1)) == normmap._entries(spec, w.embedding.embed, h)
             if isinstance(spec, SympGroup) and not spec.similitude:
                 # Darboux construction produces a symplectic witness
                 assert big_spec.contains(a)
@@ -241,22 +224,18 @@ def test_base_change_of_twist_matches_remark():
 def test_bijection_sl2_q3_m2(t92):
     sl = SympGroup(t92, 1, 2)
     sl1 = SympGroup(t92, 1, 1)
-    rep = verify_bijection(choose_t(1, 2), sl, sl1)
-    assert rep.ok and rep.twisted_count == 7 and rep.target_count == 7
+    part_cache = {}
+    rep = verify_bijection(choose_t(1, 2), sl, sl1, part_cache=part_cache)
+    assert rep.twisted_count == 7 and rep.target_count == 7
+    assert sorted((part.twist, len(part)) for part in part_cache.values()) == [(0, 7), (1, 7)]
+    assert rep.well_defined and rep.injective and rep.surjective and rep.sigma_equivariant
 
 
 def test_bijection_i0(t92):
     sl = SympGroup(t92, 1, 2)
     rep = verify_bijection(choose_t(0, 2), sl, sl)
-    assert rep.ok and rep.twisted_count == 13
-
-
-def test_bijection_tsv(t92):
-    sl = SympGroup(t92, 1, 2)
-    rep = verify_bijection(choose_t(1, 2), sl, SympGroup(t92, 1, 1))
-    lines = rep.to_tsv().splitlines()
-    assert lines[0].startswith("twisted_rep")
-    assert len(lines) == 8
+    assert rep.twisted_count == rep.target_count == 13
+    assert rep.well_defined and rep.injective and rep.surjective and rep.sigma_equivariant
 
 
 def test_sph_norm_well_defined(t92):
