@@ -188,8 +188,6 @@ def sp_act_heis(tower: Tower, s: tuple, h: tuple, n: int) -> tuple:
 class GroupSpec:
     """Common interface: elements are hashable, operations are pure."""
 
-    abelian = False
-
     def __init__(self, tower: Tower, level: int, cap: int = ENUM_CAP):
         self.tower = tower
         self.level = level
@@ -553,34 +551,6 @@ class SpHGroup(GroupSpec):
         return (self.sp.random(rng), self.heis.random(rng))
 
 
-class SpZGroup(SpHGroup):
-    """The direct product Sp_V × Z_V inside Sp_V·H_V."""
-
-    def contains(self, a):
-        s, (v, t) = a
-        return self.sp.contains(s) and all(x == self.tower.zero for x in v) and self.tower.in_level(t, self.level)
-
-    def generators(self):
-        e = self.heis.identity()
-        z = tuple([self.tower.zero] * (2 * self.n))
-        scalars = [x for x in self.tower.level_elements(self.level) if x != self.tower.zero]
-        return [(g, e) for g in self.sp.generators()] + [(self.sp.identity(), (z, c)) for c in scalars[:4]]
-
-    def elements(self):
-        if self.sp.order() * (self.tower.q**self.level) > self.cap:
-            raise GroupTooLarge("Sp×Z too large to enumerate")
-        z = tuple([self.tower.zero] * (2 * self.n))
-        out = []
-        for s in self.sp.elements():
-            for t in self.tower.level_elements(self.level):
-                out.append((s, (z, t)))
-        return out
-
-    def random(self, rng):
-        z = tuple([self.tower.zero] * (2 * self.n))
-        return (self.sp.random(rng), (z, rng.choice(self.tower.level_elements(self.level))))
-
-
 class BorelSL2(SympGroup):
     """Upper-triangular subgroup of SL₂(F_{q^level})."""
 
@@ -622,46 +592,6 @@ class BorelSL2(SympGroup):
         return (a, b, self.tower.zero, self.tower.inv(a))
 
 
-class MulGroup(GroupSpec):
-    """F_{q^level}^× as a group (GL₁)."""
-
-    abelian = True
-
-    def __init__(self, tower: Tower, level: int, cap: int = ENUM_CAP):
-        super().__init__(tower, level, cap)
-
-    def identity(self):
-        return self.tower.one
-
-    def mul(self, a, b):
-        return self.tower.mul(a, b)
-
-    def inv(self, a):
-        return self.tower.inv(a)
-
-    def frob(self, a, j):
-        return self.tower.frobenius(a, j)
-
-    def order(self):
-        return self.tower.q**self.level - 1
-
-    def contains(self, a):
-        return a != self.tower.zero and self.tower.in_level(a, self.level)
-
-    def sort_key(self, a):
-        return (self.tower.elem_key(a),)
-
-    def generators(self):
-        return [_gen_of_mult_group(self.tower, self.level)]
-
-    def elements(self):
-        self.check_order()
-        return [x for x in self.tower.level_elements(self.level) if x != self.tower.zero]
-
-    def random(self, rng):
-        return rng.choice(self.elements())
-
-
 class TorusSL2(_MatrixSpec):
     """Elliptic-model maximal torus of SL₂: matrices [[a, bw],[b, a]], a²-wb²=1.
 
@@ -670,7 +600,6 @@ class TorusSL2(_MatrixSpec):
     levels, split of order q^level-1 when w becomes a square).
     """
 
-    abelian = True
     size = 2
 
     def __init__(self, tower: Tower, level: int, cap: int = ENUM_CAP):

@@ -1,4 +1,4 @@
-"""Twisted norm maps from the coset σ^i ⋉ G(F') to G(F_d).
+"""Twisted norm maps from the coset σ^i ⋉ G(F') to G(F_d), for G = Sp or GSp.
 
 For g in G(F') the norm is α·(g σ^i(g) ⋯ σ^{i(μ-1)}(g))·α^{-1}, where α solves
 the Lang equation α^{-1} σ^d(α) = σ^{-it}(g σ^i(g) ⋯ σ^{i(t-1)}(g)).
@@ -6,22 +6,17 @@ the Lang equation α^{-1} σ^d(α) = σ^{-it}(g σ^i(g) ⋯ σ^{i(t-1)}(g)).
 Witness search: every solution of the Lang equation lies in G(F_{q^{d·k}})
 exactly when the d-twisted product of k copies of the target is trivial, so
 the minimal field of definition is computed first (a cheap loop at level m)
-and the equation is then solved by exact linear algebra over F_p.  Every
-equation below is one F_p-linear system u ↦ σ^d(u) − M·u on vectors over the
-ambient field, assembled from the tower's Frobenius and multiplication
-matrices (`_semilinear`):
+and the equation is then solved by exact linear algebra over F_p.  The matrix
+equation σ^d(α) = α·h decouples into row equations σ^d(v) = v·h, the kernel of
+one F_p-linear system u ↦ σ^d(u) − hᵀ·u on vectors over the ambient field,
+assembled from the tower's Frobenius and multiplication matrices
+(`_semilinear`):
 
-* the matrix equation σ^d(α) = α·h decouples into row equations
-  σ^d(v) = v·h, the kernel of the system with M = hᵀ; for symplectic h the
-  solution space carries an F_{q^d}-symplectic form v, w ↦ v·J·wᵀ, and a
-  Darboux basis of that form stacks to a symplectic witness;
-* for similitude groups and GL₁ any F_{q^d}-basis of the solution space
-  stacks to an invertible witness (GL₁ is the 1×1 case, solved, not searched);
-* for Sp·H the Sp part is solved as above and the Heisenberg part is one
-  affine system σ^d(u) − m·u = v plus one additive Hilbert-90 system
-  σ^d(z) − z = c; Sp×Z elements are Sp·H elements with v = 0, so u = 0.
-
-Norms on abelian groups are classical and need no witness.
+* for symplectic h the solution space carries an F_{q^d}-symplectic form
+  v, w ↦ v·J·wᵀ, and a Darboux basis of that form stacks to a symplectic
+  witness;
+* for similitude groups any F_{q^d}-basis of the solution space stacks to an
+  invertible witness.
 """
 
 from __future__ import annotations
@@ -36,9 +31,7 @@ from .errors import AmbientCapExceeded, ConfigInvalid, WitnessFailed
 from .fieldtower import Embedding, Tower, build_tower, get_embedding
 from .grouplib import (
     GroupSpec,
-    MulGroup,
     Partition,
-    SpHGroup,
     SympGroup,
     SympSpace,
     conjugacy_classes,
@@ -46,7 +39,6 @@ from .grouplib import (
     mat_frob,
     mat_mul,
     mat_transpose,
-    mat_vec,
     twisted_classes,
 )
 
@@ -98,15 +90,13 @@ def twisted_product(spec: GroupSpec, i: int, g, k: int):
 
 @dataclass
 class LangWitness:
-    alpha: object
-    target: object
+    alpha: tuple
     ambient_degree: int  # in q-degrees
-    tower: Tower
     embedding: Embedding
-    group: GroupSpec  # the spec's group over the whole ambient field, where alpha lives
+    group: SympGroup  # the spec's group over the whole ambient field, where alpha lives
 
 
-def _min_defining_level(spec: GroupSpec, h, d: int) -> int:
+def _min_defining_level(spec: SympGroup, h: tuple, d: int) -> int:
     """Minimal k with h·σ^d(h)···σ^{d(k-1)}(h) = 1; witnesses live at level d·k."""
     ident = spec.identity()
     q = h
@@ -130,16 +120,6 @@ def _split(big: Tower, vec: np.ndarray, n2: int) -> tuple:
     """Ambient entries of a stacked digit vector."""
     A = big.ambient_degree
     return tuple(big._encode(vec[k * A : (k + 1) * A]) for k in range(n2))
-
-
-def _solve(big: Tower, d: int, M: tuple, rhs: tuple) -> tuple:
-    """One u with σ^d(u) − M·u = rhs."""
-    n2 = len(rhs)
-    b = np.concatenate([big._decode(x) for x in rhs])
-    sol = modp.solve(_semilinear(big, d, M, n2), b, big.p)
-    if sol is None:
-        raise WitnessFailed("semilinear equation unsolvable at this level")
-    return _split(big, sol, n2)
 
 
 def _fqd_basis_rows(big: Tower, d: int, rows: list[tuple], n2: int) -> list[tuple]:
@@ -197,12 +177,12 @@ def _darboux_alpha(big: Tower, d: int, rows: list[tuple], n: int) -> tuple:
     return tuple(x for row in rows_out for x in row)
 
 
-def _lang_matrix(big_spec: GroupSpec, h_big: tuple, d: int, n2: int) -> tuple:
-    """Witness of σ^d(α) = α·h for an n2×n2 matrix h in Sp, GSp or GL₁."""
-    big = big_spec.tower
+def _lang_matrix(big_spec: SympGroup, h_big: tuple, d: int) -> tuple:
+    """Witness of σ^d(α) = α·h for a matrix h in Sp or GSp."""
+    big, n2 = big_spec.tower, big_spec.size
     kern = modp.kernel_basis(_semilinear(big, d, mat_transpose(h_big, n2), n2), big.p)
     basis = _fqd_basis_rows(big, d, [_split(big, v, n2) for v in kern], n2)
-    if isinstance(big_spec, SympGroup) and not big_spec.similitude:
+    if not big_spec.similitude:
         alpha = _darboux_alpha(big, d, basis, n2 // 2)
         # SympGroup.inv is exact only on Sp: check α·J·αᵀ = J on pairs of rows
         rows = [alpha[k * n2 : (k + 1) * n2] for k in range(n2)]
@@ -219,45 +199,7 @@ def _lang_matrix(big_spec: GroupSpec, h_big: tuple, d: int, n2: int) -> tuple:
     return alpha
 
 
-def _sph_lang(big_spec: SpHGroup, h_big, d: int):
-    big, n2 = big_spec.tower, 2 * big_spec.n
-    sp = big_spec.sp
-    s_h, (v_h, t_h) = h_big
-    alpha_s = _lang_matrix(sp, s_h, d, n2)
-    # m = (σ^d a)^{-1} a;  σ^d(u) - m·u = v_h;  σ^d(z) - z = t_h + ½⟨m u, σ^d u⟩
-    mmat = sp.mul(sp.inv(sp.frob(alpha_s, d)), alpha_s)
-    u = _solve(big, d, mmat, v_h)
-    mu_vec = mat_vec(big, mmat, u, n2)
-    c = big.add(t_h, big.mul(big.half, sp.space.form(big, mu_vec, mat_frob(big, u, d))))
-    (z,) = _solve(big, d, (big.one,), (c,))
-    alpha = (alpha_s, (u, z))
-    if big_spec.mul(big_spec.inv(alpha), big_spec.frob(alpha, d)) != h_big:
-        raise WitnessFailed("Sp·H Lang witness verification failed")
-    return alpha
-
-
-def _entries(spec: GroupSpec, f, g):
-    """g with f applied to every field entry."""
-    if isinstance(spec, SpHGroup):
-        s, (v, t) = g
-        return (tuple(map(f, s)), (tuple(map(f, v)), f(t)))
-    if isinstance(spec, MulGroup):
-        return f(g)
-    return tuple(map(f, g))
-
-
-def _big_group(spec: GroupSpec, big: Tower) -> GroupSpec:
-    """The spec's group over the whole ambient field of big."""
-    if isinstance(spec, SpHGroup):  # Sp×Z included: it has the same product
-        return SpHGroup(big, spec.n, big.m)
-    if isinstance(spec, SympGroup):
-        return SympGroup(big, spec.n, big.m, similitude=spec.similitude)
-    if isinstance(spec, MulGroup):
-        return MulGroup(big, big.m)
-    raise TypeError(f"no Lang solver for {type(spec).__name__}")
-
-
-def lang_solve(spec: GroupSpec, h, d: int, ambient_cap: int = DEFAULT_AMBIENT_CAP) -> LangWitness:
+def lang_solve(spec: SympGroup, h: tuple, d: int, ambient_cap: int = DEFAULT_AMBIENT_CAP) -> LangWitness:
     """Solve α^{-1}σ^d(α) = h with α in the group over a large enough field."""
     tower = spec.tower
     k0 = _min_defining_level(spec, h, d)
@@ -268,19 +210,12 @@ def lang_solve(spec: GroupSpec, h, d: int, ambient_cap: int = DEFAULT_AMBIENT_CA
         )
     big = build_tower(tower.p, tower.base_degree, need)
     emb = get_embedding(tower, big)
-    big_spec = _big_group(spec, big)
-    h_big = _entries(spec, emb.embed, h)
-    if isinstance(big_spec, SpHGroup):
-        alpha = _sph_lang(big_spec, h_big, d)
-    elif isinstance(big_spec, MulGroup):
-        (alpha,) = _lang_matrix(big_spec, (h_big,), d, 1)
-    else:
-        alpha = _lang_matrix(big_spec, h_big, d, big_spec.size)
-    return LangWitness(alpha=alpha, target=h, ambient_degree=need, tower=big,
-                       embedding=emb, group=big_spec)
+    big_spec = SympGroup(big, spec.n, big.m, similitude=spec.similitude)
+    alpha = _lang_matrix(big_spec, tuple(map(emb.embed, h)), d)
+    return LangWitness(alpha=alpha, ambient_degree=need, embedding=emb, group=big_spec)
 
 
-def gyoja_norm(cfg: NormConfig, spec: GroupSpec, g, ambient_cap: int = DEFAULT_AMBIENT_CAP,
+def gyoja_norm(cfg: NormConfig, spec: SympGroup, g, ambient_cap: int = DEFAULT_AMBIENT_CAP,
                partition: Partition | None = None, cache: dict | None = None):
     """The norm of (σ^i, g); returns (element of G(F_d), class id or None).
 
@@ -292,10 +227,6 @@ def gyoja_norm(cfg: NormConfig, spec: GroupSpec, g, ambient_cap: int = DEFAULT_A
         return got if partition is None else (got[0], partition.index_of(got[0]))
     if cfg.i == 0:
         result = g
-    elif spec.abelian:
-        result = twisted_product(spec, cfg.i, g, cfg.mu)
-        if spec.frob(result, cfg.d) != result:
-            raise WitnessFailed("norm did not land at level d")
     else:
         # The Lang target is the t-fold twisted product itself: with
         # σ^d(α) = α·P_t, the commutation P_t·σ^d(P_μ) = P_μ·P_t of powers of
@@ -304,10 +235,10 @@ def gyoja_norm(cfg: NormConfig, spec: GroupSpec, g, ambient_cap: int = DEFAULT_A
         witness = lang_solve(spec, target, cfg.d, ambient_cap)
         big_spec, emb = witness.group, witness.embedding
         p_mu = twisted_product(spec, cfg.i, g, cfg.mu)
-        out = big_spec.conj(witness.alpha, _entries(spec, emb.embed, p_mu))
+        out = big_spec.conj(witness.alpha, tuple(map(emb.embed, p_mu)))
         if big_spec.frob(out, cfg.d) != out:
             raise WitnessFailed("norm did not land at level d")
-        result = _entries(spec, emb.pull_back, out)
+        result = tuple(map(emb.pull_back, out))
     cls = partition.index_of(result) if partition is not None else None
     if cache is not None:
         cache[key] = (result, None)
@@ -324,7 +255,7 @@ class BijectionReport:
     sigma_equivariant: bool
 
 
-def verify_bijection(cfg: NormConfig, spec: GroupSpec, target_spec: GroupSpec,
+def verify_bijection(cfg: NormConfig, spec: SympGroup, target_spec: SympGroup,
                      ambient_cap: int = DEFAULT_AMBIENT_CAP, members_per_class: int = 2,
                      cache: dict | None = None, part_cache: dict | None = None) -> BijectionReport:
     """Check the class bijection σ^i ⋉ G(F') → classes of G(F_d); part_cache holds partitions."""

@@ -18,15 +18,13 @@ from weilbc.cyclotomic import CycNum
 from weilbc.errors import SupportMismatch
 from weilbc.fieldtower import build_tower
 from weilbc.grouplib import (
-    MulGroup,
     SpHGroup,
-    SpZGroup,
     SympGroup,
     TorusSL2,
     conjugacy_classes,
     twisted_classes,
 )
-from weilbc.normmap import choose_t, gyoja_norm
+from weilbc.normmap import choose_t
 from weilbc.schrodinger import RepContext
 
 
@@ -115,13 +113,13 @@ def test_isometry_on_full_basis(t92, sl1_part):
 
 def test_induce_trivial_from_trivial_subgroup_of_c2(t92):
     # induced trivial character from {1} = regular character (|G| at 1, 0 elsewhere),
-    # on C_2 realized as F_3^× and on the cyclic torus T(F_3) of order 4
-    for group in (MulGroup(t92, 1), TorusSL2(t92, 1)):
-        ident = group.identity()
-        pairs = coset_pairs(group, group.elements())
-        for y in group.elements():
-            val = induced_trace(group, pairs, y, lambda z: z == ident, lambda z: CycNum.one(3))
-            assert val == CycNum.rational(3, group.order() if y == ident else 0)
+    # on the cyclic torus T(F_3) of order 4
+    group = TorusSL2(t92, 1)
+    ident = group.identity()
+    pairs = coset_pairs(group, group.elements())
+    for y in group.elements():
+        val = induced_trace(group, pairs, y, lambda z: z == ident, lambda z: CycNum.one(3))
+        assert val == CycNum.rational(3, group.order() if y == ident else 0)
 
 
 def test_induction_transitivity_on_torus_chain(t92):
@@ -148,10 +146,13 @@ def test_induction_transitivity_on_torus_chain(t92):
 def test_induced_trivial_from_spz_at_sigma(t92):
     """Index-9 induction over Γ⋉Sp·Z evaluated at (σ, 1) equals q^{2n} = 9."""
     sph = SpHGroup(t92, 1, 2)
-    spz = SpZGroup(t92, 1, 2)
     field = t92.level_elements(2)
     reps = [(sph.sp.identity(), ((a, b), t92.zero)) for a in field for b in field]
-    total = induced_trace(sph, coset_pairs(sph, reps, 1), sph.identity(), spz.contains, lambda z: CycNum.one(3))
+
+    def in_spz(z):  # an element of Sp·H lies in Sp·Z when its V-part is zero
+        return z[1][0] == (t92.zero, t92.zero)
+
+    total = induced_trace(sph, coset_pairs(sph, reps, 1), sph.identity(), in_spz, lambda z: CycNum.one(3))
     assert total == CycNum.rational(3, 9)
 
 
@@ -194,25 +195,3 @@ def test_weil_torus_restriction(t92):
     gen = tor.generator
     assert ctx.build_rho(gen).trace() == CycNum.one(3)
     assert ctx.build_rho((2, 0, 0, 2)).trace() == CycNum.rational(3, -1)
-
-
-def test_restriction_commutes_with_lift_on_spz_in_sph(t92):
-    """Res ∘ lift = lift ∘ Res for the pair Sp·Z ⊂ Sp·H at q=3, m=2."""
-    sph_top = SpHGroup(t92, 1, 2)
-    spz_top = SpZGroup(t92, 1, 2)
-    sph1 = SpHGroup(t92, 1, 1)
-    cfg = choose_t(1, 2)
-    part_sph1 = conjugacy_classes(sph1)
-    cache = {}
-    tw_z = twisted_classes(spz_top, 1)
-    rng = random.Random(14)
-    chis = indicator_basis(part_sph1, 3)[:3]
-    chis.append(ClassFunction(part_sph1, tuple(CycNum.rational(3, rng.randrange(-3, 4)) for _ in part_sph1.reps)))
-    for chi in chis:
-        for rep in tw_z.reps:
-            big_norm, _ = gyoja_norm(cfg, sph_top, rep, cache=cache)
-            lhs = chi.at(big_norm)  # lift on Sp·H, then restrict
-            sub_norm, _ = gyoja_norm(cfg, spz_top, rep, cache=cache)
-            rhs = chi.at(sub_norm)  # restrict to Sp·Z(F_3) ⊂ Sp·H(F_3), then lift
-            assert lhs == rhs
-

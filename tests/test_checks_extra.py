@@ -6,7 +6,7 @@ from weilbc.checks import RunConfig, run_check
 from weilbc.cli import main
 from weilbc.cyclotomic import CycNum
 from weilbc.fieldtower import build_tower
-from weilbc.grouplib import SpHGroup, SpZGroup, SympGroup, conjugacy_classes, mat_vec
+from weilbc.grouplib import SpHGroup, SympGroup, conjugacy_classes, mat_vec
 from weilbc.normmap import choose_t, gyoja_norm
 from weilbc.schrodinger import RepContext, gsp_character_values
 
@@ -15,7 +15,6 @@ def test_translation_model_trace_matches_coset_formula():
     """The permutation model on C[V(F')] computes the induced-trivial character."""
     t = build_tower(3, 1, 2)
     sph = SpHGroup(t, 1, 2)
-    spz = SpZGroup(t, 1, 2)
     field = t.level_elements(2)
     points = [(a, b) for a in field for b in field]
     reps = [(sph.sp.identity(), (v, t.zero)) for v in points]
@@ -37,7 +36,7 @@ def test_translation_model_trace_matches_coset_formula():
         hits = 0
         for r in reps:
             z = sph.mul(sph.mul(sph.inv(r), y), sph.frob(r, i))
-            if spz.contains(z):
+            if z[1][0] == (t.zero, t.zero):  # z lies in Sp·Z: its V-part is zero
                 hits += 1
         assert fixed == hits
 

@@ -4,7 +4,7 @@ import pytest
 
 from weilbc.checks import RunConfig, Workspace, run_check
 from weilbc.cli import main, parse_pairs
-from weilbc.errors import ConfigInvalid
+from weilbc.errors import AmbientCapExceeded, ConfigInvalid, GroupTooLarge
 
 
 def test_parse_pairs():
@@ -108,3 +108,25 @@ def test_check_without_cases_is_skipped_not_passed():
     report = run_check("all", cfg)
     assert [name for name, _ in report.skipped] == ["star", "gsp", "orthogonal", "gyoja-bijection"]
     assert report.cases and report.ok
+
+
+def test_all_skips_a_sub_check_too_large_to_enumerate(capsys):
+    cfg = RunConfig(p=3, n=1, m=2, sample=2, enum_cap=500)
+    report = run_check("all", cfg)
+    assert [name for name, _ in report.skipped] == ["orthogonal", "parabolic", "gyoja-bijection"]
+    assert "exceeds cap 500" in dict(report.skipped)["gyoja-bijection"]
+    assert report.cases and report.ok
+    # run alone, the same sub-check is an error, and a cap on the Lang tower stays one under all
+    assert main(["gyoja-bijection", "--enum-cap", "500"]) == 2
+    assert "GroupTooLarge" in capsys.readouterr().err
+    with pytest.raises(AmbientCapExceeded):
+        run_check("all", RunConfig(p=3, n=1, m=2, sample=40, ambient_cap=4))
+
+
+def test_parabolic_respects_enum_cap(capsys):
+    # parabolic enumerates m·|B(F')|·q^{3m} points whatever --sample says: 41,452,398 at m = 3
+    assert main(["parabolic", "--m", "3"]) == 2
+    assert "GroupTooLarge" in capsys.readouterr().err
+    # 2·72·729 = 104,976 points at m = 2: a cap one below refuses them before the loop
+    with pytest.raises(GroupTooLarge, match="104976"):
+        run_check("parabolic", RunConfig(p=3, n=1, m=2, enum_cap=104_975))

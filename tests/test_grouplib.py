@@ -9,7 +9,6 @@ from weilbc.grouplib import (
     HeisGroup,
     SemidirectGroup,
     SpHGroup,
-    SpZGroup,
     SympGroup,
     SympSpace,
     TorusSL2,
@@ -173,13 +172,6 @@ def test_sph_group_law(t92):
         ab = sph.mul(a, b)
         assert sph.contains(ab)
         assert sph.mul(ab, sph.inv(b)) == a
-
-
-def test_spz_membership(t92):
-    spz = SpZGroup(t92, 1, 2)
-    z = ((0, 0), 1)
-    assert spz.contains(((1, 0, 0, 1), z))
-    assert not spz.contains(((1, 0, 0, 1), ((1, 0), 0)))
 
 
 def test_borel_enumeration(t92):
