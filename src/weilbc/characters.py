@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .cyclotomic import CycNum
 from .errors import SupportMismatch
 from .grouplib import GroupSpec, Partition, TorusSL2
-from .normmap import DEFAULT_AMBIENT_CAP, NormConfig, gyoja_norm
+from .normmap import DEFAULT_AMBIENT_CAP, NormConfig, gyoja_norm, twisted_product
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ def lift_class_function(cfg: NormConfig, spec: GroupSpec, chi: ClassFunction,
     target = chi.partition
     vals = []
     for rep in twisted.reps:
-        el, _ = gyoja_norm(cfg, spec, rep, ambient_cap, cache=cache)
-        vals.append(chi.values[target.index_of(el)])
+        vals.append(chi.values[target.index_of(gyoja_norm(cfg, spec, rep, ambient_cap, cache=cache))])
     return ClassFunction(twisted, tuple(vals))
 
 
@@ -98,12 +97,10 @@ def omega(torus: TorusSL2) -> dict:
 
 
 def omega_prime(torus_top: TorusSL2, torus_base: TorusSL2, d: int = 1) -> dict:
-    """ω ∘ (norm down to the level-d torus); equals the order-2 character."""
+    """ω ∘ (norm g·σ^d(g)··· down to the level-d torus); equals the order-2 character."""
     base_omega = omega(torus_base)
-    out = {}
-    for g in torus_top.elements():
-        out[g] = base_omega[torus_top.norm_to_level(g, d)]
-    return out
+    k = torus_top.level // d
+    return {g: base_omega[twisted_product(torus_top, d, g, k)] for g in torus_top.elements()}
 
 
 def eta(j: int) -> int:

@@ -16,13 +16,11 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from itertools import product as iproduct
-from math import gcd
 
 from .cyclotomic import CycNum, gauss_sum
 from .errors import ConfigInvalid, GroupTooLarge, InvariantBroken
 from .fieldtower import ENUM_CAP, build_tower
 from .grouplib import (
-    BorelSL2,
     HeisGroup,
     SemidirectGroup,
     SpHGroup,
@@ -32,6 +30,7 @@ from .grouplib import (
     conjugacy_classes,
     heis_embed,
     mat_vec,
+    sp_act_heis,
     twisted_classes,
 )
 from .normmap import DEFAULT_AMBIENT_CAP, NormConfig, choose_t, gyoja_norm, verify_bijection
@@ -240,7 +239,7 @@ def check_homomorphism(ws: Workspace) -> list[Case]:
     ctx = ws.ctx(cfg.m)
     sph = ws.sph()
     sp = ws.sp()
-    heis = HeisGroup(ws.tower, cfg.n, cfg.m)
+    heis = sph.heis
     rng = ws.rng("homomorphism")
     cases = []
     count = ws.count(200)
@@ -266,8 +265,6 @@ def check_homomorphism(ws: Workspace) -> list[Case]:
         op = ctx.op_heis((zero_v, kk))
         want = ctx.identity_op().scale(ws.tower.psi(kk, cfg.m, ws.scale))
         cases.append(Case.of(f"central character k={kk}", op, want))
-    from .grouplib import sp_act_heis
-
     for k in range(50):
         s, h = sp.random(rng), heis.random(rng)
         lhs = (ctx.build_rho(s) @ ctx.op_heis(h)) @ ctx.build_rho(sp.inv(s))
@@ -288,7 +285,7 @@ def _norm_cases(ws: Workspace, spec, ncfg: NormConfig, label: str, var: str, lhs
     cases = []
     for g in ws.samples(spec, f"{label}:{ncfg.i}:{ncfg.t}"):
         value = lhs(g)
-        N, _ = gyoja_norm(ncfg, spec, g, ws.cfg.ambient_cap, cache=ws.norm_cache)
+        N = gyoja_norm(ncfg, spec, g, ws.cfg.ambient_cap, cache=ws.norm_cache)
         cases.append(Case.of(f"i={ncfg.i},t={ncfg.t},{var}={g}", value, rhs(N)))
     return cases
 
@@ -344,7 +341,7 @@ def check_support(ws: Workspace) -> list[Case]:
     cases = []
     for k in range(count):
         i = rng.randrange(cfg.m)
-        y = (ws.sp().random(rng), sph.heis.random(rng))
+        y = sph.random(rng)
         tr = ctx.extended_trace(i, y)
         lhs = tr * tr.conj()
         rhs = induced_trace(sph, pairs[i], y, in_spz, lambda z: one)
@@ -407,15 +404,16 @@ def check_parabolic(ws: Workspace) -> list[Case]:
     if cfg.n != 1:
         raise ConfigInvalid("the parabolic check is implemented for n = 1")
     tower, m = ws.tower, cfg.m
-    borel = BorelSL2(tower, m, cap=cfg.enum_cap)
     field = tower.level_elements(m)
-    points = m * borel.order() * len(field) ** 3
+    Q = len(field)
+    points = m * Q * (Q - 1) * Q**3  # |B(F')| = Q(Q-1)
     if points > cfg.enum_cap:  # the enumeration ignores --sample
         raise GroupTooLarge(f"parabolic enumerates {points} points (j, b, h), over the cap {cfg.enum_cap}")
     ctx = ws.ctx(m)
     sph = ws.sph()
+    borel = [g for g in ws.sp().elements() if g[2] == tower.zero]  # c = 0, in sort_key order
     # coset reps of Γ⋉B·H_⊥ in Γ⋉B·H: Heisenberg translations along f_1
-    reps = [(borel.identity(), ((tower.zero, y), tower.zero)) for y in field]
+    reps = [(sph.sp.identity(), ((tower.zero, y), tower.zero)) for y in field]
     pairs = [coset_pairs(sph, reps, j) for j in range(m)]
     # ε'∘det ⊗ ψ' on B·H_⊥, tabulated by (diagonal entry a, central part t)
     chi_table = {
@@ -432,7 +430,7 @@ def check_parabolic(ws: Workspace) -> list[Case]:
     heis_parts = [((v0, v1), t) for v0 in field for v1 in field for t in field]
     cases = []
     for j in range(m):
-        for b in borel.elements():
+        for b in borel:
             points = ((h, ctx.extended_trace(j, (b, h)), induced_trace(sph, pairs[j], (b, h), in_sub, chi))
                       for h in heis_parts)
             cases += _exhaustive_cases(f"j={j},b={b} (all Heisenberg parts)", lambda h: f"j={j},b={b},h={h}", points)
@@ -446,9 +444,18 @@ def check_sl2_torus(ws: Workspace) -> list[Case]:
     cfg = ws.cfg
     if cfg.n != 1:
         raise ConfigInvalid("the torus suite is specific to SL2 (n = 1)")
-    cases = _torus_level_one(ws)
-    if cfg.m >= 2:
-        cases += _torus_extended(ws)
+    tower, q, m = ws.tower, ws.tower.q, cfg.m
+    tor1 = TorusSL2(tower, 1)
+    tor = TorusSL2(tower, m) if m >= 2 else None
+    # (τ, h) at level one, then (j, τ, v) in the extended slices; --sample bounds neither
+    points = tor1.order() * q**3
+    if tor is not None:
+        points += m * tor.order() * q ** (2 * m)
+    if points > cfg.enum_cap:
+        raise GroupTooLarge(f"sl2-torus enumerates {points} points, over the cap {cfg.enum_cap}")
+    cases = _torus_level_one(ws, tor1)
+    if tor is not None:
+        cases += _torus_extended(ws, tor, tor1)
     return cases
 
 
@@ -498,12 +505,11 @@ def _torus_nu(ctx: RepContext, sph: SpHGroup, tor: TorusSL2, om: dict):
     return nu
 
 
-def _torus_level_one(ws: Workspace) -> list[Case]:
+def _torus_level_one(ws: Workspace, tor: TorusSL2) -> list[Case]:
     """The virtual character Ind - Ind equals ρ on T(F)H(F), plus the
     restriction-to-torus multiplicities."""
     tower = ws.tower
     ctx1 = RepContext(tower, 1, 1, ws.scale)
-    tor = TorusSL2(tower, 1)
     nu = _torus_nu(ctx1, SpHGroup(tower, 1, 1), tor, omega(tor))
     cases = []
     heis_elems = HeisGroup(tower, 1, 1).elements()
@@ -522,18 +528,18 @@ def _torus_level_one(ws: Workspace) -> list[Case]:
     return cases
 
 
-def _torus_extended(ws: Workspace) -> list[Case]:
-    """Props on Γ⋉T(F')H(F'): the ±(Ind - Ind) virtual character equals ρ̃'
-    (m odd) or η·ρ̃' (m even); ⟨ν',ν'⟩ = 1."""
+def _torus_extended(ws: Workspace, tor: TorusSL2, tor1: TorusSL2) -> list[Case]:
+    """Props on Γ⋉T(F')H(F') for the torus tor at level m over tor1 at level
+    one: the ±(Ind - Ind) virtual character equals ρ̃' (m odd) or η·ρ̃'
+    (m even); ⟨ν',ν'⟩ = 1."""
     cfg = ws.cfg
     tower = ws.tower
     p, m = cfg.p, cfg.m
     ctx = ws.ctx(m)
-    tor = TorusSL2(tower, m)
-    omp = omega_prime(tor, TorusSL2(tower, 1))
+    omp = omega_prime(tor, tor1)
     even = m % 2 == 0
     cases = []
-    order2 = {g: (1 if tor.log(g) % 2 == 0 else -1) for g in tor.elements()}
+    order2 = omega(tor)
     cases.append(
         Case(
             "omega' = order-2 character of T(F')",
@@ -644,8 +650,7 @@ def _dimension_count_case(ws: Workspace) -> Case:
     lhs = len(conjugacy_classes(semi, ws.part_cache))
     rhs = 0
     for i in range(cfg.m):
-        d = gcd(i, cfg.m) if i else cfg.m
-        spd = ws.sp(level=d)
+        spd = ws.sp(level=choose_t(i, cfg.m).d)
         part = conjugacy_classes(spd, ws.part_cache)
         seen: set = set()
         orbits = 0

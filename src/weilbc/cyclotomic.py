@@ -12,7 +12,7 @@ import cmath
 from fractions import Fraction
 from math import gcd
 
-from .errors import DivisionByZero
+from .errors import DimensionMismatch, DivisionByZero, InvariantBroken
 
 
 class CycNum:
@@ -21,7 +21,7 @@ class CycNum:
     def __init__(self, p: int, num, den: int = 1):
         num = tuple(int(c) for c in num)
         if len(num) != p - 1:
-            raise ValueError("numerator vector must have length p-1")
+            raise DimensionMismatch("numerator vector must have length p-1")
         if den == 0:
             raise DivisionByZero("zero denominator")
         if den < 0:
@@ -102,7 +102,7 @@ class CycNum:
     def _coerce(self, other) -> "CycNum":
         if isinstance(other, CycNum):
             if other.p != self.p:
-                raise ValueError("mixed cyclotomic orders")
+                raise DimensionMismatch("mixed cyclotomic orders")
             return other
         if isinstance(other, int):
             return CycNum.rational(self.p, other)
@@ -132,7 +132,7 @@ class CycNum:
             prod = prod * self.galois(k)
         norm = self * prod
         if any(norm.num[1:]):  # pragma: no cover
-            raise AssertionError("norm escaped the rationals")
+            raise InvariantBroken("norm escaped the rationals")
         return prod * CycNum.rational(self.p, norm.den, norm.num[0])
 
     def __truediv__(self, other: "CycNum") -> "CycNum":

@@ -21,6 +21,8 @@ from . import modp
 from .cyclotomic import CycNum
 from .errors import (
     AmbientCapExceeded,
+    ConfigInvalid,
+    DivisionByZero,
     EvenCharacteristic,
     InvariantBroken,
     LevelMismatch,
@@ -108,7 +110,7 @@ def find_modulus(p: int, degree: int) -> tuple[int, ...]:
             cand = np.array(digits + [1], dtype=np.int64)
             if _is_irreducible(cand, p):
                 return tuple(int(c) for c in cand)
-    raise RuntimeError("no irreducible polynomial found")  # unreachable
+    raise InvariantBroken("no irreducible polynomial found")  # unreachable
 
 
 class _LevelData:
@@ -132,7 +134,7 @@ class Tower:
         if p == 2:
             raise EvenCharacteristic("characteristic 2 is not supported")
         if base_degree < 1 or m < 1:
-            raise ValueError("degrees must be positive")
+            raise ConfigInvalid("degrees must be positive")
         self.p = p
         self.base_degree = base_degree
         self.m = m
@@ -250,7 +252,7 @@ class Tower:
 
     def inv(self, a):
         if a == self.zero:
-            raise ZeroDivisionError("field inverse of zero")
+            raise DivisionByZero("field inverse of zero")
         if self.tabulated:
             return self._inv_t[a]
         vec = modp.poly_xgcd_inverse(np.array(a, dtype=np.int64), np.array(self.modulus, dtype=np.int64), self.p)
@@ -390,7 +392,7 @@ class Tower:
             elif val == self.neg(self.one):
                 got = -1
             else:  # pragma: no cover
-                raise AssertionError("quadratic character escaped ±1")
+                raise InvariantBroken("quadratic character escaped ±1")
             lv.quad[x] = got
         return got
 
@@ -452,16 +454,16 @@ class Embedding:
 
     def __init__(self, src: Tower, dst: Tower):
         if src.p != dst.p:
-            raise ValueError("characteristic mismatch")
+            raise ConfigInvalid("characteristic mismatch")
         if dst.ambient_degree % src.ambient_degree != 0:
-            raise ValueError("destination ambient degree must be a multiple of the source's")
+            raise ConfigInvalid("destination ambient degree must be a multiple of the source's")
         self.src = src
         self.dst = dst
         p, A1, A2 = src.p, src.ambient_degree, dst.ambient_degree
         # roots of src.modulus live in the subfield of size p^{A1}
         sub_elems = dst.level_elements(A1 // dst.base_degree) if A1 % dst.base_degree == 0 else None
         if sub_elems is None:
-            raise ValueError("source field does not sit at a level of the destination tower")
+            raise ConfigInvalid("source field does not sit at a level of the destination tower")
         best = None
         f = src.modulus
         for s in sub_elems:
@@ -472,7 +474,7 @@ class Embedding:
                 best = s
                 break  # elements come in canonical order: first root is the smallest
         if best is None:
-            raise ValueError("source modulus has no root in destination (internal error)")
+            raise InvariantBroken("source modulus has no root in destination")
         self.root = best
         cols = []
         cur = dst.one
@@ -491,7 +493,7 @@ class Embedding:
         vec = self.dst._decode(y)
         coef = self._left_inv @ vec % self.src.p
         if not np.array_equal(self._mat @ coef % self.src.p, vec % self.src.p):
-            raise ValueError("element is not in the embedded subfield")
+            raise LevelMismatch("element is not in the embedded subfield")
         return self.src._encode(coef)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import DimensionMismatch, GroupTooLarge, InvariantBroken, LevelMismatch
+from .errors import DimensionMismatch, GroupTooLarge, InvariantBroken, LevelMismatch, Singular
 from .fieldtower import ENUM_CAP, Tower
 
 
@@ -105,7 +105,7 @@ def mat_inv(tower: Tower, a: tuple, size: int) -> tuple:
     for c in range(size):
         piv = next((r for r in range(c, size) if m[r][c] != tower.zero), None)
         if piv is None:
-            raise ZeroDivisionError("singular matrix")
+            raise Singular("singular matrix")
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
         inv = tower.inv(m[c][c])
@@ -193,33 +193,6 @@ class GroupSpec:
         self.level = level
         self.cap = cap
 
-    def identity(self):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def frob(self, a, j: int):
-        raise NotImplementedError
-
-    def order(self) -> int:
-        raise NotImplementedError
-
-    def contains(self, a) -> bool:
-        raise NotImplementedError
-
-    def generators(self) -> list:
-        raise NotImplementedError
-
-    def elements(self) -> list:
-        raise NotImplementedError
-
-    def sort_key(self, a):
-        raise NotImplementedError
-
     def random(self, rng):
         gens = self.generators()
         out = self.identity()
@@ -237,14 +210,6 @@ class GroupSpec:
     def check_order(self):
         if self.order() > self.cap:
             raise GroupTooLarge(f"group of order {self.order()} exceeds cap {self.cap}")
-
-    def descriptor(self) -> tuple:
-        """Stable identity for caching across equal specs."""
-        extra = tuple(
-            getattr(self, name) for name in ("n", "similitude", "m", "w") if hasattr(self, name)
-        )
-        return (type(self).__name__, self.tower.p, self.tower.base_degree,
-                self.tower.m, self.level) + extra
 
 
 class _MatrixSpec(GroupSpec):
@@ -283,7 +248,7 @@ def _gen_of_mult_group(tower: Tower, level: int):
                 break
         if order == n:
             return x
-    raise RuntimeError("no generator found")
+    raise InvariantBroken("no generator found")
 
 
 class SympGroup(_MatrixSpec):
@@ -464,25 +429,6 @@ class HeisGroup(GroupSpec):
         v, t = a
         return len(v) == 2 * self.n and all(self.tower.in_level(x, self.level) for x in v) and self.tower.in_level(t, self.level)
 
-    def sort_key(self, a):
-        key = self.tower.elem_key
-        return tuple(key(x) for x in a[0]) + (key(a[1]),)
-
-    def generators(self) -> list:
-        tower, n = self.tower, self.n
-        gens = []
-        scalars = [x for x in tower.level_elements(self.level) if x != tower.zero]
-        # translations by all c·e_i, c·f_i for c a field basis would suffice;
-        # using every scalar keeps it simple at desk scale for small levels
-        pick = scalars if len(scalars) <= 16 else scalars[:16]
-        for i in range(2 * n):
-            for c in pick:
-                v = [tower.zero] * (2 * n)
-                v[i] = c
-                gens.append((tuple(v), tower.zero))
-        gens.append((tuple([tower.zero] * (2 * n)), tower.one))
-        return gens
-
     def elements(self) -> list:
         self.check_order()
         field = self.tower.level_elements(self.level)
@@ -525,71 +471,11 @@ class SpHGroup(GroupSpec):
     def frob(self, a, j):
         return (self.sp.frob(a[0], j), self.heis.frob(a[1], j))
 
-    def order(self):
-        return self.sp.order() * self.heis.order()
-
     def contains(self, a):
         return self.sp.contains(a[0]) and self.heis.contains(a[1])
 
-    def sort_key(self, a):
-        return self.sp.sort_key(a[0]) + self.heis.sort_key(a[1])
-
-    def generators(self):
-        e = self.heis.identity()
-        s0 = self.sp.identity()
-        return [(g, e) for g in self.sp.generators()] + [(s0, h) for h in self.heis.generators()]
-
-    def elements(self):
-        self.check_order()
-        out = []
-        for s in self.sp.elements():
-            for h in self.heis.elements():
-                out.append((s, h))
-        return out
-
     def random(self, rng):
         return (self.sp.random(rng), self.heis.random(rng))
-
-
-class BorelSL2(SympGroup):
-    """Upper-triangular subgroup of SL₂(F_{q^level})."""
-
-    def __init__(self, tower: Tower, level: int, cap: int = ENUM_CAP):
-        super().__init__(tower, 1, level, similitude=False, cap=cap)
-
-    def order(self):
-        Q = self.tower.q**self.level
-        return Q * (Q - 1)
-
-    def contains(self, a):
-        return a[2] == self.tower.zero and super().contains(a)
-
-    def generators(self):
-        tower = self.tower
-        zeta = _gen_of_mult_group(tower, self.level)
-        gens = [self.unipotent((c,)) for c in tower.level_elements(self.level) if c != tower.zero]
-        gens.append(self.levi((zeta,)))
-        return gens
-
-    def elements(self):
-        self.check_order()
-        tower = self.tower
-        field = tower.level_elements(self.level)
-        out = []
-        for a in field:
-            if a == tower.zero:
-                continue
-            ai = tower.inv(a)
-            for b in field:
-                out.append((a, b, tower.zero, ai))
-        out.sort(key=self.sort_key)
-        return out
-
-    def random(self, rng):
-        field = self.tower.level_elements(self.level)
-        a = rng.choice([x for x in field if x != self.tower.zero])
-        b = rng.choice(field)
-        return (a, b, self.tower.zero, self.tower.inv(a))
 
 
 class TorusSL2(_MatrixSpec):
@@ -613,7 +499,7 @@ class TorusSL2(_MatrixSpec):
                 w = x
                 break
         if w is None:
-            raise RuntimeError("no nonsquare in the base field")
+            raise InvariantBroken("no nonsquare in the base field")
         self.w = w
         self._elems = None
         self._gen = None
@@ -680,21 +566,6 @@ class TorusSL2(_MatrixSpec):
             self._log = table
         return self._log[g]
 
-    def generators(self):
-        return [self.generator]
-
-    def random(self, rng):
-        return rng.choice(self.elements())
-
-    def norm_to_level(self, g, d: int):
-        """Usual norm t·σ^d(t)···  from T(F_{q^level}) down to T(F_{q^d})."""
-        if self.level % d != 0:
-            raise LevelMismatch("norm target is not a subfield level")
-        out = self.identity()
-        for k in range(self.level // d):
-            out = self.mul(out, self.frob(g, d * k))
-        return out
-
 
 # -- conjugacy classes -----------------------------------------------------------------
 
@@ -703,7 +574,6 @@ class TorusSL2(_MatrixSpec):
 class Partition:
     """Conjugacy (or twisted-conjugacy) classes with canonical representatives."""
 
-    spec: GroupSpec
     twist: int
     reps: list = field(default_factory=list)
     sizes: list = field(default_factory=list)
@@ -712,7 +582,7 @@ class Partition:
     def index_of(self, g) -> int:
         got = self.class_of.get(g)
         if got is None:
-            raise KeyError("element not covered by the partition")
+            raise InvariantBroken("element not covered by the partition")
         return got
 
     def __len__(self):
@@ -720,7 +590,11 @@ class Partition:
 
 
 def _classes(spec: GroupSpec, key: tuple, twist: int, act, cache: dict | None) -> Partition:
-    """Orbits of act(s, ·) over the generators s of spec, memoized in cache under key."""
+    """Orbits of act(s, ·) over the generators s of spec, memoized in cache under key.
+
+    Keys hold the spec object itself, so partitions are shared through one
+    spec object per group (``Workspace`` builds each group once).
+    """
     if cache is not None and key in cache:
         return cache[key]
     gens = spec.generators()
@@ -746,19 +620,19 @@ def _classes(spec: GroupSpec, key: tuple, twist: int, act, cache: dict | None) -
     order = sorted(range(len(orbits)), key=lambda k: spec.sort_key(reps[k]))
     remap = {old: new for new, old in enumerate(order)}
     class_of = {g: remap[i] for g, i in seen.items()}
-    part = Partition(spec, twist, [reps[k] for k in order], [len(orbits[k]) for k in order], class_of)
+    part = Partition(twist, [reps[k] for k in order], [len(orbits[k]) for k in order], class_of)
     if cache is not None:
         cache[key] = part
     return part
 
 
 def conjugacy_classes(spec: GroupSpec, cache: dict | None = None) -> Partition:
-    return _classes(spec, ("conj", spec.descriptor()), 0, spec.conj, cache)
+    return _classes(spec, ("conj", spec), 0, spec.conj, cache)
 
 
 def twisted_classes(spec: GroupSpec, i: int, cache: dict | None = None) -> Partition:
     """Orbits of g ↦ h·g·σ^i(h)^{-1} on the coset σ^i ⋉ G."""
-    return _classes(spec, ("tw", spec.descriptor(), i), i, lambda s, g: spec.twisted_conj(s, g, i), cache)
+    return _classes(spec, ("tw", spec, i), i, lambda s, g: spec.twisted_conj(s, g, i), cache)
 
 
 class SemidirectGroup(GroupSpec):
@@ -783,14 +657,8 @@ class SemidirectGroup(GroupSpec):
         gi = self.base.inv(g)
         return ((-i) % self.m, self.base.frob(gi, -i))
 
-    def frob(self, a, j):
-        return (a[0], self.base.frob(a[1], j))
-
     def order(self):
         return self.m * self.base.order()
-
-    def contains(self, a):
-        return 0 <= a[0] < self.m and self.base.contains(a[1])
 
     def sort_key(self, a):
         return (a[0],) + self.base.sort_key(a[1])
@@ -804,9 +672,6 @@ class SemidirectGroup(GroupSpec):
 
     def random(self, rng):
         return (rng.randrange(self.m), self.base.random(rng))
-
-    def descriptor(self) -> tuple:
-        return ("SemidirectGroup", self.m) + self.base.descriptor()
 
 
 def _closure(spec: GroupSpec) -> list:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DivisionByZero, Singular
+
 
 def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
@@ -71,7 +73,7 @@ def left_inverse(mat: np.ndarray, p: int) -> np.ndarray:
     rows, cols = m.shape
     aug, pivots = rref(np.hstack([m, np.eye(rows, dtype=np.int64)]), p)
     if len(pivots) < cols or pivots[:cols] != list(range(cols)):
-        raise ValueError("matrix does not have full column rank")
+        raise Singular("matrix does not have full column rank")
     return aug[:cols, cols:]
 
 
@@ -102,7 +104,7 @@ def poly_divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.nd
     a = poly_trim(np.array(a, dtype=np.int64) % p)
     b = poly_trim(np.array(b, dtype=np.int64) % p)
     if len(b) == 1 and b[0] == 0:
-        raise ZeroDivisionError
+        raise DivisionByZero("polynomial division by zero")
     da, db = len(a) - 1, len(b) - 1
     if da < db:
         return np.zeros(1, dtype=np.int64), a
@@ -142,5 +144,5 @@ def poly_xgcd_inverse(a: np.ndarray, mod: np.ndarray, p: int) -> np.ndarray:
                            np.pad(np.convolve(q, s1), (0, max(0, len(s0) - (len(q) + len(s1) - 1))))) % p)
         s0, s1 = s1, s_new
     if len(r0) != 1 or r0[0] == 0:
-        raise ZeroDivisionError("element not invertible")
+        raise DivisionByZero("element not invertible")
     return (s0 * inv_mod(int(r0[0]), p)) % p

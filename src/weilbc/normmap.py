@@ -31,7 +31,6 @@ from .errors import AmbientCapExceeded, ConfigInvalid, WitnessFailed
 from .fieldtower import Embedding, Tower, build_tower, get_embedding
 from .grouplib import (
     GroupSpec,
-    Partition,
     SympGroup,
     SympSpace,
     conjugacy_classes,
@@ -216,15 +215,14 @@ def lang_solve(spec: SympGroup, h: tuple, d: int, ambient_cap: int = DEFAULT_AMB
 
 
 def gyoja_norm(cfg: NormConfig, spec: SympGroup, g, ambient_cap: int = DEFAULT_AMBIENT_CAP,
-               partition: Partition | None = None, cache: dict | None = None):
-    """The norm of (σ^i, g); returns (element of G(F_d), class id or None).
+               cache: dict | None = None) -> tuple:
+    """The norm of (σ^i, g), an element of G(F_d); cache is keyed on (cfg, spec, g).
 
     For i = 0 the map is the identity on ordinary classes by convention.
     """
-    key = (cfg, spec.descriptor(), g)
+    key = (cfg, spec, g)
     if cache is not None and key in cache:
-        got = cache[key]
-        return got if partition is None else (got[0], partition.index_of(got[0]))
+        return cache[key]
     if cfg.i == 0:
         result = g
     else:
@@ -239,10 +237,9 @@ def gyoja_norm(cfg: NormConfig, spec: SympGroup, g, ambient_cap: int = DEFAULT_A
         if big_spec.frob(out, cfg.d) != out:
             raise WitnessFailed("norm did not land at level d")
         result = tuple(map(emb.pull_back, out))
-    cls = partition.index_of(result) if partition is not None else None
     if cache is not None:
-        cache[key] = (result, None)
-    return (result, cls)
+        cache[key] = result
+    return result
 
 
 @dataclass
@@ -264,8 +261,7 @@ def verify_bijection(cfg: NormConfig, spec: SympGroup, target_spec: SympGroup,
     norm_cache = cache if cache is not None else {}
 
     def norm_class(g):
-        el, _ = gyoja_norm(cfg, spec, g, ambient_cap, cache=norm_cache)
-        return target.index_of(el)
+        return target.index_of(gyoja_norm(cfg, spec, g, ambient_cap, cache=norm_cache))
 
     assigned = [norm_class(rep) for rep in tw.reps]
     well_defined = True
@@ -284,7 +280,7 @@ def verify_bijection(cfg: NormConfig, spec: SympGroup, target_spec: SympGroup,
     for k, rep in enumerate(tw.reps):
         sig_rep = spec.frob(rep, 1)
         lhs = norm_class(sig_rep)
-        n_el, _ = gyoja_norm(cfg, spec, rep, ambient_cap, cache=norm_cache)
+        n_el = gyoja_norm(cfg, spec, rep, ambient_cap, cache=norm_cache)
         rhs = target.index_of(target_spec.frob(n_el, 1))
         if lhs != rhs:
             equivariant = False

@@ -36,7 +36,7 @@ import numpy as np
 
 from .characters import coset_pairs, induced_trace
 from .cyclotomic import CycNum, gauss_sum
-from .errors import FactorizationFailed, NotSymplectic, OperatorOverflow, Singular
+from .errors import DimensionMismatch, FactorizationFailed, NotSymplectic, OperatorOverflow, Singular
 from .fieldtower import Tower
 from .grouplib import (
     SympGroup,
@@ -491,7 +491,7 @@ def _remember(cache: dict, key, value, cap: int) -> None:
 def _element_kind(g, n: int) -> str:
     """Distinguish matrix / Heisenberg (v,t) / product (s,(v,t)) tuples."""
     if not isinstance(g, tuple):
-        raise TypeError(f"unrecognized element {g!r}")
+        raise DimensionMismatch(f"unrecognized element {g!r}")
     if len(g) == (2 * n) ** 2:
         return "sp"
     if len(g) == 2 and isinstance(g[0], tuple):
@@ -499,7 +499,7 @@ def _element_kind(g, n: int) -> str:
             return "sph"
         if len(g[0]) == 2 * n:
             return "heis"
-    raise TypeError(f"unrecognized element {g!r}")
+    raise DimensionMismatch(f"unrecognized element {g!r}")
 
 
 def siegel_factor(tower: Tower, n: int, level: int, g: tuple) -> list:
@@ -582,24 +582,33 @@ def _siegel_factor_inner(tower: Tower, n: int, level: int, g: tuple) -> list:
 
 
 def _similitude_cosets(ctx: RepContext, j: int):
-    """GSp and Sp at the context's level, and the (r⁻¹, σʲ(r)) pairs of the
-    coset representatives r = diag(λ·1, 1) of Sp in GSp."""
+    """GSp at the context's level, the (r⁻¹, σʲ(r)) pairs of the coset
+    representatives r = diag(λ·1, 1) of Sp in GSp, and the Sp test.
+
+    Each z = r⁻¹·g·σʲ(r) with g in GSp lies in GSp at the level, so z is in
+    Sp exactly when its multiplier ⟨z e₁, z f₁⟩ is 1.
+    """
     tower, n, level = ctx.tower, ctx.n, ctx.level
     gsp = SympGroup(tower, n, level, similitude=True)
     reps = [gsp.similitude_rep(lam) for lam in tower.level_elements(level) if lam != tower.zero]
-    return gsp, SympGroup(tower, n, level), coset_pairs(gsp, reps, j)
+    size = gsp.size
+
+    def in_sp(z):  # columns 0 and n are z e₁ and z f₁
+        return gsp.space.form(tower, z[0::size], z[n::size]) == tower.one
+
+    return gsp, coset_pairs(gsp, reps, j), in_sp
 
 
 def gsp_character_values(ctx: RepContext, partition) -> dict:
     """Values of π_d = Ind_{Sp}^{GSp} ρ_d on the classes of GSp(F_{q^d})."""
-    gsp, sp, pairs = _similitude_cosets(ctx, 0)
+    gsp, pairs, in_sp = _similitude_cosets(ctx, 0)
     return {
-        rep: induced_trace(gsp, pairs, rep, sp.contains, lambda z: ctx.build_rho(z).trace())
+        rep: induced_trace(gsp, pairs, rep, in_sp, lambda z: ctx.build_rho(z).trace())
         for rep in partition.reps
     }
 
 
 def extended_gsp_trace(ctx: RepContext, i: int, g: tuple) -> CycNum:
-    """Character of Ind_{Γ⋉Sp(F')}^{Γ⋉GSp(F')} ρ̃' at (σ^i, g)."""
-    gsp, sp, pairs = _similitude_cosets(ctx, i)
-    return induced_trace(gsp, pairs, g, sp.contains, lambda z: ctx.extended_trace(i, z))
+    """Character of Ind_{Γ⋉Sp(F')}^{Γ⋉GSp(F')} ρ̃' at (σ^i, g), g in GSp(F')."""
+    gsp, pairs, in_sp = _similitude_cosets(ctx, i)
+    return induced_trace(gsp, pairs, g, in_sp, lambda z: ctx.extended_trace(i, z))

@@ -69,7 +69,7 @@ def test_star_identity_with_scaled_psi():
     cache = {}
     for _ in range(30):
         g = sl.random(rng)
-        N, _ = gyoja_norm(cfg, sl, g, cache=cache)
+        N = gyoja_norm(cfg, sl, g, cache=cache)
         assert ctx2.extended_trace(1, g) == ctx1.build_rho(N).trace()
 
 

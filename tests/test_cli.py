@@ -113,7 +113,7 @@ def test_check_without_cases_is_skipped_not_passed():
 def test_all_skips_a_sub_check_too_large_to_enumerate(capsys):
     cfg = RunConfig(p=3, n=1, m=2, sample=2, enum_cap=500)
     report = run_check("all", cfg)
-    assert [name for name, _ in report.skipped] == ["orthogonal", "parabolic", "gyoja-bijection"]
+    assert [name for name, _ in report.skipped] == ["orthogonal", "parabolic", "sl2-torus", "gyoja-bijection"]
     assert "exceeds cap 500" in dict(report.skipped)["gyoja-bijection"]
     assert report.cases and report.ok
     # run alone, the same sub-check is an error, and a cap on the Lang tower stays one under all
@@ -130,3 +130,12 @@ def test_parabolic_respects_enum_cap(capsys):
     # 2·72·729 = 104,976 points at m = 2: a cap one below refuses them before the loop
     with pytest.raises(GroupTooLarge, match="104976"):
         run_check("parabolic", RunConfig(p=3, n=1, m=2, enum_cap=104_975))
+
+
+def test_sl2_torus_respects_enum_cap(capsys):
+    # |T(F_3)|·3³ = 108 points at level one plus 2·|T(F_9)|·9² = 1,296 in the extended slices
+    assert main(["sl2-torus", "--enum-cap", "500"]) == 2
+    assert "GroupTooLarge" in capsys.readouterr().err
+    with pytest.raises(GroupTooLarge, match="1404"):
+        run_check("sl2-torus", RunConfig(p=3, n=1, m=2, enum_cap=1403))
+    assert run_check("sl2-torus", RunConfig(p=3, n=1, m=2, enum_cap=1404)).ok

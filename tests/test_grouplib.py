@@ -5,7 +5,6 @@ import pytest
 from weilbc.errors import GroupTooLarge
 from weilbc.fieldtower import build_tower
 from weilbc.grouplib import (
-    BorelSL2,
     HeisGroup,
     SemidirectGroup,
     SpHGroup,
@@ -159,8 +158,7 @@ def test_torus_split_at_even_degree(t92):
 
 def test_torus_meets_borel_in_center(t92):
     tor = TorusSL2(t92, 1)
-    borel = BorelSL2(t92, 1)
-    meet = [g for g in tor.elements() if borel.contains(g)]
+    meet = [g for g in tor.elements() if g[2] == t92.zero]  # the Borel of SL2: entry c is zero
     assert sorted(meet) == sorted([(1, 0, 0, 1), (2, 0, 0, 2)])
 
 
@@ -175,10 +173,14 @@ def test_sph_group_law(t92):
 
 
 def test_borel_enumeration(t92):
-    b = BorelSL2(t92, 2)
-    assert b.order() == 72
-    assert len(b.elements()) == 72
-    assert all(g[2] == t92.zero for g in b.elements())
+    """B(F_9) as the parabolic check takes it: the elements of SL2(F_9) with c = 0,
+    in sort_key order, equal the (a, b, 0, a⁻¹) built from the field directly."""
+    sl = SympGroup(t92, 1, 2)
+    borel = [g for g in sl.elements() if g[2] == t92.zero]
+    assert len(borel) == 72  # q(q - 1) at q = 9
+    field = t92.level_elements(2)
+    direct = [(a, b, t92.zero, t92.inv(a)) for a in field if a != t92.zero for b in field]
+    assert borel == sorted(direct, key=sl.sort_key)
 
 
 def test_random_element_deterministic(t92):
