@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycNum
 from .errors import SupportMismatch
-from .grouplib import GroupSpec, Partition, TorusSL2
+from .grouplib import GroupSpec, Partition, SympGroup, TorusSL2
 from .normmap import DEFAULT_AMBIENT_CAP, NormConfig, gyoja_norm, twisted_product
 
 
@@ -54,14 +54,13 @@ def inner_product(f1: ClassFunction, f2: ClassFunction) -> CycNum:
     return total * CycNum.rational(p, 1, size_total)
 
 
-def lift_class_function(cfg: NormConfig, spec: GroupSpec, chi: ClassFunction,
-                        twisted: Partition, ambient_cap: int = DEFAULT_AMBIENT_CAP,
-                        cache: dict | None = None) -> ClassFunction:
+def lift_class_function(cfg: NormConfig, spec: SympGroup, chi: ClassFunction,
+                        twisted: Partition, ambient_cap: int = DEFAULT_AMBIENT_CAP) -> ClassFunction:
     """Pull a class function on G(F_d) back to the coset σ^i ⋉ G(F')."""
     target = chi.partition
     vals = []
     for rep in twisted.reps:
-        vals.append(chi.values[target.index_of(gyoja_norm(cfg, spec, rep, ambient_cap, cache=cache))])
+        vals.append(chi.values[target.index_of(gyoja_norm(cfg, spec, rep, ambient_cap))])
     return ClassFunction(twisted, tuple(vals))
 
 

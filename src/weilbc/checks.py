@@ -21,7 +21,6 @@ from .cyclotomic import CycNum, gauss_sum
 from .errors import ConfigInvalid, GroupTooLarge, InvariantBroken
 from .fieldtower import ENUM_CAP, build_tower
 from .grouplib import (
-    HeisGroup,
     SemidirectGroup,
     SpHGroup,
     SympGroup,
@@ -47,19 +46,6 @@ from .characters import (
     weil_torus_restriction,
 )
 from .schrodinger import RepContext, WeilOperator, extended_gsp_trace, gsp_character_values
-
-CHECK_NAMES = (
-    "star",
-    "gsp",
-    "support",
-    "orthogonal",
-    "parabolic",
-    "sl2-torus",
-    "homomorphism",
-    "gyoja-bijection",
-    "gauss",
-    "all",
-)
 
 
 @dataclass(frozen=True)
@@ -159,7 +145,11 @@ class Report:
 
 
 class Workspace:
-    """Shared towers, contexts, specs and caches for one configuration."""
+    """Shared towers, Weil contexts and groups for one configuration.
+
+    Each group and context is built once, with cap --enum-cap, so the
+    elements, partitions and norms a group memoizes serve every check.
+    """
 
     def __init__(self, cfg: RunConfig):
         cfg.validate()
@@ -169,35 +159,41 @@ class Workspace:
         if cfg.psi_scale > len(nonzero):
             raise ConfigInvalid("psi-scale index out of range for the base field")
         self.scale = nonzero[cfg.psi_scale - 1]
-        self._ctx: dict[int, RepContext] = {}
-        self.norm_cache: dict = {}
-        self.part_cache: dict = {}
-        self._spec_cache: dict = {}
+        self._built: dict = {}
 
     def rng(self, label: str) -> random.Random:
         return random.Random(f"{self.cfg.seed}:{label}")
 
-    def ctx(self, level: int) -> RepContext:
-        got = self._ctx.get(level)
+    def _once(self, key: tuple, build):
+        got = self._built.get(key)
         if got is None:
-            got = RepContext(self.tower, self.cfg.n, level, self.scale)
-            self._ctx[level] = got
+            got = self._built[key] = build()
         return got
 
-    def _spec(self, cls, level: int | None, **kwargs):
-        key = (cls, level or self.cfg.m, tuple(kwargs.items()))
-        if key not in self._spec_cache:
-            self._spec_cache[key] = cls(self.tower, self.cfg.n, key[1], cap=self.cfg.enum_cap, **kwargs)
-        return self._spec_cache[key]
+    def ctx(self, level: int, n: int | None = None) -> RepContext:
+        n = n or self.cfg.n
+        return self._once((RepContext, n, level), lambda: RepContext(self.tower, n, level, self.scale))
 
-    def sp(self, level: int | None = None) -> SympGroup:
-        return self._spec(SympGroup, level)
+    def _group(self, cls, level: int | None, n: int | None, **kwargs):
+        level, n = level or self.cfg.m, n or self.cfg.n
+        return self._once((cls, n, level, *kwargs.items()),
+                          lambda: cls(self.tower, n, level, cap=self.cfg.enum_cap, **kwargs))
+
+    def sp(self, level: int | None = None, n: int | None = None) -> SympGroup:
+        return self._group(SympGroup, level, n)
 
     def gsp(self, level: int | None = None) -> SympGroup:
-        return self._spec(SympGroup, level, similitude=True)
+        return self._group(SympGroup, level, None, similitude=True)
 
-    def sph(self) -> SpHGroup:
-        return self._spec(SpHGroup, None)
+    def sph(self, level: int | None = None, n: int | None = None) -> SpHGroup:
+        return self._group(SpHGroup, level, n)
+
+    def torus(self, level: int) -> TorusSL2:
+        return self._once((TorusSL2, level), lambda: TorusSL2(self.tower, level, cap=self.cfg.enum_cap))
+
+    def semidirect(self) -> SemidirectGroup:
+        """Γ ⋉ Sp(F') with Γ of order m."""
+        return self._once((SemidirectGroup,), lambda: SemidirectGroup(self.sp(), self.cfg.m))
 
     def count(self, default: int) -> int:
         """The sample size of a case family that cannot enumerate; default under 'all'."""
@@ -285,7 +281,7 @@ def _norm_cases(ws: Workspace, spec, ncfg: NormConfig, label: str, var: str, lhs
     cases = []
     for g in ws.samples(spec, f"{label}:{ncfg.i}:{ncfg.t}"):
         value = lhs(g)
-        N = gyoja_norm(ncfg, spec, g, ws.cfg.ambient_cap, cache=ws.norm_cache)
+        N = gyoja_norm(ncfg, spec, g, ws.cfg.ambient_cap)
         cases.append(Case.of(f"i={ncfg.i},t={ncfg.t},{var}={g}", value, rhs(N)))
     return cases
 
@@ -309,7 +305,7 @@ def check_gsp(ws: Workspace) -> list[Case]:
     for ncfg in cfg.norm_cfgs():
         ctx_d = ws.ctx(ncfg.d)
         gsp_d = ws.gsp(ncfg.d)
-        part_d = conjugacy_classes(gsp_d, ws.part_cache)
+        part_d = conjugacy_classes(gsp_d)
         values = gsp_character_values(ctx_d, part_d)
         pi_d = ClassFunction(part_d, tuple(values[rep] for rep in part_d.reps))
         dim_case_lhs = pi_d.at(gsp_d.identity())
@@ -356,9 +352,8 @@ def check_orthogonal(ws: Workspace) -> list[Case]:
         raise ConfigInvalid("the orthogonal-decomposition check needs n = 2")
     tower = ws.tower
     ctx2 = ws.ctx(cfg.m)
-    ctx1 = RepContext(tower, 1, cfg.m, ws.scale)
-    sl = SympGroup(tower, 1, cfg.m, cap=cfg.enum_cap)
-    h1 = HeisGroup(tower, 1, cfg.m)
+    ctx1 = ws.ctx(cfg.m, n=1)
+    sl, h1 = ws.sp(n=1), ws.sph(n=1).heis
     rng = ws.rng("orthogonal")
     count = ws.count(200)
     twists = [ncfg.i for ncfg in cfg.norm_cfgs()]
@@ -444,9 +439,9 @@ def check_sl2_torus(ws: Workspace) -> list[Case]:
     cfg = ws.cfg
     if cfg.n != 1:
         raise ConfigInvalid("the torus suite is specific to SL2 (n = 1)")
-    tower, q, m = ws.tower, ws.tower.q, cfg.m
-    tor1 = TorusSL2(tower, 1)
-    tor = TorusSL2(tower, m) if m >= 2 else None
+    q, m = ws.tower.q, cfg.m
+    tor1 = ws.torus(1)
+    tor = ws.torus(m) if m >= 2 else None
     # (τ, h) at level one, then (j, τ, v) in the extended slices; --sample bounds neither
     points = tor1.order() * q**3
     if tor is not None:
@@ -508,11 +503,10 @@ def _torus_nu(ctx: RepContext, sph: SpHGroup, tor: TorusSL2, om: dict):
 def _torus_level_one(ws: Workspace, tor: TorusSL2) -> list[Case]:
     """The virtual character Ind - Ind equals ρ on T(F)H(F), plus the
     restriction-to-torus multiplicities."""
-    tower = ws.tower
-    ctx1 = RepContext(tower, 1, 1, ws.scale)
-    nu = _torus_nu(ctx1, SpHGroup(tower, 1, 1), tor, omega(tor))
+    ctx1, sph1 = ws.ctx(1), ws.sph(level=1)
+    nu = _torus_nu(ctx1, sph1, tor, omega(tor))
     cases = []
-    heis_elems = HeisGroup(tower, 1, 1).elements()
+    heis_elems = sph1.heis.elements()
     for tau in tor.elements():
         for h in heis_elems:
             lhs = ctx1.extended_trace(0, (tau, h))
@@ -600,8 +594,7 @@ def check_gyoja_bijection(ws: Workspace) -> list[Case]:
         sp_d = ws.sp(level=ncfg.d)
         # small groups: verify well-definedness on every element, not a sample
         members = 10**9 if sp_top.order() <= 2000 else 2
-        rep = verify_bijection(ncfg, sp_top, sp_d, cfg.ambient_cap, members_per_class=members,
-                               cache=ws.norm_cache, part_cache=ws.part_cache)
+        rep = verify_bijection(ncfg, sp_top, sp_d, cfg.ambient_cap, members_per_class=members)
         tag = f"i={ncfg.i},t={ncfg.t}"
         cases.append(Case.of(f"{tag} class counts", rep.twisted_count, rep.target_count))
         for label, verdict in (("well defined", rep.well_defined), ("injective", rep.injective),
@@ -621,10 +614,10 @@ def _isometry_cases(ws: Workspace) -> list[Case]:
     cases = []
     for ncfg in cfg.norm_cfgs():
         sp_d = ws.sp(level=ncfg.d)
-        part_d = conjugacy_classes(sp_d, ws.part_cache)
-        tw = twisted_classes(sp_top, ncfg.i, ws.part_cache)
+        part_d = conjugacy_classes(sp_d)
+        tw = twisted_classes(sp_top, ncfg.i)
         basis = indicator_basis(part_d, p)
-        lifts = [lift_class_function(ncfg, sp_top, chi, tw, cfg.ambient_cap, ws.norm_cache) for chi in basis]
+        lifts = [lift_class_function(ncfg, sp_top, chi, tw, cfg.ambient_cap) for chi in basis]
         for a in range(len(basis)):
             for b in range(a, len(basis)):
                 lhs = inner_product(basis[a], basis[b])
@@ -634,8 +627,8 @@ def _isometry_cases(ws: Workspace) -> list[Case]:
         for k in range(3):
             c1 = ClassFunction(part_d, tuple(CycNum.rational(p, rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in part_d.reps))
             c2 = ClassFunction(part_d, tuple(CycNum.rational(p, rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in part_d.reps))
-            l1 = lift_class_function(ncfg, sp_top, c1, tw, cfg.ambient_cap, ws.norm_cache)
-            l2 = lift_class_function(ncfg, sp_top, c2, tw, cfg.ambient_cap, ws.norm_cache)
+            l1 = lift_class_function(ncfg, sp_top, c1, tw, cfg.ambient_cap)
+            l2 = lift_class_function(ncfg, sp_top, c2, tw, cfg.ambient_cap)
             lhs = inner_product(c1, c2)
             rhs = inner_product(l1, l2)
             cases.append(Case.of(f"isometry i={ncfg.i} random #{k}", lhs, rhs))
@@ -645,13 +638,11 @@ def _isometry_cases(ws: Workspace) -> list[Case]:
 def _dimension_count_case(ws: Workspace) -> Case:
     """dim C(Γ⋉G(F')) = Σ_i dim C(G(F_{d_i}))_σ, by counting classes."""
     cfg = ws.cfg
-    sp_top = ws.sp()
-    semi = SemidirectGroup(sp_top, cfg.m)
-    lhs = len(conjugacy_classes(semi, ws.part_cache))
+    lhs = len(conjugacy_classes(ws.semidirect()))
     rhs = 0
     for i in range(cfg.m):
         spd = ws.sp(level=choose_t(i, cfg.m).d)
-        part = conjugacy_classes(spd, ws.part_cache)
+        part = conjugacy_classes(spd)
         seen: set = set()
         orbits = 0
         for k, rep in enumerate(part.reps):
@@ -666,17 +657,18 @@ def _dimension_count_case(ws: Workspace) -> Case:
     return Case.of("class-space dimension count", lhs, rhs)
 
 
-CHECK_FUNCS = {
-    "gauss": check_gauss,
-    "homomorphism": check_homomorphism,
+CHECK_FUNCS = {  # `all` runs them in this order
     "star": check_star,
     "gsp": check_gsp,
     "support": check_support,
     "orthogonal": check_orthogonal,
     "parabolic": check_parabolic,
     "sl2-torus": check_sl2_torus,
+    "homomorphism": check_homomorphism,
     "gyoja-bijection": check_gyoja_bijection,
+    "gauss": check_gauss,
 }
+CHECK_NAMES = (*CHECK_FUNCS, "all")
 
 
 def _cases(name: str, ws: Workspace) -> list[Case]:
@@ -696,7 +688,7 @@ def run_check(name: str, cfg: RunConfig, ws: Workspace | None = None) -> Report:
     skipped = []
     if name == "all":
         cases = []
-        for sub in CHECK_NAMES[:-1]:
+        for sub in CHECK_FUNCS:
             try:
                 sub_cases = _cases(sub, ws)
             except (ConfigInvalid, GroupTooLarge) as exc:

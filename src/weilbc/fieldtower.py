@@ -398,8 +398,6 @@ class Tower:
 
     def psi_exponent(self, x, d: int, scale=None) -> int:
         """Exponent e with ψ_d(x) = ζ_p^e, for ψ_d(x) = ζ_p^{Tr_{F_{q^d}/F_p}(scale·x)}."""
-        if not self.in_level(x, d):
-            raise LevelMismatch("element does not lie at the stated level")
         scale = self.one if scale is None else scale
         lv = self._level(d)
         table = lv.psi_tables.get(scale)
@@ -408,6 +406,8 @@ class Tower:
             lv.psi_tables[scale] = table
         got = table.get(x)
         if got is None:
+            if not self.in_level(x, d):  # the table holds level elements only
+                raise LevelMismatch("element does not lie at the stated level")
             y = self.mul(scale, x)
             vec = self._decode(y)
             acc = np.zeros(self._A, dtype=np.int64)

@@ -12,6 +12,7 @@ Group elements are hashable tuples:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, wraps
 from itertools import product
 
 from .errors import DimensionMismatch, GroupTooLarge, InvariantBroken, LevelMismatch, Singular
@@ -186,12 +187,18 @@ def sp_act_heis(tower: Tower, s: tuple, h: tuple, n: int) -> tuple:
 
 
 class GroupSpec:
-    """Common interface: elements are hashable, operations are pure."""
+    """Common interface: elements are hashable, operations are pure.
+
+    A group memoizes its element tuple and its partitions (by twist, 0 for
+    the ordinary classes); SympGroup also its norms.
+    """
 
     def __init__(self, tower: Tower, level: int, cap: int = ENUM_CAP):
         self.tower = tower
         self.level = level
         self.cap = cap
+        self._elements: tuple | None = None
+        self.partitions: dict[int, Partition] = {}
 
     def random(self, rng):
         gens = self.generators()
@@ -207,9 +214,20 @@ class GroupSpec:
         """a ↦ h·a·σ^i(h)^{-1}, the conjugation action on the coset σ^i ⋉ G."""
         return self.mul(self.mul(h, a), self.inv(self.frob(h, i)))
 
-    def check_order(self):
-        if self.order() > self.cap:
-            raise GroupTooLarge(f"group of order {self.order()} exceeds cap {self.cap}")
+
+def _memoized(enumerate_):
+    """elements() of a group: enumerated once, if the order is within the cap,
+    and shared by every caller as one immutable tuple."""
+
+    @wraps(enumerate_)
+    def elements(self) -> tuple:
+        if self._elements is None:
+            if self.order() > self.cap:
+                raise GroupTooLarge(f"group of order {self.order()} exceeds cap {self.cap}")
+            self._elements = tuple(enumerate_(self))
+        return self._elements
+
+    return elements
 
 
 class _MatrixSpec(GroupSpec):
@@ -262,6 +280,7 @@ class SympGroup(_MatrixSpec):
         self.space = SympSpace(n)
         self._J = self.space.gram(tower)
         self._Jneg = mat_neg(tower, self._J)
+        self.norms: dict = {}  # normmap.gyoja_norm by (NormConfig, g, ambient_cap)
 
     def inv(self, a):
         tower = self.tower
@@ -358,8 +377,8 @@ class SympGroup(_MatrixSpec):
             gens.append(self.similitude_rep(zeta))
         return gens
 
-    def elements(self) -> list:
-        self.check_order()
+    @_memoized
+    def elements(self):
         tower, n = self.tower, self.n
         if n == 1 and not self.similitude:
             elems = []
@@ -429,8 +448,8 @@ class HeisGroup(GroupSpec):
         v, t = a
         return len(v) == 2 * self.n and all(self.tower.in_level(x, self.level) for x in v) and self.tower.in_level(t, self.level)
 
-    def elements(self) -> list:
-        self.check_order()
+    @_memoized
+    def elements(self):
         field = self.tower.level_elements(self.level)
         out = []
         for vec in product(field, repeat=2 * self.n):
@@ -501,9 +520,6 @@ class TorusSL2(_MatrixSpec):
         if w is None:
             raise InvariantBroken("no nonsquare in the base field")
         self.w = w
-        self._elems = None
-        self._gen = None
-        self._log = None
 
     def is_split(self) -> bool:
         return self.tower.in_level(self.w, self.level) and self.tower.quad_char(self.w, self.level) == 1
@@ -523,47 +539,45 @@ class TorusSL2(_MatrixSpec):
             return False
         return mat_det(tower, g, 2) == tower.one
 
+    @_memoized
     def elements(self):
-        if self._elems is None:
-            self.check_order()
-            tower = self.tower
-            out = []
-            for a in tower.level_elements(self.level):
-                for b in tower.level_elements(self.level):
-                    # a² - w b² = 1
-                    if tower.sub(tower.mul(a, a), tower.mul(self.w, tower.mul(b, b))) == tower.one:
-                        out.append(self.matrix(a, b))
-            out.sort(key=self.sort_key)
-            self._elems = out
-        return self._elems
+        tower = self.tower
+        out = []
+        for a in tower.level_elements(self.level):
+            for b in tower.level_elements(self.level):
+                # a² - w b² = 1
+                if tower.sub(tower.mul(a, a), tower.mul(self.w, tower.mul(b, b))) == tower.one:
+                    out.append(self.matrix(a, b))
+        out.sort(key=self.sort_key)
+        return out
 
-    @property
+    @cached_property
     def generator(self):
-        if self._gen is None:
-            n = self.order()
-            for g in self.elements():
-                order = 1
-                y = g
-                e = self.identity()
-                while y != e:
-                    y = self.mul(y, g)
-                    order += 1
-                    if order > n:
-                        break
-                if order == n:
-                    self._gen = g
+        n = self.order()
+        for g in self.elements():
+            order = 1
+            y = g
+            e = self.identity()
+            while y != e:
+                y = self.mul(y, g)
+                order += 1
+                if order > n:
                     break
-        return self._gen
+            if order == n:
+                return g
+        raise InvariantBroken("the torus is not cyclic")
+
+    @cached_property
+    def _log(self) -> dict:
+        table = {}
+        cur = self.identity()
+        for k in range(self.order()):
+            table[cur] = k
+            cur = self.mul(cur, self.generator)
+        return table
 
     def log(self, g) -> int:
         """Discrete log with respect to the canonical generator."""
-        if self._log is None:
-            table = {}
-            cur = self.identity()
-            for k in range(self.order()):
-                table[cur] = k
-                cur = self.mul(cur, self.generator)
-            self._log = table
         return self._log[g]
 
 
@@ -589,15 +603,17 @@ class Partition:
         return len(self.reps)
 
 
-def _classes(spec: GroupSpec, key: tuple, twist: int, act, cache: dict | None) -> Partition:
-    """Orbits of act(s, ·) over the generators s of spec, memoized in cache under key.
+def _classes(spec: GroupSpec, twist: int) -> Partition:
+    """Orbits of g ↦ s·g·σ^twist(s)⁻¹ over the generators s of spec, memoized
+    on spec; twist 0 gives the ordinary classes.
 
-    Keys hold the spec object itself, so partitions are shared through one
-    spec object per group (``Workspace`` builds each group once).
+    Each generator acts through its fixed pair (s, σ^twist(s)⁻¹), built once.
     """
-    if cache is not None and key in cache:
-        return cache[key]
-    gens = spec.generators()
+    part = spec.partitions.get(twist)
+    if part is not None:
+        return part
+    pairs = [(s, spec.inv(spec.frob(s, twist) if twist else s)) for s in spec.generators()]
+    mul = spec.mul
     seen: dict = {}
     orbits = []
     for start in spec.elements():
@@ -609,8 +625,8 @@ def _classes(spec: GroupSpec, key: tuple, twist: int, act, cache: dict | None) -
         members = [start]
         while queue:
             cur = queue.pop()
-            for s in gens:
-                nxt = act(s, cur)
+            for s, t in pairs:
+                nxt = mul(mul(s, cur), t)
                 if nxt not in seen:
                     seen[nxt] = idx
                     queue.append(nxt)
@@ -621,18 +637,17 @@ def _classes(spec: GroupSpec, key: tuple, twist: int, act, cache: dict | None) -
     remap = {old: new for new, old in enumerate(order)}
     class_of = {g: remap[i] for g, i in seen.items()}
     part = Partition(twist, [reps[k] for k in order], [len(orbits[k]) for k in order], class_of)
-    if cache is not None:
-        cache[key] = part
+    spec.partitions[twist] = part
     return part
 
 
-def conjugacy_classes(spec: GroupSpec, cache: dict | None = None) -> Partition:
-    return _classes(spec, ("conj", spec), 0, spec.conj, cache)
+def conjugacy_classes(spec: GroupSpec) -> Partition:
+    return _classes(spec, 0)
 
 
-def twisted_classes(spec: GroupSpec, i: int, cache: dict | None = None) -> Partition:
+def twisted_classes(spec: GroupSpec, i: int) -> Partition:
     """Orbits of g ↦ h·g·σ^i(h)^{-1} on the coset σ^i ⋉ G."""
-    return _classes(spec, ("tw", spec, i), i, lambda s, g: spec.twisted_conj(s, g, i), cache)
+    return _classes(spec, i)
 
 
 class SemidirectGroup(GroupSpec):
@@ -666,8 +681,8 @@ class SemidirectGroup(GroupSpec):
     def generators(self):
         return [(0, g) for g in self.base.generators()] + [(1, self.base.identity())]
 
+    @_memoized
     def elements(self):
-        self.check_order()
         return [(j, g) for j in range(self.m) for g in self.base.elements()]
 
     def random(self, rng):

@@ -214,32 +214,29 @@ def lang_solve(spec: SympGroup, h: tuple, d: int, ambient_cap: int = DEFAULT_AMB
     return LangWitness(alpha=alpha, ambient_degree=need, embedding=emb, group=big_spec)
 
 
-def gyoja_norm(cfg: NormConfig, spec: SympGroup, g, ambient_cap: int = DEFAULT_AMBIENT_CAP,
-               cache: dict | None = None) -> tuple:
-    """The norm of (σ^i, g), an element of G(F_d); cache is keyed on (cfg, spec, g).
+def gyoja_norm(cfg: NormConfig, spec: SympGroup, g, ambient_cap: int = DEFAULT_AMBIENT_CAP) -> tuple:
+    """The norm of (σ^i, g), an element of G(F_d), memoized on spec.
 
     For i = 0 the map is the identity on ordinary classes by convention.
     """
-    key = (cfg, spec, g)
-    if cache is not None and key in cache:
-        return cache[key]
     if cfg.i == 0:
-        result = g
-    else:
-        # The Lang target is the t-fold twisted product itself: with
-        # σ^d(α) = α·P_t, the commutation P_t·σ^d(P_μ) = P_μ·P_t of powers of
-        # (σ^i, g) forces σ^d-stability of the conjugated norm.
-        target = twisted_product(spec, cfg.i, g, cfg.t)
-        witness = lang_solve(spec, target, cfg.d, ambient_cap)
-        big_spec, emb = witness.group, witness.embedding
-        p_mu = twisted_product(spec, cfg.i, g, cfg.mu)
-        out = big_spec.conj(witness.alpha, tuple(map(emb.embed, p_mu)))
-        if big_spec.frob(out, cfg.d) != out:
-            raise WitnessFailed("norm did not land at level d")
-        result = tuple(map(emb.pull_back, out))
-    if cache is not None:
-        cache[key] = result
-    return result
+        return g
+    key = (cfg, g, ambient_cap)
+    got = spec.norms.get(key)
+    if got is not None:
+        return got
+    # The Lang target is the t-fold twisted product itself: with
+    # σ^d(α) = α·P_t, the commutation P_t·σ^d(P_μ) = P_μ·P_t of powers of
+    # (σ^i, g) forces σ^d-stability of the conjugated norm.
+    target = twisted_product(spec, cfg.i, g, cfg.t)
+    witness = lang_solve(spec, target, cfg.d, ambient_cap)
+    big_spec, emb = witness.group, witness.embedding
+    p_mu = twisted_product(spec, cfg.i, g, cfg.mu)
+    out = big_spec.conj(witness.alpha, tuple(map(emb.embed, p_mu)))
+    if big_spec.frob(out, cfg.d) != out:
+        raise WitnessFailed("norm did not land at level d")
+    spec.norms[key] = got = tuple(map(emb.pull_back, out))
+    return got
 
 
 @dataclass
@@ -253,15 +250,13 @@ class BijectionReport:
 
 
 def verify_bijection(cfg: NormConfig, spec: SympGroup, target_spec: SympGroup,
-                     ambient_cap: int = DEFAULT_AMBIENT_CAP, members_per_class: int = 2,
-                     cache: dict | None = None, part_cache: dict | None = None) -> BijectionReport:
-    """Check the class bijection σ^i ⋉ G(F') → classes of G(F_d); part_cache holds partitions."""
-    tw = twisted_classes(spec, cfg.i, part_cache)
-    target = conjugacy_classes(target_spec, part_cache)
-    norm_cache = cache if cache is not None else {}
+                     ambient_cap: int = DEFAULT_AMBIENT_CAP, members_per_class: int = 2) -> BijectionReport:
+    """Check the class bijection σ^i ⋉ G(F') → classes of G(F_d)."""
+    tw = twisted_classes(spec, cfg.i)
+    target = conjugacy_classes(target_spec)
 
     def norm_class(g):
-        return target.index_of(gyoja_norm(cfg, spec, g, ambient_cap, cache=norm_cache))
+        return target.index_of(gyoja_norm(cfg, spec, g, ambient_cap))
 
     assigned = [norm_class(rep) for rep in tw.reps]
     well_defined = True
@@ -280,7 +275,7 @@ def verify_bijection(cfg: NormConfig, spec: SympGroup, target_spec: SympGroup,
     for k, rep in enumerate(tw.reps):
         sig_rep = spec.frob(rep, 1)
         lhs = norm_class(sig_rep)
-        n_el = gyoja_norm(cfg, spec, rep, ambient_cap, cache=norm_cache)
+        n_el = gyoja_norm(cfg, spec, rep, ambient_cap)
         rhs = target.index_of(target_spec.frob(n_el, 1))
         if lhs != rhs:
             equivariant = False

@@ -166,7 +166,7 @@ class RepContext:
         self._step_cache: dict = {}
         self._gauss_pow: dict[int, CycNum] = {}
         self._gal_perm: dict[int, np.ndarray] = {}
-        self._psi_exp_cache: dict = {}
+        self._gsp_cosets: dict[int, tuple] = {}
         self._coords = None
 
     # -- cyclotomic plumbing ----------------------------------------------------
@@ -179,13 +179,6 @@ class RepContext:
             for r, s in self._fold_pairs[t]:
                 out[..., t] += full[..., r, s]
         return out[..., : self.p - 1] - out[..., self.p - 1 :]
-
-    def psi_exp(self, x) -> int:
-        got = self._psi_exp_cache.get(x)
-        if got is None:
-            got = self.tower.psi_exponent(x, self.level, self.scale)
-            self._psi_exp_cache[x] = got
-        return got
 
     def eps(self, x) -> int:
         return self.tower.quad_char(x, self.level)
@@ -276,7 +269,7 @@ class RepContext:
         dot = tower.zero
         for i in range(n):
             dot = tower.add(dot, tower.mul(v[i], v[n + i]))
-        k = self.psi_exp(tower.sub(t, tower.mul(tower.half, dot)))
+        k = tower.psi_exponent(tower.sub(t, tower.mul(tower.half, dot)), self.level, self.scale)
         vec = coords.vector(v)
         cx, cxs = vec[: len(vec) // 2], vec[len(vec) // 2 :]
         return coords.index((coords.pts + cxs) % self.p), (k - coords.pts_g @ cx) % self.p
@@ -444,9 +437,8 @@ class _Coordinates:
         self.basis = [elems[k] for k in basis]
         coords = digits @ left_inverse(digits[basis].T, p).T % p
         self._of = dict(zip(elems, coords))
-        gram = np.array(
-            [[ctx.psi_exp(tower.mul(a, b)) for b in self.basis] for a in self.basis], dtype=np.int64
-        )
+        psi = [[tower.psi_exponent(tower.mul(a, b), ctx.level, ctx.scale) for b in self.basis] for a in self.basis]
+        gram = np.array(psi, dtype=np.int64)
         self.pts = np.array([self.vector(y) for y in ctx.points])
         self._gram = np.kron(np.eye(n, dtype=np.int64), gram)
         self.pts_g = self.pts @ self._gram % p
@@ -481,11 +473,11 @@ class _Coordinates:
         return (xs @ self._gram % self.ctx.p * ws).sum(axis=1) % self.ctx.p
 
 
-def _remember(cache: dict, key, value, cap: int) -> None:
-    """Store value under key, first evicting the oldest entry if cache holds cap."""
-    if len(cache) >= cap:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
+def _remember(memo: dict, key, value, cap: int) -> None:
+    """Store value under key, first evicting the oldest entry if memo holds cap."""
+    if len(memo) >= cap:
+        memo.pop(next(iter(memo)))
+    memo[key] = value
 
 
 def _element_kind(g, n: int) -> str:
@@ -583,11 +575,15 @@ def _siegel_factor_inner(tower: Tower, n: int, level: int, g: tuple) -> list:
 
 def _similitude_cosets(ctx: RepContext, j: int):
     """GSp at the context's level, the (r⁻¹, σʲ(r)) pairs of the coset
-    representatives r = diag(λ·1, 1) of Sp in GSp, and the Sp test.
+    representatives r = diag(λ·1, 1) of Sp in GSp, and the Sp test; built
+    once per (context, j).
 
     Each z = r⁻¹·g·σʲ(r) with g in GSp lies in GSp at the level, so z is in
     Sp exactly when its multiplier ⟨z e₁, z f₁⟩ is 1.
     """
+    got = ctx._gsp_cosets.get(j)
+    if got is not None:
+        return got
     tower, n, level = ctx.tower, ctx.n, ctx.level
     gsp = SympGroup(tower, n, level, similitude=True)
     reps = [gsp.similitude_rep(lam) for lam in tower.level_elements(level) if lam != tower.zero]
@@ -596,7 +592,8 @@ def _similitude_cosets(ctx: RepContext, j: int):
     def in_sp(z):  # columns 0 and n are z e₁ and z f₁
         return gsp.space.form(tower, z[0::size], z[n::size]) == tower.one
 
-    return gsp, coset_pairs(gsp, reps, j), in_sp
+    ctx._gsp_cosets[j] = got = (gsp, coset_pairs(gsp, reps, j), in_sp)
+    return got
 
 
 def gsp_character_values(ctx: RepContext, partition) -> dict:

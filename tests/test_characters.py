@@ -76,14 +76,13 @@ def test_lift_is_linear(t92, sl1_part):
     sl = SympGroup(t92, 1, 2)
     tw = twisted_classes(sl, 1)
     cfg = choose_t(1, 2)
-    cache = {}
     rng = random.Random(3)
     c1 = ClassFunction(sl1_part, tuple(CycNum.rational(3, rng.randrange(-3, 4)) for _ in sl1_part.reps))
     c2 = ClassFunction(sl1_part, tuple(CycNum.rational(3, rng.randrange(-3, 4)) for _ in sl1_part.reps))
     c12 = ClassFunction(sl1_part, tuple(a + b for a, b in zip(c1.values, c2.values)))
-    l1 = lift_class_function(cfg, sl, c1, tw, cache=cache)
-    l2 = lift_class_function(cfg, sl, c2, tw, cache=cache)
-    l12 = lift_class_function(cfg, sl, c12, tw, cache=cache)
+    l1 = lift_class_function(cfg, sl, c1, tw)
+    l2 = lift_class_function(cfg, sl, c2, tw)
+    l12 = lift_class_function(cfg, sl, c12, tw)
     assert l12.values == tuple(a + b for a, b in zip(l1.values, l2.values))
 
 
@@ -103,9 +102,8 @@ def test_isometry_on_full_basis(t92, sl1_part):
     sl = SympGroup(t92, 1, 2)
     tw = twisted_classes(sl, 1)
     cfg = choose_t(1, 2)
-    cache = {}
     basis = indicator_basis(sl1_part, 3)
-    lifts = [lift_class_function(cfg, sl, chi, tw, cache=cache) for chi in basis]
+    lifts = [lift_class_function(cfg, sl, chi, tw) for chi in basis]
     for a in range(len(basis)):
         for b in range(len(basis)):
             assert inner_product(basis[a], basis[b]) == inner_product(lifts[a], lifts[b])
@@ -185,7 +183,7 @@ def test_weil_torus_restriction(t92):
     ctx = RepContext(t92, 1, 1)
     tor = TorusSL2(t92, 1)
     rows = weil_torus_restriction(ctx, tor)
-    assert [g for g, _, _ in rows] == tor.elements()
+    assert tuple(g for g, _, _ in rows) == tor.elements()
     assert all(tr == expected for _, tr, expected in rows)
     # |T|·<tr ρ|_T, χ> for the two real characters: the trivial one appears once, ω never
     om = omega(tor)

@@ -66,10 +66,9 @@ def test_star_identity_with_scaled_psi():
     ctx1 = RepContext(t, 1, 1, scale=scale)
     cfg = choose_t(1, 2)
     rng = random.Random(33)
-    cache = {}
     for _ in range(30):
         g = sl.random(rng)
-        N = gyoja_norm(cfg, sl, g, cache=cache)
+        N = gyoja_norm(cfg, sl, g)
         assert ctx2.extended_trace(1, g) == ctx1.build_rho(N).trace()
 
 

@@ -139,3 +139,24 @@ def test_sl2_torus_respects_enum_cap(capsys):
     with pytest.raises(GroupTooLarge, match="1404"):
         run_check("sl2-torus", RunConfig(p=3, n=1, m=2, enum_cap=1403))
     assert run_check("sl2-torus", RunConfig(p=3, n=1, m=2, enum_cap=1404)).ok
+
+
+def test_psi_scale_reaches_every_check(capsys):
+    """--psi-scale picks the base-field scaling a of ψ_a; the scaled run passes and its values differ."""
+    assert Workspace(RunConfig(p=3, psi_scale=2)).scale == 2  # the second nonzero element of F_3
+    with pytest.raises(ConfigInvalid):
+        Workspace(RunConfig(p=3, psi_scale=3))  # F_3 has two nonzero elements
+    assert main(["gauss", "--p", "3", "--psi-scale", "3"]) == 2
+    assert "ConfigInvalid" in capsys.readouterr().err
+    rows = {}
+    for scale in ("1", "2"):
+        rc = main(["all", "--m", "2", "--sample", "4", "--enum-cap", "2000", "--psi-scale", scale, "--format", "tsv"])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert rc == 0
+        skipped = [line.split("\t")[1] for line in lines if line.startswith("#skipped")]
+        assert skipped == ["orthogonal", "parabolic"]  # n = 1; 104,976 parabolic points over the cap
+        assert lines[-1].startswith("#summary\tpass=424\tfail=0\tskip=2\t")
+        rows[scale] = lines[1:-3]
+    # the same 424 cases, and the scale moves the values of 210 of them
+    assert [row.split("\t")[0] for row in rows["1"]] == [row.split("\t")[0] for row in rows["2"]]
+    assert sum(a != b for a, b in zip(rows["1"], rows["2"])) == 210

@@ -8,6 +8,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "weilbc"
 # Python protocols, not failures: a failed operand coercion is a TypeError, and
 # setting an attribute of an immutable object is an AttributeError
 PROTOCOL = {("_coerce", "TypeError"), ("__setattr__", "AttributeError")}
+# groups own their memos (elements, partitions, norms): no caller hands one in
+CACHE_PARAMS = {"cache", "part_cache"}
 
 
 def builtin_raises(source: str) -> list:
@@ -46,5 +48,37 @@ def test_src_raises_only_typed_errors():
         for path in sorted(SRC.glob("*.py"))
         for func, name, line in builtin_raises(path.read_text())
         if (func, name) not in PROTOCOL
+    ]
+    assert offenders == []
+
+
+def cache_params(source: str) -> list:
+    """(function, parameter) of each function parameter named in CACHE_PARAMS."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg):
+                if arg is not None and arg.arg in CACHE_PARAMS:
+                    found.append((getattr(node, "name", "<lambda>"), arg.arg))
+    return found
+
+
+def test_detector_flags_cache_parameters_only():
+    source = (
+        "def f(x, cache=None):\n"
+        "    g = lambda *, part_cache: part_cache\n"
+        "    def h(**cache):\n"
+        "        return self.cache\n"
+        "def k(caches, memo): pass\n"
+    )
+    assert sorted(cache_params(source)) == [("<lambda>", "part_cache"), ("f", "cache"), ("h", "cache")]
+
+
+def test_src_functions_take_no_cache_parameter():
+    offenders = [
+        f"{path.name}: {func}({name})"
+        for path in sorted(SRC.glob("*.py"))
+        for func, name in cache_params(path.read_text())
     ]
     assert offenders == []

@@ -117,9 +117,10 @@ def test_twisted_class_counts(t92):
 def test_twisted_i0_matches_ordinary(t92):
     sl = SympGroup(t92, 1, 2)
     part0 = twisted_classes(sl, 0)
-    ordinary = conjugacy_classes(sl)
+    ordinary = conjugacy_classes(SympGroup(t92, 1, 2))  # a second group: no shared memo
     assert part0.reps == ordinary.reps
     assert part0.sizes == ordinary.sizes
+    assert conjugacy_classes(sl) is part0  # one memo entry: twist 0 is the ordinary partition
 
 
 def test_gyoja_counting_several_twists():
@@ -215,3 +216,63 @@ def test_closure_rejects_generators_of_a_subgroup(t92):
 
     with pytest.raises(InvariantBroken):
         _closure(UnipotentOnly(t92, 2, 1))
+
+
+def _reference_partition(spec, twist):
+    """Classes by breadth-first search that applies spec.conj (twist 0) or
+    spec.twisted_conj on every action: the partition routine before each
+    generator's pair (s, σ^i(s)⁻¹) was built once."""
+    def act(s, g):
+        return spec.conj(s, g) if twist == 0 else spec.twisted_conj(s, g, twist)
+
+    seen, orbits = {}, []
+    for start in spec.elements():
+        if start in seen:
+            continue
+        seen[start] = len(orbits)
+        queue, members = [start], [start]
+        while queue:
+            cur = queue.pop()
+            for s in spec.generators():
+                nxt = act(s, cur)
+                if nxt not in seen:
+                    seen[nxt] = len(orbits)
+                    queue.append(nxt)
+                    members.append(nxt)
+        orbits.append(members)
+    reps = [min(mem, key=spec.sort_key) for mem in orbits]
+    order = sorted(range(len(orbits)), key=lambda k: spec.sort_key(reps[k]))
+    remap = {old: new for new, old in enumerate(order)}
+    return ([reps[k] for k in order], [len(orbits[k]) for k in order],
+            [(g, remap[k]) for g, k in seen.items()])
+
+
+@pytest.mark.parametrize("group, twist", [("sl", 0), ("sl", 1), ("gsp", 1), ("semidirect", 0)])
+def test_partitions_match_the_per_action_reference(t92, group, twist):
+    sl = SympGroup(t92, 1, 2)
+    spec = {"sl": sl, "gsp": SympGroup(t92, 1, 2, similitude=True), "semidirect": SemidirectGroup(sl, 2)}[group]
+    part = conjugacy_classes(spec) if group == "semidirect" else twisted_classes(spec, twist)
+    reps, sizes, class_of = _reference_partition(spec, twist)
+    assert part.twist == twist
+    assert part.reps == reps and part.sizes == sizes
+    assert list(part.class_of.items()) == class_of
+
+
+def test_group_memoizes_elements_and_partitions(t92):
+    sl = SympGroup(t92, 1, 2)
+    assert sl.elements() is sl.elements()
+    assert twisted_classes(sl, 1) is twisted_classes(sl, 1)
+    assert conjugacy_classes(sl) is conjugacy_classes(sl)
+    assert sorted(sl.partitions) == [0, 1]
+
+
+def test_shared_elements_are_immutable(t92):
+    """elements() hands every caller one shared tuple, which no caller can mutate."""
+    sl = SympGroup(t92, 1, 2)
+    groups = [sl, SympGroup(t92, 1, 1, similitude=True), SympGroup(t92, 2, 1), HeisGroup(t92, 1, 1),
+              TorusSL2(t92, 2), SemidirectGroup(sl, 2)]
+    for spec in groups:
+        elems = spec.elements()
+        assert isinstance(elems, tuple) and len(elems) == spec.order()
+        with pytest.raises(TypeError):
+            elems[0] = elems[-1]

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from weilbc import normmap
 from weilbc.errors import AmbientCapExceeded, ConfigInvalid, WitnessFailed
 from weilbc.fieldtower import build_tower
-from weilbc.grouplib import SympGroup, TorusSL2, conjugacy_classes, mat_det, mat_frob
+from weilbc.characters import indicator_basis, lift_class_function
+from weilbc.grouplib import SympGroup, TorusSL2, conjugacy_classes, mat_det, mat_frob, twisted_classes
 from weilbc.normmap import (
     choose_t,
     gyoja_norm,
@@ -179,14 +180,13 @@ def test_norm_class_invariant_under_twisted_conjugacy(t92):
     sl1 = SympGroup(t92, 1, 1)
     part = conjugacy_classes(sl1)
     cfg = choose_t(1, 2)
-    cache = {}
     rng = random.Random(7)
     for _ in range(40):
         g = sl.random(rng)
         h = sl.random(rng)
         moved = sl.twisted_conj(h, g, 1)
-        c1 = part.index_of(gyoja_norm(cfg, sl, g, cache=cache))
-        c2 = part.index_of(gyoja_norm(cfg, sl, moved, cache=cache))
+        c1 = part.index_of(gyoja_norm(cfg, sl, g))
+        c2 = part.index_of(gyoja_norm(cfg, sl, moved))
         assert c1 == c2
 
 
@@ -210,22 +210,66 @@ def test_base_change_of_twist_matches_remark():
     target_big = SympGroup(t_big, 1, 1)
     part = conjugacy_classes(target_small)
     rng = random.Random(9)
-    cache = {}
     for _ in range(12):
         g = sl_small.random(rng)
-        el1 = gyoja_norm(cfg_small, sl_small, g, cache=cache)
-        el2 = gyoja_norm(cfg_big, sl_big, g, cache=cache)
+        el1 = gyoja_norm(cfg_small, sl_small, g)
+        el2 = gyoja_norm(cfg_big, sl_big, g)
         assert part.index_of(el1) == part.index_of(el2)
 
 
 def test_bijection_sl2_q3_m2(t92):
     sl = SympGroup(t92, 1, 2)
     sl1 = SympGroup(t92, 1, 1)
-    part_cache = {}
-    rep = verify_bijection(choose_t(1, 2), sl, sl1, part_cache=part_cache)
+    rep = verify_bijection(choose_t(1, 2), sl, sl1)
     assert rep.twisted_count == 7 and rep.target_count == 7
-    assert sorted((part.twist, len(part)) for part in part_cache.values()) == [(0, 7), (1, 7)]
+    # the partitions live on their groups: the twisted one on sl, the ordinary one on sl1
+    assert [(i, part.twist, len(part)) for i, part in sl.partitions.items()] == [(1, 1, 7)]
+    assert [(i, part.twist, len(part)) for i, part in sl1.partitions.items()] == [(0, 0, 7)]
     assert rep.well_defined and rep.injective and rep.surjective and rep.sigma_equivariant
+
+
+def test_one_lang_solve_per_element(t92, monkeypatch):
+    """gyoja_norm, lift_class_function and verify_bijection share the group's norm memo."""
+    sl, sl1 = SympGroup(t92, 1, 2), SympGroup(t92, 1, 1)
+    cfg = choose_t(1, 2)
+    solved = []
+    solve = normmap.lang_solve
+
+    def counting(spec, h, d, ambient_cap):
+        solved.append(h)
+        return solve(spec, h, d, ambient_cap)
+
+    monkeypatch.setattr(normmap, "lang_solve", counting)
+
+    def every_caller():
+        verify_bijection(cfg, sl, sl1)
+        tw = twisted_classes(sl, 1)
+        for chi in indicator_basis(conjugacy_classes(sl1), 3):
+            lift_class_function(cfg, sl, chi, tw)
+        for g in sl.elements()[::7]:
+            gyoja_norm(cfg, sl, g)
+
+    every_caller()
+    normed = {g for _, g, _ in sl.norms}
+    assert len(solved) == len(normed) == len(sl.norms) > len(twisted_classes(sl, 1))
+    every_caller()
+    assert len(solved) == len(normed)
+
+
+def test_ambient_cap_applies_after_a_memoized_norm(t92):
+    """A norm memoized under cap 64 does not answer a call under cap 4."""
+    sl = SympGroup(t92, 1, 2)
+    cfg = choose_t(1, 2)
+    for g in sl.elements():
+        try:
+            gyoja_norm(cfg, sl, g, 4)
+        except AmbientCapExceeded:
+            break
+    else:
+        pytest.fail("no element of SL2(F_9) needs an ambient level above 4")
+    assert gyoja_norm(cfg, sl, g, 64) == sl.norms[(cfg, g, 64)]
+    with pytest.raises(AmbientCapExceeded):
+        gyoja_norm(cfg, sl, g, 4)
 
 
 def test_bijection_i0(t92):

@@ -462,11 +462,10 @@ def test_twisted_character_norm_oracle(m, count):
     ctx = RepContext(tower, 1, m)
     sp = SympGroup(tower, 1, m)
     rng = random.Random(28)
-    cache: dict = {}
     for i in range(1, m):
         ncfg = choose_t(i, m, None)
         for _ in range(count):
             g = sp.random(rng)
-            N = gyoja_norm(ncfg, sp, g, 64, cache=cache)
+            N = gyoja_norm(ncfg, sp, g, 64)
             want = CycNum.rational(3, tower.q ** (ncfg.d * _kernel_dim(tower, N, 2)))
             assert _abs2(ctx.extended_trace(i, g)) == want
