@@ -13,6 +13,7 @@ digit varying fastest, so the prime field occupies indices 0..p-1.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import lcm
 
 import numpy as np
@@ -203,6 +204,14 @@ class Tower:
         if self.tabulated:
             return self._digits[x]
         return np.array(x, dtype=np.int64)
+
+    def digit_array(self, elems) -> np.ndarray:
+        """Digit rows of an iterable of elements, shape (count, ambient degree),
+        in the smallest unsigned dtype that holds a digit."""
+        dtype = np.min_scalar_type(self.p - 1)
+        if self.tabulated:
+            return self._digits.astype(dtype)[np.fromiter(elems, dtype=np.min_scalar_type(self.size - 1))]
+        return np.fromiter(chain.from_iterable(elems), dtype=dtype).reshape(-1, self._A)
 
     def _encode(self, vec: np.ndarray):
         vec = np.asarray(vec, dtype=np.int64) % self.p

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from itertools import product
+from itertools import chain, product
 
-from .errors import DimensionMismatch, GroupTooLarge, InvariantBroken, LevelMismatch, Singular
+import numpy as np
+
+from .errors import ConfigInvalid, DimensionMismatch, GroupTooLarge, InvariantBroken, LevelMismatch, Singular
 from .fieldtower import ENUM_CAP, Tower
 
 
@@ -249,6 +251,11 @@ class _MatrixSpec(GroupSpec):
     def inv(self, a):
         return mat_inv(self.tower, a, self.size)
 
+    def orbit_maps(self, twist: int) -> tuple:
+        """The group whose elements() each coset lists (here self, one coset) and,
+        per coset, the digit maps of the generator actions x ↦ s·x·σ^twist(s)⁻¹."""
+        return self, [_twisted_maps(self, twist)]
+
 
 def _gen_of_mult_group(tower: Tower, level: int):
     """Smallest generator of F_{q^level}^× in canonical order."""
@@ -380,34 +387,21 @@ class SympGroup(_MatrixSpec):
     @_memoized
     def elements(self):
         tower, n = self.tower, self.n
-        if n == 1 and not self.similitude:
-            elems = []
+        if n == 1:
+            # nested loops over the level in canonical order emit sort_key order
             field = tower.level_elements(self.level)
-            nz = [x for x in field if x != tower.zero]
-            for a in nz:
-                ai = tower.inv(a)
-                for b in field:
-                    for c in field:
-                        # det = ad - bc = 1 → d = (1 + bc)/a
-                        d = tower.mul(tower.add(tower.one, tower.mul(b, c)), ai)
-                        elems.append((a, b, c, d))
+            if self.similitude:
+                return [(a, b, c, d) for a in field for b in field for c in field for d in field
+                        if tower.sub(tower.mul(a, d), tower.mul(b, c)) != tower.zero]
+            nz = field[1:]  # zero comes first
+            elems = []
             for b in nz:
                 c = tower.neg(tower.inv(b))  # a = 0 → -bc = 1
-                for d in field:
-                    elems.append((tower.zero, b, c, d))
-            elems.sort(key=self.sort_key)
-            return elems
-        if n == 1 and self.similitude:
-            elems = []
-            field = tower.level_elements(self.level)
-            for a in field:
-                for b in field:
-                    for c in field:
-                        for d in field:
-                            det = tower.sub(tower.mul(a, d), tower.mul(b, c))
-                            if det != tower.zero:
-                                elems.append((a, b, c, d))
-            elems.sort(key=self.sort_key)
+                elems += [(tower.zero, b, c, d) for d in field]
+            for a in nz:
+                ai = tower.inv(a)
+                # det = ad - bc = 1 → d = (1 + bc)/a
+                elems += [(a, b, c, tower.mul(tower.add(tower.one, tower.mul(b, c)), ai)) for b in field for c in field]
             return elems
         return _closure(self)
 
@@ -603,40 +597,137 @@ class Partition:
         return len(self.reps)
 
 
+_ORBIT_CHUNK = 1 << 15  # element rows mapped per numpy batch
+
+
+def _sandwich_map(tower: Tower, s: tuple, t: tuple, size: int) -> np.ndarray:
+    """Matrix of x ↦ s·x·t on the ambient digits of a flat size×size matrix x,
+    entry-major: (s·x·t)_ik = Σ_jl s_ij·t_lk·x_jl."""
+    A = tower.ambient_degree
+    S = np.array([tower.mul_matrix(y) for y in s]).reshape(size, size, A, A)
+    T = np.array([tower.mul_matrix(y) for y in t]).reshape(size, size, A, A)
+    dim = size * size * A
+    return np.einsum("ijbc,lkca->ikbjla", S, T).reshape(dim, dim) % tower.p
+
+
+def _twisted_maps(spec: _MatrixSpec, twist: int) -> list:
+    """Digit maps of x ↦ s·x·σ^twist(s)⁻¹, one per generator s of spec."""
+    return [_sandwich_map(spec.tower, s, spec.inv(spec.frob(s, twist)), spec.size) for s in spec.generators()]
+
+
+def _code_weights(Q: int, entries: int) -> np.ndarray:
+    """Place values Q^(entries-1), …, Q, 1 of a matrix code whose digits are
+    entry ranks in F_Q; refuses a code that could pass int64."""
+    if Q**entries > 2**63:
+        raise GroupTooLarge(f"codes of {entries} entries over a field of {Q} elements pass 2^63")
+    return np.array([Q ** (entries - 1 - k) for k in range(entries)], dtype=np.int64)
+
+
+def _code_columns(tower: Tower, level: int, entries: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and weights that code a matrix over F_{q^level} from its digit row:
+    row[cols] @ weights is each entry's rank in level_elements(level), read in
+    base q^level with the first entry most significant, so codes sort as
+    sort_key does.
+
+    The level is an F_p-subspace of the ambient digits. The highest nonzero
+    digit of each of its elements sits at one of dim-many pivot positions, so
+    elem_key orders the level as its pivot digits do, and an element's rank is
+    its pivot digits read in base p.
+    """
+    field = tower.level_elements(level)
+    A = tower.ambient_degree
+    nonzero = tower.digit_array(field[1:])[:, ::-1] != 0  # high digit first
+    pivots = np.unique(A - 1 - nonzero.argmax(axis=1))
+    if tower.p ** len(pivots) != len(field):
+        raise InvariantBroken("the level's pivot digits do not match its size")
+    cols = (np.arange(entries)[:, None] * A + pivots).ravel()
+    weights = np.outer(_code_weights(len(field), entries), [tower.p**i for i in range(len(pivots))]).ravel()
+    return cols, weights
+
+
+def _image_indices(digits: np.ndarray, codes: np.ndarray, mat: np.ndarray, cols: np.ndarray,
+                   weights: np.ndarray, p: int) -> np.ndarray:
+    """Index in the element array of the image of each digit row under mat.
+
+    The coded digits of the images come from one float64 BLAS product per
+    chunk of rows, exact since every partial sum is below dim·(p-1)² < 2^53.
+    A generator permutes the elements, so the sorted image codes must be the
+    element codes, and sorting them matches each image with its element.
+    """
+    matT = mat[cols].T.astype(np.float64)
+    img = np.empty(len(digits), dtype=np.int64)
+    for lo in range(0, len(digits), _ORBIT_CHUNK):
+        coded = (digits[lo : lo + _ORBIT_CHUNK].astype(np.float64) @ matT).astype(np.int64) % p
+        img[lo : lo + len(coded)] = coded @ weights
+    order = np.argsort(img)
+    if not np.array_equal(img[order], codes):
+        raise InvariantBroken("a generator does not permute the elements")
+    out = np.empty(len(digits), dtype=np.int64)
+    out[order] = np.arange(len(digits))
+    return out
+
+
+def _min_labels(images: list, n: int) -> np.ndarray:
+    """Smallest index in the orbit of each of 0..n-1 under the index maps in images.
+
+    Min-label propagation: each index takes the least label of its images, each
+    label takes the least label of its members (hooking), and labels jump to
+    their label's label until stable. A label is always an index of the same
+    orbit and never above its own index, so the fixed point is the orbit minimum.
+    """
+    label = np.arange(n)
+    while True:
+        new = label
+        for img in images:
+            new = np.minimum(new, new[img])
+        np.minimum.at(new, label, new)  # hooking
+        while not np.array_equal(new[new], new):  # pointer jumping
+            new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _orbit_labels(spec: GroupSpec, twist: int) -> np.ndarray:
+    """Index in spec.elements() of the smallest member of each element's orbit."""
+    base, cosets = spec.orbit_maps(twist)
+    elems = base.elements()
+    tower, entries = base.tower, base.size * base.size
+    digits = tower.digit_array(chain.from_iterable(elems)).reshape(len(elems), -1)
+    cols, weights = _code_columns(tower, base.level, entries)
+    codes = digits[:, cols] @ weights
+    if not (np.diff(codes) > 0).all():
+        raise InvariantBroken("elements() is not in sort_key order")
+    n = len(elems)
+    labels = [
+        _min_labels([_image_indices(digits, codes, mat, cols, weights, tower.p) for mat in maps], n) + j * n
+        for j, maps in enumerate(cosets)
+    ]
+    return np.concatenate(labels)
+
+
 def _classes(spec: GroupSpec, twist: int) -> Partition:
     """Orbits of g ↦ s·g·σ^twist(s)⁻¹ over the generators s of spec, memoized
     on spec; twist 0 gives the ordinary classes.
 
-    Each generator acts through its fixed pair (s, σ^twist(s)⁻¹), built once.
+    Each generator acts on the digit array of the elements as one F_p-linear
+    map (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 4).
+    elements() is in sort_key order, so an orbit's smallest index is its
+    canonical representative and the classes are numbered in that order.
     """
     part = spec.partitions.get(twist)
     if part is not None:
         return part
-    pairs = [(s, spec.inv(spec.frob(s, twist) if twist else s)) for s in spec.generators()]
-    mul = spec.mul
-    seen: dict = {}
-    orbits = []
-    for start in spec.elements():
-        if start in seen:
-            continue
-        idx = len(orbits)
-        queue = [start]
-        seen[start] = idx
-        members = [start]
-        while queue:
-            cur = queue.pop()
-            for s, t in pairs:
-                nxt = mul(mul(s, cur), t)
-                if nxt not in seen:
-                    seen[nxt] = idx
-                    queue.append(nxt)
-                    members.append(nxt)
-        orbits.append(members)
-    reps = [min(mem, key=spec.sort_key) for mem in orbits]
-    order = sorted(range(len(orbits)), key=lambda k: spec.sort_key(reps[k]))
-    remap = {old: new for new, old in enumerate(order)}
-    class_of = {g: remap[i] for g, i in seen.items()}
-    part = Partition(twist, [reps[k] for k in order], [len(orbits[k]) for k in order], class_of)
+    labels = _orbit_labels(spec, twist)
+    roots = np.flatnonzero(labels == np.arange(len(labels)))
+    class_id = np.searchsorted(roots, labels)
+    sizes = np.bincount(class_id).tolist()
+    class_id, roots = class_id.tolist(), roots.tolist()
+    del labels
+    elems = spec.elements()
+    ids = list(range(len(roots)))  # one int object per class, shared by its members
+    class_of = dict(zip(elems, map(ids.__getitem__, class_id)))
+    part = Partition(twist, [elems[r] for r in roots], sizes, class_of)
     spec.partitions[twist] = part
     return part
 
@@ -684,6 +775,15 @@ class SemidirectGroup(GroupSpec):
     @_memoized
     def elements(self):
         return [(j, g) for j in range(self.m) for g in self.base.elements()]
+
+    def orbit_maps(self, twist: int) -> tuple:
+        """Conjugation keeps each coset σ^j ⋉ G: (0, s) acts on it by
+        g ↦ s·g·σ^j(s)⁻¹ and (1, 1) by g ↦ σ(g)."""
+        if twist:
+            raise ConfigInvalid("a semidirect group has ordinary classes only")
+        base = self.base
+        frob = np.kron(np.eye(base.size * base.size, dtype=np.int64), self.tower.frob_matrix(1))
+        return base, [_twisted_maps(base, j) + [frob] for j in range(self.m)]
 
     def random(self, rng):
         return (rng.randrange(self.m), self.base.random(rng))

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilbc.cyclotomic import CycNum
 from weilbc.errors import EvenCharacteristic, LevelMismatch, NotPrime, ZeroArgument
@@ -191,3 +193,41 @@ def test_mul_and_frob_matrices_act_on_digits(p, base_degree, m):
         assert np.array_equal(t.mul_matrix(y) @ digits(x) % t.p, digits(t.mul(y, x)))
         for j in (1, -1, 2):
             assert np.array_equal(t.frob_matrix(j) @ digits(x) % t.p, digits(t.frobenius(x, j)))
+
+
+TOWERS = {  # p ∈ {3, 5, 7}; elements are table indices up to 100 elements, digit tuples beyond
+    "tabulated": [(3, 1, 2), (3, 2, 2), (5, 1, 2), (7, 1, 2)],
+    "tuple": [(3, 1, 6), (5, 1, 3), (7, 1, 3)],
+}
+
+
+@st.composite
+def tower_and_elements(draw, kind):
+    t = build_tower(*draw(st.sampled_from(TOWERS[kind])))
+    assert t.tabulated == (kind == "tabulated")
+    field = t.level_elements(t.m)
+    pick = st.integers(0, len(field) - 1)
+    return t, field[draw(pick)], field[draw(pick)]
+
+
+def _digits(t, x):
+    return t.digit_array([x])[0].astype(np.int64)
+
+
+@pytest.mark.parametrize("kind", sorted(TOWERS))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mul_matrix_property(kind, data):
+    t, x, y = data.draw(tower_and_elements(kind))
+    assert np.array_equal(t.mul_matrix(y) @ _digits(t, x) % t.p, _digits(t, t.mul(y, x)))
+
+
+@pytest.mark.parametrize("kind", sorted(TOWERS))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), j=st.integers(-6, 6))
+def test_frob_matrix_property(kind, data, j):
+    """frobenius is built on frob_matrix, so both are also checked against x^(q^j) by repeated squaring."""
+    t, x, _ = data.draw(tower_and_elements(kind))
+    power = t.pow(x, t.q ** (j % t.m))  # σ has order m on the ambient field
+    assert np.array_equal(t.frob_matrix(j) @ _digits(t, x) % t.p, _digits(t, t.frobenius(x, j)))
+    assert t.frobenius(x, j) == power

@@ -1,7 +1,9 @@
 import random
+from functools import cache
 
 import pytest
 
+from weilbc import grouplib
 from weilbc.errors import GroupTooLarge
 from weilbc.fieldtower import build_tower
 from weilbc.grouplib import (
@@ -94,7 +96,7 @@ def test_group_orders(t92):
 
 def test_sp4_order_and_cap(t92):
     # |Sp4(F_3)| = 3^4·(3^2-1)(3^4-1) = 51840, under the default cap
-    sp4 = SympGroup(t92, 2, 1)
+    sp4 = _group("sp4f3")
     assert sp4.order() == 51840
     assert len(sp4.elements()) == 51840
     # at F_9 the order is ~3.4e9: enumeration must refuse
@@ -219,12 +221,9 @@ def test_closure_rejects_generators_of_a_subgroup(t92):
 
 
 def _reference_partition(spec, twist):
-    """Classes by breadth-first search that applies spec.conj (twist 0) or
-    spec.twisted_conj on every action: the partition routine before each
-    generator's pair (s, σ^i(s)⁻¹) was built once."""
-    def act(s, g):
-        return spec.conj(s, g) if twist == 0 else spec.twisted_conj(s, g, twist)
-
+    """Classes by breadth-first search, one element at a time: each generator s
+    acts through its pair (s, σ^twist(s)⁻¹) by spec.mul."""
+    pairs = [(s, spec.inv(spec.frob(s, twist) if twist else s)) for s in spec.generators()]
     seen, orbits = {}, []
     for start in spec.elements():
         if start in seen:
@@ -233,8 +232,8 @@ def _reference_partition(spec, twist):
         queue, members = [start], [start]
         while queue:
             cur = queue.pop()
-            for s in spec.generators():
-                nxt = act(s, cur)
+            for s, t in pairs:
+                nxt = spec.mul(spec.mul(s, cur), t)
                 if nxt not in seen:
                     seen[nxt] = len(orbits)
                     queue.append(nxt)
@@ -244,18 +243,74 @@ def _reference_partition(spec, twist):
     order = sorted(range(len(orbits)), key=lambda k: spec.sort_key(reps[k]))
     remap = {old: new for new, old in enumerate(order)}
     return ([reps[k] for k in order], [len(orbits[k]) for k in order],
-            [(g, remap[k]) for g, k in seen.items()])
+            {g: remap[k] for g, k in seen.items()})
 
 
-@pytest.mark.parametrize("group, twist", [("sl", 0), ("sl", 1), ("gsp", 1), ("semidirect", 0)])
-def test_partitions_match_the_per_action_reference(t92, group, twist):
-    sl = SympGroup(t92, 1, 2)
-    spec = {"sl": sl, "gsp": SympGroup(t92, 1, 2, similitude=True), "semidirect": SemidirectGroup(sl, 2)}[group]
-    part = conjugacy_classes(spec) if group == "semidirect" else twisted_classes(spec, twist)
+@cache
+def _group(name):
+    """Groups built once for the module: Sp4(F3) alone takes seconds to enumerate."""
+    t92 = build_tower(3, 1, 2)
+    return {
+        "sl": lambda: SympGroup(t92, 1, 2),  # SL2(F9)
+        "gsp": lambda: SympGroup(t92, 1, 2, similitude=True),  # GSp2(F9)
+        "semidirect": lambda: SemidirectGroup(_group("sl"), 2),
+        "sl25": lambda: SympGroup(build_tower(5, 1, 2), 1, 2),
+        "sl49": lambda: SympGroup(build_tower(7, 1, 2), 1, 2),
+        "sp4f3": lambda: SympGroup(t92, 2, 1),
+        "sl9-tuple": lambda: SympGroup(build_tower(3, 1, 6), 1, 2),  # entries are digit tuples
+    }[name]()
+
+
+@pytest.mark.parametrize("group, twist", [("sl", 0), ("sl", 1), ("gsp", 1), ("semidirect", 0), ("sl25", 1),
+                                          ("sl49", 1), ("sp4f3", 0), ("sl9-tuple", 1)])
+def test_partitions_match_the_per_action_reference(group, twist):
+    spec = _group(group)
+    part = twisted_classes(spec, twist)
     reps, sizes, class_of = _reference_partition(spec, twist)
     assert part.twist == twist
     assert part.reps == reps and part.sizes == sizes
-    assert list(part.class_of.items()) == class_of
+    assert part.class_of == class_of
+
+
+def test_class_of_is_keyed_by_the_memoized_elements():
+    sl = _group("sl25")
+    part = twisted_classes(sl, 1)
+    assert all(key is g for key, g in zip(part.class_of, sl.elements(), strict=True))
+
+
+def test_partition_makes_no_per_element_products(monkeypatch):
+    """Generators act on the whole element array at once: the partition of
+    SL2(F25) at twist 1 (15,600 elements) multiplies only generator matrices."""
+    sl = SympGroup(build_tower(5, 1, 2), 1, 2)
+    sl.elements()
+    calls = []
+    orig = grouplib.mat_mul
+
+    def counted(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(grouplib, "mat_mul", counted)
+    assert len(twisted_classes(sl, 1)) == 9
+    assert len(calls) <= 4 * len(sl.generators())
+
+
+def test_semidirect_group_has_ordinary_classes_only():
+    from weilbc.errors import ConfigInvalid
+
+    with pytest.raises(ConfigInvalid):
+        twisted_classes(SemidirectGroup(_group("sl"), 2), 1)
+
+
+def test_code_width_guard_refuses_int64_overflow():
+    """Element codes are int64: a matrix size and field size whose codes could
+    pass 2^63 are refused before any code is formed."""
+    assert grouplib._code_weights(9, 16)[0] == 9**15  # Sp4(F9): 9^16 < 2^63
+    assert grouplib._code_weights(2**21, 3).tolist() == [2**42, 2**21, 1]  # exactly 2^63 fits
+    with pytest.raises(GroupTooLarge):
+        grouplib._code_weights(27, 16)  # Sp4(F27): 27^16 ≈ 7.9·10^22
+    with pytest.raises(GroupTooLarge):
+        grouplib._code_weights(2**21 + 1, 3)
 
 
 def test_group_memoizes_elements_and_partitions(t92):
@@ -269,7 +324,7 @@ def test_group_memoizes_elements_and_partitions(t92):
 def test_shared_elements_are_immutable(t92):
     """elements() hands every caller one shared tuple, which no caller can mutate."""
     sl = SympGroup(t92, 1, 2)
-    groups = [sl, SympGroup(t92, 1, 1, similitude=True), SympGroup(t92, 2, 1), HeisGroup(t92, 1, 1),
+    groups = [sl, SympGroup(t92, 1, 1, similitude=True), _group("sp4f3"), HeisGroup(t92, 1, 1),
               TorusSL2(t92, 2), SemidirectGroup(sl, 2)]
     for spec in groups:
         elems = spec.elements()
