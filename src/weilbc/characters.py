@@ -116,5 +116,5 @@ def weil_torus_restriction(ctx, torus: TorusSL2) -> list:
     om = omega(torus)
     order = torus.order()
     ident = torus.identity()
-    return [(g, ctx.build_rho(g).trace(), CycNum.rational(ctx.p, (order if g == ident else 0) - om[g]))
+    return [(g, ctx.extended_trace(0, g), CycNum.rational(ctx.p, (order if g == ident else 0) - om[g]))
             for g in torus.elements()]

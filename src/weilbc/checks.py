@@ -277,12 +277,15 @@ def check_homomorphism(ws: Workspace) -> list[Case]:
 
 
 def _norm_cases(ws: Workspace, spec, ncfg: NormConfig, label: str, var: str, lhs, rhs) -> list[Case]:
-    """lhs(g) = rhs(N(σ^i, g)) on the sampled (or every) element g of spec."""
-    cases = []
+    """lhs(g) = rhs(N(σ^i, g)) on the sampled (or every) element g of spec;
+    rhs is evaluated once per distinct norm."""
+    cases, rhs_of = [], {}
     for g in ws.samples(spec, f"{label}:{ncfg.i}:{ncfg.t}"):
         value = lhs(g)
         N = gyoja_norm(ncfg, spec, g, ws.cfg.ambient_cap)
-        cases.append(Case.of(f"i={ncfg.i},t={ncfg.t},{var}={g}", value, rhs(N)))
+        if N not in rhs_of:
+            rhs_of[N] = rhs(N)
+        cases.append(Case.of(f"i={ncfg.i},t={ncfg.t},{var}={g}", value, rhs_of[N]))
     return cases
 
 

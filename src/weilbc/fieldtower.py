@@ -115,12 +115,13 @@ def find_modulus(p: int, degree: int) -> tuple[int, ...]:
 
 
 class _LevelData:
-    __slots__ = ("d", "size", "basis", "elements", "psi_tables", "quad")
+    __slots__ = ("d", "size", "basis", "pivots", "elements", "psi_tables", "quad")
 
     def __init__(self, d: int, size: int):
         self.d = d
         self.size = size
         self.basis = None
+        self.pivots = None
         self.elements = None
         self.psi_tables: dict = {}
         self.quad: dict = {}
@@ -329,34 +330,40 @@ class Tower:
         return self._levels[d]
 
     def _level_basis(self, d: int) -> np.ndarray:
+        """Reduced echelon F_p-basis of F_{q^d}, one digit row per vector: row k
+        has its highest nonzero digit, 1, at pivot k, where every other row is 0,
+        and the pivots ascend."""
         lv = self._level(d)
         if lv.basis is None:
             mat = (self.frob_matrix(d) - np.eye(self._A, dtype=np.int64)) % self.p
-            basis = modp.kernel_basis(mat, self.p)
-            if basis.shape[0] != self.base_degree * d:
+            kernel = modp.kernel_basis(mat, self.p)
+            if kernel.shape[0] != self.base_degree * d:
                 raise InvariantBroken(f"fixed field of level {d} has the wrong dimension")
-            lv.basis = basis
+            high_first, pivots = modp.rref(kernel[:, ::-1], self.p)
+            lv.basis = high_first[::-1, ::-1]
+            lv.pivots = [self._A - 1 - c for c in reversed(pivots)]
         return lv.basis
 
+    def level_pivots(self, d: int) -> list[int]:
+        """Digit positions of the level's coordinates: the digit of x at pivot k
+        is its coefficient on row k of the level basis."""
+        self._level_basis(d)
+        return self._level(d).pivots
+
     def level_elements(self, d: int) -> list:
-        """All elements of F_{q^d} in canonical enumeration order."""
+        """All elements of F_{q^d} in canonical enumeration order.
+
+        Element r is Σ_k digit_k(r)·basis_k for the base-p digits of r. The
+        highest nonzero digit of the difference of two level elements is a
+        pivot, where each carries its coefficient, so this is elem_key order.
+        """
         lv = self._level(d)
         if lv.elements is None:
             if lv.size > ENUM_CAP:
                 raise LevelMismatch(f"level {d} too large to enumerate")
-            if self.tabulated and lv.size == self.size:
-                lv.elements = list(range(self.size))
-            else:
-                basis = self._level_basis(d)
-                dim = basis.shape[0]
-                combos = np.zeros((lv.size, self._A), dtype=np.int64)
-                idx = np.arange(lv.size)
-                for k in range(dim):
-                    digit = idx // self.p**k % self.p
-                    combos = (combos + digit[:, None] * basis[k][None, :]) % self.p
-                elems = [self._encode(v) for v in combos]
-                elems.sort(key=self.elem_key)
-                lv.elements = elems
+            basis = self._level_basis(d)
+            digits = np.arange(lv.size)[:, None] // self.p ** np.arange(len(basis)) % self.p
+            lv.elements = [self._encode(v) for v in digits @ basis]
         return lv.elements
 
     def in_level(self, x, d: int) -> bool:

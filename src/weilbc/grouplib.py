@@ -627,21 +627,12 @@ def _code_columns(tower: Tower, level: int, entries: int) -> tuple[np.ndarray, n
     """Columns and weights that code a matrix over F_{q^level} from its digit row:
     row[cols] @ weights is each entry's rank in level_elements(level), read in
     base q^level with the first entry most significant, so codes sort as
-    sort_key does.
-
-    The level is an F_p-subspace of the ambient digits. The highest nonzero
-    digit of each of its elements sits at one of dim-many pivot positions, so
-    elem_key orders the level as its pivot digits do, and an element's rank is
-    its pivot digits read in base p.
+    sort_key does.  An element's rank is its pivot digits read in base p.
     """
-    field = tower.level_elements(level)
+    pivots = tower.level_pivots(level)
     A = tower.ambient_degree
-    nonzero = tower.digit_array(field[1:])[:, ::-1] != 0  # high digit first
-    pivots = np.unique(A - 1 - nonzero.argmax(axis=1))
-    if tower.p ** len(pivots) != len(field):
-        raise InvariantBroken("the level's pivot digits do not match its size")
     cols = (np.arange(entries)[:, None] * A + pivots).ravel()
-    weights = np.outer(_code_weights(len(field), entries), [tower.p**i for i in range(len(pivots))]).ravel()
+    weights = np.outer(_code_weights(tower.q**level, entries), [tower.p**i for i in range(len(pivots))]).ravel()
     return cols, weights
 
 

@@ -22,13 +22,13 @@ assembled from the tower's Frobenius and multiplication matrices
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
 from . import modp
-from .errors import AmbientCapExceeded, ConfigInvalid, WitnessFailed
-from .fieldtower import Embedding, Tower, build_tower, get_embedding
+from .errors import ConfigInvalid, WitnessFailed
+from .fieldtower import Embedding, Tower, enlarge_tower
 from .grouplib import (
     GroupSpec,
     SympGroup,
@@ -200,18 +200,11 @@ def _lang_matrix(big_spec: SympGroup, h_big: tuple, d: int) -> tuple:
 
 def lang_solve(spec: SympGroup, h: tuple, d: int, ambient_cap: int = DEFAULT_AMBIENT_CAP) -> LangWitness:
     """Solve α^{-1}σ^d(α) = h with α in the group over a large enough field."""
-    tower = spec.tower
     k0 = _min_defining_level(spec, h, d)
-    need = lcm(d * k0, tower.m)
-    if need > ambient_cap:
-        raise AmbientCapExceeded(
-            f"Lang witness needs ambient level {need} (cap {ambient_cap})"
-        )
-    big = build_tower(tower.p, tower.base_degree, need)
-    emb = get_embedding(tower, big)
+    big, emb = enlarge_tower(spec.tower, d * k0, ambient_cap)
     big_spec = SympGroup(big, spec.n, big.m, similitude=spec.similitude)
     alpha = _lang_matrix(big_spec, tuple(map(emb.embed, h)), d)
-    return LangWitness(alpha=alpha, ambient_degree=need, embedding=emb, group=big_spec)
+    return LangWitness(alpha=alpha, ambient_degree=big.m, embedding=emb, group=big_spec)
 
 
 def gyoja_norm(cfg: NormConfig, spec: SympGroup, g, ambient_cap: int = DEFAULT_AMBIENT_CAP) -> tuple:
@@ -260,15 +253,19 @@ def verify_bijection(cfg: NormConfig, spec: SympGroup, target_spec: SympGroup,
 
     assigned = [norm_class(rep) for rep in tw.reps]
     well_defined = True
-    if members_per_class > 1:
-        counts = [0] * len(tw.reps)
-        for g in spec.elements():
-            k = tw.index_of(g)
-            if counts[k] >= members_per_class - 1 or g == tw.reps[k]:
-                continue
-            counts[k] += 1
-            if norm_class(g) != assigned[k]:
-                well_defined = False
+    # up to members_per_class - 1 members of each class besides its representative,
+    # the first ones in elements() order; the walk stops once every class has them
+    left = [max(min(members_per_class, size) - 1, 0) for size in tw.sizes]
+    wanted = sum(left)
+    for g, k in tw.class_of.items():
+        if not wanted:
+            break
+        if not left[k] or g == tw.reps[k]:
+            continue
+        left[k] -= 1
+        wanted -= 1
+        if norm_class(g) != assigned[k]:
+            well_defined = False
     injective = len(set(assigned)) == len(assigned)
     surjective = set(assigned) == set(range(len(target)))
     equivariant = True

@@ -48,9 +48,8 @@ from .grouplib import (
     mat_transpose,
     mat_vec,
 )
-from .modp import left_inverse, rref
 
-_RHO_CACHE_CAP = 6000
+_STEP_CACHE_CAP = 6000
 _EXACT_BOUND = 2**53  # float64 holds every integer below this exactly
 _PATH_CHUNK = 1 << 20  # Siegel-word paths evaluated per numpy batch
 
@@ -161,8 +160,7 @@ class RepContext:
         self.gauss_inv = self.gauss.inverse()
         self._every = np.arange(self.dim, dtype=np.intp)  # read-only: shared by steps
         self._flat = np.zeros(self.dim, dtype=np.intp)  # ζ-exponents of a permutation step
-        self._cache_cap = _RHO_CACHE_CAP if self.dim <= 32 else 700
-        self._rho_cache: dict = {}
+        self._cache_cap = _STEP_CACHE_CAP if self.dim <= 32 else 700
         self._step_cache: dict = {}
         self._gauss_pow: dict[int, CycNum] = {}
         self._gal_perm: dict[int, np.ndarray] = {}
@@ -218,17 +216,17 @@ class RepContext:
 
     # -- the steps of ρ(g) ----------------------------------------------------------
 
-    def _steps(self, g, keep: bool = True) -> tuple[int, int, list, bool]:
+    def _steps(self, g) -> tuple[int, int, list]:
         """ρ(g) = sign·G^{-n·w}·F_1⋯F_k for g in Sp, H or Sp·H.
 
-        Returns (sign, w, [F_1, …, F_k], symplectic).  A monomial step
-        (cols, exps) has the entry ζ^exps[y] at (y, cols[y]); a Weyl step
-        (bty, None) has the entry ζ^(x·Bᵀy) at (y, x), bty holding the point
-        index of Bᵀy.  The Sp part of g gives the steps of its Siegel word,
-        whose Levi and Weyl signs make up sign and whose w Weyl factors each
-        carry G^{-n}; the H part gives one monomial step.  The Sp part's
-        steps are kept (bounded) when keep is set or g has an H part;
-        symplectic says g has none.
+        Returns (sign, w, [F_1, …, F_k]).  A monomial step (cols, exps) has
+        the entry ζ^exps[y] at (y, cols[y]); a Weyl step (bty, None) has the
+        entry ζ^(x·Bᵀy) at (y, x), bty holding the point index of Bᵀy.  The
+        Sp part of g gives the steps of its Siegel word, whose Levi and Weyl
+        signs make up sign and whose w Weyl factors each carry G^{-n}; the H
+        part gives one monomial step.  The Sp part's steps are the context's
+        one memo, kept (bounded) when g has an H part, where one Sp part
+        serves many H parts.
         """
         kind = _element_kind(g, self.n)
         s, h = (g, None) if kind == "sp" else (None, g) if kind == "heis" else g
@@ -237,12 +235,12 @@ class RepContext:
             got = self._step_cache.get(s)
             if got is None:
                 got = self._sp_steps(s)
-                if keep or h is not None:
+                if h is not None:
                     _remember(self._step_cache, s, got, self._cache_cap)
             sign, w, steps = got
         if h is not None:
             steps = steps + [self._heis_step(h)]
-        return sign, w, steps, h is None
+        return sign, w, steps
 
     def _sp_steps(self, s: tuple) -> tuple[int, int, list]:
         """Sign, Weyl count and steps of the Siegel word of a symplectic s."""
@@ -349,17 +347,11 @@ class RepContext:
     def build_rho(self, g) -> WeilOperator:
         """ρ of a symplectic matrix, Heisenberg element, or (s, h) product:
         the product of the dense factors of its steps."""
-        out = self._rho_cache.get(g)
-        if out is None:
-            sign, w, steps, symplectic = self._steps(g)
-            out = self._dense(steps[0], sign)
-            for step in steps[1:]:
-                out = out @ self._dense(step)
-            if w:
-                out = out.scale(self._weyl_constant(w))
-            if symplectic:
-                _remember(self._rho_cache, g, out, self._cache_cap)
-        return out
+        sign, w, steps = self._steps(g)
+        out = self._dense(steps[0], sign)
+        for step in steps[1:]:
+            out = out @ self._dense(step)
+        return out.scale(self._weyl_constant(w)) if w else out
 
     def extended_trace(self, i: int, g) -> CycNum:
         """tr ρ̃'(σ^i, g) = tr(ρ(g)·I_σ^i) for g in Sp·H at this level: the
@@ -373,7 +365,7 @@ class RepContext:
         at most one Weyl step cost O(dim), the singular-corner word with two
         costs O(dim²).
         """
-        sign, w, steps, _ = self._steps(g, keep=False)
+        sign, w, steps = self._steps(g)
         dim, p = self.dim, self.p
         goal, exp = self.galois_perm(-i), np.zeros(dim, dtype=np.int64)  # row y ↦ σ^i(y)
         last = len(steps)
@@ -419,32 +411,30 @@ class RepContext:
 class _Coordinates:
     """Basis points of a RepContext as vectors over F_p.
 
-    The trace form is F_p-bilinear, so with coordinates c over an F_p-basis
-    β of the level and Gram matrix T[a, b] = Tr(scale·β_a·β_b), the
-    ψ'-exponent of x·w for points x, w is c(x)·(1_n ⊗ T)·c(w) mod p, and
-    an F_p-linear map of points (mat·y, Frobenius) is a linear map of
-    coordinates.  Building the model costs O(k²) tower multiplications for
-    the F_p-dimension k of the level.
+    The coordinates of elems[r], for the level's elements elems, are the
+    base-p digits of r: its coefficients on the tower's level basis β, whose
+    vectors are elems[p^a].  The trace form is F_p-bilinear, so with Gram
+    matrix T[a, b] = Tr(scale·β_a·β_b) the ψ'-exponent of x·w for points x, w
+    is c(x)·(1_n ⊗ T)·c(w) mod p, and an F_p-linear map of points (mat·y,
+    Frobenius) is a linear map of coordinates.  Building the model costs
+    O(k²) tower multiplications for the F_p-dimension k of the level.
     """
 
     def __init__(self, ctx: RepContext):
         tower, p, n = ctx.tower, ctx.p, ctx.n
         elems = tower.level_elements(ctx.level)
+        k = len(tower.level_pivots(ctx.level))
         self.ctx = ctx
-        place = [p**a for a in range(tower.ambient_degree)]
-        digits = np.array([[tower.elem_key(x) // w % p for w in place] for x in elems], dtype=np.int64)
-        _, basis = rref(digits.T, p)  # positions of an F_p-basis among the elements
-        self.basis = [elems[k] for k in basis]
-        coords = digits @ left_inverse(digits[basis].T, p).T % p
-        self._of = dict(zip(elems, coords))
+        self.basis = [elems[p**a] for a in range(k)]
+        place = p ** np.arange(k)
+        self._of = dict(zip(elems, np.arange(len(elems))[:, None] // place % p))
         psi = [[tower.psi_exponent(tower.mul(a, b), ctx.level, ctx.scale) for b in self.basis] for a in self.basis]
         gram = np.array(psi, dtype=np.int64)
         self.pts = np.array([self.vector(y) for y in ctx.points])
         self._gram = np.kron(np.eye(n, dtype=np.int64), gram)
         self.pts_g = self.pts @ self._gram % p
-        self._weights = p ** np.arange(self.pts.shape[1], dtype=np.int64)
-        self._pos = np.empty(ctx.dim, dtype=np.intp)
-        self._pos[self.pts @ self._weights] = np.arange(ctx.dim)
+        # point (elems[r_0], …, elems[r_{n-1}]) has index Σ_i r_i·Q^(n-1-i)
+        self._weights = np.outer(len(elems) ** np.arange(n - 1, -1, -1), place).ravel()
 
     def vector(self, v) -> np.ndarray:
         """Coordinates of a tuple v of level elements, concatenated."""
@@ -466,7 +456,7 @@ class _Coordinates:
 
     def index(self, coords: np.ndarray) -> np.ndarray:
         """Point indices of coordinate rows."""
-        return self._pos[coords @ self._weights]
+        return coords @ self._weights
 
     def pairing(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
         """ψ'-exponents of x·w for coordinate rows xs, ws, entrywise."""
@@ -598,11 +588,7 @@ def _similitude_cosets(ctx: RepContext, j: int):
 
 def gsp_character_values(ctx: RepContext, partition) -> dict:
     """Values of π_d = Ind_{Sp}^{GSp} ρ_d on the classes of GSp(F_{q^d})."""
-    gsp, pairs, in_sp = _similitude_cosets(ctx, 0)
-    return {
-        rep: induced_trace(gsp, pairs, rep, in_sp, lambda z: ctx.build_rho(z).trace())
-        for rep in partition.reps
-    }
+    return {rep: extended_gsp_trace(ctx, 0, rep) for rep in partition.reps}
 
 
 def extended_gsp_trace(ctx: RepContext, i: int, g: tuple) -> CycNum:

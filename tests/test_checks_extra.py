@@ -2,7 +2,7 @@
 
 import random
 
-from weilbc.checks import RunConfig, run_check
+from weilbc.checks import RunConfig, Workspace, check_star, run_check
 from weilbc.cli import main
 from weilbc.cyclotomic import CycNum
 from weilbc.fieldtower import build_tower
@@ -101,3 +101,22 @@ def test_support_check_zero_points_really_vanish():
     assert report.ok
     offs = [c for c in report.cases if "[off conjugates]" in c.input]
     assert offs and all(c.lhs == CycNum.zero(3).to_text() for c in offs)
+
+
+def test_star_builds_one_operator_per_distinct_norm(monkeypatch):
+    """Exhaustive star over SL2(F9) traces ρ_d(N) once for each norm N it reaches."""
+    cfg = RunConfig(p=3, n=1, m=2, pairs=((1, 1),), sample="all")
+    ws = Workspace(cfg)
+    built = []
+    build = RepContext.build_rho
+
+    def counting(ctx, g):
+        built.append(g)
+        return build(ctx, g)
+
+    monkeypatch.setattr(RepContext, "build_rho", counting)
+    cases = check_star(ws)
+    sl = ws.sp()
+    norms = {gyoja_norm(cfg.norm_cfgs()[0], sl, g, cfg.ambient_cap) for g in sl.elements()}
+    assert len(cases) == len(sl.elements()) and all(c.equal for c in cases)
+    assert sorted(built) == sorted(norms) and len(norms) < len(cases)

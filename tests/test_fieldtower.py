@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weilbc import modp
 from weilbc.cyclotomic import CycNum
 from weilbc.errors import EvenCharacteristic, LevelMismatch, NotPrime, ZeroArgument
 from weilbc.fieldtower import Tower, build_tower, enlarge_tower, get_embedding
@@ -231,3 +232,21 @@ def test_frob_matrix_property(kind, data, j):
     power = t.pow(x, t.q ** (j % t.m))  # σ has order m on the ambient field
     assert np.array_equal(t.frob_matrix(j) @ _digits(t, x) % t.p, _digits(t, t.frobenius(x, j)))
     assert t.frobenius(x, j) == power
+
+
+LEVEL_TOWERS = [(3, 1, 2), (3, 1, 3), (3, 1, 6), (3, 1, 8), (3, 2, 3), (5, 1, 2), (5, 1, 3),
+                (7, 1, 2), (7, 1, 3), (11, 1, 2)]
+
+
+@pytest.mark.parametrize("key, d", [(key, d) for key in LEVEL_TOWERS for d in range(1, key[2] + 1) if key[2] % d == 0])
+def test_level_model_matches_sorted_span(key, d):
+    """level_elements(d) is the span of the fixed-field kernel basis sorted by
+    elem_key, and the pivot digits of element r read r in base p."""
+    t = build_tower(*key)
+    kernel = modp.kernel_basis((t.frob_matrix(d) - np.eye(t.ambient_degree, dtype=np.int64)) % t.p, t.p)
+    span = [t._encode(np.array(c) @ kernel) for c in np.ndindex(*[t.p] * len(kernel))]
+    assert t.level_elements(d) == sorted(span, key=t.elem_key)
+    pivots = t.level_pivots(d)
+    assert len(pivots) == t.base_degree * d and pivots == sorted(pivots)
+    ranks = t.digit_array(t.level_elements(d))[:, pivots].astype(np.int64) @ t.p ** np.arange(len(pivots))
+    assert np.array_equal(ranks, np.arange(t.q**d))

@@ -328,3 +328,65 @@ def test_norm_class_invariant_property(p, m, similitude, i, seed):
     c1 = part.index_of(gyoja_norm(cfg, spec, g))
     c2 = part.index_of(gyoja_norm(cfg, spec, spec.twisted_conj(x, g, i)))
     assert c1 == c2
+
+
+def _members_by_full_walk(spec, tw, members_per_class):
+    """The members verify_bijection checks, by a walk over every element of spec."""
+    counts, out = [0] * len(tw.reps), []
+    for g in spec.elements():
+        k = tw.index_of(g)
+        if counts[k] >= members_per_class - 1 or g == tw.reps[k]:
+            continue
+        counts[k] += 1
+        out.append(g)
+    return out
+
+
+def _normed(monkeypatch):
+    """Record the elements verify_bijection norms, in order."""
+    seen, norm = [], normmap.gyoja_norm
+
+    def recording(cfg, spec, g, ambient_cap):
+        seen.append(g)
+        return norm(cfg, spec, g, ambient_cap)
+
+    monkeypatch.setattr(normmap, "gyoja_norm", recording)
+    return seen
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("members", [2, 3])
+def test_bijection_members_match_the_full_walk(p, members, monkeypatch):
+    t = build_tower(p, 1, 2)
+    sl, sl1 = SympGroup(t, 1, 2), SympGroup(t, 1, 1)
+    tw = twisted_classes(sl, 1)
+    seen = _normed(monkeypatch)
+    rep = verify_bijection(choose_t(1, 2), sl, sl1, members_per_class=members)
+    assert rep.well_defined and rep.injective and rep.surjective and rep.sigma_equivariant
+    # reps first, then the members, then two norms per rep for σ-equivariance
+    assert seen[: len(tw.reps)] == tw.reps
+    assert seen[len(tw.reps) : len(seen) - 2 * len(tw.reps)] == _members_by_full_walk(sl, tw, members)
+
+
+class _Visits(dict):
+    """A class_of mapping that counts the elements looked up or iterated."""
+
+    visits = 0
+
+    def get(self, key, default=None):
+        self.visits += 1
+        return super().get(key, default)
+
+    def items(self):
+        for item in super().items():
+            self.visits += 1
+            yield item
+
+
+def test_bijection_stops_once_every_class_has_its_members():
+    t = build_tower(5, 1, 2)
+    sl, sl1 = SympGroup(t, 1, 2), SympGroup(t, 1, 1)
+    tw = twisted_classes(sl, 1)
+    tw.class_of = _Visits(tw.class_of)
+    verify_bijection(choose_t(1, 2), sl, sl1)
+    assert 0 < tw.class_of.visits < len(sl.elements())

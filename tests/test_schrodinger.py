@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from weilbc import schrodinger
+from weilbc.characters import induced_trace, weil_torus_restriction
 from weilbc.cyclotomic import CycNum
 from weilbc.errors import NotSymplectic, OperatorOverflow, Singular
 from weilbc.fieldtower import build_tower
-from weilbc.grouplib import HeisGroup, SpHGroup, SympGroup, mat_mul, sp_act_heis
+from weilbc.grouplib import HeisGroup, SpHGroup, SympGroup, TorusSL2, conjugacy_classes, mat_mul, sp_act_heis
 from weilbc.normmap import choose_t, gyoja_norm
-from weilbc.schrodinger import RepContext, WeilOperator, siegel_factor
+from weilbc.schrodinger import RepContext, WeilOperator, gsp_character_values, siegel_factor
 
 
 @pytest.fixture(scope="module")
@@ -250,12 +251,6 @@ def test_extended_trace_is_twisted_class_function(ctx2, t92):
         assert ctx2.extended_trace(i, g) == ctx2.extended_trace(i, sph.twisted_conj(h, g, i))
 
 
-def test_rho_memoized(ctx2, t92):
-    sl = SympGroup(t92, 1, 2)
-    g = sl.random(random.Random(1))
-    assert ctx2.build_rho(g) is ctx2.build_rho(g)
-
-
 def _refuse(*args):
     raise AssertionError("the extended trace built a dense operator")
 
@@ -290,6 +285,43 @@ def test_extended_trace_monomial_path_matches_product(ctx2, t92, monkeypatch):
             assert fast == _dense_sph_trace(ctx, i, s, h)
 
 
+@pytest.mark.parametrize("level", [1, 2])
+def test_character_values_walk_the_steps(t92, level, monkeypatch):
+    """GSp2 class values and torus values equal dense traces and build no operator."""
+    ctx = RepContext(t92, 1, level)
+    gsp = SympGroup(t92, 1, level, similitude=True)
+    part = conjugacy_classes(gsp)
+    tor = TorusSL2(t92, level)
+    reps = [gsp.similitude_rep(x) for x in t92.level_elements(level) if x != t92.zero]
+    pairs = [(gsp.inv(r), r) for r in reps]
+
+    def in_sp(z):  # GSp2 = GL2: Sp2 = SL2 is the determinant-one part
+        return t92.sub(t92.mul(z[0], z[3]), t92.mul(z[1], z[2])) == t92.one
+
+    dense_gsp = {rep: induced_trace(gsp, pairs, rep, in_sp, lambda z: ctx.build_rho(z).trace())
+                 for rep in part.reps}
+    dense_torus = [ctx.build_rho(g).trace() for g in tor.elements()]
+    with monkeypatch.context() as mp:
+        mp.setattr(RepContext, "build_rho", _refuse)
+        walked_gsp = gsp_character_values(ctx, part)
+        walked_torus = [tr for _, tr, _ in weil_torus_restriction(ctx, tor)]
+    assert walked_gsp == dense_gsp
+    assert walked_torus == dense_torus
+
+
+@pytest.mark.parametrize("key, level", [((3, 1, 2), 2), ((3, 1, 6), 3)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_coordinates_index_every_point(key, level, n):
+    """Point r has the base-p digits of its entries' ranks as coordinates, on
+    tabulated and tuple towers."""
+    t = build_tower(*key)
+    ctx = RepContext(t, n, level)
+    coords = ctx._coordinates()
+    assert np.array_equal(coords.index(coords.pts), np.arange(ctx.dim))
+    elems = t.level_elements(level)
+    assert coords.basis == [elems[t.p**a] for a in range(len(t.level_pivots(level)))]
+
+
 def test_steps_factor_the_sp_part_once(t92, monkeypatch):
     calls = []
 
@@ -306,8 +338,8 @@ def test_steps_factor_the_sp_part_once(t92, monkeypatch):
     assert calls == [s]
     g = SympGroup(t92, 2, 2).random(rng)
     ctx.build_rho(g)
-    ctx.extended_trace(1, g)  # build_rho, then a trace of the same element
-    assert calls == [s, g]
+    ctx.extended_trace(1, g)  # a symplectic element's steps are not kept
+    assert calls == [s, g, g]
 
 
 def _reference_heis(ctx, h):
