@@ -214,11 +214,15 @@ class Tower:
             return self._digits.astype(dtype)[np.fromiter(elems, dtype=np.min_scalar_type(self.size - 1))]
         return np.fromiter(chain.from_iterable(elems), dtype=dtype).reshape(-1, self._A)
 
-    def _encode(self, vec: np.ndarray):
-        vec = np.asarray(vec, dtype=np.int64) % self.p
+    def from_digit_array(self, digits: np.ndarray) -> tuple:
+        """Elements of digit rows, the inverse of digit_array."""
+        digits = np.asarray(digits, dtype=np.int64) % self.p
         if self.tabulated:
-            return int(vec @ np.array(self._ppow[: self._A], dtype=np.int64))
-        return tuple(int(v) for v in vec)
+            return tuple((digits @ np.array(self._ppow[: self._A], dtype=np.int64)).tolist())
+        return tuple(map(tuple, digits.tolist()))
+
+    def _encode(self, vec: np.ndarray):
+        return self.from_digit_array(np.reshape(vec, (1, -1)))[0]
 
     def elem_key(self, x) -> int:
         """Canonical enumeration index of an element."""
@@ -310,7 +314,28 @@ class Tower:
 
     def mul_matrix(self, y) -> np.ndarray:
         """Matrix of x ↦ y·x: column k is the digit vector of y·x^k."""
-        return (self._decode(y) @ self._windows).T % self.p
+        return self.block_matrix(np.reshape(self._decode(y), (1, 1, -1)))
+
+    def block_matrix(self, x: np.ndarray) -> np.ndarray:
+        """F_p-matrix of v ↦ x·v for digit matrices x of shape (…, s, t, A), batched
+        over the leading axes: shape (…, s·A, t·A) on stacked digit columns.  Raises
+        InvariantBroken, before any product, when a product with reduced digit columns
+        (t·A terms of at most (p−1)²) could leave int64."""
+        A, (s, t) = self._A, x.shape[-3:-1]
+        if t * A * (self.p - 1) ** 2 > np.iinfo(np.int64).max:
+            raise InvariantBroken(f"{t * A} products of digits mod {self.p} could overflow int64")
+        x = np.asarray(x, dtype=np.int64)
+        # [..., i, k, r, c]: digit c of x_ik·x^r, from the windows of [I_A; _redmat]
+        blocks = (x @ self._windows.reshape(A, A * A) % self.p).reshape(*x.shape[:-1], A, A)
+        return blocks.swapaxes(-1, -2).swapaxes(-2, -3).reshape(*x.shape[:-3], s * A, t * A)
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products of digit matrices a (…, s, t, A) and b (…, t, u, A), batched
+        over the leading axes by numpy broadcasting; digits reduced mod p."""
+        A, (s, t), u = self._A, a.shape[-3:-1], b.shape[-2]
+        cols = np.swapaxes(np.asarray(b, dtype=np.int64), -2, -1).reshape(*b.shape[:-3], t * A, u)
+        out = self.block_matrix(a) @ cols % self.p
+        return np.swapaxes(out.reshape(*out.shape[:-2], s, A, u), -2, -1)
 
     # -- levels ----------------------------------------------------------------
 
@@ -363,7 +388,7 @@ class Tower:
                 raise LevelMismatch(f"level {d} too large to enumerate")
             basis = self._level_basis(d)
             digits = np.arange(lv.size)[:, None] // self.p ** np.arange(len(basis)) % self.p
-            lv.elements = [self._encode(v) for v in digits @ basis]
+            lv.elements = list(self.from_digit_array(digits @ basis))
         return lv.elements
 
     def in_level(self, x, d: int) -> bool:
@@ -500,17 +525,23 @@ class Embedding:
         self._mat = np.array(cols, dtype=np.int64).T % p  # (A2, A1)
         self._left_inv = modp.left_inverse(self._mat, p)
 
+    def embed_digits(self, x: np.ndarray) -> np.ndarray:
+        """Destination digits (…, A2) of source digit rows (…, A1)."""
+        return np.asarray(x, dtype=np.int64) @ self._mat.T % self.src.p
+
+    def pull_back_digits(self, y: np.ndarray) -> np.ndarray:
+        """Source digits (…, A1) of destination digit rows (…, A2) in the embedded subfield."""
+        y = np.asarray(y, dtype=np.int64) % self.src.p
+        coef = y @ self._left_inv.T % self.src.p
+        if not np.array_equal(self.embed_digits(coef), y):
+            raise LevelMismatch("element is not in the embedded subfield")
+        return coef
+
     def embed(self, x):
-        vec = self.src._decode(x)
-        out = self._mat @ vec % self.src.p
-        return self.dst._encode(out)
+        return self.dst._encode(self.embed_digits(self.src._decode(x)))
 
     def pull_back(self, y):
-        vec = self.dst._decode(y)
-        coef = self._left_inv @ vec % self.src.p
-        if not np.array_equal(self._mat @ coef % self.src.p, vec % self.src.p):
-            raise LevelMismatch("element is not in the embedded subfield")
-        return self.src._encode(coef)
+        return self.src._encode(self.pull_back_digits(self.dst._decode(y)))
 
 
 _EMBED_CACHE: dict[tuple[int, int, int, int, int], Embedding] = {}

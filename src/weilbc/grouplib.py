@@ -209,9 +209,6 @@ class GroupSpec:
             out = self.mul(out, rng.choice(gens))
         return out
 
-    def conj(self, h, a):
-        return self.mul(self.mul(h, a), self.inv(h))
-
     def twisted_conj(self, h, a, i: int):
         """a ↦ h·a·σ^i(h)^{-1}, the conjugation action on the coset σ^i ⋉ G."""
         return self.mul(self.mul(h, a), self.inv(self.frob(h, i)))

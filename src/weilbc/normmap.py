@@ -8,15 +8,18 @@ exactly when the d-twisted product of k copies of the target is trivial, so
 the minimal field of definition is computed first (a cheap loop at level m)
 and the equation is then solved by exact linear algebra over F_p.  The matrix
 equation σ^d(α) = α·h decouples into row equations σ^d(v) = v·h, the kernel of
-one F_p-linear system u ↦ σ^d(u) − hᵀ·u on vectors over the ambient field,
-assembled from the tower's Frobenius and multiplication matrices
-(`_semilinear`):
+one F_p-linear system u ↦ σ^d(u) − hᵀ·u (`_semilinear`):
 
 * for symplectic h the solution space carries an F_{q^d}-symplectic form
   v, w ↦ v·J·wᵀ, and a Darboux basis of that form stacks to a symplectic
   witness;
 * for similitude groups any F_{q^d}-basis of the solution space stacks to an
   invertible witness.
+
+Everything over the ambient field (the system, the basis, the checks, the
+conjugation by α and the pull-back of the norm) works on digit arrays of shape
+(…, rows, columns, ambient degree) through `Tower.matmul` and
+`Tower.block_matrix`; elements are encoded once, for the witness and the norm.
 """
 
 from __future__ import annotations
@@ -27,19 +30,9 @@ from math import gcd
 import numpy as np
 
 from . import modp
-from .errors import ConfigInvalid, WitnessFailed
+from .errors import ConfigInvalid, Singular, WitnessFailed
 from .fieldtower import Embedding, Tower, enlarge_tower
-from .grouplib import (
-    GroupSpec,
-    SympGroup,
-    SympSpace,
-    conjugacy_classes,
-    mat_det,
-    mat_frob,
-    mat_mul,
-    mat_transpose,
-    twisted_classes,
-)
+from .grouplib import GroupSpec, SympGroup, conjugacy_classes, twisted_classes
 
 _K0_GUARD = 100_000
 DEFAULT_AMBIENT_CAP = 64
@@ -108,92 +101,108 @@ def _min_defining_level(spec: SympGroup, h: tuple, d: int) -> int:
     return k
 
 
-def _semilinear(big: Tower, d: int, M: tuple, n2: int) -> np.ndarray:
-    """F_p-matrix of u ↦ σ^d(u) − M·u on column vectors u of n2 ambient entries."""
-    blocks = [[-big.mul_matrix(M[r * n2 + c]) for c in range(n2)] for r in range(n2)]
-    frob = np.kron(np.eye(n2, dtype=np.int64), big.frob_matrix(d))
-    return (np.block(blocks) + frob) % big.p
+def _semilinear(big: Tower, d: int, h: np.ndarray) -> np.ndarray:
+    """F_p-matrix of u ↦ σ^d(u) − hᵀ·u on stacked digit columns u of n2 ambient entries."""
+    frob = np.kron(np.eye(h.shape[0], dtype=np.int64), big.frob_matrix(d))
+    return (frob - big.block_matrix(np.swapaxes(h, 0, 1))) % big.p
 
 
-def _split(big: Tower, vec: np.ndarray, n2: int) -> tuple:
-    """Ambient entries of a stacked digit vector."""
-    A = big.ambient_degree
-    return tuple(big._encode(vec[k * A : (k + 1) * A]) for k in range(n2))
+def _j(x: np.ndarray, axis: int) -> np.ndarray:
+    """J·x along axis 0 or 1, of length 2n: (x_{n..2n-1}, −x_{0..n-1})."""
+    x = x.swapaxes(0, axis)
+    n = len(x) // 2
+    return np.concatenate([x[n:], -x[:n]]).swapaxes(0, axis)
 
 
-def _fqd_basis_rows(big: Tower, d: int, rows: list[tuple], n2: int) -> list[tuple]:
-    """Select n2 of the length-n2 rows that are independent over F_{q^d}."""
-    p = big.p
-    scalars = big._level_basis(d).T  # digit columns of an F_p-basis of F_{q^d}
-    chosen: list[tuple] = []
-    echelon = np.zeros((0, n2 * big.ambient_degree), dtype=np.int64)
+def _pairing(big: Tower, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """⟨u_a, w_b⟩ = u_a·J·w_bᵀ for digit rows u (k, n2, A) and w (l, n2, A): shape (k, l, A)."""
+    return big.matmul(u, np.swapaxes(_j(w, 1) % big.p, 0, 1))
+
+
+def _level_inverse(big: Tower, c: np.ndarray, d: int) -> np.ndarray:
+    """Digits of c⁻¹ = c^{q^d − 2} for c in F_{q^d}^×, by squaring on the kernel."""
+    out = base = c.reshape(1, 1, -1)
+    for bit in bin(big.q**d - 2)[3:]:  # square and multiply below the leading bit
+        out = big.matmul(out, out)
+        if bit == "1":
+            out = big.matmul(out, base)
+    return out[0, 0]
+
+
+def _fqd_basis_rows(big: Tower, d: int, rows: np.ndarray) -> np.ndarray:
+    """Select n2 of the digit rows (k, n2, A) that are independent over F_{q^d}."""
+    p, n2 = big.p, rows.shape[1]
+    scalars = big._level_basis(d)[:, None, None]  # an F_p-basis of F_{q^d}, as 1×1 matrices
+    chosen = []
+    echelon, pivots = np.zeros((0, rows[0].size), dtype=np.int64), []
     for row in rows:
-        vec = np.concatenate([big._decode(x) for x in row])
-        if modp.solve(echelon.T, vec, p) is not None:
+        vec = row.reshape(-1)
+        if not ((vec - vec[pivots] @ echelon) % p).any():
             continue
         chosen.append(row)
-        # the F_{q^d}-line of the row: its products with each basis scalar
-        line = np.concatenate([big.mul_matrix(x) @ scalars for x in row]).T % p
-        echelon = np.vstack([echelon, line])
         if len(chosen) == n2:
-            return chosen
+            return np.stack(chosen)
+        # the F_{q^d}-line of the row, its products with each basis scalar, kept in reduced echelon form
+        line = big.matmul(scalars, row[None]).reshape(len(scalars), -1)
+        echelon, pivots = modp.rref(np.vstack([echelon, line]), p)
+        echelon = echelon[: len(pivots)]
     raise WitnessFailed("Lang solution space thinner than expected")
 
 
-def _darboux_alpha(big: Tower, d: int, rows: list[tuple], n: int) -> tuple:
+def _darboux_alpha(big: Tower, d: int, rows: np.ndarray) -> np.ndarray:
     """Stack a Darboux basis of the row space into a symplectic witness."""
-    space = SympSpace(n)
-
-    def form(u, w):
-        return space.form(big, u, w)
-
-    left = list(rows)
+    p = big.p
+    left = rows
     us, ws = [], []
-    while left:
-        u = left.pop(0)
-        pick = next((k for k, w in enumerate(left) if form(u, w) != big.zero), None)
-        if pick is None:
+    while len(left):
+        u, left = left[0], left[1:]
+        forms = _pairing(big, u[None], left)[0]
+        pick = np.flatnonzero(forms.any(axis=1))
+        if not pick.size:
             raise WitnessFailed("degenerate pairing on Lang solution space")
-        w = left.pop(pick)
-        c = form(u, w)
-        if big.frobenius(c, d) != c:
+        c = forms[pick[0]]
+        if not np.array_equal(c @ big.frob_matrix(d).T % p, c):
             raise WitnessFailed("pairing escaped the fixed field")
-        ci = big.inv(c)
-        w = tuple(big.mul(ci, x) for x in w)
-        new_left = []
-        for z in left:
-            a = form(z, w)
-            b = form(z, u)
-            zz = tuple(
-                big.add(big.sub(zc, big.mul(a, uc)), big.mul(b, wc))
-                for zc, uc, wc in zip(z, u, w)
-            )
-            new_left.append(zz)
-        left = new_left
+        w = big.matmul(_level_inverse(big, c, d)[None, None], left[pick[0]][None])[0]
+        left = np.delete(left, pick[0], axis=0)
+        if len(left):  # z ↦ z − ⟨z, w⟩·u + ⟨z, u⟩·w
+            ab = _pairing(big, left, np.stack([w, u]))
+            coef = np.stack([-ab[:, 0], ab[:, 1]], axis=1) % p
+            left = (left + big.matmul(coef, np.stack([u, w]))) % p
         us.append(u)
         ws.append(w)
-    rows_out = us + ws
-    return tuple(x for row in rows_out for x in row)
+    return np.stack(us + ws)
 
 
-def _lang_matrix(big_spec: SympGroup, h_big: tuple, d: int) -> tuple:
-    """Witness of σ^d(α) = α·h for a matrix h in Sp or GSp."""
-    big, n2 = big_spec.tower, big_spec.size
-    kern = modp.kernel_basis(_semilinear(big, d, mat_transpose(h_big, n2), n2), big.p)
-    basis = _fqd_basis_rows(big, d, [_split(big, v, n2) for v in kern], n2)
+def _inverse(big_spec: SympGroup, alpha: np.ndarray) -> np.ndarray:
+    """Digits of α⁻¹: J⁻¹·αᵀ·J on Sp, division-free; on GSp from the inverse of
+    α's F_p block matrix, whose block (i, k) has the digits of (α⁻¹)_ik in column 0."""
+    big = big_spec.tower
     if not big_spec.similitude:
-        alpha = _darboux_alpha(big, d, basis, n2 // 2)
-        # SympGroup.inv is exact only on Sp: check α·J·αᵀ = J on pairs of rows
-        rows = [alpha[k * n2 : (k + 1) * n2] for k in range(n2)]
-        J = big_spec.space.gram(big)
-        if any(big_spec.space.form(big, rows[a], rows[b]) != J[a * n2 + b]
-               for a in range(n2) for b in range(a + 1, n2)):
+        return _j(np.swapaxes(_j(alpha, 0), 0, 1), 0) % big.p
+    n2, A = alpha.shape[0], big.ambient_degree
+    try:
+        inv = modp.left_inverse(big.block_matrix(alpha), big.p)
+    except Singular:
+        raise WitnessFailed("Lang witness is singular") from None
+    return np.moveaxis(inv.reshape(n2, A, n2, A)[..., 0], 1, 2)
+
+
+def _lang_matrix(big_spec: SympGroup, h: np.ndarray, d: int) -> np.ndarray:
+    """Digits of a witness of σ^d(α) = α·h for digits h of a matrix in Sp or GSp."""
+    big, n2 = big_spec.tower, big_spec.size
+    kern = modp.kernel_basis(_semilinear(big, d, h), big.p)
+    basis = _fqd_basis_rows(big, d, kern.reshape(len(kern), n2, -1))
+    if not big_spec.similitude:
+        alpha = _darboux_alpha(big, d, basis)
+        # the Sp inverse J⁻¹·αᵀ·J is exact only on Sp: check α·J·αᵀ = J
+        gram = big.digit_array(big_spec.space.gram(big)).reshape(alpha.shape)
+        if not np.array_equal(_pairing(big, alpha, alpha), gram):
             raise WitnessFailed("Darboux witness is not symplectic")
     else:
-        alpha = tuple(x for row in basis for x in row)
-        if mat_det(big, alpha, n2) == big.zero:
-            raise WitnessFailed("Lang witness is singular")
-    if mat_frob(big, alpha, d) != mat_mul(big, alpha, h_big, n2):
+        alpha = basis
+        _inverse(big_spec, alpha)  # raises WitnessFailed on a singular α
+    if not np.array_equal(alpha @ big.frob_matrix(d).T % big.p, big.matmul(alpha, h)):
         raise WitnessFailed("Lang witness verification failed")
     return alpha
 
@@ -203,8 +212,8 @@ def lang_solve(spec: SympGroup, h: tuple, d: int, ambient_cap: int = DEFAULT_AMB
     k0 = _min_defining_level(spec, h, d)
     big, emb = enlarge_tower(spec.tower, d * k0, ambient_cap)
     big_spec = SympGroup(big, spec.n, big.m, similitude=spec.similitude)
-    alpha = _lang_matrix(big_spec, tuple(map(emb.embed, h)), d)
-    return LangWitness(alpha=alpha, ambient_degree=big.m, embedding=emb, group=big_spec)
+    alpha = _lang_matrix(big_spec, emb.embed_digits(spec.tower.digit_array(h)).reshape(spec.size, spec.size, -1), d)
+    return LangWitness(big.from_digit_array(alpha.reshape(-1, big.ambient_degree)), big.m, emb, big_spec)
 
 
 def gyoja_norm(cfg: NormConfig, spec: SympGroup, g, ambient_cap: int = DEFAULT_AMBIENT_CAP) -> tuple:
@@ -224,11 +233,13 @@ def gyoja_norm(cfg: NormConfig, spec: SympGroup, g, ambient_cap: int = DEFAULT_A
     target = twisted_product(spec, cfg.i, g, cfg.t)
     witness = lang_solve(spec, target, cfg.d, ambient_cap)
     big_spec, emb = witness.group, witness.embedding
-    p_mu = twisted_product(spec, cfg.i, g, cfg.mu)
-    out = big_spec.conj(witness.alpha, tuple(map(emb.embed, p_mu)))
-    if big_spec.frob(out, cfg.d) != out:
+    big, n2 = big_spec.tower, spec.size
+    alpha = big.digit_array(witness.alpha).astype(np.int64).reshape(n2, n2, -1)
+    p_mu = emb.embed_digits(spec.tower.digit_array(twisted_product(spec, cfg.i, g, cfg.mu))).reshape(n2, n2, -1)
+    out = big.matmul(big.matmul(alpha, p_mu), _inverse(big_spec, alpha))
+    if not np.array_equal(out @ big.frob_matrix(cfg.d).T % big.p, out):
         raise WitnessFailed("norm did not land at level d")
-    spec.norms[key] = got = tuple(map(emb.pull_back, out))
+    spec.norms[key] = got = spec.tower.from_digit_array(emb.pull_back_digits(out.reshape(n2 * n2, -1)))
     return got
 
 

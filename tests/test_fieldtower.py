@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from weilbc import modp
 from weilbc.cyclotomic import CycNum
-from weilbc.errors import EvenCharacteristic, LevelMismatch, NotPrime, ZeroArgument
+from weilbc.errors import EvenCharacteristic, InvariantBroken, LevelMismatch, NotPrime, ZeroArgument
 from weilbc.fieldtower import Tower, build_tower, enlarge_tower, get_embedding
+from weilbc.grouplib import mat_mul
+from weilbc.normmap import _level_inverse
 
 
 @pytest.fixture(scope="module")
@@ -250,3 +252,61 @@ def test_level_model_matches_sorted_span(key, d):
     assert len(pivots) == t.base_degree * d and pivots == sorted(pivots)
     ranks = t.digit_array(t.level_elements(d))[:, pivots].astype(np.int64) @ t.p ** np.arange(len(pivots))
     assert np.array_equal(ranks, np.arange(t.q**d))
+
+
+@pytest.mark.parametrize("kind", sorted(TOWERS))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), size=st.integers(1, 4))
+def test_matmul_matches_mat_mul(kind, data, size):
+    """The digit-matrix kernel, alone and batched, against entry-by-entry mat_mul."""
+    t, _, _ = data.draw(tower_and_elements(kind))
+    field = t.level_elements(t.m)
+    a, b = (tuple(data.draw(st.sampled_from(field)) for _ in range(size * size)) for _ in range(2))
+    da, db = (t.digit_array(x).reshape(size, size, -1) for x in (a, b))
+    got = t.matmul(np.stack([da, db]), db)
+    for k, left in enumerate((a, b)):
+        assert t.from_digit_array(got[k].reshape(size * size, -1)) == mat_mul(t, left, b, size)
+
+
+EMBEDDINGS = [((3, 1, 2), (3, 1, 4)), ((3, 1, 2), (3, 1, 6)), ((3, 1, 3), (3, 1, 6)),
+              ((5, 1, 2), (5, 1, 4)), ((7, 1, 1), (7, 1, 3)), ((3, 1, 6), (3, 1, 6))]
+
+
+@pytest.mark.parametrize("src_key, dst_key", EMBEDDINGS)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_digit_embedding_matches_scalar(src_key, dst_key, data):
+    src, dst = build_tower(*src_key), build_tower(*dst_key)
+    emb = get_embedding(src, dst)
+    xs = data.draw(st.lists(st.sampled_from(src.level_elements(src.m)), min_size=1, max_size=6))
+    up = emb.embed_digits(src.digit_array(xs))
+    assert dst.from_digit_array(up) == tuple(map(emb.embed, xs))
+    down = emb.pull_back_digits(up)
+    assert src.from_digit_array(down) == tuple(emb.pull_back(y) for y in dst.from_digit_array(up)) == tuple(xs)
+    if dst.ambient_degree > src.ambient_degree:  # the generator of dst lies in no proper subfield
+        gen = np.eye(dst.ambient_degree, dtype=np.int64)[1]
+        with pytest.raises(LevelMismatch):
+            emb.pull_back_digits(np.vstack([up, gen]))
+        with pytest.raises(LevelMismatch):
+            emb.pull_back(dst._encode(gen))
+
+
+@pytest.mark.parametrize("kind", sorted(TOWERS))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_level_inverse_matches_inv(kind, data):
+    """c^{q^d − 2} on the kernel against Tower.inv, for c in F_{q^d}^×."""
+    t, _, _ = data.draw(tower_and_elements(kind))
+    d = data.draw(st.sampled_from(t.levels()))
+    c = data.draw(st.sampled_from(t.level_elements(d)[1:]))
+    assert np.array_equal(_level_inverse(t, _digits(t, c), d), _digits(t, t.inv(c)))
+
+
+def test_matmul_refuses_products_past_int64():
+    """p = 2^31 − 1: two digit products fit in a partial sum, three could overflow."""
+    t = build_tower(2**31 - 1, 1, 1)
+    top = np.full((1, 2, 1), t.p - 1, dtype=np.int64)
+    assert t.matmul(top, top.reshape(2, 1, 1)).tolist() == [[[2]]]
+    wide = np.broadcast_to(np.int64(t.p - 1), (1, 3, 1))
+    with pytest.raises(InvariantBroken):
+        t.matmul(wide, wide.reshape(3, 1, 1))

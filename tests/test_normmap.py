@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from weilbc import normmap
 from weilbc.errors import AmbientCapExceeded, ConfigInvalid, WitnessFailed
-from weilbc.fieldtower import build_tower
+from weilbc.fieldtower import Tower, build_tower
 from weilbc.characters import indicator_basis, lift_class_function
 from weilbc.grouplib import SympGroup, TorusSL2, conjugacy_classes, mat_det, mat_frob, twisted_classes
 from weilbc.normmap import (
@@ -114,14 +116,14 @@ def test_lang_abelian_nonsquare_needs_f81(t92):
 def test_bad_witness_raises_witness_failed(t92, monkeypatch, symplectic, message):
     darboux = normmap._darboux_alpha
 
-    def perturbed(big, d, rows, n):
-        alpha = darboux(big, d, rows, n)
+    def perturbed(big, d, rows):
+        alpha = darboux(big, d, rows)  # digit rows, shape (2, 2, ambient degree)
         if not symplectic:  # swap the two rows: determinant -1
-            return alpha[2:] + alpha[:2]
-        # left factor [[1, x], [0, 1]] with x outside F_3: still symplectic, not Lang
-        x = big._encode(np.eye(big.ambient_degree, dtype=np.int64)[1])
-        sp = SympGroup(big, 1, big.m)
-        return sp.mul(sp.unipotent((x,)), alpha)
+            return alpha[::-1]
+        # left factor [[1, x], [0, 1]] with x, the ambient generator, outside F_3: still symplectic, not Lang
+        left = np.zeros_like(alpha)
+        left[0, 0, 0] = left[1, 1, 0] = left[0, 1, 1] = 1
+        return big.matmul(left, alpha)
 
     monkeypatch.setattr(normmap, "_darboux_alpha", perturbed)
     sl = SympGroup(t92, 1, 2)
@@ -390,3 +392,56 @@ def test_bijection_stops_once_every_class_has_its_members():
     tw.class_of = _Visits(tw.class_of)
     verify_bijection(choose_t(1, 2), sl, sl1)
     assert 0 < tw.class_of.visits < len(sl.elements())
+
+
+def _witness_triples(spec, elements, i):
+    cfg = choose_t(i, spec.level)
+    for g in elements:
+        alpha = lang_solve(spec, twisted_product(spec, i, g, cfg.t), cfg.d).alpha
+        yield [g, alpha, gyoja_norm(cfg, spec, g)]
+
+
+def _seed0_samples(spec, count):
+    rng = random.Random(0)
+    return [spec.random(rng) for _ in range(count)]
+
+
+def test_witnesses_and_norms_are_pinned():
+    """SHA-256 of the (g, α, N) triples, recorded before the Lang solver moved to
+    digit arrays: witnesses and norms are byte-identical."""
+    t92, t27 = build_tower(3, 1, 2), build_tower(3, 1, 3)
+    sl9, sl27 = SympGroup(t92, 1, 2), SympGroup(t27, 1, 3)
+    sp4, gsp2 = SympGroup(t92, 2, 2), SympGroup(t92, 1, 2, similitude=True)
+    rows = [*_witness_triples(sl9, sl9.elements(), 1),
+            *_witness_triples(sl27, _seed0_samples(sl27, 200), 1),
+            *_witness_triples(sl27, _seed0_samples(sl27, 200), 2),
+            *_witness_triples(sp4, _seed0_samples(sp4, 24), 1),
+            *_witness_triples(gsp2, _seed0_samples(gsp2, 30), 1)]
+    assert len(rows) == 1174
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "0ab2c2e007a7798ce5ea994af45c146a905b222ea5448483e49b7bf189c6878e"
+
+
+def test_norms_make_no_tuple_path_field_call(monkeypatch):
+    """Past tower and embedding construction, norms work on digit arrays alone:
+    no element-wise arithmetic on a tower above the table cap."""
+    t92 = build_tower(3, 1, 2)
+
+    def groups():
+        return [(SympGroup(t92, 1, 2), None), (SympGroup(t92, 1, 2, similitude=True), 30),
+                (SympGroup(t92, 2, 2), 6)]
+
+    def norm_all():
+        for spec, count in groups():
+            for g in spec.elements() if count is None else _seed0_samples(spec, count):
+                gyoja_norm(choose_t(1, 2), spec, g)
+
+    norm_all()  # builds every Lang tower and embedding
+    for name in ("mul", "add", "inv", "frobenius"):
+        def guarded(self, *args, _orig=getattr(Tower, name), _name=name):
+            if not self.tabulated:
+                raise AssertionError(f"Tower.{_name} on the tuple path")
+            return _orig(self, *args)
+
+        monkeypatch.setattr(Tower, name, guarded)
+    norm_all()
