@@ -409,7 +409,7 @@ def check_parabolic(ws: Workspace) -> list[Case]:
         raise GroupTooLarge(f"parabolic enumerates {points} points (j, b, h), over the cap {cfg.enum_cap}")
     ctx = ws.ctx(m)
     sph = ws.sph()
-    borel = [g for g in ws.sp().elements() if g[2] == tower.zero]  # c = 0, in sort_key order
+    borel = [g for g in ws.sp().elements() if g[2] == tower.zero]  # c = 0, in sorted order
     # coset reps of Γ⋉B·H_⊥ in Γ⋉B·H: Heisenberg translations along f_1
     reps = [(sph.sp.identity(), ((tower.zero, y), tower.zero)) for y in field]
     pairs = [coset_pairs(sph, reps, j) for j in range(m)]

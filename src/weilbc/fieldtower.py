@@ -1,19 +1,19 @@
 """Towers of finite fields F_p ⊂ F_q ⊂ F_{q^d} ⊂ … inside one ambient field.
 
 Every level lives in a single ambient field F_p[x]/(modulus), so embeddings
-between levels are identities.  Elements are represented as
-
-* plain ints (the canonical enumeration index) when the ambient field is
-  small enough to tabulate multiplication, or
-* tuples of F_p digits, low degree first, for large ambient fields.
-
-The canonical enumeration orders elements by coefficient vector, low-degree
-digit varying fastest, so the prime field occupies indices 0..p-1.
+between levels are identities.  An element is the plain int Σ c_k·p^k of its
+F_p digits c_k, low degree first: its canonical enumeration index, so the
+prime field occupies 0..p-1 and canonical order is int order.  Ambient fields
+of at most TABLE_CAP elements tabulate add, mul, neg and inv; larger ones
+compute on digits.  Both go through one codec (`_decode`, `_encode` and the
+array forms `digit_array`, `from_digit_array`) on the place values p^k, held
+in the smallest unsigned dtype that holds an element, or as Python ints past
+2^63, and through one polynomial product, `_product`.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import accumulate
 from math import lcm
 
 import numpy as np
@@ -51,9 +51,13 @@ def _frobenius_matrix(modulus: np.ndarray, p: int) -> np.ndarray:
     deg = len(modulus) - 1
     if deg == 1:
         return np.ones((1, 1), dtype=np.int64)
-    xp = np.zeros(p + 1, dtype=np.int64)
-    xp[p] = 1
-    xp = modp.poly_mod(xp, modulus, p)
+    xp = np.ones(1, dtype=np.int64)
+    for bit in bin(p)[2:]:  # x^p mod modulus by square and multiply, reduced once past the degree
+        xp = modp.poly_mul(xp, xp, p)
+        if bit == "1":
+            xp = np.concatenate([[0], xp])
+        if len(xp) > deg:
+            xp = modp.poly_mod(xp, modulus, p)
     cols = []
     cur = np.ones(1, dtype=np.int64)
     for _ in range(deg):
@@ -137,6 +141,8 @@ class Tower:
             raise EvenCharacteristic("characteristic 2 is not supported")
         if base_degree < 1 or m < 1:
             raise ConfigInvalid("degrees must be positive")
+        if base_degree * m * (p - 1) ** 2 >= 2**63:  # the bound of every digit product in int64
+            raise ConfigInvalid(f"digit products of degree {base_degree * m} mod {p} could overflow int64")
         self.p = p
         self.base_degree = base_degree
         self.m = m
@@ -162,13 +168,12 @@ class Tower:
         # A×A windows of [I_A; _redmat], whose row r is the digit vector of x^r
         powers = np.vstack([np.eye(A, dtype=np.int64), self._redmat])
         self._windows = np.lib.stride_tricks.sliding_window_view(powers, (A, A))[:, 0]
-        self._ppow = [p**k for k in range(A + 1)]
+        self._place = np.array([p**k for k in range(A)], dtype=np.min_scalar_type(self.size - 1)
+                               if self.size <= 2**63 else object)
         self._frob_mats: dict[int, np.ndarray] = {}
         self._frob_perms: dict[int, list] = {}
         self._levels: dict[int, _LevelData] = {}
-        self.zero = self.from_int(0)
-        self.one = self.from_int(1)
-        self.half = self.from_int((p + 1) // 2)
+        self.zero, self.one, self.half = 0, 1, (p + 1) // 2
         if self.tabulated:
             self._build_tables()
         for d in sorted(_divisors(m)):
@@ -177,77 +182,56 @@ class Tower:
     # -- representation ------------------------------------------------------
 
     def _build_tables(self):
-        p, A, size = self.p, self._A, self.size
-        dig = np.zeros((size, A), dtype=np.int64)
-        idx = np.arange(size)
+        dig = self._decode(np.arange(self.size))
+        self._add_t = [list(self.from_digit_array(row)) for row in dig[:, None] + dig[None]]
+        self._mul_t = [list(self.from_digit_array(row)) for row in self._product(dig[:, None], dig[None])]
+        self._neg_t = list(self.from_digit_array(-dig))
+        self._inv_t = [0] + [self.pow(x, self.size - 2) for x in range(1, self.size)]
+
+    def _product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Digits of x·y for digit arrays x, y (…, A), broadcast over the leading axes:
+        the convolution, each partial sum reduced mod p, folded by the rows of _redmat."""
+        A, p = self._A, self.p
+        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+        full = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1] + (2 * A - 1,), dtype=np.int64)
         for k in range(A):
-            dig[:, k] = idx // self._ppow[k] % p
-        self._digits = dig
-        weights = np.array(self._ppow[:A], dtype=np.int64)
-        add = ((dig[:, None, :] + dig[None, :, :]) % p) @ weights
-        self._add_t = [list(map(int, row)) for row in add]
-        conv = np.einsum("ia,jb->ijab", dig, dig)
-        full = np.zeros((size, size, 2 * A - 1), dtype=np.int64)
-        for a in range(A):
-            for b in range(A):
-                full[:, :, a + b] += conv[:, :, a, b]
-        red = full[:, :, :A] % p
-        if A > 1:
-            red = (red + full[:, :, A:] @ self._redmat) % p
-        mul = red @ weights
-        self._mul_t = [list(map(int, row)) for row in mul]
-        self._neg_t = [int(v) for v in ((-dig) % p) @ weights]
-        self._inv_t = [0] * size
-        for x in range(1, size):
-            self._inv_t[x] = int(self.pow(x, size - 2))
+            full[..., k : k + A] += x[..., k, None] * y
+        full %= p
+        return (full[..., :A] + full[..., A:] @ self._redmat) % p
 
     def _decode(self, x) -> np.ndarray:
-        if self.tabulated:
-            return self._digits[x]
-        return np.array(x, dtype=np.int64)
+        """int64 digits (…, A) of an element or an array of elements."""
+        return (np.asarray(x, dtype=self._place.dtype)[..., None] // self._place % self.p).astype(np.int64)
+
+    def _encode(self, vec: np.ndarray) -> int:
+        return self.from_digit_array(np.reshape(vec, (1, -1)))[0]
 
     def digit_array(self, elems) -> np.ndarray:
         """Digit rows of an iterable of elements, shape (count, ambient degree),
         in the smallest unsigned dtype that holds a digit."""
-        dtype = np.min_scalar_type(self.p - 1)
-        if self.tabulated:
-            return self._digits.astype(dtype)[np.fromiter(elems, dtype=np.min_scalar_type(self.size - 1))]
-        return np.fromiter(chain.from_iterable(elems), dtype=dtype).reshape(-1, self._A)
+        digits = np.fromiter(elems, dtype=self._place.dtype)[:, None] // self._place
+        digits %= self.p
+        return digits.astype(np.min_scalar_type(self.p - 1), copy=False)
 
     def from_digit_array(self, digits: np.ndarray) -> tuple:
         """Elements of digit rows, the inverse of digit_array."""
-        digits = np.asarray(digits, dtype=np.int64) % self.p
-        if self.tabulated:
-            return tuple((digits @ np.array(self._ppow[: self._A], dtype=np.int64)).tolist())
-        return tuple(map(tuple, digits.tolist()))
+        return tuple(((np.asarray(digits) % self.p).astype(self._place.dtype) @ self._place).tolist())
 
-    def _encode(self, vec: np.ndarray):
-        return self.from_digit_array(np.reshape(vec, (1, -1)))[0]
-
-    def elem_key(self, x) -> int:
-        """Canonical enumeration index of an element."""
-        if self.tabulated:
-            return x
-        return sum(int(c) * self._ppow[k] for k, c in enumerate(x))
-
-    def from_int(self, c: int):
+    def from_int(self, c: int) -> int:
         """The prime-field scalar c."""
-        c %= self.p
-        if self.tabulated:
-            return c
-        return tuple([c] + [0] * (self._A - 1))
+        return c % self.p
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
         if self.tabulated:
             return self._add_t[a][b]
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        return self._encode(self._decode(a) + self._decode(b))
 
     def neg(self, a):
         if self.tabulated:
             return self._neg_t[a]
-        return tuple((-x) % self.p for x in a)
+        return self._encode(-self._decode(a))
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -255,24 +239,15 @@ class Tower:
     def mul(self, a, b):
         if self.tabulated:
             return self._mul_t[a][b]
-        A = self._A
-        full = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-        if len(full) < 2 * A - 1:
-            full = np.pad(full, (0, 2 * A - 1 - len(full)))
-        red = full[:A] % self.p
-        if A > 1:
-            red = (red + full[A:] @ self._redmat) % self.p
-        return tuple(int(v) for v in red)
+        return self._encode(self._product(self._decode(a), self._decode(b)))
 
     def inv(self, a):
         if a == self.zero:
             raise DivisionByZero("field inverse of zero")
         if self.tabulated:
             return self._inv_t[a]
-        vec = modp.poly_xgcd_inverse(np.array(a, dtype=np.int64), np.array(self.modulus, dtype=np.int64), self.p)
-        out = np.zeros(self._A, dtype=np.int64)
-        out[: len(vec)] = vec
-        return tuple(int(v) for v in out)
+        vec = modp.poly_xgcd_inverse(self._decode(a), np.array(self.modulus, dtype=np.int64), self.p)
+        return self._encode(np.pad(vec, (0, self._A - len(vec))))
 
     def pow(self, a, e: int):
         if e < 0:
@@ -292,13 +267,11 @@ class Tower:
         if e == 0:
             return x
         if not self.tabulated:
-            vec = self.frob_matrix(j) @ np.array(x, dtype=np.int64) % self.p
-            return tuple(int(v) for v in vec)
+            return self._encode(self.frob_matrix(j) @ self._decode(x))
         perm = self._frob_perms.get(e)
         if perm is None:
-            img = self._digits @ self.frob_matrix(j).T % self.p
-            perm = [int(v) for v in img @ np.array(self._ppow[: self._A], dtype=np.int64)]
-            self._frob_perms[e] = perm
+            images = self._decode(np.arange(self.size)) @ self.frob_matrix(j).T
+            perm = self._frob_perms[e] = list(self.from_digit_array(images))
         return perm[x]
 
     # -- F_p-linear maps on ambient digit columns ---------------------------------
@@ -380,7 +353,7 @@ class Tower:
 
         Element r is Σ_k digit_k(r)·basis_k for the base-p digits of r. The
         highest nonzero digit of the difference of two level elements is a
-        pivot, where each carries its coefficient, so this is elem_key order.
+        pivot, where each carries its coefficient, so this is int order.
         """
         lv = self._level(d)
         if lv.elements is None:
@@ -500,7 +473,7 @@ class Embedding:
             raise ConfigInvalid("destination ambient degree must be a multiple of the source's")
         self.src = src
         self.dst = dst
-        p, A1, A2 = src.p, src.ambient_degree, dst.ambient_degree
+        p, A1 = src.p, src.ambient_degree
         # roots of src.modulus live in the subfield of size p^{A1}
         sub_elems = dst.level_elements(A1 // dst.base_degree) if A1 % dst.base_degree == 0 else None
         if sub_elems is None:
@@ -517,31 +490,27 @@ class Embedding:
         if best is None:
             raise InvariantBroken("source modulus has no root in destination")
         self.root = best
-        cols = []
-        cur = dst.one
-        for _ in range(A1):
-            cols.append(dst._decode(cur))
-            cur = dst.mul(cur, best)
-        self._mat = np.array(cols, dtype=np.int64).T % p  # (A2, A1)
+        powers = accumulate([best] * (A1 - 1), dst.mul, initial=dst.one)  # 1, root, root², …
+        self._mat = dst._decode(list(powers)).T  # (A2, A1)
         self._left_inv = modp.left_inverse(self._mat, p)
 
-    def embed_digits(self, x: np.ndarray) -> np.ndarray:
+    def embed_rows(self, x: np.ndarray) -> np.ndarray:
         """Destination digits (…, A2) of source digit rows (…, A1)."""
         return np.asarray(x, dtype=np.int64) @ self._mat.T % self.src.p
 
-    def pull_back_digits(self, y: np.ndarray) -> np.ndarray:
+    def pull_back_rows(self, y: np.ndarray) -> np.ndarray:
         """Source digits (…, A1) of destination digit rows (…, A2) in the embedded subfield."""
         y = np.asarray(y, dtype=np.int64) % self.src.p
         coef = y @ self._left_inv.T % self.src.p
-        if not np.array_equal(self.embed_digits(coef), y):
+        if not np.array_equal(self.embed_rows(coef), y):
             raise LevelMismatch("element is not in the embedded subfield")
         return coef
 
     def embed(self, x):
-        return self.dst._encode(self.embed_digits(self.src._decode(x)))
+        return self.dst._encode(self.embed_rows(self.src._decode(x)))
 
     def pull_back(self, y):
-        return self.src._encode(self.pull_back_digits(self.dst._decode(y)))
+        return self.src._encode(self.pull_back_rows(self.dst._decode(y)))
 
 
 _EMBED_CACHE: dict[tuple[int, int, int, int, int], Embedding] = {}

@@ -7,6 +7,8 @@ Group elements are hashable tuples:
 * Heisenberg elements: (v, t) with v a 2n-tuple and t a scalar;
 * Sp·H products: (s, (v, t)) meaning the product s·(v,t);
 * twisted elements: (i, g) for (σ^i, g) = (1,g)(σ^i,1).
+
+Field elements are ints, so the canonical order of elements is tuple order.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ class SympSpace:
         J = [[z] * size for _ in range(size)]
         for i in range(n):
             J[i][n + i] = o
-            J[n + i][i] = tower.neg(o)
+            J[n + i][i] = tower.from_int(-1)
         return tuple(v for row in J for v in row)
 
     def form(self, tower: Tower, u: tuple, v: tuple):
@@ -241,10 +243,6 @@ class _MatrixSpec(GroupSpec):
     def frob(self, a, j):
         return mat_frob(self.tower, a, j)
 
-    def sort_key(self, a):
-        key = self.tower.elem_key
-        return tuple(key(x) for x in a)
-
     def inv(self, a):
         return mat_inv(self.tower, a, self.size)
 
@@ -283,7 +281,7 @@ class SympGroup(_MatrixSpec):
         self.similitude = similitude
         self.space = SympSpace(n)
         self._J = self.space.gram(tower)
-        self._Jneg = mat_neg(tower, self._J)
+        self._Jneg = mat_transpose(self._J, self.size)  # −J = Jᵀ, with no field arithmetic
         self.norms: dict = {}  # normmap.gyoja_norm by (NormConfig, g, ambient_cap)
 
     def inv(self, a):
@@ -385,7 +383,7 @@ class SympGroup(_MatrixSpec):
     def elements(self):
         tower, n = self.tower, self.n
         if n == 1:
-            # nested loops over the level in canonical order emit sort_key order
+            # nested loops over the level in canonical order emit sorted order
             field = tower.level_elements(self.level)
             if self.similitude:
                 return [(a, b, c, d) for a in field for b in field for c in field for d in field
@@ -539,7 +537,7 @@ class TorusSL2(_MatrixSpec):
                 # a² - w b² = 1
                 if tower.sub(tower.mul(a, a), tower.mul(self.w, tower.mul(b, b))) == tower.one:
                     out.append(self.matrix(a, b))
-        out.sort(key=self.sort_key)
+        out.sort()
         return out
 
     @cached_property
@@ -624,7 +622,7 @@ def _code_columns(tower: Tower, level: int, entries: int) -> tuple[np.ndarray, n
     """Columns and weights that code a matrix over F_{q^level} from its digit row:
     row[cols] @ weights is each entry's rank in level_elements(level), read in
     base q^level with the first entry most significant, so codes sort as
-    sort_key does.  An element's rank is its pivot digits read in base p.
+    the matrices do.  An element's rank is its pivot digits read in base p.
     """
     pivots = tower.level_pivots(level)
     A = tower.ambient_degree
@@ -685,7 +683,7 @@ def _orbit_labels(spec: GroupSpec, twist: int) -> np.ndarray:
     cols, weights = _code_columns(tower, base.level, entries)
     codes = digits[:, cols] @ weights
     if not (np.diff(codes) > 0).all():
-        raise InvariantBroken("elements() is not in sort_key order")
+        raise InvariantBroken("elements() is not in sorted order")
     n = len(elems)
     labels = [
         _min_labels([_image_indices(digits, codes, mat, cols, weights, tower.p) for mat in maps], n) + j * n
@@ -700,7 +698,7 @@ def _classes(spec: GroupSpec, twist: int) -> Partition:
 
     Each generator acts on the digit array of the elements as one F_p-linear
     map (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 4).
-    elements() is in sort_key order, so an orbit's smallest index is its
+    elements() is sorted, so an orbit's smallest index is its
     canonical representative and the classes are numbered in that order.
     """
     part = spec.partitions.get(twist)
@@ -754,9 +752,6 @@ class SemidirectGroup(GroupSpec):
     def order(self):
         return self.m * self.base.order()
 
-    def sort_key(self, a):
-        return (a[0],) + self.base.sort_key(a[1])
-
     def generators(self):
         return [(0, g) for g in self.base.generators()] + [(1, self.base.identity())]
 
@@ -793,7 +788,7 @@ def _closure(spec: GroupSpec) -> list:
                     raise GroupTooLarge("closure exceeded the enumeration cap")
     if len(seen) != spec.order():
         raise InvariantBroken("generators do not generate the whole group")
-    return sorted(seen, key=spec.sort_key)
+    return sorted(seen)
 
 
 def block_embed(tower: Tower, g1: tuple, g2: tuple) -> tuple:

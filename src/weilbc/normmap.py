@@ -212,7 +212,7 @@ def lang_solve(spec: SympGroup, h: tuple, d: int, ambient_cap: int = DEFAULT_AMB
     k0 = _min_defining_level(spec, h, d)
     big, emb = enlarge_tower(spec.tower, d * k0, ambient_cap)
     big_spec = SympGroup(big, spec.n, big.m, similitude=spec.similitude)
-    alpha = _lang_matrix(big_spec, emb.embed_digits(spec.tower.digit_array(h)).reshape(spec.size, spec.size, -1), d)
+    alpha = _lang_matrix(big_spec, emb.embed_rows(spec.tower.digit_array(h)).reshape(spec.size, spec.size, -1), d)
     return LangWitness(big.from_digit_array(alpha.reshape(-1, big.ambient_degree)), big.m, emb, big_spec)
 
 
@@ -235,11 +235,11 @@ def gyoja_norm(cfg: NormConfig, spec: SympGroup, g, ambient_cap: int = DEFAULT_A
     big_spec, emb = witness.group, witness.embedding
     big, n2 = big_spec.tower, spec.size
     alpha = big.digit_array(witness.alpha).astype(np.int64).reshape(n2, n2, -1)
-    p_mu = emb.embed_digits(spec.tower.digit_array(twisted_product(spec, cfg.i, g, cfg.mu))).reshape(n2, n2, -1)
+    p_mu = emb.embed_rows(spec.tower.digit_array(twisted_product(spec, cfg.i, g, cfg.mu))).reshape(n2, n2, -1)
     out = big.matmul(big.matmul(alpha, p_mu), _inverse(big_spec, alpha))
     if not np.array_equal(out @ big.frob_matrix(cfg.d).T % big.p, out):
         raise WitnessFailed("norm did not land at level d")
-    spec.norms[key] = got = spec.tower.from_digit_array(emb.pull_back_digits(out.reshape(n2 * n2, -1)))
+    spec.norms[key] = got = spec.tower.from_digit_array(emb.pull_back_rows(out.reshape(n2 * n2, -1)))
     return got
 
 

@@ -81,6 +81,14 @@ def test_star_at_f729():
     assert len(report.cases) == 6  # twists i = 1, 2
 
 
+def test_star_on_sp6_f9(case_digest):
+    """(⋆) on Sp6(F9) at the default ambient cap: its Lang towers (3^48 and 3^60
+    elements) hold elements past 2^63."""
+    report = run_check("star", RunConfig(p=3, n=3, m=2, sample=6, seed=0))
+    assert report.ok and len(report.cases) == 6
+    assert case_digest(report) == "0cf611f01eead933bdb2800f1ce215705d8374a700ea06f358a87ecbe53326b0"
+
+
 def test_group_too_large_surfaces_as_cli_error(capsys):
     rc = main(["star", "--p", "3", "--n", "2", "--m", "2", "--sample", "all"])
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 
 from weilbc import modp
 from weilbc.cyclotomic import CycNum
-from weilbc.errors import EvenCharacteristic, InvariantBroken, LevelMismatch, NotPrime, ZeroArgument
+from weilbc.errors import ConfigInvalid, EvenCharacteristic, InvariantBroken, LevelMismatch, NotPrime, ZeroArgument
 from weilbc.fieldtower import Tower, build_tower, enlarge_tower, get_embedding
-from weilbc.grouplib import mat_mul
-from weilbc.normmap import _level_inverse
+from weilbc.grouplib import HeisGroup, SympGroup, TorusSL2, mat_mul
+from weilbc.normmap import _level_inverse, choose_t, gyoja_norm, lang_solve
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,7 @@ def test_frobenius_is_automorphism_fixing_exactly_base(t92):
             assert t92.frobenius(t92.mul(x, y), 1) == t92.mul(t92.frobenius(x, 1), t92.frobenius(y, 1))
         if t92.frobenius(x, 1) == x:
             fixed.append(x)
-    assert sorted(fixed, key=t92.elem_key) == t92.level_elements(1)
+    assert sorted(fixed) == t92.level_elements(1)
 
 
 def test_negative_frobenius_inverts(t92):
@@ -169,7 +170,7 @@ def test_embedding_root_is_smallest():
     emb = get_embedding(src, dst)
     # collect every root of x^2+1 in the destination and compare
     roots = [s for s in dst.level_elements(2) if dst.add(dst.mul(s, s), dst.one) == dst.zero]
-    assert emb.root == min(roots, key=dst.elem_key)
+    assert emb.root == min(roots)
 
 
 def test_level_membership_and_level_of(t92):
@@ -198,9 +199,9 @@ def test_mul_and_frob_matrices_act_on_digits(p, base_degree, m):
             assert np.array_equal(t.frob_matrix(j) @ digits(x) % t.p, digits(t.frobenius(x, j)))
 
 
-TOWERS = {  # p ∈ {3, 5, 7}; elements are table indices up to 100 elements, digit tuples beyond
+TOWERS = {  # p ∈ {3, 5, 7}; arithmetic by table lookup up to 100 elements, computed on digits beyond
     "tabulated": [(3, 1, 2), (3, 2, 2), (5, 1, 2), (7, 1, 2)],
-    "tuple": [(3, 1, 6), (5, 1, 3), (7, 1, 3)],
+    "computed": [(3, 1, 6), (5, 1, 3), (7, 1, 3)],
 }
 
 
@@ -208,9 +209,8 @@ TOWERS = {  # p ∈ {3, 5, 7}; elements are table indices up to 100 elements, di
 def tower_and_elements(draw, kind):
     t = build_tower(*draw(st.sampled_from(TOWERS[kind])))
     assert t.tabulated == (kind == "tabulated")
-    field = t.level_elements(t.m)
-    pick = st.integers(0, len(field) - 1)
-    return t, field[draw(pick)], field[draw(pick)]
+    pick = st.integers(0, t.size - 1)  # element r of the ambient field is the int r
+    return t, draw(pick), draw(pick)
 
 
 def _digits(t, x):
@@ -242,12 +242,12 @@ LEVEL_TOWERS = [(3, 1, 2), (3, 1, 3), (3, 1, 6), (3, 1, 8), (3, 2, 3), (5, 1, 2)
 
 @pytest.mark.parametrize("key, d", [(key, d) for key in LEVEL_TOWERS for d in range(1, key[2] + 1) if key[2] % d == 0])
 def test_level_model_matches_sorted_span(key, d):
-    """level_elements(d) is the span of the fixed-field kernel basis sorted by
-    elem_key, and the pivot digits of element r read r in base p."""
+    """level_elements(d) is the span of the fixed-field kernel basis in int
+    order, and the pivot digits of element r read r in base p."""
     t = build_tower(*key)
     kernel = modp.kernel_basis((t.frob_matrix(d) - np.eye(t.ambient_degree, dtype=np.int64)) % t.p, t.p)
     span = [t._encode(np.array(c) @ kernel) for c in np.ndindex(*[t.p] * len(kernel))]
-    assert t.level_elements(d) == sorted(span, key=t.elem_key)
+    assert t.level_elements(d) == sorted(span)
     pivots = t.level_pivots(d)
     assert len(pivots) == t.base_degree * d and pivots == sorted(pivots)
     ranks = t.digit_array(t.level_elements(d))[:, pivots].astype(np.int64) @ t.p ** np.arange(len(pivots))
@@ -279,14 +279,14 @@ def test_digit_embedding_matches_scalar(src_key, dst_key, data):
     src, dst = build_tower(*src_key), build_tower(*dst_key)
     emb = get_embedding(src, dst)
     xs = data.draw(st.lists(st.sampled_from(src.level_elements(src.m)), min_size=1, max_size=6))
-    up = emb.embed_digits(src.digit_array(xs))
+    up = emb.embed_rows(src.digit_array(xs))
     assert dst.from_digit_array(up) == tuple(map(emb.embed, xs))
-    down = emb.pull_back_digits(up)
+    down = emb.pull_back_rows(up)
     assert src.from_digit_array(down) == tuple(emb.pull_back(y) for y in dst.from_digit_array(up)) == tuple(xs)
     if dst.ambient_degree > src.ambient_degree:  # the generator of dst lies in no proper subfield
         gen = np.eye(dst.ambient_degree, dtype=np.int64)[1]
         with pytest.raises(LevelMismatch):
-            emb.pull_back_digits(np.vstack([up, gen]))
+            emb.pull_back_rows(np.vstack([up, gen]))
         with pytest.raises(LevelMismatch):
             emb.pull_back(dst._encode(gen))
 
@@ -310,3 +310,116 @@ def test_matmul_refuses_products_past_int64():
     wide = np.broadcast_to(np.int64(t.p - 1), (1, 3, 1))
     with pytest.raises(InvariantBroken):
         t.matmul(wide, wide.reshape(3, 1, 1))
+
+
+def _poly_mulmod(a: list, b: list, modulus: tuple, p: int) -> list:
+    """Digits of a·b mod the monic modulus in Python ints, which cannot overflow."""
+    full = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            full[i + j] += x * y
+    deg = len(modulus) - 1
+    for k in range(len(full) - 1, deg - 1, -1):  # x^k = −Σ_i f_i·x^{k−deg+i}
+        top, full[k] = full[k], 0
+        for i in range(deg):
+            full[k - deg + i] -= top * modulus[i]
+    return [c % p for c in full[:deg]]
+
+
+def _base_p(t, x) -> list:
+    """Digits of x, low degree first, by divmod."""
+    out = []
+    for _ in range(t.ambient_degree):
+        x, c = divmod(x, t.p)
+        out.append(c)
+    return out
+
+
+def test_mul_is_exact_for_a_large_prime():
+    """Every digit product stays exact at p = 4000037, where an unreduced
+    convolution folded by the reduction rows would leave int64."""
+    t = Tower(4000037, 1, 2)
+    rng = random.Random(1)
+    for _ in range(500):
+        x, y = rng.randrange(t.size), rng.randrange(t.size)
+        expect = _poly_mulmod(_base_p(t, x), _base_p(t, y), t.modulus, t.p)
+        assert t.mul(x, y) == sum(c * t.p**k for k, c in enumerate(expect))
+
+
+def test_tower_refuses_digit_products_past_int64():
+    with pytest.raises(ConfigInvalid):
+        Tower(2**31 - 1, 1, 3)  # 3·(p−1)² ≥ 2^63
+
+
+ARITH_TOWERS = [(3, 1, 2), (3, 1, 6), (3, 1, 41)]  # tabulated, computed within int64, computed past int64
+
+
+@st.composite
+def arith_tower_and_elements(draw):
+    t = build_tower(*draw(st.sampled_from(ARITH_TOWERS)))
+    pick = st.integers(0, t.size - 1)
+    return t, draw(pick), draw(pick)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mul_and_inv_property(data):
+    t, x, y = data.draw(arith_tower_and_elements())
+    got = modp.poly_mod(modp.poly_mul(np.array(_base_p(t, x)), np.array(_base_p(t, y)), t.p),
+                        np.array(t.modulus), t.p)
+    assert t.mul(x, y) == sum(int(c) * t.p**k for k, c in enumerate(got))
+    if x:
+        assert t.mul(x, t.inv(x)) == t.one
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), j=st.integers(-3, 3))
+def test_frobenius_is_a_power_property(data, j):
+    t, x, _ = data.draw(arith_tower_and_elements())
+    assert t.frobenius(x, j) == t.pow(x, t.q ** (j % t.m))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_digit_codec_round_trip_property(data):
+    t, x, y = data.draw(arith_tower_and_elements())
+    assert t.from_digit_array(t.digit_array([x, y])) == (x, y)
+    assert t.digit_array([x])[0].tolist() == _base_p(t, x)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_trace_and_norm_property(data):
+    t, x, y = data.draw(arith_tower_and_elements())
+    d = data.draw(st.sampled_from(t.levels()))
+    tr = t.trace_to(t.add(x, y), d)
+    assert tr == t.add(t.trace_to(x, d), t.trace_to(y, d))
+    assert t.in_level(tr, d)
+    assert t.norm_to(x, d) == t.pow(x, (t.q**t.m - 1) // (t.q**d - 1))
+
+
+def test_library_hands_out_plain_ints():
+    """A numpy scalar would hash and compare like an int but print differently."""
+    def plain(values):
+        values = list(values)
+        assert values and all(type(v) is int for v in values)
+
+    for key in ARITH_TOWERS:
+        t = build_tower(*key)
+        x, y = t.size - 1, t.size // 2
+        plain([t.add(x, y), t.neg(x), t.sub(x, y), t.mul(x, y), t.inv(x), t.pow(x, 5), t.frobenius(x, 1),
+               t.trace_to(x, 1), t.norm_to(x, 1), t.from_int(-1), t.zero, t.one, t.half])
+        plain(t.from_digit_array(t.digit_array([x, y])))
+        plain(t.level_elements(1))
+    t92 = build_tower(3, 1, 2)
+    plain(t92.level_elements(2))
+    for spec in (SympGroup(t92, 1, 2), SympGroup(t92, 1, 2, similitude=True), TorusSL2(t92, 2)):
+        plain(chain.from_iterable(spec.elements()))
+    plain(v for (vec, s) in HeisGroup(t92, 1, 1).elements() for v in (*vec, s))
+    sl9, rng = SympGroup(t92, 1, 2), random.Random(0)
+    for g in (sl9.random(rng) for _ in range(5)):
+        plain(gyoja_norm(choose_t(1, 2), sl9, g))
+        witness = lang_solve(sl9, g, 1)
+        plain(witness.alpha)
+        emb = witness.embedding
+        plain([emb.embed(g[0]), emb.pull_back(emb.embed(g[0]))])

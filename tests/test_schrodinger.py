@@ -313,7 +313,7 @@ def test_character_values_walk_the_steps(t92, level, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2])
 def test_coordinates_index_every_point(key, level, n):
     """Point r has the base-p digits of its entries' ranks as coordinates, on
-    tabulated and tuple towers."""
+    tabulated and computed towers."""
     t = build_tower(*key)
     ctx = RepContext(t, n, level)
     coords = ctx._coordinates()
