@@ -12,7 +12,7 @@ from .grouplib import (
     membership,
     twisted_classes,
 )
-from .normmap import NormConfig, choose_t, gyoja_norm, lang_solve, twisted_product, verify_bijection
+from .normmap import NormConfig, choose_t, gyoja_norm, gyoja_norms, lang_solve, twisted_product, verify_bijection
 from .schrodinger import RepContext, WeilOperator, siegel_factor
 from .characters import ClassFunction, inner_product, lift_class_function, weil_torus_restriction
 from .checks import CHECK_NAMES, Report, RunConfig, Workspace, run_check
@@ -34,6 +34,7 @@ __all__ = [
     "NormConfig",
     "choose_t",
     "gyoja_norm",
+    "gyoja_norms",
     "lang_solve",
     "twisted_product",
     "verify_bijection",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .cyclotomic import CycNum
 from .errors import SupportMismatch
 from .grouplib import GroupSpec, Partition, SympGroup, TorusSL2
-from .normmap import DEFAULT_AMBIENT_CAP, NormConfig, gyoja_norm, twisted_product
+from .normmap import DEFAULT_AMBIENT_CAP, NormConfig, gyoja_norms, twisted_product
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,8 @@ def inner_product(f1: ClassFunction, f2: ClassFunction) -> CycNum:
 def lift_class_function(cfg: NormConfig, spec: SympGroup, chi: ClassFunction,
                         twisted: Partition, ambient_cap: int = DEFAULT_AMBIENT_CAP) -> ClassFunction:
     """Pull a class function on G(F_d) back to the coset σ^i ⋉ G(F')."""
-    target = chi.partition
-    vals = []
-    for rep in twisted.reps:
-        vals.append(chi.values[target.index_of(gyoja_norm(cfg, spec, rep, ambient_cap))])
-    return ClassFunction(twisted, tuple(vals))
+    norms = gyoja_norms(cfg, spec, twisted.reps, ambient_cap)
+    return ClassFunction(twisted, tuple(chi.values[chi.partition.index_of(N)] for N in norms))
 
 
 def coset_pairs(spec: GroupSpec, reps, j: int = 0) -> list:

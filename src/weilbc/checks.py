@@ -32,7 +32,7 @@ from .grouplib import (
     sp_act_heis,
     twisted_classes,
 )
-from .normmap import DEFAULT_AMBIENT_CAP, NormConfig, choose_t, gyoja_norm, verify_bijection
+from .normmap import DEFAULT_AMBIENT_CAP, NormConfig, choose_t, gyoja_norms, verify_bijection
 from .characters import (
     ClassFunction,
     coset_pairs,
@@ -280,12 +280,11 @@ def _norm_cases(ws: Workspace, spec, ncfg: NormConfig, label: str, var: str, lhs
     """lhs(g) = rhs(N(σ^i, g)) on the sampled (or every) element g of spec;
     rhs is evaluated once per distinct norm."""
     cases, rhs_of = [], {}
-    for g in ws.samples(spec, f"{label}:{ncfg.i}:{ncfg.t}"):
-        value = lhs(g)
-        N = gyoja_norm(ncfg, spec, g, ws.cfg.ambient_cap)
+    gs = ws.samples(spec, f"{label}:{ncfg.i}:{ncfg.t}")
+    for g, N in zip(gs, gyoja_norms(ncfg, spec, gs, ws.cfg.ambient_cap)):
         if N not in rhs_of:
             rhs_of[N] = rhs(N)
-        cases.append(Case.of(f"i={ncfg.i},t={ncfg.t},{var}={g}", value, rhs_of[N]))
+        cases.append(Case.of(f"i={ncfg.i},t={ncfg.t},{var}={g}", lhs(g), rhs_of[N]))
     return cases
 
 

@@ -33,6 +33,7 @@ from .errors import (
 
 TABLE_CAP = 100  # tabulate add/mul when the ambient field has at most this many elements
 ENUM_CAP = 1_000_000  # largest field level or group order to enumerate
+_ROOT_SCAN_P = 1024  # find_modulus scans F_p for roots up to this p; past it the scan outcosts Rabin's test
 
 
 def is_prime(n: int) -> bool:
@@ -107,12 +108,19 @@ def find_modulus(p: int, degree: int) -> tuple[int, ...]:
     """
     if degree == 1:
         return (0, 1)
+    values = None  # for small p, row k holds x^k mod p at every x of F_p: a root prefilter
+    if p <= _ROOT_SCAN_P:
+        values = np.ones((degree + 1, p), dtype=np.int64)
+        for k in range(degree):
+            values[k + 1] = values[k] * np.arange(p) % p
     for c0 in range(1, p):
         for rest in range(p ** (degree - 1)):
             digits = [c0]
             for pos in range(degree - 1):
                 digits.append(rest // p ** (degree - 2 - pos) % p)
             cand = np.array(digits + [1], dtype=np.int64)
+            if values is not None and not (cand @ values % p).all():
+                continue  # a root in F_p: reducible
             if _is_irreducible(cand, p):
                 return tuple(int(c) for c in cand)
     raise InvariantBroken("no irreducible polynomial found")  # unreachable
@@ -337,9 +345,9 @@ class Tower:
             kernel = modp.kernel_basis(mat, self.p)
             if kernel.shape[0] != self.base_degree * d:
                 raise InvariantBroken(f"fixed field of level {d} has the wrong dimension")
-            high_first, pivots = modp.rref(kernel[:, ::-1], self.p)
+            high_first, mask = modp.rref(kernel[:, ::-1], self.p)
             lv.basis = high_first[::-1, ::-1]
-            lv.pivots = [self._A - 1 - c for c in reversed(pivots)]
+            lv.pivots = [self._A - 1 - c for c in reversed(np.flatnonzero(mask).tolist())]
         return lv.basis
 
     def level_pivots(self, d: int) -> list[int]:

@@ -282,7 +282,7 @@ class SympGroup(_MatrixSpec):
         self.space = SympSpace(n)
         self._J = self.space.gram(tower)
         self._Jneg = mat_transpose(self._J, self.size)  # −J = Jᵀ, with no field arithmetic
-        self.norms: dict = {}  # normmap.gyoja_norm by (NormConfig, g, ambient_cap)
+        self.norms: dict = {}  # normmap.gyoja_norms by (NormConfig, g, ambient_cap)
 
     def inv(self, a):
         tower = self.tower

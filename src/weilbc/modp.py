@@ -1,80 +1,92 @@
 """Linear algebra and polynomial helpers over the prime field F_p.
 
-Matrices are numpy int64 arrays with entries reduced mod p; polynomials are
-1-d coefficient arrays, low degree first.
+Matrices are numpy int64 arrays with entries reduced mod p; row reduction, null
+spaces and left inverses work on stacks of them, batched over leading axes.
+Polynomials are 1-d coefficient arrays, low degree first.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivisionByZero, Singular
+from .errors import DimensionMismatch, DivisionByZero, Singular
 
 
-def inv_mod(a: int, p: int) -> int:
-    return pow(int(a) % p, p - 2, p)
+def inv_mod(a, p: int):
+    """a^{p−2} mod p: the inverse of a nonzero residue, elementwise on an int64 array."""
+    a, out = np.asarray(a, dtype=np.int64) % p, 1
+    for bit in bin(p - 2)[2:]:  # square and multiply
+        out = out * out % p * (a if bit == "1" else 1) % p
+    return out
 
 
-def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row-reduced echelon form; returns (R, pivot column list)."""
-    m = np.array(mat, dtype=np.int64) % p
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
+def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-reduced echelon forms of matrices (…, rows, cols), batched over the leading
+    axes; returns (R, pivot-column mask of shape (…, cols)).  The column loop runs
+    once for the whole batch; each matrix takes its own pivots."""
+    shape = np.shape(mat)
+    m = np.array(mat, dtype=np.int64).reshape(-1, *shape[-2:]) % p
+    count, rows, cols = m.shape
+    mask = np.zeros((count, cols), dtype=bool)
+    nxt = np.zeros(count, dtype=np.int64)  # the next pivot row of each matrix
+    bound = p - 1  # of |entries|: a step adds at most (p−1)², so m is reduced only before it could leave int64
     for c in range(cols):
-        if r == rows:
+        if (nxt == rows).all():
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if len(nz) == 0:
+        col = m[:, :, c] % p
+        cand = (col != 0) & (np.arange(rows) >= nxt[:, None])
+        b = np.flatnonzero(cand.any(axis=1))
+        if not b.size:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        m[r] = (m[r] * inv_mod(m[r, c], p)) % p
-        # clear column c outside row r; columns left of c are zero in row r
-        f = m[:, c].copy()
-        f[r] = 0
-        m[:, c:] = (m[:, c:] - np.outer(f, m[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return m, pivots
+        if bound > np.iinfo(np.int64).max - (p - 1) ** 2:
+            m, bound = m % p, p - 1
+        i, r = cand[b].argmax(axis=1), nxt[b]
+        prow, f = m[b, i] % p, col[b]
+        m[b, i], f[np.arange(b.size), i] = m[b, r], col[b, r]  # swap rows r and i; row r is set below
+        prow = prow * inv_mod(prow[:, c], p)[:, None] % p
+        m[b, :, c:] -= f[:, :, None] * prow[:, None, c:]  # clears column c; left of c, prow is 0
+        m[b, r], mask[b, c], bound = prow, True, bound + (p - 1) ** 2
+        nxt[b] += 1
+    return (m % p).reshape(shape), mask.reshape(*shape[:-2], cols)
 
 
 def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right null space, one vector per row."""
-    m, pivots = rref(mat, p)
-    cols = m.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-m[r, fc]) % p
-    return basis
+    """Bases of the right null spaces of matrices (…, rows, cols), one vector per row:
+    shape (…, nullity, cols).  Raises DimensionMismatch when the nullities differ."""
+    m, mask = rref(mat, p)
+    rank, cols = mask.sum(axis=-1), mask.shape[-1]
+    nullity = sorted(set((cols - rank).ravel().tolist()))  # (np.unique would import numpy.ma)
+    if len(nullity) > 1:
+        raise DimensionMismatch(f"null spaces of dimensions {nullity} in one batch")
+    # P holds row r of R at row pivot(r); column f of I − P, f free, is the kernel vector with 1 at f
+    moved = np.zeros((*mask.shape, cols), dtype=np.int64)
+    moved[mask] = m[np.arange(m.shape[-2]) < rank[..., None]]
+    kernel = ((np.eye(cols, dtype=np.int64) - moved) % p).swapaxes(-1, -2)
+    return kernel[~mask].reshape(*mask.shape[:-1], nullity[0], cols)
 
 
 def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     """One solution of mat @ x = rhs, or None if inconsistent."""
     m = np.array(mat, dtype=np.int64) % p
     b = np.array(rhs, dtype=np.int64).reshape(-1, 1) % p
-    aug, pivots = rref(np.hstack([m, b]), p)
+    aug, mask = rref(np.hstack([m, b]), p)
     cols = m.shape[1]
-    if cols in pivots:
+    if mask[cols]:
         return None
     x = np.zeros(cols, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r, cols]
+    x[mask[:cols]] = aug[: mask.sum(), cols]
     return x
 
 
 def left_inverse(mat: np.ndarray, p: int) -> np.ndarray:
-    """Left inverse of a full-column-rank matrix (rows >= cols)."""
+    """Left inverses of full-column-rank matrices (…, rows, cols), rows >= cols."""
     m = np.array(mat, dtype=np.int64) % p
-    rows, cols = m.shape
-    aug, pivots = rref(np.hstack([m, np.eye(rows, dtype=np.int64)]), p)
-    if len(pivots) < cols or pivots[:cols] != list(range(cols)):
+    rows, cols = m.shape[-2:]
+    eye = np.broadcast_to(np.eye(rows, dtype=np.int64), (*m.shape[:-2], rows, rows))
+    aug, mask = rref(np.concatenate([m, eye], axis=-1), p)
+    if not mask[..., :cols].all():
         raise Singular("matrix does not have full column rank")
-    return aug[:cols, cols:]
+    return aug[..., :cols, cols:]
 
 
 def mat_pow(mat: np.ndarray, e: int, p: int) -> np.ndarray:

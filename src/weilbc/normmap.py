@@ -16,16 +16,17 @@ one F_p-linear system u ↦ σ^d(u) − hᵀ·u (`_semilinear`):
 * for similitude groups any F_{q^d}-basis of the solution space stacks to an
   invertible witness.
 
-Everything over the ambient field (the system, the basis, the checks, the
-conjugation by α and the pull-back of the norm) works on digit arrays of shape
-(…, rows, columns, ambient degree) through `Tower.matmul` and
-`Tower.block_matrix`; elements are encoded once, for the witness and the norm.
+Norms are solved in stacks: elements of one twist whose witnesses need one ambient
+level share one system shape, and every step, from the twisted products to the
+pull-back of the norm, runs once per stack on digit arrays (B, …, rows, columns,
+ambient degree) through `Tower.matmul`, `Tower.block_matrix` and `modp`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .fieldtower import Embedding, Tower, enlarge_tower
 from .grouplib import GroupSpec, SympGroup, conjugacy_classes, twisted_classes
 
 _K0_GUARD = 100_000
+_CHUNK_BYTES = 1 << 17  # working-set bound of one stacked F_p-system, 128 KB of int64: peak RSS grows with it
 DEFAULT_AMBIENT_CAP = 64
 
 
@@ -82,122 +84,144 @@ def twisted_product(spec: GroupSpec, i: int, g, k: int):
 
 @dataclass
 class LangWitness:
-    alpha: tuple
+    """Witnesses α_b of σ^d(α_b) = α_b·h_b for a stack of targets that share one ambient level."""
+
+    digits: np.ndarray  # (B, n2, n2, ambient degree over F_p): the digits of the α_b
     ambient_degree: int  # in q-degrees
     embedding: Embedding
-    group: SympGroup  # the spec's group over the whole ambient field, where alpha lives
+    group: SympGroup  # the spec's group over the whole ambient field, where the α_b live
+
+    @property
+    def alpha(self) -> list:
+        """The α_b as group elements, one per target."""
+        return _elements(self.group.tower, self.digits)
 
 
-def _min_defining_level(spec: SympGroup, h: tuple, d: int) -> int:
-    """Minimal k with h·σ^d(h)···σ^{d(k-1)}(h) = 1; witnesses live at level d·k."""
-    ident = spec.identity()
-    q = h
-    k = 1
-    while q != ident:
-        q = spec.mul(q, spec.frob(h, d * k))
-        k += 1
-        if k > _K0_GUARD:
-            raise WitnessFailed(f"twisted order of the Lang target exceeds {_K0_GUARD}")
-    return k
+def _element_digits(spec: SympGroup, elements) -> np.ndarray:
+    """int64 digits (B, n2, n2, A) of a sequence of matrices over spec's tower."""
+    flat = spec.tower.digit_array(chain.from_iterable(elements)).astype(np.int64)
+    return flat.reshape(-1, spec.size, spec.size, spec.tower.ambient_degree)
+
+
+def _elements(tower: Tower, digits: np.ndarray) -> list:
+    """The matrices, as flat tuples, of a digit stack (B, n2, n2, A): the inverse of _element_digits."""
+    flat = tower.from_digit_array(digits.reshape(-1, tower.ambient_degree))
+    return list(zip(*[iter(flat)] * (digits.shape[1] * digits.shape[2])))  # consecutive runs of n2² entries
+
+
+def _twisted_products(tower: Tower, i: int, g: np.ndarray, ks: tuple) -> list:
+    """Digits of g·σ^i(g)⋯σ^{(k−1)i}(g) for digit matrices g (…, n2, n2, A), each k in ks."""
+    prods = {1: g}
+    for r in range(1, max(ks)):
+        prods[r + 1] = tower.matmul(prods[r], g @ tower.frob_matrix(i * r).T % tower.p)
+    return [prods[k] for k in ks]
+
+
+def _ambient_levels(spec: SympGroup, h: np.ndarray, d: int) -> list[int]:
+    """Per target h of the stack (B, n2, n2, A), the level lcm(d·k, m) that `enlarge_tower` builds
+    for it, for the minimal k with h·σ^d(h)···σ^{d(k-1)}(h) = 1: its witnesses live at level d·k."""
+    tower, ident = spec.tower, spec.tower.digit_array(spec.identity()).reshape(h.shape[1:])
+    levels, q = np.zeros(len(h), dtype=np.int64), h
+    for k in range(1, _K0_GUARD + 1):
+        levels[(levels == 0) & (q == ident).all(axis=(1, 2, 3))] = k
+        if levels.all():
+            return [lcm(d * lv, tower.m) for lv in levels.tolist()]
+        q = tower.matmul(q, h @ tower.frob_matrix(d * k).T % tower.p)
+    raise WitnessFailed(f"twisted order of the Lang target exceeds {_K0_GUARD}")
 
 
 def _semilinear(big: Tower, d: int, h: np.ndarray) -> np.ndarray:
-    """F_p-matrix of u ↦ σ^d(u) − hᵀ·u on stacked digit columns u of n2 ambient entries."""
-    frob = np.kron(np.eye(h.shape[0], dtype=np.int64), big.frob_matrix(d))
-    return (frob - big.block_matrix(np.swapaxes(h, 0, 1))) % big.p
+    """F_p-matrices of u ↦ σ^d(u) − hᵀ·u on stacked digit columns u, one per h (…, n2, n2, A)."""
+    frob = np.kron(np.eye(h.shape[-2], dtype=np.int64), big.frob_matrix(d))
+    return (frob - big.block_matrix(np.swapaxes(h, -3, -2))) % big.p
 
 
 def _j(x: np.ndarray, axis: int) -> np.ndarray:
-    """J·x along axis 0 or 1, of length 2n: (x_{n..2n-1}, −x_{0..n-1})."""
+    """J·x along an axis of length 2n: (x_{n..2n-1}, −x_{0..n-1})."""
     x = x.swapaxes(0, axis)
     n = len(x) // 2
     return np.concatenate([x[n:], -x[:n]]).swapaxes(0, axis)
 
 
 def _pairing(big: Tower, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """⟨u_a, w_b⟩ = u_a·J·w_bᵀ for digit rows u (k, n2, A) and w (l, n2, A): shape (k, l, A)."""
-    return big.matmul(u, np.swapaxes(_j(w, 1) % big.p, 0, 1))
+    """⟨u_a, w_b⟩ = u_a·J·w_bᵀ for digit rows u (…, k, n2, A) and w (…, l, n2, A): shape (…, k, l, A)."""
+    return big.matmul(u, np.swapaxes(_j(w, -2) % big.p, -3, -2))
 
 
 def _level_inverse(big: Tower, c: np.ndarray, d: int) -> np.ndarray:
-    """Digits of c⁻¹ = c^{q^d − 2} for c in F_{q^d}^×, by squaring on the kernel."""
-    out = base = c.reshape(1, 1, -1)
+    """Digits of c⁻¹ = c^{q^d − 2} for digits c (…, A) in F_{q^d}^×, by squaring on the kernel."""
+    out = base = c[..., None, None, :]
     for bit in bin(big.q**d - 2)[3:]:  # square and multiply below the leading bit
         out = big.matmul(out, out)
         if bit == "1":
             out = big.matmul(out, base)
-    return out[0, 0]
+    return out[..., 0, 0, :]
 
 
 def _fqd_basis_rows(big: Tower, d: int, rows: np.ndarray) -> np.ndarray:
-    """Select n2 of the digit rows (k, n2, A) that are independent over F_{q^d}."""
-    p, n2 = big.p, rows.shape[1]
-    scalars = big._level_basis(d)[:, None, None]  # an F_p-basis of F_{q^d}, as 1×1 matrices
-    chosen = []
-    echelon, pivots = np.zeros((0, rows[0].size), dtype=np.int64), []
-    for row in rows:
-        vec = row.reshape(-1)
-        if not ((vec - vec[pivots] @ echelon) % p).any():
-            continue
-        chosen.append(row)
-        if len(chosen) == n2:
-            return np.stack(chosen)
-        # the F_{q^d}-line of the row, its products with each basis scalar, kept in reduced echelon form
-        line = big.matmul(scalars, row[None]).reshape(len(scalars), -1)
-        echelon, pivots = modp.rref(np.vstack([echelon, line]), p)
-        echelon = echelon[: len(pivots)]
-    raise WitnessFailed("Lang solution space thinner than expected")
+    """Per item of the stack of digit rows (B, k, n2, A), the first n2 rows, in row
+    order, that are independent over F_{q^d}: shape (B, n2, n2, A).  Row j is one of
+    them exactly when its F_{q^d}-line (its products with an F_p-basis of F_{q^d})
+    holds pivots of the row-reduced matrix whose columns are all the lines, in order."""
+    count, k, n2, A = rows.shape
+    scalars = big._level_basis(d)[:, None, None]  # the F_p-basis, as 1×1 matrices
+    lines = big.matmul(scalars, rows[:, :, None, None]).reshape(count, k * len(scalars), n2 * A)
+    independent = modp.rref(lines.swapaxes(1, 2), big.p)[1][:, :: len(scalars)]
+    if (independent.sum(axis=1) < n2).any():
+        raise WitnessFailed("Lang solution space thinner than expected")
+    first = np.argsort(~independent, axis=1, kind="stable")[:, :n2]
+    return np.take_along_axis(rows, first[:, :, None, None], axis=1)
 
 
 def _darboux_alpha(big: Tower, d: int, rows: np.ndarray) -> np.ndarray:
-    """Stack a Darboux basis of the row space into a symplectic witness."""
-    p = big.p
-    left = rows
-    us, ws = [], []
-    while len(left):
-        u, left = left[0], left[1:]
-        forms = _pairing(big, u[None], left)[0]
-        pick = np.flatnonzero(forms.any(axis=1))
-        if not pick.size:
+    """Stack a Darboux basis of each item's row space (B, n2, n2, A) into a symplectic witness."""
+    p, at = big.p, np.arange(len(rows))
+    left, us, ws = rows, [], []
+    while left.shape[1]:
+        u, left = left[:, 0], left[:, 1:]
+        forms = _pairing(big, u[:, None], left)[:, 0]
+        nonzero = forms.any(axis=2)
+        if not nonzero.any(axis=1).all():
             raise WitnessFailed("degenerate pairing on Lang solution space")
-        c = forms[pick[0]]
+        pick = nonzero.argmax(axis=1)
+        c = forms[at, pick]
         if not np.array_equal(c @ big.frob_matrix(d).T % p, c):
             raise WitnessFailed("pairing escaped the fixed field")
-        w = big.matmul(_level_inverse(big, c, d)[None, None], left[pick[0]][None])[0]
-        left = np.delete(left, pick[0], axis=0)
-        if len(left):  # z ↦ z − ⟨z, w⟩·u + ⟨z, u⟩·w
-            ab = _pairing(big, left, np.stack([w, u]))
-            coef = np.stack([-ab[:, 0], ab[:, 1]], axis=1) % p
-            left = (left + big.matmul(coef, np.stack([u, w]))) % p
+        w = big.matmul(_level_inverse(big, c, d)[:, None, None], left[at, pick][:, None])[:, 0]
+        left = left[np.arange(left.shape[1]) != pick[:, None]].reshape(len(rows), -1, *left.shape[2:])
+        if left.shape[1]:  # z ↦ z − ⟨z, w⟩·u + ⟨z, u⟩·w
+            ab = _pairing(big, left, np.stack([w, u], axis=1))
+            coef = np.stack([-ab[:, :, 0], ab[:, :, 1]], axis=2) % p
+            left = (left + big.matmul(coef, np.stack([u, w], axis=1))) % p
         us.append(u)
         ws.append(w)
-    return np.stack(us + ws)
+    return np.stack(us + ws, axis=1)
 
 
 def _inverse(big_spec: SympGroup, alpha: np.ndarray) -> np.ndarray:
-    """Digits of α⁻¹: J⁻¹·αᵀ·J on Sp, division-free; on GSp from the inverse of
-    α's F_p block matrix, whose block (i, k) has the digits of (α⁻¹)_ik in column 0."""
+    """Digits of α⁻¹ for digit matrices α (…, n2, n2, A): J⁻¹·αᵀ·J on Sp, division-free; on GSp
+    from the inverse of α's F_p block matrix, whose block (i, k) has the digits of (α⁻¹)_ik in column 0."""
     big = big_spec.tower
     if not big_spec.similitude:
-        return _j(np.swapaxes(_j(alpha, 0), 0, 1), 0) % big.p
-    n2, A = alpha.shape[0], big.ambient_degree
+        return _j(np.swapaxes(_j(alpha, -3), -3, -2), -3) % big.p
+    n2, A = alpha.shape[-2], big.ambient_degree
     try:
         inv = modp.left_inverse(big.block_matrix(alpha), big.p)
     except Singular:
         raise WitnessFailed("Lang witness is singular") from None
-    return np.moveaxis(inv.reshape(n2, A, n2, A)[..., 0], 1, 2)
+    return np.moveaxis(inv.reshape(*alpha.shape[:-3], n2, A, n2, A)[..., 0], -2, -1)
 
 
 def _lang_matrix(big_spec: SympGroup, h: np.ndarray, d: int) -> np.ndarray:
-    """Digits of a witness of σ^d(α) = α·h for digits h of a matrix in Sp or GSp."""
+    """Digits of witnesses of σ^d(α) = α·h for a stack of digit matrices h in Sp or GSp."""
     big, n2 = big_spec.tower, big_spec.size
     kern = modp.kernel_basis(_semilinear(big, d, h), big.p)
-    basis = _fqd_basis_rows(big, d, kern.reshape(len(kern), n2, -1))
+    basis = _fqd_basis_rows(big, d, kern.reshape(*kern.shape[:2], n2, -1))
     if not big_spec.similitude:
         alpha = _darboux_alpha(big, d, basis)
         # the Sp inverse J⁻¹·αᵀ·J is exact only on Sp: check α·J·αᵀ = J
-        gram = big.digit_array(big_spec.space.gram(big)).reshape(alpha.shape)
-        if not np.array_equal(_pairing(big, alpha, alpha), gram):
+        gram = big.digit_array(big_spec.space.gram(big)).reshape(alpha.shape[1:])
+        if not (_pairing(big, alpha, alpha) == gram).all():
             raise WitnessFailed("Darboux witness is not symplectic")
     else:
         alpha = basis
@@ -207,40 +231,47 @@ def _lang_matrix(big_spec: SympGroup, h: np.ndarray, d: int) -> np.ndarray:
     return alpha
 
 
-def lang_solve(spec: SympGroup, h: tuple, d: int, ambient_cap: int = DEFAULT_AMBIENT_CAP) -> LangWitness:
-    """Solve α^{-1}σ^d(α) = h with α in the group over a large enough field."""
-    k0 = _min_defining_level(spec, h, d)
-    big, emb = enlarge_tower(spec.tower, d * k0, ambient_cap)
+def lang_solve(spec: SympGroup, targets: np.ndarray, d: int, ambient_cap: int = DEFAULT_AMBIENT_CAP) -> LangWitness:
+    """Solve α^{-1}σ^d(α) = h, α in the group over a large enough field, for each h of the
+    stack targets: digit matrices (B, n2, n2, A) over spec's tower that need one ambient level."""
+    levels = set(_ambient_levels(spec, targets, d))
+    if len(levels) != 1:
+        raise ConfigInvalid(f"Lang targets of one stack need the ambient levels {sorted(levels)}")
+    big, emb = enlarge_tower(spec.tower, levels.pop(), ambient_cap)
     big_spec = SympGroup(big, spec.n, big.m, similitude=spec.similitude)
-    alpha = _lang_matrix(big_spec, emb.embed_rows(spec.tower.digit_array(h)).reshape(spec.size, spec.size, -1), d)
-    return LangWitness(big.from_digit_array(alpha.reshape(-1, big.ambient_degree)), big.m, emb, big_spec)
+    return LangWitness(_lang_matrix(big_spec, emb.embed_rows(targets), d), big.m, emb, big_spec)
 
 
-def gyoja_norm(cfg: NormConfig, spec: SympGroup, g, ambient_cap: int = DEFAULT_AMBIENT_CAP) -> tuple:
-    """The norm of (σ^i, g), an element of G(F_d), memoized on spec.
-
-    For i = 0 the map is the identity on ordinary classes by convention.
-    """
+def gyoja_norms(cfg: NormConfig, spec: SympGroup, gs, ambient_cap: int = DEFAULT_AMBIENT_CAP) -> list:
+    """The norms in G(F_d) of (σ^i, g) for the elements g of the sequence gs, memoized
+    on spec: the ones missing are solved in one stack per ambient level, in order of
+    first appearance, cut into chunks of _CHUNK_BYTES per F_p-system.  For i = 0 the
+    map is the identity on ordinary classes by convention."""
     if cfg.i == 0:
-        return g
-    key = (cfg, g, ambient_cap)
-    got = spec.norms.get(key)
-    if got is not None:
-        return got
+        return list(gs)
+    todo = [g for g in dict.fromkeys(gs) if (cfg, g, ambient_cap) not in spec.norms]
     # The Lang target is the t-fold twisted product itself: with
     # σ^d(α) = α·P_t, the commutation P_t·σ^d(P_μ) = P_μ·P_t of powers of
     # (σ^i, g) forces σ^d-stability of the conjugated norm.
-    target = twisted_product(spec, cfg.i, g, cfg.t)
-    witness = lang_solve(spec, target, cfg.d, ambient_cap)
-    big_spec, emb = witness.group, witness.embedding
-    big, n2 = big_spec.tower, spec.size
-    alpha = big.digit_array(witness.alpha).astype(np.int64).reshape(n2, n2, -1)
-    p_mu = emb.embed_rows(spec.tower.digit_array(twisted_product(spec, cfg.i, g, cfg.mu))).reshape(n2, n2, -1)
-    out = big.matmul(big.matmul(alpha, p_mu), _inverse(big_spec, alpha))
-    if not np.array_equal(out @ big.frob_matrix(cfg.d).T % big.p, out):
-        raise WitnessFailed("norm did not land at level d")
-    spec.norms[key] = got = spec.tower.from_digit_array(emb.pull_back_rows(out.reshape(n2 * n2, -1)))
-    return got
+    p_t, p_mu = _twisted_products(spec.tower, cfg.i, _element_digits(spec, todo), (cfg.t, cfg.mu))
+    levels = _ambient_levels(spec, p_t, cfg.d)
+    for level in dict.fromkeys(levels):
+        members = [b for b, lv in enumerate(levels) if lv == level]
+        size = max(1, _CHUNK_BYTES // (8 * (spec.size * spec.tower.base_degree * level) ** 2))
+        for chunk in (members[k : k + size] for k in range(0, len(members), size)):
+            witness = lang_solve(spec, p_t[chunk], cfg.d, ambient_cap)
+            big, emb, alpha = witness.group.tower, witness.embedding, witness.digits
+            out = big.matmul(big.matmul(alpha, emb.embed_rows(p_mu[chunk])), _inverse(witness.group, alpha))
+            if not np.array_equal(out @ big.frob_matrix(cfg.d).T % big.p, out):
+                raise WitnessFailed("norm did not land at level d")
+            norms = _elements(spec.tower, emb.pull_back_rows(out))
+            spec.norms.update(((cfg, todo[b], ambient_cap), N) for b, N in zip(chunk, norms))
+    return [spec.norms[(cfg, g, ambient_cap)] for g in gs]
+
+
+def gyoja_norm(cfg: NormConfig, spec: SympGroup, g, ambient_cap: int = DEFAULT_AMBIENT_CAP) -> tuple:
+    """The norm of (σ^i, g): gyoja_norms of the one element g."""
+    return gyoja_norms(cfg, spec, [g], ambient_cap)[0]
 
 
 @dataclass
@@ -258,15 +289,9 @@ def verify_bijection(cfg: NormConfig, spec: SympGroup, target_spec: SympGroup,
     """Check the class bijection σ^i ⋉ G(F') → classes of G(F_d)."""
     tw = twisted_classes(spec, cfg.i)
     target = conjugacy_classes(target_spec)
-
-    def norm_class(g):
-        return target.index_of(gyoja_norm(cfg, spec, g, ambient_cap))
-
-    assigned = [norm_class(rep) for rep in tw.reps]
-    well_defined = True
     # up to members_per_class - 1 members of each class besides its representative,
     # the first ones in elements() order; the walk stops once every class has them
-    left = [max(min(members_per_class, size) - 1, 0) for size in tw.sizes]
+    members, left = [], [max(min(members_per_class, size) - 1, 0) for size in tw.sizes]
     wanted = sum(left)
     for g, k in tw.class_of.items():
         if not wanted:
@@ -275,16 +300,14 @@ def verify_bijection(cfg: NormConfig, spec: SympGroup, target_spec: SympGroup,
             continue
         left[k] -= 1
         wanted -= 1
-        if norm_class(g) != assigned[k]:
-            well_defined = False
+        members.append((g, k))
+    sigma_reps = [spec.frob(rep, 1) for rep in tw.reps]
+    gs = [*tw.reps, *(g for g, _ in members), *sigma_reps]
+    norm = dict(zip(gs, gyoja_norms(cfg, spec, gs, ambient_cap)))
+    assigned = [target.index_of(norm[rep]) for rep in tw.reps]
+    well_defined = all(target.index_of(norm[g]) == assigned[k] for g, k in members)
     injective = len(set(assigned)) == len(assigned)
     surjective = set(assigned) == set(range(len(target)))
-    equivariant = True
-    for k, rep in enumerate(tw.reps):
-        sig_rep = spec.frob(rep, 1)
-        lhs = norm_class(sig_rep)
-        n_el = gyoja_norm(cfg, spec, rep, ambient_cap)
-        rhs = target.index_of(target_spec.frob(n_el, 1))
-        if lhs != rhs:
-            equivariant = False
+    equivariant = all(target.index_of(norm[sig_rep]) == target.index_of(target_spec.frob(norm[rep], 1))
+                      for rep, sig_rep in zip(tw.reps, sigma_reps))
     return BijectionReport(len(tw), len(target), well_defined, injective, surjective, equivariant)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from weilbc import modp
 from weilbc.cyclotomic import CycNum
 from weilbc.errors import ConfigInvalid, EvenCharacteristic, InvariantBroken, LevelMismatch, NotPrime, ZeroArgument
-from weilbc.fieldtower import Tower, build_tower, enlarge_tower, get_embedding
+from weilbc.fieldtower import Tower, build_tower, enlarge_tower, find_modulus, get_embedding
 from weilbc.grouplib import HeisGroup, SympGroup, TorusSL2, mat_mul
-from weilbc.normmap import _level_inverse, choose_t, gyoja_norm, lang_solve
+from weilbc.normmap import _element_digits, _level_inverse, choose_t, gyoja_norm, lang_solve
 
 
 @pytest.fixture(scope="module")
@@ -419,7 +419,73 @@ def test_library_hands_out_plain_ints():
     sl9, rng = SympGroup(t92, 1, 2), random.Random(0)
     for g in (sl9.random(rng) for _ in range(5)):
         plain(gyoja_norm(choose_t(1, 2), sl9, g))
-        witness = lang_solve(sl9, g, 1)
-        plain(witness.alpha)
+        witness = lang_solve(sl9, _element_digits(sl9, [g]), 1)
+        plain(chain.from_iterable(witness.alpha))
         emb = witness.embedding
         plain([emb.embed(g[0]), emb.pull_back(emb.embed(g[0]))])
+
+
+# find_modulus for p = 3, degrees 2..36, and p = 7, degrees 2..28: the coefficients c_0..c_deg
+# (low degree first, one digit each), recorded before the root prefilter was added.
+MODULI = {
+    3: [
+        "101", "1021", "10111", "100021", "1000111", "10000121", "100001101", "1000002101", "10000000201",
+        "100000000121", "1000000010011", "10000000000021", "100000000000111", "1000000000000121",
+        "10000000000001101", "100000000000000021", "1000000000000001021", "10000000000000000121",
+        "100000000000000001021", "1000000000000000001011", "10000000000000000001101", "100000000000000000001011",
+        "1000000000000000000011221", "10000000000000000000002001", "100000000000000000000000201",
+        "1000000000000000000000101221", "10000000000000000000000000111", "100000000000000000000000010101",
+        "1000000000000000000000000001021", "10000000000000000000000000001011", "100000000000000000000000000001221",
+        "1000000000000000000000000000002221", "10000000000000000000000000000000201",
+        "100000000000000000000000000000000121", "1000000000000000000000000000000001111",
+    ],
+    7: [
+        "101", "1011", "10011", "100031", "1000101", "10000061", "100000121", "1000000011", "10000000111",
+        "100000000041", "1000000001031", "10000000000131", "100000000000031", "1000000000000341",
+        "10000000000000531", "100000000000000041", "1000000000000000101", "10000000000000000121",
+        "100000000000000000431", "1000000000000000000131", "10000000000000000000401", "100000000000000000000421",
+        "1000000000000000000002011", "10000000000000000000001031", "100000000000000000000001051",
+        "1000000000000000000000002141", "10000000000000000000000000111",
+    ],
+}
+
+
+@pytest.mark.parametrize("p", sorted(MODULI))
+def test_find_modulus_matches_the_recorded_table(p):
+    got = ["".join(map(str, find_modulus(p, deg))) for deg in range(2, len(MODULI[p]) + 2)]
+    assert got == MODULI[p]
+
+
+def _monic_polys(p, deg):
+    """Every monic polynomial of the given degree, as a coefficient list, low degree first."""
+    for k in range(p**deg):
+        yield [k // p**e % p for e in range(deg)] + [1]
+
+
+def _remainder(f, g, p):
+    """f mod g over F_p for a monic g, by schoolbook long division."""
+    f = list(f)
+    for top in range(len(f) - 1, len(g) - 2, -1):
+        c = f[top]
+        if c:
+            for e, ge in enumerate(g):
+                f[top - len(g) + 1 + e] = (f[top - len(g) + 1 + e] - c * ge) % p
+    return f[: len(g) - 1]
+
+
+def _irreducible_by_trial_division(f, p):
+    deg = len(f) - 1
+    return not any(not any(_remainder(f, g, p)) for d in range(1, deg // 2 + 1) for g in _monic_polys(p, d))
+
+
+@pytest.mark.parametrize("p, deg", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2), (5, 3), (5, 4), (7, 2),
+                                    (7, 3), (7, 4), (11, 2), (11, 3)])
+def test_find_modulus_against_trial_division(p, deg):
+    """The modulus is irreducible and every candidate before it in the search order
+    (c_0 ≠ 0, then (c_0, c_1, …, c_{deg−1}) lexicographically) has a monic factor."""
+    got = list(find_modulus(p, deg))
+    assert _irreducible_by_trial_division(got, p)
+    for f in _monic_polys(p, deg):
+        rank = (f[0], *f[1:deg])
+        if f[0] and rank < tuple(got[:deg]):
+            assert not _irreducible_by_trial_division(f, p), f

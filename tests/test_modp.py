@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilbc import modp
+from weilbc.errors import DimensionMismatch, Singular, WeilbcError
 
 
 def _rref_by_rows(mat, p):
@@ -43,7 +46,7 @@ def test_rref_matches_row_by_row_elimination(p):
     for mat in _random_matrices(p, rng):
         got, pivots = modp.rref(mat, p)
         want, want_pivots = _rref_by_rows(mat, p)
-        assert pivots == want_pivots
+        assert np.flatnonzero(pivots).tolist() == want_pivots
         assert np.array_equal(got, want)
         free = [c for c in range(mat.shape[1]) if c not in want_pivots]
         want_kern = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
@@ -54,3 +57,131 @@ def test_rref_matches_row_by_row_elimination(p):
         kern = modp.kernel_basis(mat, p)
         assert np.array_equal(kern, want_kern)
         assert not (mat @ kern.T % p).any()
+
+
+# -- batched kernels against a per-matrix elimination on Python ints ------------------
+
+
+def _rref_ints(rows, p):
+    """Gauss-Jordan elimination of one matrix given as lists of Python ints."""
+    m = [[x % p for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for j in range(len(m)):
+            if j != r and m[j][c]:
+                f = m[j][c]
+                m[j] = [(x - f * y) % p for x, y in zip(m[j], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _kernel_ints(rows, p):
+    m, pivots = _rref_ints(rows, p)
+    cols = len(m[0])
+    out = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [0] * cols
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][fc] % p
+        out.append(vec)
+    return out
+
+
+PRIMES = [3, 5, 7, 2**31 - 1]
+
+
+@st.composite
+def batches(draw, min_rows=1, full_rank=False):
+    """(p, batch): matrices of one shape, each a product through a drawn inner
+    dimension with a drawn set of columns zeroed, so that the batch mixes ranks and
+    pivot patterns.  Half the batches share the inner dimension and the number of
+    zeroed columns (mostly one nullity); full_rank draws full inner dimensions and
+    zeroes nothing."""
+    p = draw(st.sampled_from(PRIMES))
+    count, cols = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    rows = draw(st.integers(min_rows, max(min_rows, 7)))
+    entry = st.integers(0, p - 1)
+    shared = draw(st.booleans())
+    zeros = 0 if full_rank else draw(st.integers(0, cols // 2))
+    inner = min(rows, cols) if full_rank else draw(st.integers(0, min(rows, cols - zeros)))
+    batch = []
+    for _ in range(count):
+        if not shared and not full_rank:
+            zeros = draw(st.integers(0, cols // 2))
+            inner = draw(st.integers(0, min(rows, cols - zeros)))
+        left = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner), min_size=rows, max_size=rows))
+        right = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
+        zeroed = draw(st.sets(st.integers(0, cols - 1), min_size=zeros, max_size=zeros))
+        batch.append([[0 if c in zeroed else sum(left[r][k] * right[k][c] for k in range(inner)) % p
+                       for c in range(cols)] for r in range(rows)])
+    return p, batch
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(batches())
+def test_batched_rref_matches_per_matrix_elimination_property(case):
+    p, batch = case
+    got, mask = modp.rref(np.array(batch, dtype=np.int64), p)
+    for k, rows in enumerate(batch):
+        want, pivots = _rref_ints(rows, p)
+        assert got[k].tolist() == want
+        assert np.flatnonzero(mask[k]).tolist() == pivots
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(batches())
+def test_batched_kernel_basis_matches_per_matrix_elimination_property(case):
+    """Equal nullities give each matrix's own reduced kernel basis; unequal ones raise."""
+    p, batch = case
+    want = [_kernel_ints(rows, p) for rows in batch]
+    if len({len(kern) for kern in want}) > 1:
+        with pytest.raises(DimensionMismatch):
+            modp.kernel_basis(np.array(batch, dtype=np.int64), p)
+        return
+    got = modp.kernel_basis(np.array(batch, dtype=np.int64), p)
+    assert got.shape == (len(batch), len(want[0]), len(batch[0][0]))
+    assert got.tolist() == want
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(batches(min_rows=7, full_rank=True))
+def test_batched_left_inverse_property(case):
+    """A full-column-rank batch gets each matrix's left inverse from [M | I]; any
+    rank-deficient matrix in the batch raises Singular."""
+    p, batch = case
+    rows, cols = len(batch[0]), len(batch[0][0])
+    reduced = [_rref_ints([row + [int(r == k) for k in range(rows)] for r, row in enumerate(m)], p)
+               for m in batch]
+    if any(pivots[:cols] != list(range(cols)) for _, pivots in reduced):
+        with pytest.raises(Singular):
+            modp.left_inverse(np.array(batch, dtype=np.int64), p)
+        return
+    got = modp.left_inverse(np.array(batch, dtype=np.int64), p)
+    for k, (aug, _) in enumerate(reduced):
+        assert got[k].tolist() == [row[cols:] for row in aug[:cols]]
+        # L·M = I, in Python ints
+        assert [[sum(x * batch[k][i][c] for i, x in enumerate(row)) % p for c in range(cols)]
+                for row in got[k].tolist()] == [[int(r == c) for c in range(cols)] for r in range(cols)]
+
+
+def test_kernel_basis_refuses_unequal_nullities():
+    batch = np.stack([np.eye(3, dtype=np.int64), np.zeros((3, 3), dtype=np.int64)])
+    with pytest.raises(WeilbcError, match="null spaces of dimensions"):
+        modp.kernel_basis(batch, 5)
+
+
+def test_two_dimensional_input_is_a_batch_of_one():
+    rng = np.random.default_rng(0)
+    mat = rng.integers(0, 7, size=(4, 6))
+    got, mask = modp.rref(mat, 7)
+    stacked, stacked_mask = modp.rref(mat[None], 7)
+    assert np.array_equal(got, stacked[0]) and np.array_equal(mask, stacked_mask[0])
+    assert np.array_equal(modp.kernel_basis(mat, 7), modp.kernel_basis(mat[None], 7)[0])

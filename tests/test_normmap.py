@@ -13,8 +13,10 @@ from weilbc.fieldtower import Tower, build_tower
 from weilbc.characters import indicator_basis, lift_class_function
 from weilbc.grouplib import SympGroup, TorusSL2, conjugacy_classes, mat_det, mat_frob, twisted_classes
 from weilbc.normmap import (
+    DEFAULT_AMBIENT_CAP,
     choose_t,
     gyoja_norm,
+    gyoja_norms,
     lang_solve,
     twisted_product,
     verify_bijection,
@@ -56,16 +58,21 @@ def test_twisted_product_examples(t92):
     assert twisted_product(tor, 1, g, 4) == (2, 0, 0, 2)
 
 
+def _solve_one(spec, h, d, ambient_cap=DEFAULT_AMBIENT_CAP):
+    """lang_solve on the stack of the one target h."""
+    return lang_solve(spec, normmap._element_digits(spec, [h]), d, ambient_cap)
+
+
 def test_lang_trivial_target(t92):
     sl = SympGroup(t92, 1, 2)
-    w = lang_solve(sl, sl.identity(), 1)
+    w = _solve_one(sl, sl.identity(), 1)
     chk = w.group.tower
-    alpha = w.alpha
+    (alpha,) = w.alpha
     assert tuple(chk.frobenius(x, 1) for x in alpha) == alpha  # witness is rational
 
 
 def _witness_holds(h, w, d=1):
-    big_spec, a = w.group, w.alpha
+    big_spec, (a,) = w.group, w.alpha
     return big_spec.mul(big_spec.inv(a), big_spec.frob(a, d)) == tuple(map(w.embedding.embed, h))
 
 
@@ -79,11 +86,11 @@ def test_lang_matrix_witness_verified():
         rng = random.Random(4)
         for _ in range(samples):
             h = spec.random(rng)
-            w = lang_solve(spec, h, 1)
+            w = _solve_one(spec, h, 1)
             assert _witness_holds(h, w)
             if not spec.similitude:
                 # Darboux construction produces a symplectic witness
-                assert w.group.contains(w.alpha)
+                assert w.group.contains(w.alpha[0])
 
 
 def _zeta(sl):
@@ -96,9 +103,9 @@ def test_lang_abelian_square(t92):
     sl = SympGroup(t92, 1, 2)
     zeta = _zeta(sl)
     h = sl.levi((t92.mul(zeta, zeta),))
-    w = lang_solve(sl, h, 1)
+    w = _solve_one(sl, h, 1)
     assert w.ambient_degree == 2  # ζ² = a⁻¹σ(a) for a = ζ in F_9
-    assert _witness_holds(h, w) and w.group.contains(w.alpha)
+    assert _witness_holds(h, w) and w.group.contains(w.alpha[0])
 
 
 def test_lang_abelian_nonsquare_needs_f81(t92):
@@ -106,10 +113,11 @@ def test_lang_abelian_nonsquare_needs_f81(t92):
     witness lives in SL2(F_81), above the level m = 2 of the target."""
     sl = SympGroup(t92, 1, 2)
     h = sl.levi((_zeta(sl),))
-    w = lang_solve(sl, h, 1)
+    w = _solve_one(sl, h, 1)
+    (alpha,) = w.alpha
     assert w.ambient_degree == 4 and w.group.tower.m == 4
-    assert mat_frob(w.group.tower, w.alpha, 2) != w.alpha  # not defined over F_9
-    assert _witness_holds(h, w) and w.group.contains(w.alpha)
+    assert mat_frob(w.group.tower, alpha, 2) != alpha  # not defined over F_9
+    assert _witness_holds(h, w) and w.group.contains(alpha)
 
 
 @pytest.mark.parametrize("symplectic, message", [(True, "verification failed"), (False, "not symplectic")])
@@ -117,18 +125,18 @@ def test_bad_witness_raises_witness_failed(t92, monkeypatch, symplectic, message
     darboux = normmap._darboux_alpha
 
     def perturbed(big, d, rows):
-        alpha = darboux(big, d, rows)  # digit rows, shape (2, 2, ambient degree)
+        alpha = darboux(big, d, rows)  # digit rows of a stack of one, shape (1, 2, 2, ambient degree)
         if not symplectic:  # swap the two rows: determinant -1
-            return alpha[::-1]
+            return alpha[:, ::-1]
         # left factor [[1, x], [0, 1]] with x, the ambient generator, outside F_3: still symplectic, not Lang
         left = np.zeros_like(alpha)
-        left[0, 0, 0] = left[1, 1, 0] = left[0, 1, 1] = 1
+        left[:, 0, 0, 0] = left[:, 1, 1, 0] = left[:, 0, 1, 1] = 1
         return big.matmul(left, alpha)
 
     monkeypatch.setattr(normmap, "_darboux_alpha", perturbed)
     sl = SympGroup(t92, 1, 2)
     with pytest.raises(WitnessFailed, match=message):
-        lang_solve(sl, sl.random(random.Random(4)), 1)
+        _solve_one(sl, sl.random(random.Random(4)), 1)
 
 
 def test_ambient_cap_raises(t92):
@@ -237,9 +245,9 @@ def test_one_lang_solve_per_element(t92, monkeypatch):
     solved = []
     solve = normmap.lang_solve
 
-    def counting(spec, h, d, ambient_cap):
-        solved.append(h)
-        return solve(spec, h, d, ambient_cap)
+    def counting(spec, targets, d, ambient_cap):
+        solved.extend(targets)  # one entry per solved target, however many calls
+        return solve(spec, targets, d, ambient_cap)
 
     monkeypatch.setattr(normmap, "lang_solve", counting)
 
@@ -306,13 +314,13 @@ def test_lang_witness_identity_property(p, m, similitude, i, seed):
     spec, _, g = _random_element(p, m, similitude, seed)
     cfg = choose_t(i, m)
     h = twisted_product(spec, i, g, cfg.t)
-    w = lang_solve(spec, h, cfg.d)
+    w = _solve_one(spec, h, cfg.d)
     assert _witness_holds(h, w, cfg.d)
-    big = w.group
+    big, (alpha,) = w.group, w.alpha
     if similitude:
-        assert mat_det(big.tower, w.alpha, big.size) != big.tower.zero
+        assert mat_det(big.tower, alpha, big.size) != big.tower.zero
     else:
-        assert big.contains(w.alpha)
+        assert big.contains(alpha)
 
 
 @pytest.mark.parametrize("p, m, similitude, i", LANG_TWISTS)
@@ -346,13 +354,13 @@ def _members_by_full_walk(spec, tw, members_per_class):
 
 def _normed(monkeypatch):
     """Record the elements verify_bijection norms, in order."""
-    seen, norm = [], normmap.gyoja_norm
+    seen, norms = [], normmap.gyoja_norms
 
-    def recording(cfg, spec, g, ambient_cap):
-        seen.append(g)
-        return norm(cfg, spec, g, ambient_cap)
+    def recording(cfg, spec, gs, ambient_cap):
+        seen.extend(gs)
+        return norms(cfg, spec, gs, ambient_cap)
 
-    monkeypatch.setattr(normmap, "gyoja_norm", recording)
+    monkeypatch.setattr(normmap, "gyoja_norms", recording)
     return seen
 
 
@@ -365,9 +373,9 @@ def test_bijection_members_match_the_full_walk(p, members, monkeypatch):
     seen = _normed(monkeypatch)
     rep = verify_bijection(choose_t(1, 2), sl, sl1, members_per_class=members)
     assert rep.well_defined and rep.injective and rep.surjective and rep.sigma_equivariant
-    # reps first, then the members, then two norms per rep for σ-equivariance
+    # reps first, then the members, then the σ-image of each rep for σ-equivariance
     assert seen[: len(tw.reps)] == tw.reps
-    assert seen[len(tw.reps) : len(seen) - 2 * len(tw.reps)] == _members_by_full_walk(sl, tw, members)
+    assert seen[len(tw.reps) : len(seen) - len(tw.reps)] == _members_by_full_walk(sl, tw, members)
 
 
 class _Visits(dict):
@@ -397,7 +405,7 @@ def test_bijection_stops_once_every_class_has_its_members():
 def _witness_triples(spec, elements, i):
     cfg = choose_t(i, spec.level)
     for g in elements:
-        alpha = lang_solve(spec, twisted_product(spec, i, g, cfg.t), cfg.d).alpha
+        (alpha,) = _solve_one(spec, twisted_product(spec, i, g, cfg.t), cfg.d).alpha
         yield [g, alpha, gyoja_norm(cfg, spec, g)]
 
 
@@ -445,3 +453,65 @@ def test_norms_make_no_computed_path_field_call(monkeypatch):
 
         monkeypatch.setattr(Tower, name, guarded)
     norm_all()
+
+
+# -- stacked solves against solves of one ------------------------------------------
+
+
+def _batch_groups():
+    """(group, elements, twists): all of SL2(F9), 200 SL2(F27) samples, 30 GSp2(F9) samples."""
+    t92, t27 = build_tower(3, 1, 2), build_tower(3, 1, 3)
+    yield lambda: SympGroup(t92, 1, 2), None, (1,)
+    yield lambda: SympGroup(t27, 1, 3), 200, (1, 2)
+    yield lambda: SympGroup(t92, 1, 2, similitude=True), 30, (1,)
+
+
+@pytest.mark.parametrize("case", range(3), ids=["sl2-f9-all", "sl2-f27-200", "gsp2-f9-30"])
+def test_stacked_norms_match_single_norms(case):
+    """gyoja_norms on one group equals gyoja_norm, element by element, on a fresh group."""
+    make, count, twists = list(_batch_groups())[case]
+    batch_spec = make()
+    gs = batch_spec.elements() if count is None else _seed0_samples(batch_spec, count)
+    for i in twists:
+        cfg = choose_t(i, batch_spec.level)
+        got = gyoja_norms(cfg, batch_spec, gs)
+        single_spec = make()
+        assert got == [gyoja_norm(cfg, single_spec, g) for g in gs]
+
+
+def test_low_cap_names_the_first_offending_element():
+    """The stacks are solved by level; the cap error still names the level of the
+    first element, in sample order, whose witness needs more than the cap."""
+    t92 = build_tower(3, 1, 2)
+    cfg = choose_t(1, 2)
+    probe = SympGroup(t92, 1, 2)
+    level = {}
+    for g in probe.elements():
+        target = normmap._element_digits(probe, [twisted_product(probe, 1, g, cfg.t)])
+        level[g] = normmap._ambient_levels(probe, target, cfg.d)[0]
+    above = sorted({lv for lv in level.values() if lv > 4})
+    assert len(above) >= 2
+    low = [g for g in probe.elements() if level[g] <= 4][:5]
+    for first, later in ((above[0], above[-1]), (above[-1], above[0])):
+        gs = [*low, next(g for g in probe.elements() if level[g] == first),
+              *(g for g in probe.elements() if level[g] == later)]
+        with pytest.raises(AmbientCapExceeded, match=rf"required ambient level {first} exceeds the configured cap 4$"):
+            gyoja_norms(cfg, SympGroup(t92, 1, 2), gs, 4)
+
+
+def test_exhaustive_star_solves_by_level(monkeypatch):
+    """Exhaustive star over SL2(F9) solves its 720 Lang targets in a few stacks."""
+    from weilbc.checks import RunConfig, Workspace, run_check
+
+    calls = []
+    solve = normmap.lang_solve
+
+    def counting(spec, targets, d, ambient_cap):
+        calls.append(len(targets))
+        return solve(spec, targets, d, ambient_cap)
+
+    monkeypatch.setattr(normmap, "lang_solve", counting)
+    cfg = RunConfig(p=3, n=1, m=2, pairs=((1, 1),), sample="all", seed=0)
+    report = run_check("star", cfg, Workspace(cfg))
+    assert len(report.cases) == 720 and report.n_fail == 0
+    assert sum(calls) == 720 and len(calls) <= 30

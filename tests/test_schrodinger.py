@@ -2,13 +2,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weilbc import schrodinger
 from weilbc.characters import induced_trace, weil_torus_restriction
 from weilbc.cyclotomic import CycNum
-from weilbc.errors import NotSymplectic, OperatorOverflow, Singular
+from weilbc.errors import FactorizationFailed, NotSymplectic, OperatorOverflow, Singular
 from weilbc.fieldtower import build_tower
-from weilbc.grouplib import HeisGroup, SpHGroup, SympGroup, TorusSL2, conjugacy_classes, mat_mul, sp_act_heis
+from weilbc.grouplib import (HeisGroup, SpHGroup, SympGroup, TorusSL2, conjugacy_classes, mat_identity, mat_mul,
+                             sp_act_heis)
 from weilbc.normmap import choose_t, gyoja_norm
 from weilbc.schrodinger import RepContext, WeilOperator, gsp_character_values, siegel_factor
 
@@ -390,6 +393,49 @@ def test_scaled_psi_still_a_representation(t92):
     for _ in range(50):
         g1, g2 = sl.random(rng), sl.random(rng)
         assert ctx.build_rho(mat_mul(t92, g1, g2, 2)) == ctx.build_rho(g1) @ ctx.build_rho(g2)
+
+
+# Sp2(F27), Sp4(F9) and Sp4(F3) as (p, n, level): the groups of the factor-certificate properties
+SIEGEL_GROUPS = [(3, 1, 3), (3, 2, 2), (3, 2, 1)]
+
+
+def _factor_matrix(spec, tag, param):
+    return {"unip": spec.unipotent, "levi": spec.levi, "weyl": spec.weyl}[tag](param)
+
+
+def _word_product(spec, word):
+    out = mat_identity(spec.tower, spec.size)
+    for tag, param in word:
+        out = mat_mul(spec.tower, out, _factor_matrix(spec, tag, param), spec.size)
+    return out
+
+
+@pytest.mark.parametrize("p, n, level", SIEGEL_GROUPS, ids=["sp2-f27", "sp4-f9", "sp4-f3"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_siegel_word_reproduces_the_element_property(p, n, level, seed):
+    spec = SympGroup(build_tower(p, 1, level), n, level)
+    g = spec.random(random.Random(seed))
+    word = siegel_factor(spec.tower, n, level, g)
+    assert {tag for tag, _ in word} <= {"unip", "levi", "weyl"}
+    assert _word_product(spec, word) == g
+
+
+@pytest.mark.parametrize("p, n, level", SIEGEL_GROUPS, ids=["sp2-f27", "sp4-f9", "sp4-f3"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_siegel_word_missing_a_factor_is_refused_property(p, n, level, seed, data):
+    """A word with one nontrivial factor dropped no longer reproduces g, and the
+    certificate check in siegel_factor raises FactorizationFailed."""
+    spec = SympGroup(build_tower(p, 1, level), n, level)
+    g = spec.random(random.Random(seed))
+    word = schrodinger._siegel_factor_inner(spec.tower, n, level, g)
+    k = data.draw(st.integers(0, len(word) - 1))
+    assume(_factor_matrix(spec, *word[k]) != spec.identity())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schrodinger, "_siegel_factor_inner", lambda *args: word[:k] + word[k + 1 :])
+        with pytest.raises(FactorizationFailed, match="does not reproduce"):
+            siegel_factor(spec.tower, n, level, g)
 
 
 def test_standard_weyl_factors_as_single_generator(t92):
