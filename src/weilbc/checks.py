@@ -4,8 +4,10 @@ Every check compares two independently computed exact values in Q(ζ_p) and
 returns a Report; a report with zero failures is success.  Exhaustive checks
 over large enumerations aggregate one case per outer slice (counting matches
 over the inner loop) and additionally emit a full case for each of the first
-three mismatching elements of the slice (``_exhaustive_cases``), so a failing
-slice always fails the report and its first failures carry full values.
+three mismatching elements of the slice (``_slice_cases``), so a failing
+slice always fails the report and its first failures carry full values.  A
+slice is compared as integer rows of ψ-exponent counts over one common
+denominator; a CycNum is built only for a case's lhs and rhs.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import time
 from dataclasses import asdict, dataclass, field
 from itertools import product as iproduct
 
+import numpy as np
+
 from .cyclotomic import CycNum, gauss_sum
-from .errors import ConfigInvalid, GroupTooLarge, InvariantBroken
+from .errors import ConfigInvalid, GroupTooLarge
 from .fieldtower import ENUM_CAP, build_tower
 from .grouplib import (
     SemidirectGroup,
@@ -43,6 +47,7 @@ from .characters import (
     lift_class_function,
     omega,
     omega_prime,
+    translation_rows,
     weil_torus_restriction,
 )
 from .schrodinger import RepContext, WeilOperator, extended_gsp_trace, gsp_character_values
@@ -88,7 +93,7 @@ class Case:
     @classmethod
     def of(cls, input: str, lhs, rhs) -> "Case":
         """The case lhs = rhs between two exact values: cyclotomic numbers, operators, counts."""
-        return cls(input, _text(lhs), _text(rhs), lhs == rhs)
+        return cls(input, _text(lhs), _text(rhs), bool(lhs == rhs))
 
 
 def _text(x) -> str:
@@ -376,21 +381,20 @@ def check_orthogonal(ws: Workspace) -> list[Case]:
     return cases
 
 
-def _exhaustive_cases(label: str, describe, points) -> list[Case]:
+def _slice_cases(ctx: RepContext, label: str, describe, points: list, lhs, w: int, rhs) -> list[Case]:
     """Cases of one exhaustively enumerated slice: a full case for each of the
     first three mismatching points, then one matched/total aggregate case.
 
-    points yields (x, lhs, rhs); describe(x) is the input text of a mismatch.
+    Row k of lhs and rhs holds the values at points[k] over one common
+    denominator: G^{-n·w}·Σ_e lhs[k, e]·ζ^e and Σ_e rhs[k, e]·ζ^e, which
+    agree when lhs and rhs·G^{n·w} differ by a constant row (Σ_e ζ^e = 0).
+    describe(x) is the input text of a mismatch.
     """
-    cases = []
-    total = mism = 0
-    for x, lhs, rhs in points:
-        total += 1
-        if lhs != rhs:
-            mism += 1
-            if mism <= 3:
-                cases.append(Case.of(describe(x), lhs, rhs))
-    cases.append(Case.of(label, f"{total - mism}/{total}", f"{total}/{total}"))
+    diff = lhs - ctx.gauss_rows(rhs, w)
+    bad = np.flatnonzero((diff != diff[:, -1:]).any(axis=1))
+    cases = [Case.of(describe(points[k]), ctx.value(lhs[k], w), ctx.value(rhs[k])) for k in bad[:3]]
+    total = len(points)
+    cases.append(Case.of(label, f"{total - len(bad)}/{total}", f"{total}/{total}"))
     return cases
 
 
@@ -407,31 +411,22 @@ def check_parabolic(ws: Workspace) -> list[Case]:
     if points > cfg.enum_cap:  # the enumeration ignores --sample
         raise GroupTooLarge(f"parabolic enumerates {points} points (j, b, h), over the cap {cfg.enum_cap}")
     ctx = ws.ctx(m)
-    sph = ws.sph()
     borel = [g for g in ws.sp().elements() if g[2] == tower.zero]  # c = 0, in sorted order
-    # coset reps of Γ⋉B·H_⊥ in Γ⋉B·H: Heisenberg translations along f_1
-    reps = [(sph.sp.identity(), ((tower.zero, y), tower.zero)) for y in field]
-    pairs = [coset_pairs(sph, reps, j) for j in range(m)]
-    # ε'∘det ⊗ ψ' on B·H_⊥, tabulated by (diagonal entry a, central part t)
-    chi_table = {
-        (a, t): tower.psi(t, m, ws.scale) * CycNum.rational(cfg.p, tower.quad_char(a, m))
-        for a in field if a != tower.zero for t in field
-    }
-
-    def in_sub(z):  # B·H_⊥: no f_1 component
-        return z[1][0][1] == tower.zero
-
-    def chi(z):
-        return chi_table[z[0][0], z[1][1]]
-
-    heis_parts = [((v0, v1), t) for v0 in field for v1 in field for t in field]
+    # coset reps of Γ⋉B·H_⊥ in Γ⋉B·H: Heisenberg translations along f_1; z
+    # lies in B·H_⊥ when its f_1 coordinates vanish, and ε'∘det ⊗ ψ' is ε'(a)·ψ'(t)
+    coords = ctx.coordinates()
+    reps = np.array([coords.vector((tower.zero, y)) for y in field])
+    f1 = slice(len(coords.basis), 2 * len(coords.basis))
+    heis_parts = ws.sph().heis.elements()
+    vs, ts = ctx.heis_points()
     cases = []
     for j in range(m):
         for b in borel:
-            points = ((h, ctx.extended_trace(j, (b, h)), induced_trace(sph, pairs[j], (b, h), in_sub, chi))
-                      for h in heis_parts)
-            cases += _exhaustive_cases(f"j={j},b={b} (all Heisenberg parts)", lambda h: f"j={j},b={b},h={h}", points)
-    val = induced_trace(sph, coset_pairs(sph, reps, 1), sph.identity(), in_sub, chi)
+            sign, w, rows = ctx.slice_traces(j, b, vs, ts)
+            rhs = ctx.eps(b[0]) * translation_rows(ctx, j, b, reps, f1, vs, ts)
+            cases += _slice_cases(ctx, f"j={j},b={b} (all Heisenberg parts)", lambda h: f"j={j},b={b},h={h}",
+                                  heis_parts, sign * rows, w, rhs)
+    val = ctx.value(translation_rows(ctx, 1, ws.sp().identity(), reps, f1, vs[:1])[0])
     want = CycNum.rational(cfg.p, tower.q**cfg.n)
     cases.append(Case.of("induced trace at sigma = q^n", val, want))
     return cases
@@ -456,64 +451,41 @@ def check_sl2_torus(ws: Workspace) -> list[Case]:
     return cases
 
 
-def _torus_nu(ctx: RepContext, sph: SpHGroup, tor: TorusSL2, om: dict):
-    """ν(σʲ, (τ,(v,t))) = Ind₁ - Ind₂ on Γ⋉T·H at the level of sph, where Ind₁
-    induces ρ̃ from Γ⋉H (coset reps: the torus) and Ind₂ induces om·ψ from
-    Γ⋉T·Z (coset reps: Heisenberg translations).
+def _torus_nu(ctx: RepContext, tor: TorusSL2, om: dict, j: int, tau, vs, ts=None) -> np.ndarray:
+    """Rows of ν(σʲ, (τ, (v, t))) = Ind₁ - Ind₂ on Γ⋉T·H at the context's
+    level, at the points (vs, ts) of `RepContext.slice_traces`.
 
-    Both are evaluated per (j, τ) slice.  The torus part of r⁻¹·y·σʲ(r) does
-    not depend on y's Heisenberg part, so only the torus pairs fixing (τ, 1)
-    contribute to Ind₁ on the slice.  For each translation r exactly one v puts
-    r⁻¹·(τ,(v,0))·σʲ(r) in T·Z, and central (0,t) factors pass through twisted
-    conjugation untouched up to the ψ-phase, so the v ↦ value map at t = 0
-    determines Ind₂ on the slice.
+    Ind₁ induces ρ̃ from Γ⋉H over the torus reps r = (t₀, 1): r⁻¹·(τ, h)·σʲ(r)
+    has Sp part t₀⁻¹τσʲ(t₀) and Heisenberg part σʲ(t₀)⁻¹·h, so only the t₀
+    with t₀⁻¹τσʲ(t₀) = 1 contribute, each the trace of ρ̃ at (σʲ, σʲ(t₀)⁻¹·h).
+    Ind₂ induces om·ψ from Γ⋉T·Z over the Heisenberg translations, where z
+    keeps the Sp part τ and lies in T·Z when its V-part vanishes.
     """
-    tower, level = ctx.tower, ctx.level
-    field = tower.level_elements(level)
-    vpoints = [(a, b) for a in field for b in field]
-    ident_sp, heis_id = sph.sp.identity(), sph.heis.identity()
-    zero_cyc = CycNum.zero(tower.p)
-    tpairs = [coset_pairs(sph, [(t0, heis_id) for t0 in tor.elements()], j) for j in range(level)]
-    vpairs = [coset_pairs(sph, [(ident_sp, (v, tower.zero)) for v in vpoints], j) for j in range(level)]
-
-    def in_heis(z):
-        return z[0] == ident_sp
-
-    def slice_data(j, tau):
-        fixed = [(r_inv, r_j) for r_inv, r_j in tpairs[j] if in_heis(sph.mul(sph.mul(r_inv, (tau, heis_id)), r_j))]
-        ind2_map = {}
-        tinv = tor.inv(tau)
-        for v0, (r_inv, r_j) in zip(vpoints, vpairs[j]):
-            v_hit = tuple(tower.sub(a, b) for a, b in zip(mat_vec(tower, tinv, v0, 2), r_j[1][0]))
-            z = sph.mul(sph.mul(r_inv, (tau, (v_hit, tower.zero))), r_j)
-            if z[1][0] != (tower.zero, tower.zero):
-                raise InvariantBroken("Heisenberg translation did not land in T·Z")
-            contrib = CycNum.rational(tower.p, om[z[0]]) * tower.psi(z[1][1], level, ctx.scale)
-            ind2_map[v_hit] = ind2_map.get(v_hit, zero_cyc) + contrib
-        return fixed, ind2_map
-
-    slices = {(j, tau): slice_data(j, tau) for j in range(level) for tau in tor.elements()}
-
-    def nu(j, tau, v, t):
-        fixed, ind2_map = slices[(j, tau)]
-        ind1 = induced_trace(sph, fixed, (tau, (v, t)), in_heis, lambda z: ctx.extended_trace(j, z[1]))
-        return ind1 - ind2_map.get(v, zero_cyc) * tower.psi(t, level, ctx.scale)
-
-    return nu
+    coords, tower = ctx.coordinates(), ctx.tower
+    ident = tor.identity()
+    ind1 = np.zeros((len(vs), ctx.p), dtype=np.int64)
+    for t0 in tor.elements():
+        u = tor.frob(t0, j)
+        if tor.mul(tor.mul(tor.inv(t0), tau), u) == ident:
+            moved = vs @ coords.linear(lambda v: mat_vec(tower, tor.inv(u), v, 2), 2) % ctx.p
+            sign, _, rows = ctx.slice_traces(j, ident, moved, ts)
+            ind1 += sign * rows
+    return ind1 - om[tau] * translation_rows(ctx, j, tau, coords.points(2), slice(None), vs, ts)
 
 
 def _torus_level_one(ws: Workspace, tor: TorusSL2) -> list[Case]:
     """The virtual character Ind - Ind equals ρ on T(F)H(F), plus the
     restriction-to-torus multiplicities."""
-    ctx1, sph1 = ws.ctx(1), ws.sph(level=1)
-    nu = _torus_nu(ctx1, sph1, tor, omega(tor))
+    ctx1 = ws.ctx(1)
+    om = omega(tor)
+    heis_elems = ws.sph(level=1).heis.elements()
+    vs, ts = ctx1.heis_points()
     cases = []
-    heis_elems = sph1.heis.elements()
     for tau in tor.elements():
-        for h in heis_elems:
-            lhs = ctx1.extended_trace(0, (tau, h))
-            rhs = nu(0, tau, *h)
-            cases.append(Case.of(f"nu at ({tau},{h})", lhs, rhs))
+        sign, w, rows = ctx1.slice_traces(0, tau, vs, ts)
+        nu = _torus_nu(ctx1, tor, om, 0, tau, vs, ts)
+        for h, row, nu_row in zip(heis_elems, rows, nu):
+            cases.append(Case.of(f"nu at ({tau},{h})", ctx1.value(sign * row, w), ctx1.value(nu_row)))
     rows = weil_torus_restriction(ctx1, tor)
     for g, tr, expected in rows:
         cases.append(Case.of(f"rho|_T at {g}", tr, expected))
@@ -548,40 +520,37 @@ def _torus_extended(ws: Workspace, tor: TorusSL2, tor1: TorusSL2) -> list[Case]:
     Q = len(field)
     vpoints = [(a, b) for a in field for b in field]
     torus_elems = tor.elements()
-    nu = _torus_nu(ctx, ws.sph(), tor, omp)
-    sign = CycNum.rational(p, -1 if even else 1)
-
-    def nu_prime(j, tau, v, t):
-        return nu(j, tau, v, t) * sign
-
-    twist = [CycNum.rational(p, eta(j) if even else 1) for j in range(m)]  # η(σʲ) for m even
-
-    nu_values = []
-
-    def slice_points(j, tau):
-        for v in vpoints:
-            rhs = nu_prime(j, tau, v, tower.zero)
-            nu_values.append(rhs)
-            yield v, ctx.extended_trace(j, (tau, (v, tower.zero))) * twist[j], rhs
-
+    vs = ctx.coordinates().points(2)
+    # per slice (j, τ), over every v at t = 0: G^{n·w}·η(σʲ)·tr ρ̃' (η only for
+    # m even) as (lhs rows, w), and ν' = ±ν as rows
+    slices = {}
     for j in range(m):
         for tau in torus_elems:
-            cases += _exhaustive_cases(f"nu' identity j={j},tau={tau} (all v, t=0)",
-                                       lambda v: f"nu' j={j},tau={tau},v={v}", slice_points(j, tau))
+            sign, w, rows = ctx.slice_traces(j, tau, vs)
+            lhs = sign * (eta(j) if even else 1) * rows
+            nu_prime = (-1 if even else 1) * _torus_nu(ctx, tor, omp, j, tau, vs)
+            slices[j, tau] = lhs, w, nu_prime
+            cases += _slice_cases(ctx, f"nu' identity j={j},tau={tau} (all v, t=0)",
+                                  lambda v: f"nu' j={j},tau={tau},v={v}", vpoints, lhs, w, nu_prime)
+
+    def at(j, tau, k, t):  # lhs and rhs values at (σʲ, (τ, (vpoints[k], t))): central t is a ψ'-phase
+        lhs, w, nu_prime = slices[j, tau]
+        shift = tower.psi_exponent(t, m, ws.scale)
+        return ctx.value(np.roll(lhs[k], shift), w), ctx.value(np.roll(nu_prime[k], shift))
+
     rng = ws.rng("sl2-torus:t")
     for k in range(100):
         j = rng.randrange(m)
         tau = rng.choice(torus_elems)
         v = rng.choice(vpoints)
         t = rng.choice(field)
-        lhs = ctx.extended_trace(j, (tau, (v, t))) * twist[j]
-        rhs = nu_prime(j, tau, v, t)
+        lhs, rhs = at(j, tau, vpoints.index(v), t)
         cases.append(Case.of(f"nu' sampled t: j={j},tau={tau},v={v},t={t}", lhs, rhs))
-    at_sigma = nu_prime(1 % m, tor.identity(), (tower.zero, tower.zero), tower.zero)
+    at_sigma = at(1 % m, tor.identity(), 0, tower.zero)[1]
     want = CycNum.rational(p, -tower.q if even else tower.q)
     cases.append(Case.of("tr nu'(sigma)", at_sigma, want))
     # ⟨ν',ν'⟩: central ψ'-scaling makes every t-slice contribute equally
-    norm_sq_total = sum((x * x.conj() for x in nu_values), CycNum.zero(p))
+    norm_sq_total = ctx.norm_total(np.concatenate([nu_prime for _, _, nu_prime in slices.values()]))
     group_size = m * len(torus_elems) * Q * Q * Q
     ip = norm_sq_total * CycNum.rational(p, Q, group_size)
     cases.append(Case.of("<nu',nu'> = 1", ip, CycNum.one(p)))

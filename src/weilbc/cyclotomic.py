@@ -12,7 +12,15 @@ import cmath
 from fractions import Fraction
 from math import gcd
 
-from .errors import DimensionMismatch, DivisionByZero, InvariantBroken
+from .errors import DimensionMismatch, DivisionByZero, InvariantBroken, OperatorOverflow
+
+INT64_BOUND = 2**63  # int64 sums of ψ-exponent count rows must stay below this
+
+
+def check_int64(bound: int, what: str) -> None:
+    """Refuse an int64 sum whose partial sums could reach INT64_BOUND."""
+    if bound >= INT64_BOUND:
+        raise OperatorOverflow(f"{what}: bound {bound} is not below 2^63")
 
 
 class CycNum:

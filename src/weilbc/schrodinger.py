@@ -22,7 +22,8 @@ monomial step for its H part, and a constant sign·G^{-n·w} for w Weyl
 factors.  Unipotent, Levi and Heisenberg steps are monomial, and each Weyl
 entry is one ψ-exponent of the F_p-bilinear pairing x·w, tabulated per
 context as point coordinates and a trace-form Gram matrix.  The extended
-trace walks the steps without building a matrix; dense operators, the
+trace walks the steps without building a matrix, and a slice trace walks an
+Sp part's steps once for a whole array of H parts; dense operators, the
 product of the steps' dense factors, are built only where whole operators
 are compared or multiplied (`build_rho`).
 """
@@ -35,7 +36,7 @@ from math import gcd
 import numpy as np
 
 from .characters import coset_pairs, induced_trace
-from .cyclotomic import CycNum, gauss_sum
+from .cyclotomic import CycNum, check_int64, gauss_sum
 from .errors import DimensionMismatch, FactorizationFailed, NotSymplectic, OperatorOverflow, Singular
 from .fieldtower import Tower
 from .grouplib import (
@@ -181,7 +182,7 @@ class RepContext:
     def eps(self, x) -> int:
         return self.tower.quad_char(x, self.level)
 
-    def _coordinates(self) -> "_Coordinates":
+    def coordinates(self) -> "_Coordinates":
         """The F_p-coordinate model of the basis points, built on first use."""
         if self._coords is None:
             self._coords = _Coordinates(self)
@@ -189,7 +190,7 @@ class RepContext:
 
     def _image(self, mat: tuple) -> np.ndarray:
         """Point index of mat·y for every basis point y."""
-        coords = self._coordinates()
+        coords = self.coordinates()
         return coords.index(coords.apply(mat))
 
     def _weyl_constant(self, w: int) -> CycNum:
@@ -262,7 +263,7 @@ class RepContext:
     def _heis_step(self, h) -> tuple[np.ndarray, np.ndarray]:
         """Step of h = (x, x*; t): row y has column y + x* and the
         ψ'-exponent of t − ½·x·x* − y·x."""
-        tower, n, coords = self.tower, self.n, self._coordinates()
+        tower, n, coords = self.tower, self.n, self.coordinates()
         v, t = h
         dot = tower.zero
         for i in range(n):
@@ -279,7 +280,7 @@ class RepContext:
             for j in range(n):
                 if b[i * n + j] != b[j * n + i]:
                     raise NotSymplectic("unipotent block is not self-adjoint")
-        coords = self._coordinates()  # ψ'(⟨b y*, y*⟩/2) = ψ'((b/2)y*·y*)
+        coords = self.coordinates()  # ψ'(⟨b y*, y*⟩/2) = ψ'((b/2)y*·y*)
         half_b = tuple(tower.mul(tower.half, x) for x in b)
         return coords.pairing(coords.apply(half_b), coords.pts)
 
@@ -303,7 +304,7 @@ class RepContext:
     def _weyl_exps(self, bty: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """ψ-exponents of ⟨x_col, Bᵀy_row⟩ for rows bty (the indices of Bᵀy):
         against every column, or against cols entrywise."""
-        coords = self._coordinates()
+        coords = self.coordinates()
         if cols is None:
             return coords.pts_g[bty] @ coords.pts.T % self.p
         return coords.pairing(coords.pts[bty], coords.pts[cols])
@@ -337,7 +338,7 @@ class RepContext:
         j = j % self.level
         got = self._gal_perm.get(j)
         if got is None:
-            frob, coords = self.tower.frobenius, self._coordinates()
+            frob, coords = self.tower.frobenius, self.coordinates()
             got = coords.index(coords.image(lambda v: tuple(frob(c, -j) for c in v)))
             self._gal_perm[j] = got
         return got
@@ -407,6 +408,65 @@ class RepContext:
         hit = cur == goal
         return np.bincount(exp[hit] % self.p, minlength=self.p)
 
+    def slice_traces(self, j: int, s: tuple, vs: np.ndarray, ts=None) -> tuple[int, int, np.ndarray]:
+        """tr ρ̃'(σʲ, (s, (v, t))) for one Sp part s and many Heisenberg parts:
+        (sign, w, rows) with the trace at point k sign·G^{-n·w}·Σ_e rows[k, e]·ζ^e.
+
+        vs holds the F_p-coordinates (x, x*) of each v, shape (H, 2n·k), and ts
+        the ψ'-exponents of the t (default 0).  The steps of s are walked once
+        from every row into paths y → c (`_paths`); the Heisenberg step sends c
+        to c + x* with the exponent of t − ½x·x* − c·x, and a path counts for
+        a point when it ends at σʲ(y).  Costs O(paths·H) for the match.
+        """
+        sign, w, steps = self._steps(s)
+        coords, p = self.coordinates(), self.p
+        starts, ends, exp = self._paths(steps)
+        x, xs = vs[:, : vs.shape[1] // 2], vs[:, vs.shape[1] // 2 :]
+        k = -self.tower.half * coords.pairing(x, xs) + (0 if ts is None else ts)
+        need = coords.index((coords.pts[self.galois_perm(-j)[starts]] - coords.pts[ends]) % p)  # x* closing a path
+        pi, hi = np.nonzero(need[:, None] == coords.index(xs)[None, :])
+        e = (exp[pi] + k[hi] - (coords.pts_g[ends[pi]] * x[hi]).sum(axis=1)) % p
+        check_int64(len(starts) * len(vs), "trace histogram")
+        return sign, w, np.bincount(hi * p + e, minlength=len(vs) * p).reshape(-1, p)
+
+    def _paths(self, steps: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every path through steps from every row: (start row, end column,
+        ζ-exponent).  A Weyl step branches each path over every column."""
+        starts = cur = self._every
+        exp = np.zeros(self.dim, dtype=np.int64)
+        for data, exps in steps:
+            if exps is not None:
+                exp, cur = exp + exps[cur], data[cur]
+            else:
+                exp = (exp[:, None] + self._weyl_exps(data[cur])).ravel()
+                starts, cur = np.repeat(starts, self.dim), np.tile(self._every, len(cur))
+        return starts, cur, exp % self.p
+
+    def heis_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """V-part coordinates and ψ'-exponents of t of every (v, t) in H at this
+        level, v outer and t inner as `HeisGroup.elements` lists them."""
+        psi = [self.tower.psi_exponent(t, self.level, self.scale) for t in self.tower.level_elements(self.level)]
+        vs = self.coordinates().points(2 * self.n)
+        return np.repeat(vs, self.Q, axis=0), np.tile(np.array(psi, dtype=np.int64), len(vs))
+
+    def value(self, row, w: int = 0) -> CycNum:
+        """G^{-n·w}·Σ_e row[e]·ζ^e for an integer row of ψ'-exponent counts."""
+        total = CycNum(self.p, [int(c) - int(row[-1]) for c in row[:-1]])
+        return self._weyl_constant(w) * total if w else total
+
+    def gauss_rows(self, rows: np.ndarray, w: int) -> np.ndarray:
+        """rows·G^{n·w}: each row Σ_e rows[e]·ζ^e times the Gauss sum to the n·w."""
+        g = np.array(self.gauss.num + (0,), dtype=np.int64)  # G is a cyclotomic integer
+        for _ in range(self.n * w):
+            check_int64(int(np.abs(rows).max(initial=0)) * int(np.abs(g).max()) * self.p, "Gauss-sum product")
+            rows = sum(g[e] * np.roll(rows, e, axis=-1) for e in range(self.p))
+        return rows
+
+    def norm_total(self, rows: np.ndarray) -> CycNum:
+        """Σ_k |x_k|² for the values x_k = Σ_e rows[k, e]·ζ^e."""
+        check_int64(int(np.abs(rows).max(initial=0)) ** 2 * rows.size, "norm sum")
+        return self.value([int((rows * np.roll(rows, e, axis=1)).sum()) for e in range(self.p)])
+
 
 class _Coordinates:
     """Basis points of a RepContext as vectors over F_p.
@@ -430,37 +490,53 @@ class _Coordinates:
         self._of = dict(zip(elems, np.arange(len(elems))[:, None] // place % p))
         psi = [[tower.psi_exponent(tower.mul(a, b), ctx.level, ctx.scale) for b in self.basis] for a in self.basis]
         gram = np.array(psi, dtype=np.int64)
-        self.pts = np.array([self.vector(y) for y in ctx.points])
+        self._place = place
+        self.pts = self.points(n)
         self._gram = np.kron(np.eye(n, dtype=np.int64), gram)
         self.pts_g = self.pts @ self._gram % p
-        # point (elems[r_0], …, elems[r_{n-1}]) has index Σ_i r_i·Q^(n-1-i)
-        self._weights = np.outer(len(elems) ** np.arange(n - 1, -1, -1), place).ravel()
 
     def vector(self, v) -> np.ndarray:
         """Coordinates of a tuple v of level elements, concatenated."""
         return np.concatenate([self._of[c] for c in v])
 
+    def linear(self, f, slots: int) -> np.ndarray:
+        """The matrix lin with c(f(y)) = c(y) @ lin mod p, for f F_p-linear on
+        slots-tuples of level elements; row (i, a) is c(f(β_a·e_i))."""
+        zero = self.ctx.tower.zero
+        return np.array([self.vector(f(tuple(beta if k == i else zero for k in range(slots))))
+                         for i in range(slots) for beta in self.basis])
+
     def image(self, f) -> np.ndarray:
         """Coordinates of f(y) for every basis point y; f is F_p-linear on points."""
-        zero, n = self.ctx.tower.zero, self.ctx.n
-        lin = np.array([  # c(f(y)) = c(y) @ lin; row (i, a) is c(f(β_a·e_i))
-            self.vector(f(tuple(beta if k == i else zero for k in range(n))))
-            for i in range(n) for beta in self.basis
-        ])
-        return self.pts @ lin % self.ctx.p
+        return self.pts @ self.linear(f, self.ctx.n) % self.ctx.p
 
     def apply(self, mat: tuple) -> np.ndarray:
         """Coordinates of mat·y for every basis point y (mat is n×n)."""
         tower, n = self.ctx.tower, self.ctx.n
         return self.image(lambda v: mat_vec(tower, mat, v, n))
 
+    def _weights(self, width: int) -> np.ndarray:
+        # the tuple (elems[r_0], …, elems[r_{s-1}]) has index Σ_i r_i·Q^(s-1-i)
+        slots = width // len(self.basis)
+        return np.outer(self.ctx.Q ** np.arange(slots - 1, -1, -1), self._place).ravel()
+
     def index(self, coords: np.ndarray) -> np.ndarray:
-        """Point indices of coordinate rows."""
-        return coords @ self._weights
+        """Indices of coordinate rows of tuples (basis points when n-tuples)."""
+        return coords @ self._weights(coords.shape[-1])
+
+    def points(self, slots: int) -> np.ndarray:
+        """Coordinates of every slots-tuple of level elements, in index order."""
+        weights = self._weights(slots * len(self.basis))
+        return np.arange(self.ctx.Q**slots)[:, None] // weights % self.ctx.p
 
     def pairing(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
         """ψ'-exponents of x·w for coordinate rows xs, ws, entrywise."""
         return (xs @ self._gram % self.ctx.p * ws).sum(axis=1) % self.ctx.p
+
+    def symplectic(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """ψ'-exponents of ⟨u, v⟩ = u·v* − u*·v for coordinate rows of V = X ⊕ X*."""
+        h = us.shape[1] // 2
+        return (self.pairing(us[:, :h], vs[:, h:]) - self.pairing(us[:, h:], vs[:, :h])) % self.ctx.p
 
 
 def _remember(memo: dict, key, value, cap: int) -> None:

@@ -15,33 +15,38 @@ def _emit(name: str, report, extra: str = ""):
     assert report.ok, f"{name}: {report.n_fail} failing cases"
 
 
-def test_criterion_1_main_theorem_exhaustive():
+def test_criterion_1_main_theorem_exhaustive(case_digest):
     cfg = RunConfig(p=3, base_degree=1, n=1, m=2, pairs=((1, 1),), sample="all", seed=42)
     report = run_check("star", cfg)
     assert len(report.cases) == 720
+    assert case_digest(report) == "7a21ff8525d91a5a470ac6b505cfe454a8104c86a18eacfd50e0a4889d6bf029"
     _emit("1. base-change identity, all 720 elements of SL2(F9)", report)
     assert report.seconds < 60, "exhaustive sweep must finish within a minute"
 
 
-def test_criterion_2_across_twists():
+def test_criterion_2_across_twists(case_digest):
     cfg = RunConfig(p=3, base_degree=1, n=1, m=3, pairs=((1, 1), (2, 2)), sample=200, seed=42)
     report = run_check("star", cfg)
     assert len(report.cases) == 400
+    assert case_digest(report) == "8a7dc96d58b4e86131322bcda11046a3f0adee18046b202aa41114064a867698"
     _emit("2a. twists (i,t)=(1,1),(2,2) at m=3, 200 samples each", report)
     cfg = RunConfig(p=3, base_degree=1, n=1, m=4, pairs=((1, 1), (2, 1), (3, 3)), sample=200, seed=42)
     report = run_check("star", cfg)
     assert len(report.cases) == 600
+    assert case_digest(report) == "ca383897c89a75acaf2c9142dd1a95a24fcaaf4c134099718bf44b45d4ae632c"
     _emit("2b. twists (1,1),(2,1),(3,3) at m=4 incl. d=2 target SL2(F9)", report)
 
 
-def test_criterion_3_larger_q_and_n():
+def test_criterion_3_larger_q_and_n(case_digest):
     cfg = RunConfig(p=5, base_degree=1, n=1, m=2, pairs=((1, 1),), sample=500, seed=42)
     report = run_check("star", cfg)
     assert len(report.cases) == 500
+    assert case_digest(report) == "5195b23c0da989299a59a09d45f022f13d4e5d7210c1070e6c1fe56c493b299e"
     _emit("3a. q=5, 500 samples", report)
     cfg = RunConfig(p=3, base_degree=1, n=2, m=2, pairs=((1, 1),), sample=100, seed=42)
     report = run_check("star", cfg)
     assert len(report.cases) == 100
+    assert case_digest(report) == "1121b5eb5162ab19980592a5af92b1775dea80c90e505f18558d4dae3f457807"
     _emit("3b. Sp4(F9), operators of dimension 81, 100 samples", report)
 
 
@@ -62,10 +67,11 @@ def test_criterion_5_support(case_digest):
     _emit("5. |trace|^2 = induced trivial character, 500 samples", report, f" [{off} off-support points]")
 
 
-def test_criterion_6_orthogonal_decomposition():
+def test_criterion_6_orthogonal_decomposition(case_digest):
     cfg = RunConfig(p=3, base_degree=1, n=2, m=2, pairs=((1, 1),), sample=200, seed=42)
     report = run_check("orthogonal", cfg)
     assert len(report.cases) >= 200
+    assert case_digest(report) == "89f0170a65640fb7b6ce4fabda797aaadfe46aa27cf1695d49328f19441cbe00"
     _emit("6. split 1+1 tensor factorization of extended traces, 200+ samples", report)
 
 
