@@ -3,20 +3,18 @@
 Class functions are stored on an explicit class partition; values live in
 Q(ζ_p).  Virtual characters are ordinary ring elements here: torus-side
 identities are verified entirely at the level of values, no representation
-spaces are ever materialized for them.  Every induced character is evaluated
+spaces are ever materialized for them.  Induced characters are evaluated
 by the fixed-coset formula: ``induced_trace`` at one point, and
-``translation_rows`` on a whole slice over Heisenberg-translation cosets.
+``RepContext.translation_rows`` on a whole slice over Heisenberg translations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cyclotomic import CycNum, check_int64
+from .cyclotomic import CycNum
 from .errors import SupportMismatch
-from .grouplib import GroupSpec, Partition, SympGroup, TorusSL2, mat_inv, mat_vec
+from .grouplib import GroupSpec, Partition, SympGroup, TorusSL2
 from .normmap import DEFAULT_AMBIENT_CAP, NormConfig, gyoja_norms, twisted_product
 
 
@@ -82,27 +80,6 @@ def induced_trace(spec: GroupSpec, pairs, y, member, chi) -> CycNum:
         if member(z):
             total = total + chi(z)
     return total
-
-
-def translation_rows(ctx, j: int, s: tuple, reps, sel: slice, vs, ts=None) -> np.ndarray:
-    """induced_trace over Heisenberg translations at many points (σʲ, (s, (v, t))),
-    as one row of ψ'-exponent counts per point: Σ_r [z ∈ K]·ψ'(t_z).
-
-    The coset reps r = (1, (v_r, 0)) are coordinate rows of reps, and z =
-    r⁻¹·(s, (v, t))·σʲ(r) lies in K when the coordinates sel of its V-part
-    vanish.  With a = s⁻¹v_r and b = σʲ(v_r), z = (s, (v + b − a, t_z)) and
-    t_z = t + ½⟨v, a + b⟩ − ½⟨a, b⟩: for each pair, an affine map of the
-    coordinates (vs, and ts the ψ'-exponents of t, default 0) of the points.
-    """
-    coords, tower, p, size = ctx.coordinates(), ctx.tower, ctx.p, 2 * ctx.n
-    s_inv = mat_inv(tower, s, size)
-    a = reps @ coords.linear(lambda v: mat_vec(tower, s_inv, v, size), size) % p
-    b = reps @ coords.linear(lambda v: tuple(tower.frobenius(c, j) for c in v), size) % p
-    ri, vi = np.nonzero(coords.index((a - b)[:, sel] % p)[:, None] == coords.index(vs[:, sel])[None, :])
-    e = tower.half * (coords.symplectic(vs[vi], a[ri] + b[ri]) - coords.symplectic(a[ri], b[ri]))
-    e = (e + (0 if ts is None else ts[vi])) % p
-    check_int64(len(reps) * len(vs), "induced histogram")
-    return np.bincount(vi * p + e, minlength=len(vs) * p).reshape(-1, p)
 
 
 # -- elliptic torus characters ---------------------------------------------------

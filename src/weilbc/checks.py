@@ -32,7 +32,6 @@ from .grouplib import (
     block_embed,
     conjugacy_classes,
     heis_embed,
-    mat_vec,
     sp_act_heis,
     twisted_classes,
 )
@@ -47,7 +46,6 @@ from .characters import (
     lift_class_function,
     omega,
     omega_prime,
-    translation_rows,
     weil_torus_restriction,
 )
 from .schrodinger import RepContext, WeilOperator, extended_gsp_trace, gsp_character_values
@@ -412,21 +410,18 @@ def check_parabolic(ws: Workspace) -> list[Case]:
         raise GroupTooLarge(f"parabolic enumerates {points} points (j, b, h), over the cap {cfg.enum_cap}")
     ctx = ws.ctx(m)
     borel = [g for g in ws.sp().elements() if g[2] == tower.zero]  # c = 0, in sorted order
-    # coset reps of Γ⋉B·H_⊥ in Γ⋉B·H: Heisenberg translations along f_1; z
-    # lies in B·H_⊥ when its f_1 coordinates vanish, and ε'∘det ⊗ ψ' is ε'(a)·ψ'(t)
-    coords = ctx.coordinates()
-    reps = np.array([coords.vector((tower.zero, y)) for y in field])
-    f1 = slice(len(coords.basis), 2 * len(coords.basis))
+    # coset reps of Γ⋉B·H_⊥ in Γ⋉B·H: Heisenberg translations along f_1, the
+    # X* slot of V (n = 1); ε'∘det ⊗ ψ' is ε'(a)·ψ'(t) on B·H_⊥
     heis_parts = ws.sph().heis.elements()
     vs, ts = ctx.heis_points()
     cases = []
     for j in range(m):
         for b in borel:
             sign, w, rows = ctx.slice_traces(j, b, vs, ts)
-            rhs = ctx.eps(b[0]) * translation_rows(ctx, j, b, reps, f1, vs, ts)
+            rhs = ctx.eps(b[0]) * ctx.translation_rows(j, b, vs, ts, slot=1)
             cases += _slice_cases(ctx, f"j={j},b={b} (all Heisenberg parts)", lambda h: f"j={j},b={b},h={h}",
                                   heis_parts, sign * rows, w, rhs)
-    val = ctx.value(translation_rows(ctx, 1, ws.sp().identity(), reps, f1, vs[:1])[0])
+    val = ctx.value(ctx.translation_rows(1, ws.sp().identity(), vs[:1], slot=1)[0])
     want = CycNum.rational(cfg.p, tower.q**cfg.n)
     cases.append(Case.of("induced trace at sigma = q^n", val, want))
     return cases
@@ -461,16 +456,14 @@ def _torus_nu(ctx: RepContext, tor: TorusSL2, om: dict, j: int, tau, vs, ts=None
     Ind₂ induces om·ψ from Γ⋉T·Z over the Heisenberg translations, where z
     keeps the Sp part τ and lies in T·Z when its V-part vanishes.
     """
-    coords, tower = ctx.coordinates(), ctx.tower
     ident = tor.identity()
     ind1 = np.zeros((len(vs), ctx.p), dtype=np.int64)
     for t0 in tor.elements():
         u = tor.frob(t0, j)
         if tor.mul(tor.mul(tor.inv(t0), tau), u) == ident:
-            moved = vs @ coords.linear(lambda v: mat_vec(tower, tor.inv(u), v, 2), 2) % ctx.p
-            sign, _, rows = ctx.slice_traces(j, ident, moved, ts)
+            sign, _, rows = ctx.slice_traces(j, ident, ctx.move(tor.inv(u), vs), ts)
             ind1 += sign * rows
-    return ind1 - om[tau] * translation_rows(ctx, j, tau, coords.points(2), slice(None), vs, ts)
+    return ind1 - om[tau] * ctx.translation_rows(j, tau, vs, ts)
 
 
 def _torus_level_one(ws: Workspace, tor: TorusSL2) -> list[Case]:
@@ -520,23 +513,19 @@ def _torus_extended(ws: Workspace, tor: TorusSL2, tor1: TorusSL2) -> list[Case]:
     Q = len(field)
     vpoints = [(a, b) for a in field for b in field]
     torus_elems = tor.elements()
-    vs = ctx.coordinates().points(2)
-    # per slice (j, τ), over every v at t = 0: G^{n·w}·η(σʲ)·tr ρ̃' (η only for
-    # m even) as (lhs rows, w), and ν' = ±ν as rows
-    slices = {}
+    vs = ctx.v_points()
+    twist = [eta(j) if even else 1 for j in range(m)]  # η(σʲ), for m even
+    nu_prime = {}  # (j, τ) ↦ rows of ν' = ±ν over every v at t = 0
     for j in range(m):
         for tau in torus_elems:
             sign, w, rows = ctx.slice_traces(j, tau, vs)
-            lhs = sign * (eta(j) if even else 1) * rows
-            nu_prime = (-1 if even else 1) * _torus_nu(ctx, tor, omp, j, tau, vs)
-            slices[j, tau] = lhs, w, nu_prime
+            nu_prime[j, tau] = (-1 if even else 1) * _torus_nu(ctx, tor, omp, j, tau, vs)
             cases += _slice_cases(ctx, f"nu' identity j={j},tau={tau} (all v, t=0)",
-                                  lambda v: f"nu' j={j},tau={tau},v={v}", vpoints, lhs, w, nu_prime)
+                                  lambda v: f"nu' j={j},tau={tau},v={v}", vpoints, sign * twist[j] * rows, w,
+                                  nu_prime[j, tau])
 
-    def at(j, tau, k, t):  # lhs and rhs values at (σʲ, (τ, (vpoints[k], t))): central t is a ψ'-phase
-        lhs, w, nu_prime = slices[j, tau]
-        shift = tower.psi_exponent(t, m, ws.scale)
-        return ctx.value(np.roll(lhs[k], shift), w), ctx.value(np.roll(nu_prime[k], shift))
+    def nu_at(j, tau, v, t):  # the central t scales ν' by ψ'(t)
+        return ctx.value(np.roll(nu_prime[j, tau][vpoints.index(v)], tower.psi_exponent(t, m, ws.scale)))
 
     rng = ws.rng("sl2-torus:t")
     for k in range(100):
@@ -544,13 +533,13 @@ def _torus_extended(ws: Workspace, tor: TorusSL2, tor1: TorusSL2) -> list[Case]:
         tau = rng.choice(torus_elems)
         v = rng.choice(vpoints)
         t = rng.choice(field)
-        lhs, rhs = at(j, tau, vpoints.index(v), t)
-        cases.append(Case.of(f"nu' sampled t: j={j},tau={tau},v={v},t={t}", lhs, rhs))
-    at_sigma = at(1 % m, tor.identity(), 0, tower.zero)[1]
+        lhs = ctx.extended_trace(j, (tau, (v, t))) * twist[j]  # the per-point path checks ψ' on the centre
+        cases.append(Case.of(f"nu' sampled t: j={j},tau={tau},v={v},t={t}", lhs, nu_at(j, tau, v, t)))
+    at_sigma = nu_at(1 % m, tor.identity(), vpoints[0], tower.zero)
     want = CycNum.rational(p, -tower.q if even else tower.q)
     cases.append(Case.of("tr nu'(sigma)", at_sigma, want))
     # ⟨ν',ν'⟩: central ψ'-scaling makes every t-slice contribute equally
-    norm_sq_total = ctx.norm_total(np.concatenate([nu_prime for _, _, nu_prime in slices.values()]))
+    norm_sq_total = ctx.norm_total(np.concatenate(list(nu_prime.values())))
     group_size = m * len(torus_elems) * Q * Q * Q
     ip = norm_sq_total * CycNum.rational(p, Q, group_size)
     cases.append(Case.of("<nu',nu'> = 1", ip, CycNum.one(p)))

@@ -182,7 +182,7 @@ class RepContext:
     def eps(self, x) -> int:
         return self.tower.quad_char(x, self.level)
 
-    def coordinates(self) -> "_Coordinates":
+    def _coordinates(self) -> "_Coordinates":
         """The F_p-coordinate model of the basis points, built on first use."""
         if self._coords is None:
             self._coords = _Coordinates(self)
@@ -190,7 +190,7 @@ class RepContext:
 
     def _image(self, mat: tuple) -> np.ndarray:
         """Point index of mat·y for every basis point y."""
-        coords = self.coordinates()
+        coords = self._coordinates()
         return coords.index(coords.apply(mat))
 
     def _weyl_constant(self, w: int) -> CycNum:
@@ -263,7 +263,7 @@ class RepContext:
     def _heis_step(self, h) -> tuple[np.ndarray, np.ndarray]:
         """Step of h = (x, x*; t): row y has column y + x* and the
         ψ'-exponent of t − ½·x·x* − y·x."""
-        tower, n, coords = self.tower, self.n, self.coordinates()
+        tower, n, coords = self.tower, self.n, self._coordinates()
         v, t = h
         dot = tower.zero
         for i in range(n):
@@ -280,7 +280,7 @@ class RepContext:
             for j in range(n):
                 if b[i * n + j] != b[j * n + i]:
                     raise NotSymplectic("unipotent block is not self-adjoint")
-        coords = self.coordinates()  # ψ'(⟨b y*, y*⟩/2) = ψ'((b/2)y*·y*)
+        coords = self._coordinates()  # ψ'(⟨b y*, y*⟩/2) = ψ'((b/2)y*·y*)
         half_b = tuple(tower.mul(tower.half, x) for x in b)
         return coords.pairing(coords.apply(half_b), coords.pts)
 
@@ -304,7 +304,7 @@ class RepContext:
     def _weyl_exps(self, bty: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """ψ-exponents of ⟨x_col, Bᵀy_row⟩ for rows bty (the indices of Bᵀy):
         against every column, or against cols entrywise."""
-        coords = self.coordinates()
+        coords = self._coordinates()
         if cols is None:
             return coords.pts_g[bty] @ coords.pts.T % self.p
         return coords.pairing(coords.pts[bty], coords.pts[cols])
@@ -338,7 +338,7 @@ class RepContext:
         j = j % self.level
         got = self._gal_perm.get(j)
         if got is None:
-            frob, coords = self.tower.frobenius, self.coordinates()
+            frob, coords = self.tower.frobenius, self._coordinates()
             got = coords.index(coords.image(lambda v: tuple(frob(c, -j) for c in v)))
             self._gal_perm[j] = got
         return got
@@ -412,14 +412,14 @@ class RepContext:
         """tr ρ̃'(σʲ, (s, (v, t))) for one Sp part s and many Heisenberg parts:
         (sign, w, rows) with the trace at point k sign·G^{-n·w}·Σ_e rows[k, e]·ζ^e.
 
-        vs holds the F_p-coordinates (x, x*) of each v, shape (H, 2n·k), and ts
-        the ψ'-exponents of the t (default 0).  The steps of s are walked once
+        vs holds the coordinates (x, x*) of each v (`v_points`, `heis_points`,
+        `move`), and ts the ψ'-exponents of the t (default 0).  The steps of s are walked once
         from every row into paths y → c (`_paths`); the Heisenberg step sends c
         to c + x* with the exponent of t − ½x·x* − c·x, and a path counts for
         a point when it ends at σʲ(y).  Costs O(paths·H) for the match.
         """
         sign, w, steps = self._steps(s)
-        coords, p = self.coordinates(), self.p
+        coords, p = self._coordinates(), self.p
         starts, ends, exp = self._paths(steps)
         x, xs = vs[:, : vs.shape[1] // 2], vs[:, vs.shape[1] // 2 :]
         k = -self.tower.half * coords.pairing(x, xs) + (0 if ts is None else ts)
@@ -442,12 +442,46 @@ class RepContext:
                 starts, cur = np.repeat(starts, self.dim), np.tile(self._every, len(cur))
         return starts, cur, exp % self.p
 
+    def translation_rows(self, j: int, s: tuple, vs: np.ndarray, ts=None, slot: int | None = None) -> np.ndarray:
+        """The character induced from Γ⋉s·K over Heisenberg translations, at the
+        points (σʲ, (s, (v, t))) of `slice_traces`: one row of ψ'-exponent
+        counts Σ_r [z ∈ K]·ψ'(t_z) per point, for z = r⁻¹·(s, (v, t))·σʲ(r).
+
+        The reps r = (1, (v_r, 0)) run over V's slot `slot` (all of V when
+        None), and z lies in K when that slot of its V-part vanishes.  With
+        a = s⁻¹v_r and b = σʲ(v_r), z = (s, (v + b − a, t_z)) and t_z = t +
+        ½⟨v, a + b⟩ − ½⟨a, b⟩: for each rep, an affine map of the points.
+        """
+        coords, tower, p, size = self._coordinates(), self.tower, self.p, 2 * self.n
+        width = len(coords.basis)
+        sel = slice(None) if slot is None else slice(slot * width, (slot + 1) * width)
+        reps = coords.points(size if slot is None else 1)
+        if slot is not None:
+            reps = np.pad(reps, ((0, 0), (slot * width, (size - 1 - slot) * width)))
+        a = self.move(mat_inv(tower, s, size), reps)
+        b = reps @ coords.linear(lambda v: tuple(tower.frobenius(c, j) for c in v), size) % p
+        ri, vi = np.nonzero(coords.index((a - b)[:, sel] % p)[:, None] == coords.index(vs[:, sel])[None, :])
+        e = tower.half * (coords.symplectic(vs[vi], a[ri] + b[ri]) - coords.symplectic(a[ri], b[ri]))
+        e = (e + (0 if ts is None else ts[vi])) % p
+        check_int64(len(reps) * len(vs), "induced histogram")
+        return np.bincount(vi * p + e, minlength=len(vs) * p).reshape(-1, p)
+
+    def v_points(self) -> np.ndarray:
+        """Coordinates of every v in V = X ⊕ X* at this level, in the order
+        `HeisGroup.elements` lists the V-parts."""
+        return self._coordinates().points(2 * self.n)
+
     def heis_points(self) -> tuple[np.ndarray, np.ndarray]:
         """V-part coordinates and ψ'-exponents of t of every (v, t) in H at this
         level, v outer and t inner as `HeisGroup.elements` lists them."""
         psi = [self.tower.psi_exponent(t, self.level, self.scale) for t in self.tower.level_elements(self.level)]
-        vs = self.coordinates().points(2 * self.n)
+        vs = self.v_points()
         return np.repeat(vs, self.Q, axis=0), np.tile(np.array(psi, dtype=np.int64), len(vs))
+
+    def move(self, g: tuple, vs: np.ndarray) -> np.ndarray:
+        """Coordinates of g·v for the V-coordinate rows vs; g is symplectic."""
+        size = 2 * self.n
+        return vs @ self._coordinates().linear(lambda v: mat_vec(self.tower, g, v, size), size) % self.p
 
     def value(self, row, w: int = 0) -> CycNum:
         """G^{-n·w}·Σ_e row[e]·ζ^e for an integer row of ψ'-exponent counts."""
@@ -490,7 +524,9 @@ class _Coordinates:
         self._of = dict(zip(elems, np.arange(len(elems))[:, None] // place % p))
         psi = [[tower.psi_exponent(tower.mul(a, b), ctx.level, ctx.scale) for b in self.basis] for a in self.basis]
         gram = np.array(psi, dtype=np.int64)
-        self._place = place
+        # the tuple (elems[r_0], …, elems[r_{s-1}]) has index Σ_i r_i·Q^(s-1-i):
+        # the last s·k of the weights of 2n-tuples, the widest tuples indexed
+        self._weights = np.outer(len(elems) ** np.arange(2 * n - 1, -1, -1), place).ravel()
         self.pts = self.points(n)
         self._gram = np.kron(np.eye(n, dtype=np.int64), gram)
         self.pts_g = self.pts @ self._gram % p
@@ -515,18 +551,13 @@ class _Coordinates:
         tower, n = self.ctx.tower, self.ctx.n
         return self.image(lambda v: mat_vec(tower, mat, v, n))
 
-    def _weights(self, width: int) -> np.ndarray:
-        # the tuple (elems[r_0], …, elems[r_{s-1}]) has index Σ_i r_i·Q^(s-1-i)
-        slots = width // len(self.basis)
-        return np.outer(self.ctx.Q ** np.arange(slots - 1, -1, -1), self._place).ravel()
-
     def index(self, coords: np.ndarray) -> np.ndarray:
         """Indices of coordinate rows of tuples (basis points when n-tuples)."""
-        return coords @ self._weights(coords.shape[-1])
+        return coords @ self._weights[-coords.shape[-1] :]
 
     def points(self, slots: int) -> np.ndarray:
         """Coordinates of every slots-tuple of level elements, in index order."""
-        weights = self._weights(slots * len(self.basis))
+        weights = self._weights[-slots * len(self.basis) :]
         return np.arange(self.ctx.Q**slots)[:, None] // weights % self.ctx.p
 
     def pairing(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:

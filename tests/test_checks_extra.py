@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weilbc import characters, checks, cyclotomic
-from weilbc.characters import coset_pairs, eta, induced_trace, omega_prime, translation_rows
+from weilbc.characters import coset_pairs, eta, induced_trace, omega_prime
 from weilbc.checks import RunConfig, Workspace, _torus_nu, check_star, run_check
 from weilbc.cli import main
 from weilbc.cyclotomic import CycNum
@@ -140,14 +140,10 @@ def test_star_builds_one_operator_per_distinct_norm(monkeypatch):
 # -- slice-batched traces against the per-point path ------------------------------------
 
 
-def _borel_slice_parts(ws):
-    """The parabolic slice set-up at the workspace's level, as check_parabolic has it."""
-    tower, ctx, sph = ws.tower, ws.ctx(ws.cfg.m), ws.sph()
-    coords = ctx.coordinates()
-    field = tower.level_elements(ws.cfg.m)
-    reps = [(sph.sp.identity(), ((tower.zero, y), tower.zero)) for y in field]
-    rows = np.array([coords.vector(r[1][0]) for r in reps])
-    return reps, rows, slice(len(coords.basis), 2 * len(coords.basis))
+def _borel_reps(ws):
+    """The coset reps of Γ⋉B·H_⊥ in Γ⋉B·H: Heisenberg translations along f_1."""
+    tower, sph = ws.tower, ws.sph()
+    return [(sph.sp.identity(), ((tower.zero, y), tower.zero)) for y in tower.level_elements(ws.cfg.m)]
 
 
 def _borel_chi(ws):
@@ -169,7 +165,7 @@ def test_parabolic_slices_match_the_per_point_path():
     of the traces equals the dense tr(ρ(g)·I_σ^j)."""
     ws = Workspace(RunConfig(p=3, n=1, m=2))
     tower, ctx, sph = ws.tower, ws.ctx(2), ws.sph()
-    reps, rep_rows, f1 = _borel_slice_parts(ws)
+    reps = _borel_reps(ws)
     in_sub, chi = _borel_chi(ws)
     vs, ts = ctx.heis_points()
     heis = sph.heis.elements()
@@ -179,7 +175,7 @@ def test_parabolic_slices_match_the_per_point_path():
         pairs = coset_pairs(sph, reps, j)
         for b in (sph.sp.identity(), unip):
             sign, w, rows = ctx.slice_traces(j, b, vs, ts)
-            induced = ctx.eps(b[0]) * translation_rows(ctx, j, b, rep_rows, f1, vs, ts)
+            induced = ctx.eps(b[0]) * ctx.translation_rows(j, b, vs, ts, slot=1)
             assert len(rows) == len(induced) == len(heis) == 729
             for k, h in enumerate(heis):
                 assert ctx.value(sign * rows[k], w) == ctx.extended_trace(j, (b, h))
@@ -225,7 +221,7 @@ def test_torus_slices_match_the_per_point_path(m):
     ws = Workspace(RunConfig(p=3, n=1, m=m))
     tower, ctx, sph, tor = ws.tower, ws.ctx(m), ws.sph(), ws.torus(m)
     om = omega_prime(tor, ws.torus(1))
-    vs = ctx.coordinates().points(2)
+    vs = ctx.v_points()
     field = tower.level_elements(m)
     vpoints = [(a, b) for a in field for b in field]
     weyl_tau = next(g for g in tor.elements() if len(siegel_factor(tower, 1, m, g)) == 3)
@@ -235,7 +231,7 @@ def test_torus_slices_match_the_per_point_path(m):
             sign, w, rows = ctx.slice_traces(j, tau, vs)
             nu = _torus_nu(ctx, tor, om, j, tau, vs)
             nu_ref = _nu_reference(ctx, sph, tor, om, j, tau)
-            ind2 = om[tau] * translation_rows(ctx, j, tau, vs, slice(None), vs)
+            ind2 = om[tau] * ctx.translation_rows(j, tau, vs)
             assert w == (tau == weyl_tau) and len(rows) == len(nu) == len(vpoints)
             for k, v in enumerate(vpoints):
                 g = (tau, (v, tower.zero))
@@ -251,7 +247,8 @@ def test_torus_slices_match_the_per_point_path(m):
 
 def test_exhaustive_slices_make_no_per_point_call(monkeypatch):
     """parabolic and sl2-torus trace and induce whole slices: the only per-point
-    extended traces left are the |T(F_q)| values of ρ restricted to the torus."""
+    extended traces left are the |T(F_q)| values of ρ restricted to the torus
+    and the 100 sampled-t points."""
     calls = {"extended_trace": 0, "induced_trace": 0}
     trace, induce = RepContext.extended_trace, characters.induced_trace
 
@@ -271,7 +268,7 @@ def test_exhaustive_slices_make_no_per_point_call(monkeypatch):
     for m, order in ((2, 4), (3, 4)):
         calls.update(extended_trace=0)
         assert run_check("sl2-torus", RunConfig(p=3, n=1, m=m, sample=100, seed=42)).ok
-        assert calls == {"extended_trace": order, "induced_trace": 0}
+        assert calls == {"extended_trace": order + 100, "induced_trace": 0}
 
 
 def _inject(monkeypatch, level, j, s, k):
@@ -301,7 +298,7 @@ def test_a_faulty_point_fails_its_slice(monkeypatch):
     vpoints = [(a, b) for a in field for b in field]
     k, j = 40, 1
     g = (tau, (vpoints[k], tower.zero))
-    sign, w, _ = ctx.slice_traces(j, tau, ctx.coordinates().points(2))
+    sign, w, _ = ctx.slice_traces(j, tau, ctx.v_points())
     true = ctx.extended_trace(j, g) * eta(j)  # = ν'(g): the identity holds there
     wrong = true + ctx._weyl_constant(w) * CycNum.rational(p, sign * eta(j))
     _inject(monkeypatch, 2, j, tau, k)
@@ -314,7 +311,7 @@ def test_a_faulty_point_fails_its_slice(monkeypatch):
 
     b = next(g for g in sph.sp.elements() if g[2] == tower.zero and g[1] != tower.zero and g[0] != tower.one)
     h = sph.heis.elements()[k]
-    reps, _, _ = _borel_slice_parts(ws)
+    reps = _borel_reps(ws)
     in_sub, chi = _borel_chi(ws)
     sign, _, _ = ctx.slice_traces(j, b, *ctx.heis_points())
     _inject(monkeypatch, 2, j, b, k)
@@ -326,6 +323,22 @@ def test_a_faulty_point_fails_its_slice(monkeypatch):
     assert (case.lhs, case.rhs, case.equal) == (wrong.to_text(), rhs.to_text(), False)
     agg = next(c for c in report.cases if c.input == f"j={j},b={b} (all Heisenberg parts)")
     assert (agg.lhs, agg.rhs, agg.equal) == ("728/729", "729/729", False)
+
+
+def test_a_wrong_central_character_fails_the_sampled_t_cases(monkeypatch):
+    """ρ̃' with ψ'(−t) in place of ψ'(t) on the centre: the t = 0 slices cannot
+    see it, so the sampled-t cases, traced one point at a time, must."""
+    honest = RepContext._heis_step
+
+    def flipped(ctx, h):
+        v, t = h
+        return honest(ctx, (v, ctx.tower.neg(t)))
+
+    monkeypatch.setattr(RepContext, "_heis_step", flipped)
+    report = run_check("sl2-torus", RunConfig(p=3, n=1, m=2, seed=42))
+    failed = [c.input for c in report.cases if not c.equal]
+    assert not report.ok and all(x.startswith("nu' sampled t: ") for x in failed)
+    assert all(not x.endswith(",t=0") for x in failed)
 
 
 @pytest.mark.parametrize("name, m", [("sl2-torus", 2), ("parabolic", 2)])
@@ -341,13 +354,13 @@ def test_row_sums_refuse_an_int64_overflow(monkeypatch):
     ws = Workspace(RunConfig(p=3, n=1, m=2))
     ctx, tor = ws.ctx(2), ws.torus(2)
     tau = next(g for g in tor.elements() if len(siegel_factor(ws.tower, 1, 2, g)) == 3)
-    vs = ctx.coordinates().points(2)
+    vs = ctx.v_points()
     _, w, rows = ctx.slice_traces(1, tau, vs)
     monkeypatch.setattr(cyclotomic, "INT64_BOUND", 100)
     with pytest.raises(OperatorOverflow, match="trace histogram"):
         ctx.slice_traces(1, tau, vs)
     with pytest.raises(OperatorOverflow, match="induced histogram"):
-        translation_rows(ctx, 1, tau, vs, slice(None), vs)
+        ctx.translation_rows(1, tau, vs)
     with pytest.raises(OperatorOverflow, match="Gauss-sum product"):
         ctx.gauss_rows(np.full_like(rows, 20), w)
     with pytest.raises(OperatorOverflow, match="norm sum"):

@@ -319,7 +319,7 @@ def test_coordinates_index_every_point(key, level, n):
     tabulated and computed towers."""
     t = build_tower(*key)
     ctx = RepContext(t, n, level)
-    coords = ctx.coordinates()
+    coords = ctx._coordinates()
     assert np.array_equal(coords.index(coords.pts), np.arange(ctx.dim))
     elems = t.level_elements(level)
     assert coords.basis == [elems[t.p**a] for a in range(len(t.level_pivots(level)))]
