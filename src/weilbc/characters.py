@@ -3,9 +3,10 @@
 Class functions are stored on an explicit class partition; values live in
 Q(ζ_p).  Virtual characters are ordinary ring elements here: torus-side
 identities are verified entirely at the level of values, no representation
-spaces are ever materialized for them.  Induced characters are evaluated
-by the fixed-coset formula: ``induced_trace`` at one point, and
-``RepContext.translation_rows`` on a whole slice over Heisenberg translations.
+spaces are ever materialized for them.  ``induced_trace`` evaluates the
+fixed-coset formula one coset at a time; it is the tests' oracle for the
+library's induced characters, which never loop over cosets
+(``RepContext.translation_rows``, ``schrodinger.extended_gsp_trace``).
 """
 
 from __future__ import annotations

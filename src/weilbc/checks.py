@@ -17,7 +17,6 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -38,10 +37,8 @@ from .grouplib import (
 from .normmap import DEFAULT_AMBIENT_CAP, NormConfig, choose_t, gyoja_norms, verify_bijection
 from .characters import (
     ClassFunction,
-    coset_pairs,
     eta,
     indicator_basis,
-    induced_trace,
     inner_product,
     lift_class_function,
     omega,
@@ -323,29 +320,20 @@ def check_gsp(ws: Workspace) -> list[Case]:
 
 def check_support(ws: Workspace) -> list[Case]:
     """|tr ρ̃'(σ^i, g·h)|² equals the character induced from the trivial
-    character of Γ ⋉ Sp·Z; in particular the trace vanishes off its conjugates."""
+    character of Γ ⋉ Sp·Z; in particular the trace vanishes off its conjugates.
+    That induced value counts the Heisenberg translations, the coset reps, that
+    move (σ^i, y) into Γ ⋉ Sp·Z: a sum of `RepContext.translation_rows`."""
     cfg = ws.cfg
     ctx = ws.ctx(cfg.m)
     sph = ws.sph()
     rng = ws.rng("support")
-    count = ws.count(500)
-    zero = ws.tower.zero
-    field = ws.tower.level_elements(cfg.m)
-    # coset reps of Γ⋉Sp·Z in Γ⋉Sp·H: Heisenberg translations
-    reps = [(sph.sp.identity(), (v, zero)) for v in iproduct(field, repeat=2 * cfg.n)]
-    pairs = [coset_pairs(sph, reps, i) for i in range(cfg.m)]
-    one = CycNum.one(cfg.p)
-
-    def in_spz(z):  # z already lies in Sp·H(F'): it is in Sp·Z when its V-part is zero
-        return all(x == zero for x in z[1][0])
-
     cases = []
-    for k in range(count):
+    for k in range(ws.count(500)):
         i = rng.randrange(cfg.m)
         y = sph.random(rng)
         tr = ctx.extended_trace(i, y)
         lhs = tr * tr.conj()
-        rhs = induced_trace(sph, pairs[i], y, in_spz, lambda z: one)
+        rhs = CycNum.rational(cfg.p, int(ctx.translation_rows(i, y[0], ctx.v_coordinates([y[1][0]])).sum()))
         tag = " [off conjugates]" if rhs.is_zero() else ""
         cases.append(Case.of(f"i={i},y={y}{tag}", lhs, rhs))
     return cases

@@ -216,6 +216,8 @@ def _lang_matrix(big_spec: SympGroup, h: np.ndarray, d: int) -> np.ndarray:
     """Digits of witnesses of σ^d(α) = α·h for a stack of digit matrices h in Sp or GSp."""
     big, n2 = big_spec.tower, big_spec.size
     kern = modp.kernel_basis(_semilinear(big, d, h), big.p)
+    if kern.shape[1] < n2:  # an ambient level too small for the targets
+        raise WitnessFailed("Lang solution space thinner than expected")
     basis = _fqd_basis_rows(big, d, kern.reshape(*kern.shape[:2], n2, -1))
     if not big_spec.similitude:
         alpha = _darboux_alpha(big, d, basis)
@@ -231,13 +233,13 @@ def _lang_matrix(big_spec: SympGroup, h: np.ndarray, d: int) -> np.ndarray:
     return alpha
 
 
-def lang_solve(spec: SympGroup, targets: np.ndarray, d: int, ambient_cap: int = DEFAULT_AMBIENT_CAP) -> LangWitness:
-    """Solve α^{-1}σ^d(α) = h, α in the group over a large enough field, for each h of the
-    stack targets: digit matrices (B, n2, n2, A) over spec's tower that need one ambient level."""
-    levels = set(_ambient_levels(spec, targets, d))
-    if len(levels) != 1:
-        raise ConfigInvalid(f"Lang targets of one stack need the ambient levels {sorted(levels)}")
-    big, emb = enlarge_tower(spec.tower, levels.pop(), ambient_cap)
+def lang_solve(spec: SympGroup, targets: np.ndarray, d: int, level: int,
+               ambient_cap: int = DEFAULT_AMBIENT_CAP) -> LangWitness:
+    """Solve α^{-1}σ^d(α) = h, α in the group over the ambient level `level`, for each h of
+    the stack targets: digit matrices (B, n2, n2, A) over spec's tower whose witnesses live
+    there (`_ambient_levels`), grouped by `gyoja_norms`.  A level too small for the stack
+    raises WitnessFailed, or DimensionMismatch when it suits some of the targets."""
+    big, emb = enlarge_tower(spec.tower, level, ambient_cap)
     big_spec = SympGroup(big, spec.n, big.m, similitude=spec.similitude)
     return LangWitness(_lang_matrix(big_spec, emb.embed_rows(targets), d), big.m, emb, big_spec)
 
@@ -259,7 +261,7 @@ def gyoja_norms(cfg: NormConfig, spec: SympGroup, gs, ambient_cap: int = DEFAULT
         members = [b for b, lv in enumerate(levels) if lv == level]
         size = max(1, _CHUNK_BYTES // (8 * (spec.size * spec.tower.base_degree * level) ** 2))
         for chunk in (members[k : k + size] for k in range(0, len(members), size)):
-            witness = lang_solve(spec, p_t[chunk], cfg.d, ambient_cap)
+            witness = lang_solve(spec, p_t[chunk], cfg.d, level, ambient_cap)
             big, emb, alpha = witness.group.tower, witness.embedding, witness.digits
             out = big.matmul(big.matmul(alpha, emb.embed_rows(p_mu[chunk])), _inverse(witness.group, alpha))
             if not np.array_equal(out @ big.frob_matrix(cfg.d).T % big.p, out):

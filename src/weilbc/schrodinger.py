@@ -21,9 +21,13 @@ unipotent, Levi and Weyl factors of the Siegel word of its Sp part, one
 monomial step for its H part, and a constant sign·G^{-n·w} for w Weyl
 factors.  Unipotent, Levi and Heisenberg steps are monomial, and each Weyl
 entry is one ψ-exponent of the F_p-bilinear pairing x·w, tabulated per
-context as point coordinates and a trace-form Gram matrix.  The extended
-trace walks the steps without building a matrix, and a slice trace walks an
-Sp part's steps once for a whole array of H parts; dense operators, the
+context as point coordinates and a trace-form Gram matrix.  Every trace
+takes its paths through the steps from one walker, `_paths`, and builds no
+matrix: the extended trace closes each path in its last Weyl entry, a slice
+trace matches an Sp part's paths against a whole array of H parts.  Induced
+characters need no per-coset product either: `translation_rows` counts the
+Heisenberg translations on coordinate arrays, and `extended_gsp_trace` keeps
+the similitude cosets that the multiplier of g selects.  Dense operators, the
 product of the steps' dense factors, are built only where whole operators
 are compared or multiplied (`build_rho`).
 """
@@ -35,12 +39,12 @@ from math import gcd
 
 import numpy as np
 
-from .characters import coset_pairs, induced_trace
 from .cyclotomic import CycNum, check_int64, gauss_sum
 from .errors import DimensionMismatch, FactorizationFailed, NotSymplectic, OperatorOverflow, Singular
 from .fieldtower import Tower
 from .grouplib import (
     SympGroup,
+    SympSpace,
     mat_det,
     mat_identity,
     mat_inv,
@@ -52,7 +56,6 @@ from .grouplib import (
 
 _STEP_CACHE_CAP = 6000
 _EXACT_BOUND = 2**53  # float64 holds every integer below this exactly
-_PATH_CHUNK = 1 << 20  # Siegel-word paths evaluated per numpy batch
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -165,7 +168,6 @@ class RepContext:
         self._step_cache: dict = {}
         self._gauss_pow: dict[int, CycNum] = {}
         self._gal_perm: dict[int, np.ndarray] = {}
-        self._gsp_cosets: dict[int, tuple] = {}
         self._coords = None
 
     # -- cyclotomic plumbing ----------------------------------------------------
@@ -358,16 +360,15 @@ class RepContext:
         """tr ρ̃'(σ^i, g) = tr(ρ(g)·I_σ^i) for g in Sp·H at this level: the
         sum Σ_y ρ(g)[y, σ^i y] along the steps of g, no matrix built.
 
-        A path follows one nonzero entry per factor.  Monomial steps move a
-        path deterministically, and the constant of the steps is common to
-        all paths.  After the last Weyl step the steps are monomial again, so
-        they are folded into the column a path must reach there, fixed by its
-        row; only earlier Weyl steps branch over every column.  Elements with
-        at most one Weyl step cost O(dim), the singular-corner word with two
-        costs O(dim²).
+        A path follows one nonzero entry per factor (`_paths`).  After the
+        last Weyl step the steps are monomial, so they are folded into the
+        column a path must reach there, fixed by its row, and each path up to
+        that step is closed in one Weyl entry; without a Weyl step the paths
+        that end at σ^i y count.  Elements with at most one Weyl step cost
+        O(dim), the singular-corner word with two costs O(dim²).
         """
         sign, w, steps = self._steps(g)
-        dim, p = self.dim, self.p
+        dim = self.dim
         goal, exp = self.galois_perm(-i), np.zeros(dim, dtype=np.int64)  # row y ↦ σ^i(y)
         last = len(steps)
         while w and steps[last - 1][1] is not None:  # fold the monomial tail into the goal
@@ -377,36 +378,13 @@ class RepContext:
             goal = back[goal]
             exp = exp + exps[goal]
             last -= 1
-        *hist, top = self._walk(steps[:last], self._every, goal, exp).tolist()
-        total = CycNum(p, [sign * (c - top) for c in hist])  # ζ^{p-1} = −Σ_{e<p-1} ζ^e
-        return self._weyl_constant(w) * total if w else total
-
-    def _walk(self, steps: list, cur: np.ndarray, goal: np.ndarray, exp: np.ndarray) -> np.ndarray:
-        """Histogram of ζ-exponents over the paths cur → goal through steps.
-
-        A Weyl step that comes last goes straight to the goal; an earlier one
-        branches over every column.
-        """
-        for k, (data, exps) in enumerate(steps):
-            if exps is not None:
-                exp = exp + exps[cur]
-                cur = data[cur]
-            elif k == len(steps) - 1:
-                exp = exp + self._weyl_exps(data[cur], goal)
-                cur = goal
-            else:
-                hist = np.zeros(self.p, dtype=np.int64)
-                chunk = max(1, _PATH_CHUNK // self.dim)
-                for lo in range(0, len(cur), chunk):
-                    sl = slice(lo, lo + chunk)
-                    branched = self._weyl_exps(data[cur[sl]]) + exp[sl, None]
-                    hist += self._walk(
-                        steps[k + 1:], np.tile(self._every, len(branched)),
-                        np.repeat(goal[sl], self.dim), branched.ravel(),
-                    )
-                return hist
-        hit = cur == goal
-        return np.bincount(exp[hit] % self.p, minlength=self.p)
+        if w:
+            starts, ends, exps = self._paths(steps[: last - 1])
+            exps = exps + exp[starts] + self._weyl_exps(steps[last - 1][0][ends], goal[starts])
+        else:
+            starts, ends, exps = self._paths(steps)
+            exps = exps[ends == goal[starts]]
+        return self.value(sign * np.bincount(exps % self.p, minlength=self.p), w)
 
     def slice_traces(self, j: int, s: tuple, vs: np.ndarray, ts=None) -> tuple[int, int, np.ndarray]:
         """tr ρ̃'(σʲ, (s, (v, t))) for one Sp part s and many Heisenberg parts:
@@ -431,7 +409,8 @@ class RepContext:
 
     def _paths(self, steps: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every path through steps from every row: (start row, end column,
-        ζ-exponent).  A Weyl step branches each path over every column."""
+        ζ-exponent).  A Weyl step branches each path over every column, so w
+        of them make dim^(w+1) paths, all held at once."""
         starts = cur = self._every
         exp = np.zeros(self.dim, dtype=np.int64)
         for data, exps in steps:
@@ -470,6 +449,10 @@ class RepContext:
         """Coordinates of every v in V = X ⊕ X* at this level, in the order
         `HeisGroup.elements` lists the V-parts."""
         return self._coordinates().points(2 * self.n)
+
+    def v_coordinates(self, vs) -> np.ndarray:
+        """Coordinate rows, laid out as in `v_points`, of V-parts vs (2n-tuples of level elements)."""
+        return np.array([self._coordinates().vector(v) for v in vs])
 
     def heis_points(self) -> tuple[np.ndarray, np.ndarray]:
         """V-part coordinates and ψ'-exponents of t of every (v, t) in H at this
@@ -667,30 +650,7 @@ def _siegel_factor_inner(tower: Tower, n: int, level: int, g: tuple) -> list:
     raise FactorizationFailed("no symmetric correction block found")
 
 
-# -- similitude character machinery -----------------------------------------------------
-
-
-def _similitude_cosets(ctx: RepContext, j: int):
-    """GSp at the context's level, the (r⁻¹, σʲ(r)) pairs of the coset
-    representatives r = diag(λ·1, 1) of Sp in GSp, and the Sp test; built
-    once per (context, j).
-
-    Each z = r⁻¹·g·σʲ(r) with g in GSp lies in GSp at the level, so z is in
-    Sp exactly when its multiplier ⟨z e₁, z f₁⟩ is 1.
-    """
-    got = ctx._gsp_cosets.get(j)
-    if got is not None:
-        return got
-    tower, n, level = ctx.tower, ctx.n, ctx.level
-    gsp = SympGroup(tower, n, level, similitude=True)
-    reps = [gsp.similitude_rep(lam) for lam in tower.level_elements(level) if lam != tower.zero]
-    size = gsp.size
-
-    def in_sp(z):  # columns 0 and n are z e₁ and z f₁
-        return gsp.space.form(tower, z[0::size], z[n::size]) == tower.one
-
-    ctx._gsp_cosets[j] = got = (gsp, coset_pairs(gsp, reps, j), in_sp)
-    return got
+# -- similitude character -----------------------------------------------------------------
 
 
 def gsp_character_values(ctx: RepContext, partition) -> dict:
@@ -699,6 +659,20 @@ def gsp_character_values(ctx: RepContext, partition) -> dict:
 
 
 def extended_gsp_trace(ctx: RepContext, i: int, g: tuple) -> CycNum:
-    """Character of Ind_{Γ⋉Sp(F')}^{Γ⋉GSp(F')} ρ̃' at (σ^i, g), g in GSp(F')."""
-    gsp, pairs, in_sp = _similitude_cosets(ctx, i)
-    return induced_trace(gsp, pairs, g, in_sp, lambda z: ctx.extended_trace(i, z))
+    """Character of Ind_{Γ⋉Sp(F')}^{Γ⋉GSp(F')} ρ̃' at (σ^i, g), g in GSp(F').
+
+    Over the coset representatives r = diag(λ·1, 1) of Sp in GSp, the element
+    z = r⁻¹·g·σ^i(r) is g with its first n rows scaled by λ⁻¹ and its first n
+    columns by σ^i(λ), of multiplier λ⁻¹·μ(g)·σ^i(λ); so z lies in Sp exactly
+    when σ^i(λ)·μ(g) = λ, and only those λ contribute tr ρ̃'(σ^i, z).
+    """
+    tower, n, size = ctx.tower, ctx.n, 2 * ctx.n
+    mu = SympSpace(n).form(tower, g[0::size], g[n::size])  # ⟨g e₁, g f₁⟩
+    total = CycNum.zero(ctx.p)
+    for lam in tower.level_elements(ctx.level)[1:]:  # zero comes first
+        lam_i = tower.frobenius(lam, i)
+        if tower.mul(lam_i, mu) == lam:
+            row, col = [tower.inv(lam)] * n + [tower.one] * n, [lam_i] * n + [tower.one] * n
+            z = tuple(tower.mul(tower.mul(row[k // size], x), col[k % size]) for k, x in enumerate(g))
+            total = total + ctx.extended_trace(i, z)
+    return total

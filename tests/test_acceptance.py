@@ -65,6 +65,10 @@ def test_criterion_5_support(case_digest):
     off = sum(1 for c in report.cases if "[off conjugates]" in c.input)
     assert off > 0, "sampling never left the conjugates of Γ⋉Sp·Z"
     _emit("5. |trace|^2 = induced trivial character, 500 samples", report, f" [{off} off-support points]")
+    cfg = RunConfig(p=3, base_degree=1, n=2, m=2, pairs=((1, 1),), sample=40, seed=42)
+    report = run_check("support", cfg)
+    assert case_digest(report) == "7b96e64be947f32315affdce2a91dd2425c2f3c9549de40fb7c28bdd375641ee"
+    _emit("5b. |trace|^2 = induced trivial character on Sp4(F9), 40 samples", report)
 
 
 def test_criterion_6_orthogonal_decomposition(case_digest):
@@ -94,29 +98,38 @@ def test_criterion_8_torus_suite(case_digest):
     _emit("8b. torus propositions at q=3, m=2 (even case, eta twist)", report)
 
 
-def test_criterion_9_structural_suites():
-    for conf in [
-        RunConfig(p=3, base_degree=1, n=1, m=2, pairs=((1, 1),), sample=200, seed=42),
-        RunConfig(p=3, base_degree=1, n=1, m=3, pairs=((1, 1),), sample=200, seed=42),
-        RunConfig(p=3, base_degree=1, n=1, m=4, pairs=((1, 1),), sample=200, seed=42),
-        RunConfig(p=5, base_degree=1, n=1, m=2, pairs=((1, 1),), sample=200, seed=42),
-        RunConfig(p=3, base_degree=1, n=2, m=2, pairs=((1, 1),), sample=200, seed=42),
+def test_criterion_9_structural_suites(case_digest):
+    for (p, n, m), digest in [
+        ((3, 1, 2), "a996cb69bb0a603fccba22e6087b8c3393b81c5926ff72f79bb4092f7e6844dc"),
+        ((3, 1, 3), "c2fc15090b76f693ca451eb50f06ca2df420160d686537f9530f3062bac1e283"),
+        ((3, 1, 4), "b936e6eb982a69d04cb9d66af2469dfbf318c5e12db4e6d7bd40ac0f321abfda"),
+        ((5, 1, 2), "58155547b6f839b02ebe0877a4da5b36855dd76fa177a099ecbaffda8ad7dd6b"),
+        ((3, 2, 2), "c4395de11efdc6721f900be49d87c09c32072de35f7e6079dbf001989640a413"),
     ]:
+        conf = RunConfig(p=p, base_degree=1, n=n, m=m, pairs=((1, 1),), sample=200, seed=42)
         report = run_check("homomorphism", conf)
+        assert case_digest(report) == digest
         _emit(f"9. homomorphism/unitarity/intertwining at p={conf.p}, n={conf.n}, m={conf.m}", report)
     cfg = RunConfig(p=3, base_degree=1, n=1, m=2, pairs=((1, 1),), seed=42)
     report = run_check("gyoja-bijection", cfg)
     counts = [c for c in report.cases if "class counts" in c.input]
     assert counts and counts[0].lhs == "7" and counts[0].rhs == "7"
+    assert case_digest(report) == "fbb75aff1f7e082c98c9931293e74dcd799adcde49a35e3578a933a4f63abaff"
     _emit("9. Gyoja bijection 7<->7 at q=3, m=2 + isometry basis + dim count", report)
     cfg = RunConfig(p=3, base_degree=2, n=1, m=2, pairs=((1, 1),), seed=42)
     report = run_check("gyoja-bijection", cfg)
     counts = [c for c in report.cases if "class counts" in c.input]
     assert counts and counts[0].lhs == "13" and counts[0].rhs == "13"
+    assert case_digest(report) == "61a7467d8e4431d4c7a0bf7fdba652f962e85e25d540ef009518fbd336de4acc"
     _emit("9. Gyoja bijection 13<->13 at q=9, m=2", report)
-    for p, m in [(3, 2), (5, 2), (3, 4)]:
+    for (p, m), digest in [
+        ((3, 2), "d48fe6b11ae0d96107add17f60299e8976410549c2d773c9b1e29db040451195"),
+        ((5, 2), "d94a21b97e061b61bafdffa86e25f8a515bf44b8b2833d0b509ecf5b193a20e8"),
+        ((3, 4), "d402bf28fb7a86acb054cc07957475c7e7074002ad6dbc84f37755c571796b2d"),
+    ]:
         cfg = RunConfig(p=p, base_degree=1, n=1, m=m, seed=42)
         report = run_check("gauss", cfg)
+        assert case_digest(report) == digest
         _emit(f"9. Gauss-sum identities and Hasse-Davenport at p={p}, m={m}", report)
 
 

@@ -1,12 +1,14 @@
 """Cross-checks that tie the verification machinery together."""
 
+import importlib
+import itertools
 import json
 import random
 
 import numpy as np
 import pytest
 
-from weilbc import characters, checks, cyclotomic
+from weilbc import characters, cyclotomic
 from weilbc.characters import coset_pairs, eta, induced_trace, omega_prime
 from weilbc.checks import RunConfig, Workspace, _torus_nu, check_star, run_check
 from weilbc.cli import main
@@ -245,6 +247,44 @@ def test_torus_slices_match_the_per_point_path(m):
                     lambda z: tower.psi(z[1][1], m, ws.scale) * CycNum.rational(tower.p, om[z[0]]))
 
 
+@pytest.mark.parametrize("n, sample", [(1, 60), (2, 4)], ids=["sl2-f9", "sp4-f9"])
+def test_support_counts_match_the_coset_formula(n, sample):
+    """The rhs of support, a count of translations from `translation_rows`, equals
+    induced_trace of the trivial character over every Heisenberg-translation coset
+    pair at each sampled point, replayed from the check's own sampling."""
+    cfg = RunConfig(p=3, n=n, m=2, pairs=((1, 1),), sample=sample, seed=42)
+    ws = Workspace(cfg)
+    report = run_check("support", cfg, ws)
+    sph, zero, one = ws.sph(), ws.tower.zero, CycNum.one(3)
+    vpoints = itertools.product(ws.tower.level_elements(2), repeat=2 * n)
+    reps = [(sph.sp.identity(), (v, zero)) for v in vpoints]
+    pairs = [coset_pairs(sph, reps, i) for i in range(2)]
+    rng = ws.rng("support")
+    for case in report.cases:
+        i, y = rng.randrange(2), sph.random(rng)
+        assert case.input.startswith(f"i={i},y={y}")
+        rhs = induced_trace(sph, pairs[i], y, lambda z: all(x == zero for x in z[1][0]), lambda z: one)
+        assert case.rhs == rhs.to_text()
+    assert len(report.cases) == sample and report.ok
+    if n == 1:  # the sample reaches points off the conjugates of Γ⋉Sp·Z and points on them
+        assert 0 < sum("[off conjugates]" in c.input for c in report.cases) < sample
+
+
+def test_library_makes_no_per_coset_call(monkeypatch):
+    """induced_trace and coset_pairs are the tests' per-coset oracle: support and
+    gsp run with both refused, and no other library module binds either name."""
+    def refuse(*args):
+        raise AssertionError("per-coset induction called")
+
+    modules = [importlib.import_module(f"weilbc.{m}") for m in
+               ("checks", "cli", "cyclotomic", "fieldtower", "grouplib", "modp", "normmap", "schrodinger")]
+    for name in ("induced_trace", "coset_pairs"):
+        monkeypatch.setattr(characters, name, refuse)
+        assert all(name not in vars(mod) for mod in modules)
+    for check in ("support", "gsp"):
+        assert run_check(check, RunConfig(p=3, n=1, m=2, pairs=((1, 1),), sample=10, seed=42)).ok
+
+
 def test_exhaustive_slices_make_no_per_point_call(monkeypatch):
     """parabolic and sl2-torus trace and induce whole slices: the only per-point
     extended traces left are the |T(F_q)| values of ρ restricted to the torus
@@ -262,7 +302,6 @@ def test_exhaustive_slices_make_no_per_point_call(monkeypatch):
 
     monkeypatch.setattr(RepContext, "extended_trace", counted_trace)
     monkeypatch.setattr(characters, "induced_trace", counted_induce)
-    monkeypatch.setattr(checks, "induced_trace", counted_induce)
     assert run_check("parabolic", RunConfig(p=3, n=1, m=2, seed=42)).ok
     assert calls == {"extended_trace": 0, "induced_trace": 0}
     for m, order in ((2, 4), (3, 4)):

@@ -11,7 +11,7 @@ from weilbc.cyclotomic import CycNum
 from weilbc.errors import ConfigInvalid, EvenCharacteristic, InvariantBroken, LevelMismatch, NotPrime, ZeroArgument
 from weilbc.fieldtower import Tower, build_tower, enlarge_tower, find_modulus, get_embedding
 from weilbc.grouplib import HeisGroup, SympGroup, TorusSL2, mat_mul
-from weilbc.normmap import _element_digits, _level_inverse, choose_t, gyoja_norm, lang_solve
+from weilbc.normmap import _ambient_levels, _element_digits, _level_inverse, choose_t, gyoja_norm, lang_solve
 
 
 @pytest.fixture(scope="module")
@@ -419,7 +419,8 @@ def test_library_hands_out_plain_ints():
     sl9, rng = SympGroup(t92, 1, 2), random.Random(0)
     for g in (sl9.random(rng) for _ in range(5)):
         plain(gyoja_norm(choose_t(1, 2), sl9, g))
-        witness = lang_solve(sl9, _element_digits(sl9, [g]), 1)
+        target = _element_digits(sl9, [g])
+        witness = lang_solve(sl9, target, 1, _ambient_levels(sl9, target, 1)[0])
         plain(chain.from_iterable(witness.alpha))
         emb = witness.embedding
         plain([emb.embed(g[0]), emb.pull_back(emb.embed(g[0]))])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weilbc import normmap
-from weilbc.errors import AmbientCapExceeded, ConfigInvalid, WitnessFailed
+from weilbc.errors import AmbientCapExceeded, ConfigInvalid, WeilbcError, WitnessFailed
 from weilbc.fieldtower import Tower, build_tower
 from weilbc.characters import indicator_basis, lift_class_function
 from weilbc.grouplib import SympGroup, TorusSL2, conjugacy_classes, mat_det, mat_frob, twisted_classes
@@ -59,8 +59,10 @@ def test_twisted_product_examples(t92):
 
 
 def _solve_one(spec, h, d, ambient_cap=DEFAULT_AMBIENT_CAP):
-    """lang_solve on the stack of the one target h."""
-    return lang_solve(spec, normmap._element_digits(spec, [h]), d, ambient_cap)
+    """lang_solve on the stack of the one target h, at the ambient level its witness needs."""
+    target = normmap._element_digits(spec, [h])
+    (level,) = normmap._ambient_levels(spec, target, d)
+    return lang_solve(spec, target, d, level, ambient_cap)
 
 
 def test_lang_trivial_target(t92):
@@ -137,6 +139,24 @@ def test_bad_witness_raises_witness_failed(t92, monkeypatch, symplectic, message
     sl = SympGroup(t92, 1, 2)
     with pytest.raises(WitnessFailed, match=message):
         _solve_one(sl, sl.random(random.Random(4)), 1)
+
+
+def test_lang_solve_refuses_a_level_too_small(t92):
+    """A stack solved at an ambient level below the one its witnesses need raises a typed
+    error, on its own and next to a target that level suits."""
+    sl = SympGroup(t92, 1, 2)
+    by_level = {}
+    for g in sl.elements():
+        target = normmap._element_digits(sl, [twisted_product(sl, 1, g, 1)])
+        by_level.setdefault(normmap._ambient_levels(sl, target, 1)[0], target)
+    assert sorted(by_level) == [2, 4, 6, 8, 12]
+    for need, target in by_level.items():
+        for small in (lv for lv in by_level if lv < need):
+            with pytest.raises(WitnessFailed, match="thinner than expected"):
+                lang_solve(sl, target, 1, small)
+    with pytest.raises(WeilbcError):
+        lang_solve(sl, np.concatenate([by_level[2], by_level[12]]), 1, 2)
+    assert len(lang_solve(sl, by_level[12], 1, 12).alpha) == 1
 
 
 def test_ambient_cap_raises(t92):
@@ -245,9 +265,9 @@ def test_one_lang_solve_per_element(t92, monkeypatch):
     solved = []
     solve = normmap.lang_solve
 
-    def counting(spec, targets, d, ambient_cap):
+    def counting(spec, targets, d, level, ambient_cap):
         solved.extend(targets)  # one entry per solved target, however many calls
-        return solve(spec, targets, d, ambient_cap)
+        return solve(spec, targets, d, level, ambient_cap)
 
     monkeypatch.setattr(normmap, "lang_solve", counting)
 
@@ -506,9 +526,9 @@ def test_exhaustive_star_solves_by_level(monkeypatch):
     calls = []
     solve = normmap.lang_solve
 
-    def counting(spec, targets, d, ambient_cap):
+    def counting(spec, targets, d, level, ambient_cap):
         calls.append(len(targets))
-        return solve(spec, targets, d, ambient_cap)
+        return solve(spec, targets, d, level, ambient_cap)
 
     monkeypatch.setattr(normmap, "lang_solve", counting)
     cfg = RunConfig(p=3, n=1, m=2, pairs=((1, 1),), sample="all", seed=0)

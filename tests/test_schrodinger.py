@@ -6,14 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weilbc import schrodinger
-from weilbc.characters import induced_trace, weil_torus_restriction
+from weilbc.characters import coset_pairs, induced_trace, weil_torus_restriction
 from weilbc.cyclotomic import CycNum
 from weilbc.errors import FactorizationFailed, NotSymplectic, OperatorOverflow, Singular
 from weilbc.fieldtower import build_tower
 from weilbc.grouplib import (HeisGroup, SpHGroup, SympGroup, TorusSL2, conjugacy_classes, mat_identity, mat_mul,
-                             sp_act_heis)
+                             membership, sp_act_heis)
 from weilbc.normmap import choose_t, gyoja_norm
-from weilbc.schrodinger import RepContext, WeilOperator, gsp_character_values, siegel_factor
+from weilbc.schrodinger import RepContext, WeilOperator, extended_gsp_trace, gsp_character_values, siegel_factor
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +150,7 @@ def _singular_corners(t92):
             for a, b in zip(levis, unips)]
 
 
-def test_factorization_singular_corner_sp4(t92, monkeypatch):
+def test_factorization_singular_corner_sp4(t92):
     word = siegel_factor(t92, 2, 1, _LOWER)
     assert 3 <= len(word) <= 5
     assert sum(1 for tag, _ in word if tag == "weyl") == 2
@@ -162,11 +162,7 @@ def test_factorization_singular_corner_sp4(t92, monkeypatch):
     for g in _singular_corners(t92):
         assert sum(1 for tag, _ in siegel_factor(t92, 2, 2, g) if tag == "weyl") == 2
         for i in (0, 1):
-            want = _dense_extended_trace(ctx9, i, g)
-            assert ctx9.extended_trace(i, g) == want
-            with monkeypatch.context() as mp:  # one row of paths per batch
-                mp.setattr(schrodinger, "_PATH_CHUNK", 1)
-                assert ctx9.extended_trace(i, g) == want
+            assert ctx9.extended_trace(i, g) == _dense_extended_trace(ctx9, i, g)
 
 
 def test_rho_identity_and_minus_one(ctx1, t92):
@@ -310,6 +306,35 @@ def test_character_values_walk_the_steps(t92, level, monkeypatch):
         walked_torus = [tr for _, tr, _ in weil_torus_restriction(ctx, tor)]
     assert walked_gsp == dense_gsp
     assert walked_torus == dense_torus
+
+
+def _coset_gsp_trace(ctx, i, g):
+    """The character of Ind_{Γ⋉Sp}^{Γ⋉GSp} ρ̃' at (σ^i, g) by the per-coset formula:
+    every representative diag(λ·1, 1), with the full membership test of Sp."""
+    tower, n, level = ctx.tower, ctx.n, ctx.level
+    gsp = SympGroup(tower, n, level, similitude=True)
+    reps = [gsp.similitude_rep(x) for x in tower.level_elements(level) if x != tower.zero]
+    return induced_trace(gsp, coset_pairs(gsp, reps, i), g, lambda z: membership(tower, z, n, level)[0] == "sp",
+                         lambda z: ctx.extended_trace(i, z))
+
+
+@pytest.mark.parametrize("n, level, count", [(1, 2, None), (2, 1, 20), (2, 2, 8)],
+                         ids=["gsp2-f9-classes", "gsp4-f3", "gsp4-f9"])
+def test_gsp_trace_matches_the_coset_formula(t92, n, level, count):
+    """extended_gsp_trace, which keeps only the λ with σ^i(λ)·μ(g) = λ, equals the
+    per-coset induced character at i = 0 and 1: on every class of GSp2(F9), and on
+    sampled GSp4 elements, where z = r⁻¹·g·σ^i(r) scales n rows and n columns."""
+    ctx = RepContext(t92, n, level)
+    gsp = SympGroup(t92, n, level, similitude=True)
+    rng = random.Random(5)
+    gs = conjugacy_classes(gsp).reps if count is None else [gsp.random(rng) for _ in range(count)]
+    assert len({membership(t92, g, n, level)[1] for g in gs}) > 1  # more than one multiplier
+    values = []
+    for i in (0, 1):
+        for g in gs:
+            values.append(extended_gsp_trace(ctx, i, g))
+            assert values[-1] == _coset_gsp_trace(ctx, i, g)
+    assert any(not v.is_zero() for v in values)
 
 
 @pytest.mark.parametrize("key, level", [((3, 1, 2), 2), ((3, 1, 6), 3)])
