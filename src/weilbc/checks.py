@@ -17,6 +17,7 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -237,55 +238,61 @@ def check_homomorphism(ws: Workspace) -> list[Case]:
     sp = ws.sp()
     heis = sph.heis
     rng = ws.rng("homomorphism")
-    cases = []
     count = ws.count(200)
-    for k in range(count):
-        g1, g2 = sph.random(rng), sph.random(rng)
-        lhs = ctx.build_rho(sph.mul(g1, g2))
-        rhs = ctx.build_rho(g1) @ ctx.build_rho(g2)
-        cases.append(Case.of(f"rho(g1 g2) = rho(g1) rho(g2) #{k}", lhs, rhs))
-    for k in range(20):
-        g = sp.random(rng)
+    # every random element is drawn first, in the order of the case families below,
+    # so that all their Sp parts are factored in one pass
+    pairs = [(sph.random(rng), sph.random(rng)) for _ in range(count)]
+    unitary = [sp.random(rng) for _ in range(20)]
+    moved = [sph.random(rng) for _ in range(min(100, count))]
+    acting = [(sp.random(rng), heis.random(rng)) for _ in range(50)]
+    conjugated = []
+    for _ in range(50):
+        i = rng.randrange(cfg.m)
+        g, h = sph.random(rng), sph.random(rng)
+        conjugated.append((i, g, sph.twisted_conj(h, g, i)))
+    products = [sph.mul(g1, g2) for g1, g2 in pairs]
+    frobs = [sph.frob(g, 1) for g in moved]
+    inverses = [sp.inv(s) for s, _ in acting]
+    sph_parts = chain(products, chain.from_iterable(pairs), moved, frobs, (z for _, g, y in conjugated for z in (g, y)))
+    ctx.keep_steps([g[0] for g in sph_parts] + unitary + [s for s, _ in acting] + inverses)
+    cases = []
+    for k, ((g1, g2), g12) in enumerate(zip(pairs, products)):
+        cases.append(Case.of(f"rho(g1 g2) = rho(g1) rho(g2) #{k}", ctx.build_rho(g12), ctx.build_rho(g1) @ ctx.build_rho(g2)))
+    for k, g in enumerate(unitary):
         op = ctx.build_rho(g)
-        prod = op @ op.conj_transpose()
-        cases.append(Case.of(f"unitarity #{k}", prod, ctx.identity_op()))
+        cases.append(Case.of(f"unitarity #{k}", op @ op.conj_transpose(), ctx.identity_op()))
     Isig = ctx.op_galois(1)
     Isig_inv = ctx.op_galois(-1)
-    for k in range(min(100, count)):
-        g = sph.random(rng)
-        lhs = (Isig @ ctx.build_rho(g)) @ Isig_inv
-        rhs = ctx.build_rho(sph.frob(g, 1))
-        cases.append(Case.of(f"I_sigma intertwining #{k}", lhs, rhs))
+    for k, (g, g_sigma) in enumerate(zip(moved, frobs)):
+        cases.append(Case.of(f"I_sigma intertwining #{k}", (Isig @ ctx.build_rho(g)) @ Isig_inv, ctx.build_rho(g_sigma)))
     zero_v = tuple(ws.tower.zero for _ in range(2 * cfg.n))
     for kk in ws.tower.level_elements(cfg.m):
         op = ctx.op_heis((zero_v, kk))
         want = ctx.identity_op().scale(ws.tower.psi(kk, cfg.m, ws.scale))
         cases.append(Case.of(f"central character k={kk}", op, want))
-    for k in range(50):
-        s, h = sp.random(rng), heis.random(rng)
-        lhs = (ctx.build_rho(s) @ ctx.op_heis(h)) @ ctx.build_rho(sp.inv(s))
+    for k, ((s, h), s_inv) in enumerate(zip(acting, inverses)):
+        lhs = (ctx.build_rho(s) @ ctx.op_heis(h)) @ ctx.build_rho(s_inv)
         rhs = ctx.op_heis(sp_act_heis(ws.tower, s, h, cfg.n))
         cases.append(Case.of(f"Sp action on H #{k}", lhs, rhs))
-    for k in range(50):
-        i = rng.randrange(cfg.m)
-        g, h = sph.random(rng), sph.random(rng)
-        moved = sph.twisted_conj(h, g, i)
-        lhs = ctx.extended_trace(i, g)
-        rhs = ctx.extended_trace(i, moved)
-        cases.append(Case.of(f"twisted class function i={i} #{k}", lhs, rhs))
+    for k, (i, g, y) in enumerate(conjugated):
+        cases.append(Case.of(f"twisted class function i={i} #{k}", ctx.extended_trace(i, g), ctx.extended_trace(i, y)))
     return cases
 
 
 def _norm_cases(ws: Workspace, spec, ncfg: NormConfig, label: str, var: str, lhs, rhs) -> list[Case]:
-    """lhs(g) = rhs(N(σ^i, g)) on the sampled (or every) element g of spec;
-    rhs is evaluated once per distinct norm."""
-    cases, rhs_of = [], {}
+    """lhs(gs)[k] = rhs(N(σ^i, gs[k])) on the sampled (or every) elements gs of
+    spec; both sides take whole stacks: lhs the sample, rhs its distinct norms."""
     gs = ws.samples(spec, f"{label}:{ncfg.i}:{ncfg.t}")
-    for g, N in zip(gs, gyoja_norms(ncfg, spec, gs, ws.cfg.ambient_cap)):
-        if N not in rhs_of:
-            rhs_of[N] = rhs(N)
-        cases.append(Case.of(f"i={ncfg.i},t={ncfg.t},{var}={g}", lhs(g), rhs_of[N]))
-    return cases
+    norms = gyoja_norms(ncfg, spec, gs, ws.cfg.ambient_cap)
+    distinct = list(dict.fromkeys(norms))
+    rhs_of = dict(zip(distinct, rhs(distinct)))
+    return [Case.of(f"i={ncfg.i},t={ncfg.t},{var}={g}", left, rhs_of[N]) for g, left, N in zip(gs, lhs(gs), norms)]
+
+
+def _operator_traces(ctx: RepContext, gs: list) -> list[CycNum]:
+    """tr ρ(g) of the dense operators of the symplectic gs, their steps factored in one pass."""
+    ctx.keep_steps(gs)
+    return [ctx.build_rho(g).trace() for g in gs]
 
 
 def check_star(ws: Workspace) -> list[Case]:
@@ -293,8 +300,8 @@ def check_star(ws: Workspace) -> list[Case]:
     cases = []
     for ncfg in ws.cfg.norm_cfgs():
         ctx_d = ws.ctx(ncfg.d)
-        cases += _norm_cases(ws, ws.sp(), ncfg, "star", "g", lambda g: ctx_top.extended_trace(ncfg.i, g),
-                             lambda N: ctx_d.build_rho(N).trace())
+        cases += _norm_cases(ws, ws.sp(), ncfg, "star", "g", lambda gs: ctx_top.extended_traces(ncfg.i, gs),
+                             lambda norms: _operator_traces(ctx_d, norms))
     return cases
 
 
@@ -313,8 +320,9 @@ def check_gsp(ws: Workspace) -> list[Case]:
         dim_case_lhs = pi_d.at(gsp_d.identity())
         dim_expected = CycNum.rational(cfg.p, (ws.tower.q**ncfg.d - 1) * ws.tower.q ** (ncfg.d * cfg.n))
         cases.append(Case.of(f"dim pi_{ncfg.d}", dim_case_lhs, dim_expected))
-        cases += _norm_cases(ws, ws.gsp(), ncfg, "gsp", "g'", lambda g: extended_gsp_trace(ctx_top, ncfg.i, g),
-                             pi_d.at)
+        cases += _norm_cases(ws, ws.gsp(), ncfg, "gsp", "g'",
+                             lambda gs: [extended_gsp_trace(ctx_top, ncfg.i, g) for g in gs],
+                             lambda norms: [pi_d.at(N) for N in norms])
     return cases
 
 

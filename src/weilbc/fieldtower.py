@@ -318,6 +318,15 @@ class Tower:
         out = self.block_matrix(a) @ cols % self.p
         return np.swapaxes(out.reshape(*out.shape[:-2], s, A, u), -2, -1)
 
+    def matinv(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Digits of x⁻¹ for digit matrices x (…, s, s, A), batched over the leading axes, and
+        the mask (…) of the invertible x, whose inverses alone are meaningful: the inverse of
+        x's F_p block matrix is the block matrix of x⁻¹, whose block (i, k) holds the digits
+        of (x⁻¹)_ik in column 0."""
+        s, A = x.shape[-2], self._A
+        inv, ok = modp.inverse(self.block_matrix(x), self.p)
+        return np.moveaxis(inv.reshape(*x.shape[:-3], s, A, s, A)[..., 0], -2, -1), ok
+
     # -- levels ----------------------------------------------------------------
 
     def register_level(self, d: int) -> None:

@@ -31,7 +31,7 @@ from math import gcd, lcm
 import numpy as np
 
 from . import modp
-from .errors import ConfigInvalid, Singular, WitnessFailed
+from .errors import ConfigInvalid, WitnessFailed
 from .fieldtower import Embedding, Tower, enlarge_tower
 from .grouplib import GroupSpec, SympGroup, conjugacy_classes, twisted_classes
 
@@ -200,16 +200,14 @@ def _darboux_alpha(big: Tower, d: int, rows: np.ndarray) -> np.ndarray:
 
 def _inverse(big_spec: SympGroup, alpha: np.ndarray) -> np.ndarray:
     """Digits of α⁻¹ for digit matrices α (…, n2, n2, A): J⁻¹·αᵀ·J on Sp, division-free; on GSp
-    from the inverse of α's F_p block matrix, whose block (i, k) has the digits of (α⁻¹)_ik in column 0."""
+    `Tower.matinv`."""
     big = big_spec.tower
     if not big_spec.similitude:
         return _j(np.swapaxes(_j(alpha, -3), -3, -2), -3) % big.p
-    n2, A = alpha.shape[-2], big.ambient_degree
-    try:
-        inv = modp.left_inverse(big.block_matrix(alpha), big.p)
-    except Singular:
-        raise WitnessFailed("Lang witness is singular") from None
-    return np.moveaxis(inv.reshape(*alpha.shape[:-3], n2, A, n2, A)[..., 0], -2, -1)
+    inv, ok = big.matinv(alpha)
+    if not ok.all():
+        raise WitnessFailed("Lang witness is singular")
+    return inv
 
 
 def _lang_matrix(big_spec: SympGroup, h: np.ndarray, d: int) -> np.ndarray:

@@ -21,10 +21,24 @@ unipotent, Levi and Weyl factors of the Siegel word of its Sp part, one
 monomial step for its H part, and a constant sign·G^{-n·w} for w Weyl
 factors.  Unipotent, Levi and Heisenberg steps are monomial, and each Weyl
 entry is one ψ-exponent of the F_p-bilinear pairing x·w, tabulated per
-context as point coordinates and a trace-form Gram matrix.  Every trace
-takes its paths through the steps from one walker, `_paths`, and builds no
-matrix: the extended trace closes each path in its last Weyl entry, a slice
-trace matches an Sp part's paths against a whole array of H parts.  Induced
+context as point coordinates and a trace-form Gram matrix.
+
+The model is stacked: a whole stack of symplectic elements, as digit arrays
+(E, 2n, 2n, A), is checked (gᵀJg = J), split by its c block into the cells
+c = 0, c invertible and c singular, factored with one word shape per cell,
+and certified (the word's product is g) in a few whole-stack numpy
+operations (`_siegel_words`).  Each cell's words become steps over the
+stack's rows laid end to end (`_word_steps`), their signs read off F_p
+determinants of the factors' actions on point coordinates.  One element is
+the stack of one: `siegel_factor` and the per-element steps run the same
+factorization and checks, at several times the per-element cost of a stack,
+so `extended_traces` traces a whole sample and `keep_steps` factors the
+elements an operator loop will meet in one pass.
+
+Every trace takes its paths through the steps from one walker, `_paths`,
+and builds no matrix: the extended trace closes each path in its last Weyl
+entry, for one element or a whole stack, a slice trace matches an Sp part's
+paths against a whole array of H parts.  Induced
 characters need no per-coset product either: `translation_rows` counts the
 Heisenberg translations on coordinate arrays, and `extended_gsp_trace` keeps
 the similitude cosets that the multiplier of g selects.  Dense operators, the
@@ -34,27 +48,22 @@ are compared or multiplied (`build_rho`).
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain, islice
 from itertools import product as iproduct
 from math import gcd
 
 import numpy as np
 
+from . import modp
 from .cyclotomic import CycNum, check_int64, gauss_sum
 from .errors import DimensionMismatch, FactorizationFailed, NotSymplectic, OperatorOverflow, Singular
 from .fieldtower import Tower
-from .grouplib import (
-    SympGroup,
-    SympSpace,
-    mat_det,
-    mat_identity,
-    mat_inv,
-    mat_mul,
-    mat_neg,
-    mat_transpose,
-    mat_vec,
-)
+from .grouplib import SympSpace, mat_identity, mat_inv, mat_vec
 
 _STEP_CACHE_CAP = 6000
+_PATH_CAP = 1 << 16  # paths held at once by one stacked trace walk
+_SEARCH_CHUNK = 4096  # correction blocks tried at once by the full search
 _EXACT_BOUND = 2**53  # float64 holds every integer below this exactly
 
 
@@ -169,6 +178,7 @@ class RepContext:
         self._gauss_pow: dict[int, CycNum] = {}
         self._gal_perm: dict[int, np.ndarray] = {}
         self._coords = None
+        self._weyl_sign = self.eps(tower.from_int(self.p - 2)) ** n  # ε'(-2)^n of every Weyl factor
 
     # -- cyclotomic plumbing ----------------------------------------------------
 
@@ -190,11 +200,6 @@ class RepContext:
             self._coords = _Coordinates(self)
         return self._coords
 
-    def _image(self, mat: tuple) -> np.ndarray:
-        """Point index of mat·y for every basis point y."""
-        coords = self._coordinates()
-        return coords.index(coords.apply(mat))
-
     def _weyl_constant(self, w: int) -> CycNum:
         """G^{-n·w}: the Gauss-sum part of the constant of w Weyl factors."""
         got = self._gauss_pow.get(w)
@@ -209,7 +214,7 @@ class RepContext:
         return self._dense((self._every, self._flat))
 
     def _dense(self, step: tuple, sign: int = 1) -> WeilOperator:
-        """sign times the dense factor of one step (see `_steps`)."""
+        """sign times the dense factor of one step of one element (see `_word_steps`)."""
         cols, exps = step
         if exps is None:
             return WeilOperator(self, sign * self._units[self._weyl_exps(cols)])
@@ -222,45 +227,98 @@ class RepContext:
     def _steps(self, g) -> tuple[int, int, list]:
         """ρ(g) = sign·G^{-n·w}·F_1⋯F_k for g in Sp, H or Sp·H.
 
-        Returns (sign, w, [F_1, …, F_k]).  A monomial step (cols, exps) has
-        the entry ζ^exps[y] at (y, cols[y]); a Weyl step (bty, None) has the
-        entry ζ^(x·Bᵀy) at (y, x), bty holding the point index of Bᵀy.  The
-        Sp part of g gives the steps of its Siegel word, whose Levi and Weyl
-        signs make up sign and whose w Weyl factors each carry G^{-n}; the H
-        part gives one monomial step.  The Sp part's steps are the context's
-        one memo, kept (bounded) when g has an H part, where one Sp part
-        serves many H parts.
+        Returns (sign, w, [F_1, …, F_k]), the steps of g as a stack of one
+        (`_word_steps`).  The Sp part of g gives the steps of its Siegel word,
+        whose Levi and Weyl signs make up sign and whose w Weyl factors each
+        carry G^{-n}; the H part gives one monomial step.  The context's one
+        memo (bounded) holds the steps of Sp parts that serve many Heisenberg
+        parts (`_kept_steps`) and of the elements given to `keep_steps`; a
+        symplectic g is looked up there, but its steps are not kept.
         """
         kind = _element_kind(g, self.n)
-        s, h = (g, None) if kind == "sp" else (None, g) if kind == "heis" else g
-        sign, w, steps = 1, 0, []
-        if s is not None:
-            got = self._step_cache.get(s)
-            if got is None:
-                got = self._sp_steps(s)
-                if h is not None:
-                    _remember(self._step_cache, s, got, self._cache_cap)
-            sign, w, steps = got
-        if h is not None:
-            steps = steps + [self._heis_step(h)]
-        return sign, w, steps
+        if kind == "sp":
+            got = self._step_cache.get(g)
+            return self._sp_steps(g) if got is None else got
+        sign, w, steps = (1, 0, []) if kind == "heis" else self._kept_steps(g[0])
+        return sign, w, steps + [self._heis_step(g if kind == "heis" else g[1])]
+
+    def _kept_steps(self, s: tuple) -> tuple[int, int, list]:
+        """The steps of an Sp part that serves many Heisenberg parts (an Sp·H
+        element, a slice), kept in the memo."""
+        got = self._step_cache.get(s)
+        if got is None:
+            got = self._sp_steps(s)
+            _remember(self._step_cache, s, got, self._cache_cap)
+        return got
+
+    def keep_steps(self, gs) -> None:
+        """Factor the symplectic elements gs in one pass (`_siegel_words`) and keep
+        their steps in the memo, for the operators and traces of gs, and of Sp·H
+        elements over them, that follow.  A stack of one costs several times a
+        per-element step of a whole stack, so callers with many elements at hand
+        give them here first."""
+        todo = [g for g in dict.fromkeys(gs) if g not in self._step_cache]
+        if not todo:
+            return
+        for where, tags, blocks in _siegel_words(self.tower, self.n, self.level, _digits(self.tower, todo, 2 * self.n)):
+            signs, w, steps = self._word_steps(tags, blocks)
+            for e, at in enumerate(where.tolist()):
+                one = (int(signs[e]), w, self._element_steps(steps, e, e + 1))
+                _remember(self._step_cache, todo[at], one, self._cache_cap)
 
     def _sp_steps(self, s: tuple) -> tuple[int, int, list]:
-        """Sign, Weyl count and steps of the Siegel word of a symplectic s."""
-        sign, w, steps = 1, 0, []
-        for tag, param in siegel_factor(self.tower, self.n, self.level, s):
-            if tag == "unip":
-                steps.append((self._every, self._unip_exps(param)))
-                continue
-            if tag == "levi":
-                cols, eps = self._levi_perm(param)
-                steps.append((cols, self._flat))
-            else:
-                cols, eps = self._weyl_factor(param)
-                steps.append((cols, None))
-                w += 1
-            sign *= eps
-        return sign, w, steps
+        """Sign, Weyl count and steps of the Siegel word of a symplectic s: a stack of one."""
+        tags, params = zip(*siegel_factor(self.tower, self.n, self.level, s))
+        signs, w, steps = self._word_steps(tags, _digits(self.tower, params, self.n)[None])
+        return int(signs[0]), w, steps
+
+    def _word_steps(self, tags: tuple, blocks: np.ndarray) -> tuple[np.ndarray, int, list]:
+        """Signs (E,), Weyl count w and steps of a stack of E Siegel words of one shape.
+
+        tags names the factors and blocks (E, factors, n, n, A) holds the digit
+        matrices of their parameters.  The E elements' rows are laid end to end,
+        element e's row y at e·dim + y, and each step holds arrays over those
+        rows: a monomial step (cols, exps) has the entry ζ^exps[y] at (y,
+        cols[y]), a column of the same element; a Weyl step (bty, None) the
+        entry ζ^(x·Bᵀy) at (y, x) for every column x of the element, bty
+        holding the point index of Bᵀy within the element.  By Gérardin's formulas (module docstring), u(b) is diagonal with
+        the ψ'-exponent of (b/2)y·y, levi(a) sends y to aᵀy with the sign
+        ε'(det a), and weyl(B) carries ε'(-2)^n·ε'(det B).  The signs are read off
+        coordinates: ε'(x) is the Legendre symbol of N(x), and N(det M) is the
+        F_p-determinant of y ↦ M·y.
+        """
+        coords, p, dim = self._coordinates(), self.p, self.dim
+        count, unip = len(blocks), np.array([tag == "unip" for tag in tags])
+        moved = blocks.swapaxes(2, 3)  # Mᵀ for levi(M) and weyl(M); u(b) acts by b/2
+        if not np.array_equal(moved[:, unip], blocks[:, unip]):
+            raise NotSymplectic("unipotent block is not self-adjoint")
+        lin = coords.action(np.where(unip[:, None, None, None], moved * self.tower.half % p, moved))
+        images = coords.pts @ lin % p  # (E, factors, dim, n·k)
+        signs = np.full(count, self._weyl_sign ** tags.count("weyl"))
+        if not unip.all():
+            det = modp.det(lin[:, ~unip], p)
+            if not det.all():
+                tag = tags[np.flatnonzero(~unip)[(det == 0).any(axis=0).argmax()]]
+                raise Singular("Levi block is singular") if tag == "levi" else NotSymplectic("Weyl block is singular")
+            signs = signs * modp.legendre(det, p).prod(axis=1)
+        cols, exps = coords.index(images), coords.pairing(images, coords.pts)
+        rows, base = self._rows(count)
+        steps = [(rows, exps[:, f].ravel()) if tag == "unip" else
+                 (cols[:, f].ravel() + base, np.zeros(count * dim, dtype=np.int64)) if tag == "levi" else
+                 (cols[:, f].ravel(), None) for f, tag in enumerate(tags)]
+        return signs, tags.count("weyl"), steps
+
+    def _element_steps(self, steps: list, start: int, stop: int) -> list:
+        """The steps of elements start, …, stop − 1 of the stacked steps, rows renumbered from 0."""
+        rows, shift = slice(start * self.dim, stop * self.dim), start * self.dim
+        return [(data[rows], None) if exps is None else (data[rows] - shift, exps[rows]) for data, exps in steps]
+
+    def _rows(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of count elements laid end to end, and the first row of each row's element."""
+        if count == 1:
+            return self._every, self._flat
+        rows = np.arange(count * self.dim)
+        return rows, rows - rows % self.dim
 
     def _heis_step(self, h) -> tuple[np.ndarray, np.ndarray]:
         """Step of h = (x, x*; t): row y has column y + x* and the
@@ -275,37 +333,14 @@ class RepContext:
         cx, cxs = vec[: len(vec) // 2], vec[len(vec) // 2 :]
         return coords.index((coords.pts + cxs) % self.p), (k - coords.pts_g @ cx) % self.p
 
-    def _unip_exps(self, b: tuple) -> np.ndarray:
-        """ζ-exponents of the diagonal of [[1,b],[0,1]]; b must be symmetric n×n."""
-        tower, n = self.tower, self.n
-        for i in range(n):
-            for j in range(n):
-                if b[i * n + j] != b[j * n + i]:
-                    raise NotSymplectic("unipotent block is not self-adjoint")
-        coords = self._coordinates()  # ψ'(⟨b y*, y*⟩/2) = ψ'((b/2)y*·y*)
-        half_b = tuple(tower.mul(tower.half, x) for x in b)
-        return coords.pairing(coords.apply(half_b), coords.pts)
-
-    def _levi_perm(self, a: tuple) -> tuple[np.ndarray, int]:
-        """Columns y ↦ aᵀ y and the sign ε'(det a) of diag(a, (aᵀ)^{-1})."""
-        det = mat_det(self.tower, a, self.n)
-        if det == self.tower.zero:
-            raise Singular("Levi block is singular")
-        return self._image(mat_transpose(a, self.n)), self.eps(det)
-
-    def _weyl_factor(self, b: tuple | None) -> tuple[np.ndarray, int]:
-        """Point index of Bᵀy for every row y, and the sign ε'(-2)^n·ε'(det B)."""
-        tower, n = self.tower, self.n
-        B = mat_identity(tower, n) if b is None else b
-        det = mat_det(tower, B, n)
-        if det == tower.zero:
-            raise NotSymplectic("Weyl block is singular")
-        sign = self.eps(tower.from_int(tower.p - 2)) ** n * self.eps(det)
-        return self._image(mat_transpose(B, n)), sign
+    def _generator_op(self, tag: str, block: tuple) -> WeilOperator:
+        """The signed dense factor of one generator, with no Gauss-sum constant."""
+        signs, _, (step,) = self._word_steps((tag,), _digits(self.tower, [block], self.n)[None])
+        return self._dense(step, int(signs[0]))
 
     def _weyl_exps(self, bty: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-        """ψ-exponents of ⟨x_col, Bᵀy_row⟩ for rows bty (the indices of Bᵀy):
-        against every column, or against cols entrywise."""
+        """ψ-exponents of ⟨x_col, Bᵀy_row⟩ for rows bty (the indices of Bᵀy, any
+        shape): against every column (a last axis added), or against cols entrywise."""
         coords = self._coordinates()
         if cols is None:
             return coords.pts_g[bty] @ coords.pts.T % self.p
@@ -319,17 +354,16 @@ class RepContext:
 
     def op_unip(self, b: tuple) -> WeilOperator:
         """Diagonal operator of [[1,b],[0,1]]; b must be symmetric n×n."""
-        return self._dense((self._every, self._unip_exps(b)))
+        return self._generator_op("unip", b)
 
     def op_levi(self, a: tuple) -> WeilOperator:
         """Signed permutation of diag(a, (aᵀ)^{-1}): f ↦ ε'(det a) f(aᵀ y*)."""
-        cols, sign = self._levi_perm(a)
-        return self._dense((cols, self._flat), sign)
+        return self._generator_op("levi", a)
 
     def op_weyl(self, b: tuple | None = None) -> WeilOperator:
         """Fourier operator of [[0,B],[-(Bᵀ)^{-1},0]]; B: X* → X, default identity."""
-        bty, sign = self._weyl_factor(b)
-        return self._dense((bty, None), sign).scale(self._weyl_constant(1))
+        B = mat_identity(self.tower, self.n) if b is None else b
+        return self._generator_op("weyl", B).scale(self._weyl_constant(1))
 
     def op_galois(self, j: int) -> WeilOperator:
         """I_σ^j: f ↦ f(σ^{-j}·), a permutation of the basis points."""
@@ -358,33 +392,63 @@ class RepContext:
 
     def extended_trace(self, i: int, g) -> CycNum:
         """tr ρ̃'(σ^i, g) = tr(ρ(g)·I_σ^i) for g in Sp·H at this level: the
-        sum Σ_y ρ(g)[y, σ^i y] along the steps of g, no matrix built.
+        sum Σ_y ρ(g)[y, σ^i y] along the steps of g (`_trace_rows`)."""
+        sign, w, steps = self._steps(g)
+        return self.value(sign * self._trace_rows(i, w, steps)[0], w)
+
+    def extended_traces(self, i: int, gs) -> list[CycNum]:
+        """tr ρ̃'(σ^i, g) for every symplectic g of the sequence gs, in one pass.
+
+        The stack is checked and factored on digit arrays (`_siegel_words`), one
+        word shape per cell of the c block; each cell's words become stacked
+        steps (`_word_steps`) and one row of ψ'-exponent counts per element
+        (`_trace_rows`), walked in chunks of at most _PATH_CAP paths.  A
+        repeated element is traced once.
+        """
+        todo = list(dict.fromkeys(gs))
+        out = [None] * len(todo)
+        for where, tags, blocks in _siegel_words(self.tower, self.n, self.level, _digits(self.tower, todo, 2 * self.n)):
+            signs, w, steps = self._word_steps(tags, blocks)
+            size = max(1, _PATH_CAP // self.dim ** max(w, 1))
+            for k in range(0, len(where), size):
+                part = self._element_steps(steps, k, min(k + size, len(where)))
+                counts = signs[k : k + size, None] * self._trace_rows(i, w, part, len(where[k : k + size]))
+                for at, row in zip(where[k : k + size].tolist(), counts):
+                    out[at] = self.value(row, w)
+        value = dict(zip(todo, out))
+        return [value[g] for g in gs]
+
+    def _trace_rows(self, i: int, w: int, steps: list, count: int = 1) -> np.ndarray:
+        """Counts (count, p) of ψ'-exponents of tr(F_1⋯F_k·I_σ^i) = Σ_y (F_1⋯F_k)[y, σ^i y]
+        for the steps of count elements (`_word_steps`), no matrix built.
 
         A path follows one nonzero entry per factor (`_paths`).  After the
         last Weyl step the steps are monomial, so they are folded into the
         column a path must reach there, fixed by its row, and each path up to
         that step is closed in one Weyl entry; without a Weyl step the paths
-        that end at σ^i y count.  Elements with at most one Weyl step cost
+        that end at σ^i y count.  Words with at most one Weyl step cost
         O(dim), the singular-corner word with two costs O(dim²).
         """
-        sign, w, steps = self._steps(g)
-        dim = self.dim
-        goal, exp = self.galois_perm(-i), np.zeros(dim, dtype=np.int64)  # row y ↦ σ^i(y)
+        dim, p = self.dim, self.p
+        rows, base = self._rows(count)
+        goal = base + np.tile(self.galois_perm(-i), count)  # row y ↦ σ^i(y)
+        exp = np.zeros(count * dim, dtype=np.int64)
         last = len(steps)
         while w and steps[last - 1][1] is not None:  # fold the monomial tail into the goal
             cols, exps = steps[last - 1]
-            back = np.empty(dim, dtype=np.intp)
-            back[cols] = self._every
+            back = np.empty(count * dim, dtype=np.intp)
+            back[cols] = rows
             goal = back[goal]
             exp = exp + exps[goal]
             last -= 1
         if w:
-            starts, ends, exps = self._paths(steps[: last - 1])
-            exps = exps + exp[starts] + self._weyl_exps(steps[last - 1][0][ends], goal[starts])
+            starts, ends, exps = self._paths(steps[: last - 1], count)
+            exps = (exps + exp[starts] + self._weyl_exps(steps[last - 1][0][ends], goal[starts] % dim)) % p
         else:
-            starts, ends, exps = self._paths(steps)
-            exps = exps[ends == goal[starts]]
-        return self.value(sign * np.bincount(exps % self.p, minlength=self.p), w)
+            starts, ends, exps = self._paths(steps, count)
+            exps = np.where(ends == goal[starts], exps, p)  # p counts the paths that miss σ^i y
+        counts = np.bincount(starts // dim * (p + 1) + exps, minlength=count * (p + 1))
+        return counts.reshape(count, p + 1)[:, :p]
 
     def slice_traces(self, j: int, s: tuple, vs: np.ndarray, ts=None) -> tuple[int, int, np.ndarray]:
         """tr ρ̃'(σʲ, (s, (v, t))) for one Sp part s and many Heisenberg parts:
@@ -396,7 +460,7 @@ class RepContext:
         to c + x* with the exponent of t − ½x·x* − c·x, and a path counts for
         a point when it ends at σʲ(y).  Costs O(paths·H) for the match.
         """
-        sign, w, steps = self._steps(s)
+        sign, w, steps = self._kept_steps(s)
         coords, p = self._coordinates(), self.p
         starts, ends, exp = self._paths(steps)
         x, xs = vs[:, : vs.shape[1] // 2], vs[:, vs.shape[1] // 2 :]
@@ -407,18 +471,20 @@ class RepContext:
         check_int64(len(starts) * len(vs), "trace histogram")
         return sign, w, np.bincount(hi * p + e, minlength=len(vs) * p).reshape(-1, p)
 
-    def _paths(self, steps: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every path through steps from every row: (start row, end column,
-        ζ-exponent).  A Weyl step branches each path over every column, so w
-        of them make dim^(w+1) paths, all held at once."""
-        starts = cur = self._every
-        exp = np.zeros(self.dim, dtype=np.int64)
+    def _paths(self, steps: list, count: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every path through the steps of count elements (`_word_steps`) from
+        every row: (start row, end column, ζ-exponent), rows and columns laid
+        end to end.  A Weyl step branches each path over every column of its
+        element, so w of them make dim^(w+1) paths per element, all held at once."""
+        starts = cur = self._rows(count)[0]
+        exp = np.zeros(count * self.dim, dtype=np.int64)
         for data, exps in steps:
             if exps is not None:
                 exp, cur = exp + exps[cur], data[cur]
             else:
                 exp = (exp[:, None] + self._weyl_exps(data[cur])).ravel()
-                starts, cur = np.repeat(starts, self.dim), np.tile(self._every, len(cur))
+                starts, cur = np.repeat(starts, self.dim), (cur - cur % self.dim)[:, None] + self._every
+                cur = cur.ravel()
         return starts, cur, exp % self.p
 
     def translation_rows(self, j: int, s: tuple, vs: np.ndarray, ts=None, slot: int | None = None) -> np.ndarray:
@@ -493,16 +559,24 @@ class _Coordinates:
     vectors are elems[p^a].  The trace form is F_p-bilinear, so with Gram
     matrix T[a, b] = Tr(scale·β_a·β_b) the ψ'-exponent of x·w for points x, w
     is c(x)·(1_n ⊗ T)·c(w) mod p, and an F_p-linear map of points (mat·y,
-    Frobenius) is a linear map of coordinates.  Building the model costs
-    O(k²) tower multiplications for the F_p-dimension k of the level.
+    Frobenius) is a linear map of coordinates.  The digit of a level element
+    at pivot a is its coordinate a, so a stack of level matrices acts on
+    coordinates through its F_p block matrices (`action`).  Building the
+    model costs O(k²) tower multiplications for the F_p-dimension k of the level.
     """
 
     def __init__(self, ctx: RepContext):
         tower, p, n = ctx.tower, ctx.p, ctx.n
         elems = tower.level_elements(ctx.level)
-        k = len(tower.level_pivots(ctx.level))
+        pivots = tower.level_pivots(ctx.level)
+        k = len(pivots)
         self.ctx = ctx
         self.basis = [elems[p**a] for a in range(k)]
+        pick = np.zeros((tower.ambient_degree, k), dtype=np.int64)
+        pick[pivots, np.arange(k)] = 1
+        # c(y) @ _embed are the stacked ambient digits of y, and digits @ _pick its coordinates
+        self._embed = np.kron(np.eye(n, dtype=np.int64), tower._level_basis(ctx.level))
+        self._pick = np.kron(np.eye(n, dtype=np.int64), pick)
         place = p ** np.arange(k)
         self._of = dict(zip(elems, np.arange(len(elems))[:, None] // place % p))
         psi = [[tower.psi_exponent(tower.mul(a, b), ctx.level, ctx.scale) for b in self.basis] for a in self.basis]
@@ -529,10 +603,10 @@ class _Coordinates:
         """Coordinates of f(y) for every basis point y; f is F_p-linear on points."""
         return self.pts @ self.linear(f, self.ctx.n) % self.ctx.p
 
-    def apply(self, mat: tuple) -> np.ndarray:
-        """Coordinates of mat·y for every basis point y (mat is n×n)."""
-        tower, n = self.ctx.tower, self.ctx.n
-        return self.image(lambda v: mat_vec(tower, mat, v, n))
+    def action(self, mats: np.ndarray) -> np.ndarray:
+        """The matrices lin (E, n·k, n·k) with c(M·y) = c(y) @ lin mod p, for the
+        digit matrices M (E, n, n, A) of a stack of n×n matrices over the level."""
+        return self._embed @ self.ctx.tower.block_matrix(mats).swapaxes(-1, -2) @ self._pick % self.ctx.p
 
     def index(self, coords: np.ndarray) -> np.ndarray:
         """Indices of coordinate rows of tuples (basis points when n-tuples)."""
@@ -544,8 +618,8 @@ class _Coordinates:
         return np.arange(self.ctx.Q**slots)[:, None] // weights % self.ctx.p
 
     def pairing(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """ψ'-exponents of x·w for coordinate rows xs, ws, entrywise."""
-        return (xs @ self._gram % self.ctx.p * ws).sum(axis=1) % self.ctx.p
+        """ψ'-exponents of x·w for coordinate rows xs, ws (last axis), entrywise."""
+        return (xs @ self._gram % self.ctx.p * ws).sum(axis=-1) % self.ctx.p
 
     def symplectic(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """ψ'-exponents of ⟨u, v⟩ = u·v* − u*·v for coordinate rows of V = X ⊕ X*."""
@@ -574,80 +648,182 @@ def _element_kind(g, n: int) -> str:
     raise DimensionMismatch(f"unrecognized element {g!r}")
 
 
+def _digits(tower: Tower, mats, size: int) -> np.ndarray:
+    """int64 digits (E, size, size, A) of a sequence of size×size matrices (flat tuples)."""
+    flat = tower.digit_array(chain.from_iterable(mats)).astype(np.int64)
+    return flat.reshape(-1, size, size, tower.ambient_degree)
+
+
+@lru_cache(maxsize=None)
+def _identity_digits(tower: Tower, size: int) -> np.ndarray:
+    """Digits (size, size, A) of the identity matrix, read-only."""
+    out = np.zeros((size, size, tower.ambient_degree), dtype=np.int64)
+    out[np.arange(size), np.arange(size), 0] = 1
+    out.flags.writeable = False
+    return out
+
+
 def siegel_factor(tower: Tower, n: int, level: int, g: tuple) -> list:
     """Factor a symplectic matrix into unipotent/Levi/Weyl generators.
 
-    Returns tags ('unip', b), ('levi', a), ('weyl', B); the product of the
-    tagged matrices equals g exactly (checked).
+    Returns tags ('unip', b), ('levi', a), ('weyl', B), trivial factors dropped;
+    the product of the tagged matrices equals g exactly (checked).  The
+    factorization and both checks are those of `_siegel_words` on a stack of one.
     """
-    from .grouplib import membership
-
-    kind, _ = membership(tower, g, n, level)
-    if kind != "sp":
-        raise NotSymplectic("input matrix is not symplectic at this level")
+    size = 2 * n
+    if len(g) != size * size:
+        raise DimensionMismatch(f"expected a {size}x{size} matrix")
+    digits = _digits(tower, [g], size)
+    _check_symplectic(tower, n, level, digits)
     word = _siegel_factor_inner(tower, n, level, g)
-    spec = SympGroup(tower, n, level)
-    prod = mat_identity(tower, 2 * n)
-    for tag, param in word:
-        if tag == "unip":
-            fac = spec.unipotent(param)
-        elif tag == "levi":
-            fac = spec.levi(param)
-        else:
-            fac = spec.weyl(param)
-        prod = mat_mul(tower, prod, fac, 2 * n)
-    if prod != g:
-        raise FactorizationFailed("factor word does not reproduce the element")
+    tags, params = zip(*word) if word else ((), ())
+    _check_word(tower, n, digits, tags, _digits(tower, params, n)[None])
     return word
 
 
-def _blocks(g: tuple, n: int):
-    size = 2 * n
-    a = tuple(g[i * size + j] for i in range(n) for j in range(n))
-    b = tuple(g[i * size + n + j] for i in range(n) for j in range(n))
-    c = tuple(g[(n + i) * size + j] for i in range(n) for j in range(n))
-    d = tuple(g[(n + i) * size + n + j] for i in range(n) for j in range(n))
-    return a, b, c, d
-
-
 def _siegel_factor_inner(tower: Tower, n: int, level: int, g: tuple) -> list:
-    a, b, c, d = _blocks(g, n)
-    zero_blk = tuple(tower.zero for _ in range(n * n))
-    ident_blk = mat_identity(tower, n)
-    if c == zero_blk:
-        # upper triangular: g = u(b aᵀ)·levi(a)
-        bt = mat_mul(tower, b, mat_transpose(a, n), n)
-        word = [("unip", bt), ("levi", a)]
-        return [(tag, par) for tag, par in word
-                if not (tag == "unip" and par == zero_blk) and not (tag == "levi" and par == ident_blk)] or [("levi", a)]
-    detc = mat_det(tower, c, n)
-    if detc != tower.zero:
-        cinv = mat_inv(tower, c, n)
-        b1 = mat_mul(tower, a, cinv, n)
-        b2 = mat_mul(tower, cinv, d, n)
-        Bw = mat_neg(tower, mat_inv(tower, mat_transpose(c, n), n))
-        word = [("unip", b1), ("weyl", Bw), ("unip", b2)]
-        return [(tag, par) for tag, par in word if not (tag == "unip" and par == zero_blk)]
-    # c nonzero but singular: find symmetric b0 with c·b0 + d invertible
-    spec = SympGroup(tower, n, level)
-    field = tower.level_elements(level)
-    sym_slots = [(i, j) for i in range(n) for j in range(i, n)]
-    for combo in iproduct(field, repeat=len(sym_slots)):
-        b0 = [tower.zero] * (n * n)
-        for (i, j), val in zip(sym_slots, combo):
-            b0[i * n + j] = val
-            b0[j * n + i] = val
-        b0 = tuple(b0)
-        cb0d = tuple(
-            tower.add(x, y) for x, y in zip(mat_mul(tower, c, b0, n), d)
-        )
-        if mat_det(tower, cb0d, n) != tower.zero:
-            gp = mat_mul(tower, mat_mul(tower, g, spec.unipotent(b0), 2 * n), spec.weyl(), 2 * n)
-            inner = _siegel_factor_inner(tower, n, level, gp)
-            minus_id = mat_neg(tower, mat_identity(tower, n))
-            neg_b0 = mat_neg(tower, b0)
-            return inner + [("weyl", minus_id), ("unip", neg_b0)]
+    """The Siegel word of one symplectic g as tagged tuples, zero unipotent and
+    identity Levi factors dropped (the identity keeps its Levi factor)."""
+    ((_, tags, blocks),) = _siegel_cells(tower, n, level, _digits(tower, [g], 2 * n))
+    flat = tower.from_digit_array(blocks.reshape(-1, tower.ambient_degree))
+    ident, size = mat_identity(tower, n), n * n
+    word = [(tag, flat[f * size : (f + 1) * size]) for f, tag in enumerate(tags)]
+    kept = [(tag, par) for tag, par in word if not (tag == "unip" and not any(par) or tag == "levi" and par == ident)]
+    return kept or [("levi", ident)]
+
+
+def _siegel_words(tower: Tower, n: int, level: int, g: np.ndarray) -> list:
+    """The checked Siegel words of a stack of digit matrices g (E, 2n, 2n, A):
+    `_siegel_cells` after the stack's membership check, each cell's words
+    checked against its elements.  Raises NotSymplectic or FactorizationFailed."""
+    _check_symplectic(tower, n, level, g)
+    cells = _siegel_cells(tower, n, level, g)
+    for where, tags, blocks in cells:
+        _check_word(tower, n, g[where], tags, blocks)
+    return cells
+
+
+@lru_cache(maxsize=None)
+def _form_digits(tower: Tower, n: int) -> np.ndarray:
+    """Digits (2n, 2n, A) of the Gram matrix J = [[0, 1], [−1, 0]], read-only."""
+    out = np.zeros((2 * n, 2 * n, tower.ambient_degree), dtype=np.int64)
+    out[np.arange(n), np.arange(n, 2 * n), 0] = 1
+    out[np.arange(n, 2 * n), np.arange(n), 0] = tower.p - 1
+    out.flags.writeable = False
+    return out
+
+
+def _check_symplectic(tower: Tower, n: int, level: int, g: np.ndarray) -> None:
+    """Raise NotSymplectic unless every digit matrix of the stack g lies in
+    Sp_2n at the level: entries fixed by σ^level and gᵀ·J·g = J."""
+    p = tower.p
+    fixed = level == tower.m or np.array_equal(g @ tower.frob_matrix(level).T % p, g)
+    jg = np.concatenate([g[:, n:], -g[:, :n] % p], axis=1)  # J·g
+    if not (fixed and (tower.matmul(g.swapaxes(1, 2), jg) == _form_digits(tower, n)).all()):
+        raise NotSymplectic("input matrix is not symplectic at this level")
+
+
+def _siegel_cells(tower: Tower, n: int, level: int, g: np.ndarray) -> list:
+    """Siegel words of a stack of symplectic digit matrices g = [[a, b], [c, d]]
+    (E, 2n, 2n, A), one word shape per cell of the c block: a list of
+    (element indices, factor tags, digit blocks (E_cell, factors, n, n, A))
+    over the nonempty cells.
+
+    * c = 0: g = u(b·aᵀ)·levi(a);
+    * c invertible: g = u(a·c⁻¹)·weyl(−(cᵀ)⁻¹)·u(c⁻¹·d) (`_big_cell`);
+    * c singular: with b0 symmetric and c·b0 + d invertible (`_corrections`),
+      g·u(b0)·w lies in the big cell and g = (its word)·weyl(−1)·u(−b0).
+
+    The word check is left to the caller (`_check_word`).
+    """
+    p = tower.p
+    a, b, c, d = g[:, :n, :n], g[:, :n, n:], g[:, n:, :n], g[:, n:, n:]
+    nonzero = np.flatnonzero(c.reshape(len(g), -1).any(axis=1))
+    cells = []
+    if len(nonzero) < len(g):
+        k = np.flatnonzero(~c.reshape(len(g), -1).any(axis=1))
+        cells.append((k, ("unip", "levi"), np.stack([tower.matmul(b[k], a[k].swapaxes(1, 2)), a[k]], axis=1)))
+    ci, big = tower.matinv(c[nonzero])
+    if big.any():
+        k = nonzero[big]
+        cells.append((k, _BIG_CELL, _big_cell(tower, a[k], ci[big], d[k])))
+    if not big.all():
+        k = nonzero[~big]
+        b0 = _corrections(tower, n, level, c[k], d[k])
+        # g·u(b0)·w = [[−(a·b0 + b), a], [−(c·b0 + d), c]] for w = weyl(1)
+        ab, cd = tower.matmul(a[k], b0) + b[k], tower.matmul(c[k], b0) + d[k]
+        cdi, _ = tower.matinv(-cd % p)  # invertible by the choice of b0
+        minus_one = np.broadcast_to(-_identity_digits(tower, n) % p, b0.shape)
+        blocks = np.concatenate([_big_cell(tower, -ab % p, cdi, c[k]), np.stack([minus_one, -b0 % p], axis=1)], axis=1)
+        cells.append((k, _BIG_CELL + ("weyl", "unip"), blocks))
+    return cells
+
+
+_BIG_CELL = ("unip", "weyl", "unip")
+
+
+def _big_cell(tower: Tower, a: np.ndarray, ci: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The blocks of the word u(a·c⁻¹)·weyl(−(cᵀ)⁻¹)·u(c⁻¹·d) of [[a, b], [c, d]], given ci = c⁻¹."""
+    return np.stack([tower.matmul(a, ci), -ci.swapaxes(1, 2) % tower.p, tower.matmul(ci, d)], axis=1)
+
+
+def _corrections(tower: Tower, n: int, level: int, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per pair of digit blocks (c, d), the first candidate b0 (`_candidates`)
+    with c·b0 + d invertible: digit blocks (E, n, n, A)."""
+    p, out, left = tower.p, np.zeros_like(c), np.arange(len(c))
+    for blocks in _candidates(tower, n, level):
+        tries = (tower.matmul(c[left, None], blocks[None]) + d[left, None]) % p
+        ok = modp.det(tower.block_matrix(tries), p) != 0
+        found = ok.any(axis=1)
+        out[left[found]] = blocks[ok[found].argmax(axis=1)]
+        left = left[~found]
+        if not len(left):
+            return out
     raise FactorizationFailed("no symmetric correction block found")
+
+
+def _candidates(tower: Tower, n: int, level: int):
+    """Symmetric correction blocks, as digit stacks (K, n, n, A): first the 2^n
+    diagonal blocks with entries 0 and 1, then every symmetric block over the
+    level in chunks, the (0, 0) entry varying slowest."""
+    A = tower.ambient_degree
+    diag = np.zeros((2**n, n, n, A), dtype=np.int64)
+    diag[:, np.arange(n), np.arange(n), 0] = list(iproduct((0, 1), repeat=n))
+    yield diag
+    field = tower.digit_array(tower.level_elements(level)).astype(np.int64)
+    slots = [(i, j) for i in range(n) for j in range(i, n)]
+    combos = iproduct(range(len(field)), repeat=len(slots))
+    while chunk := np.array(list(islice(combos, _SEARCH_CHUNK))):
+        blocks = np.zeros((len(chunk), n, n, A), dtype=np.int64)
+        for s, (i, j) in enumerate(slots):
+            blocks[:, i, j] = blocks[:, j, i] = field[chunk[:, s]]
+        yield blocks
+
+
+def _check_word(tower: Tower, n: int, g: np.ndarray, tags: tuple, blocks: np.ndarray) -> None:
+    """Raise FactorizationFailed unless, for each element of the stack g, the
+    product of its word's generators is g: u(b) = [[1, b], [0, 1]], levi(a) =
+    diag(a, (aᵀ)⁻¹) and weyl(B) = [[0, B], [−(Bᵀ)⁻¹, 0]], built from their
+    parameters alone (one inverse for every Levi and Weyl block of the stack)."""
+    p, A = tower.p, tower.ambient_degree
+    inverted = [f for f, tag in enumerate(tags) if tag != "unip"]
+    if inverted:
+        inv, ok = tower.matinv(blocks[:, inverted].swapaxes(2, 3))
+        if not ok.all():
+            raise Singular("singular matrix")
+    prod = np.broadcast_to(_identity_digits(tower, 2 * n), g.shape)
+    for f, tag in enumerate(tags):
+        gen = np.zeros((len(blocks), 2 * n, 2 * n, A), dtype=np.int64)
+        if tag == "unip":
+            gen[:] = _identity_digits(tower, 2 * n)
+            gen[:, :n, n:] = blocks[:, f]
+        elif tag == "levi":
+            gen[:, :n, :n], gen[:, n:, n:] = blocks[:, f], inv[:, inverted.index(f)]
+        else:
+            gen[:, :n, n:], gen[:, n:, :n] = blocks[:, f], -inv[:, inverted.index(f)] % p
+        prod = gen if f == 0 else tower.matmul(prod, gen)
+    if not np.array_equal(prod, g):
+        raise FactorizationFailed("factor word does not reproduce the element")
 
 
 # -- similitude character -----------------------------------------------------------------

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from weilbc import characters, cyclotomic
+from weilbc import characters, cyclotomic, schrodinger
 from weilbc.characters import coset_pairs, eta, induced_trace, omega_prime
 from weilbc.checks import RunConfig, Workspace, _torus_nu, check_star, run_check
 from weilbc.cli import main
@@ -308,6 +308,28 @@ def test_exhaustive_slices_make_no_per_point_call(monkeypatch):
         calls.update(extended_trace=0)
         assert run_check("sl2-torus", RunConfig(p=3, n=1, m=m, sample=100, seed=42)).ok
         assert calls == {"extended_trace": order + 100, "induced_trace": 0}
+
+
+def test_star_makes_no_per_element_trace_or_factorization(monkeypatch):
+    """star over SL2(F9) traces its whole sample in one pass and factors its
+    distinct norms in one pass: no per-element extended trace, no per-element
+    Siegel factorization."""
+    calls = {"extended_trace": 0, "siegel_factor": 0}
+    trace, factor = RepContext.extended_trace, schrodinger.siegel_factor
+
+    def counted_trace(*args):
+        calls["extended_trace"] += 1
+        return trace(*args)
+
+    def counted_factor(*args):
+        calls["siegel_factor"] += 1
+        return factor(*args)
+
+    monkeypatch.setattr(RepContext, "extended_trace", counted_trace)
+    monkeypatch.setattr(schrodinger, "siegel_factor", counted_factor)
+    report = run_check("star", RunConfig(p=3, n=1, m=2, pairs=((1, 1),), sample="all", seed=42))
+    assert report.ok and len(report.cases) == 720
+    assert calls == {"extended_trace": 0, "siegel_factor": 0}
 
 
 def _inject(monkeypatch, level, j, s, k):

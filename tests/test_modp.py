@@ -185,3 +185,38 @@ def test_two_dimensional_input_is_a_batch_of_one():
     stacked, stacked_mask = modp.rref(mat[None], 7)
     assert np.array_equal(got, stacked[0]) and np.array_equal(mask, stacked_mask[0])
     assert np.array_equal(modp.kernel_basis(mat, 7), modp.kernel_basis(mat[None], 7)[0])
+
+
+def _det_by_rows(mat, p):
+    """Determinant mod p by row-by-row elimination in Python ints, the reference for det."""
+    m = [[int(x) % p for x in row] for row in mat]
+    k, out = len(m), 1
+    for c in range(k):
+        r = next((r for r in range(c, k) if m[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            m[c], m[r], out = m[r], m[c], -out
+        out = out * m[c][c] % p
+        inv = pow(m[c][c], p - 2, p)
+        for r in range(c + 1, k):
+            f = m[r][c] * inv % p
+            m[r] = [(x - f * y) % p for x, y in zip(m[r], m[c])]
+    return out % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_det_and_inverse_match_elimination(p, k):
+    """Up to 4×4 both expand over permutations, above that they eliminate; either
+    way a stack gets each matrix's determinant, and an inverse exactly where it is nonzero."""
+    rng = np.random.default_rng(10 * p + k)
+    full = rng.integers(0, p, size=(40, k, k))
+    thin = rng.integers(0, p, size=(20, k, 1)) @ rng.integers(0, p, size=(20, 1, k)) % p  # rank ≤ 1
+    stack = np.concatenate([full, thin, np.zeros((1, k, k), dtype=np.int64)])
+    want = [_det_by_rows(m, p) for m in stack]
+    assert modp.det(stack, p).tolist() == want
+    assert modp.det(stack[:60].reshape(3, 20, k, k), p).ravel().tolist() == want[:60]  # any leading axes
+    inv, ok = modp.inverse(stack, p)
+    assert ok.tolist() == [d != 0 for d in want]
+    assert (np.einsum("eij,ejk->eik", stack[ok], inv[ok]) % p == np.eye(k, dtype=np.int64)).all()

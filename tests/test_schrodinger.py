@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weilbc import schrodinger
+from weilbc import grouplib, schrodinger
 from weilbc.characters import coset_pairs, induced_trace, weil_torus_restriction
 from weilbc.cyclotomic import CycNum
 from weilbc.errors import FactorizationFailed, NotSymplectic, OperatorOverflow, Singular
 from weilbc.fieldtower import build_tower
-from weilbc.grouplib import (HeisGroup, SpHGroup, SympGroup, TorusSL2, conjugacy_classes, mat_identity, mat_mul,
-                             membership, sp_act_heis)
+from weilbc.grouplib import (HeisGroup, SpHGroup, SympGroup, TorusSL2, conjugacy_classes, mat_det, mat_identity, mat_mul,
+                             mat_vec, membership, sp_act_heis)
 from weilbc.normmap import choose_t, gyoja_norm
 from weilbc.schrodinger import RepContext, WeilOperator, extended_gsp_trace, gsp_character_values, siegel_factor
 
@@ -163,6 +163,147 @@ def test_factorization_singular_corner_sp4(t92):
         assert sum(1 for tag, _ in siegel_factor(t92, 2, 2, g) if tag == "weyl") == 2
         for i in (0, 1):
             assert ctx9.extended_trace(i, g) == _dense_extended_trace(ctx9, i, g)
+
+
+def _dense_extended_traces(ctx, gs):
+    """{i: [tr(ρ(g)·I_σ^i) for g in gs]} for i = 0, 1, one dense ρ(g) per element."""
+    galois = ctx.op_galois(1)
+    out = {0: [], 1: []}
+    for g in gs:
+        rho = ctx.build_rho(g)
+        out[0].append(rho.trace())
+        out[1].append((rho @ galois).trace())
+    return out
+
+
+def test_extended_traces_match_dense_sl2_f9(ctx2, t92):
+    """Every element of SL2(F9): the stacked traces equal the dense oracle."""
+    elems = SympGroup(t92, 1, 2).elements()
+    dense = _dense_extended_traces(ctx2, elems)
+    for i in (0, 1):
+        assert ctx2.extended_traces(i, elems) == dense[i]
+
+
+def test_extended_traces_match_dense_sp4_f9(t92):
+    """Sp4(F9) samples and the moved singular corners (two Weyl factors)."""
+    ctx = RepContext(t92, 2, 2)
+    rng = random.Random(41)
+    gs = [SympGroup(t92, 2, 2).random(rng) for _ in range(6)] + _singular_corners(t92)
+    dense = _dense_extended_traces(ctx, gs)
+    for i in (0, 1):
+        assert ctx.extended_traces(i, gs) == dense[i]
+
+
+def _field_sum(tower, xs):
+    out = tower.zero
+    for x in xs:
+        out = tower.add(out, x)
+    return out
+
+
+def _reference_generator(ctx, tag, param):
+    """The dense operator of one Siegel generator by its formula, entry by entry over
+    the tower (module docstring of `schrodinger`): signs from `Tower.quad_char`."""
+    tower, n, level = ctx.tower, ctx.n, ctx.level
+    pos = {pt: idx for idx, pt in enumerate(ctx.points)}
+    arr = np.zeros((ctx.dim, ctx.dim, ctx.p - 1), dtype=np.int64)
+    psi = lambda x: tower.psi(x, level, ctx.scale).num  # noqa: E731
+    dot = lambda u, v: _field_sum(tower, [tower.mul(a, b) for a, b in zip(u, v)])  # noqa: E731
+    if tag == "unip":
+        for idx, y in enumerate(ctx.points):
+            arr[idx, idx] = psi(tower.mul(tower.half, dot(mat_vec(tower, param, y, n), y)))
+        return WeilOperator(ctx, arr)
+    sign = tower.quad_char(mat_det(tower, param, n), level)
+    bt = tuple(param[j * n + i] for i in range(n) for j in range(n))
+    if tag == "levi":
+        for idx, y in enumerate(ctx.points):
+            arr[idx, pos[mat_vec(tower, bt, y, n)]] = sign * np.array(psi(tower.zero))
+        return WeilOperator(ctx, arr)
+    sign *= tower.quad_char(tower.from_int(-2), level) ** n
+    for idx, y in enumerate(ctx.points):
+        bty = mat_vec(tower, bt, y, n)
+        for jdx, x in enumerate(ctx.points):
+            arr[idx, jdx] = sign * np.array(psi(dot(x, bty)))
+    out = WeilOperator(ctx, arr)
+    for _ in range(n):
+        out = out.scale(ctx.gauss_inv)
+    return out
+
+
+def test_extended_traces_match_generator_formulas_sl2_f9(ctx2, t92):
+    """Every element of SL2(F9) against the product of its Siegel generators built
+    by their formulas: an oracle that shares no step, sign or walk code."""
+    elems = SympGroup(t92, 1, 2).elements()
+    galois = ctx2.op_galois(1)
+    want = []
+    for g in elems:
+        ops = [_reference_generator(ctx2, tag, param) for tag, param in siegel_factor(t92, 1, 2, g)]
+        rho = ops[0]
+        for op in ops[1:]:
+            rho = rho @ op
+        want.append((rho @ galois).trace())
+    assert ctx2.extended_traces(1, elems) == want
+
+
+def test_extended_traces_of_mixed_cells_match_one_by_one(t92):
+    """A stack mixing the three cells of the c block (c = 0, c invertible, c
+    singular), with a repeat, gives each element's own trace."""
+    sp4, ctx = SympGroup(t92, 2, 2), RepContext(t92, 2, 2)
+    rng = random.Random(42)
+    upper = [mat_mul(t92, sp4.unipotent((1, 2, 2, 0)), sp4.levi((3, 1, 0, 4)), 4), sp4.identity()]
+    gs = [sp4.random(rng) for _ in range(3)] + upper + _singular_corners(t92)
+    gs = gs + gs[:2]
+    kinds = {sum(tag == "weyl" for tag, _ in siegel_factor(t92, 2, 2, g)) for g in gs}
+    assert kinds == {0, 1, 2}
+    for i in (0, 1):
+        assert ctx.extended_traces(i, gs) == [ctx.extended_trace(i, g) for g in gs]
+
+
+def test_extended_traces_refuse_a_nonsymplectic_element(ctx2, t92):
+    gs = list(SympGroup(t92, 1, 2).elements()[:5]) + [(1, 1, 1, 1)]
+    with pytest.raises(NotSymplectic):
+        ctx2.extended_traces(1, gs)
+
+
+def test_extended_traces_refuse_a_broken_word(ctx2, t92, monkeypatch):
+    """The stacked word check certifies each cell: words missing their last
+    factor no longer reproduce their elements."""
+    cells = schrodinger._siegel_cells
+    monkeypatch.setattr(schrodinger, "_siegel_cells",
+                        lambda *args: [(where, tags[:-1], blocks[:, :-1]) for where, tags, blocks in cells(*args)])
+    with pytest.raises(FactorizationFailed, match="does not reproduce"):
+        ctx2.extended_traces(1, SympGroup(t92, 1, 2).elements())
+
+
+def test_singular_corner_found_by_a_diagonal_correction(monkeypatch):
+    """The Sp6(F9) element with c = diag(−1, 0, 0) and d = diag(0, 1, 1), a Weyl
+    element in the first coordinate: the correction b0 = diag(1, 0, 0) is among
+    the 2^n diagonal blocks tried first, so the full symmetric search never runs
+    and no tuple matrix product is taken."""
+    t = build_tower(3, 1, 2)
+    minus = t.from_int(-1)
+    g = [0] * 36
+    for i, (a, b, c, d) in enumerate([(0, 1, minus, 0), (1, 0, 0, 1), (1, 0, 0, 1)]):
+        g[i * 6 + i], g[i * 6 + 3 + i], g[(3 + i) * 6 + i], g[(3 + i) * 6 + 3 + i] = a, b, c, d
+    g = tuple(g)
+    calls = {"mat_mul": 0, "blocks": 0}
+    mat_mul_ = grouplib.mat_mul
+    candidates = schrodinger._candidates
+
+    def counted_mat_mul(*args):
+        calls["mat_mul"] += 1
+        return mat_mul_(*args)
+
+    def counted_candidates(*args):
+        for blocks in candidates(*args):
+            calls["blocks"] += len(blocks)
+            yield blocks
+
+    monkeypatch.setattr(grouplib, "mat_mul", counted_mat_mul)
+    monkeypatch.setattr(schrodinger, "_candidates", counted_candidates)
+    word = siegel_factor(t, 3, 2, g)  # the word check inside is the certificate
+    assert [tag for tag, _ in word].count("weyl") == 2
+    assert calls == {"mat_mul": 0, "blocks": 8}
 
 
 def test_rho_identity_and_minus_one(ctx1, t92):
