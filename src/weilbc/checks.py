@@ -46,7 +46,7 @@ from .characters import (
     omega_prime,
     weil_torus_restriction,
 )
-from .schrodinger import RepContext, WeilOperator, extended_gsp_trace, gsp_character_values
+from .schrodinger import RepContext, WeilOperator, extended_gsp_traces, gsp_character_values
 
 
 @dataclass(frozen=True)
@@ -321,8 +321,7 @@ def check_gsp(ws: Workspace) -> list[Case]:
         dim_expected = CycNum.rational(cfg.p, (ws.tower.q**ncfg.d - 1) * ws.tower.q ** (ncfg.d * cfg.n))
         cases.append(Case.of(f"dim pi_{ncfg.d}", dim_case_lhs, dim_expected))
         cases += _norm_cases(ws, ws.gsp(), ncfg, "gsp", "g'",
-                             lambda gs: [extended_gsp_trace(ctx_top, ncfg.i, g) for g in gs],
-                             lambda norms: [pi_d.at(N) for N in norms])
+                             lambda gs: extended_gsp_traces(ctx_top, ncfg.i, gs), lambda norms: [pi_d.at(N) for N in norms])
     return cases
 
 
@@ -335,10 +334,10 @@ def check_support(ws: Workspace) -> list[Case]:
     ctx = ws.ctx(cfg.m)
     sph = ws.sph()
     rng = ws.rng("support")
+    draws = [(rng.randrange(cfg.m), sph.random(rng)) for _ in range(ws.count(500))]
+    ctx.keep_steps([y[0] for _, y in draws])
     cases = []
-    for k in range(ws.count(500)):
-        i = rng.randrange(cfg.m)
-        y = sph.random(rng)
+    for i, y in draws:
         tr = ctx.extended_trace(i, y)
         lhs = tr * tr.conj()
         rhs = CycNum.rational(cfg.p, int(ctx.translation_rows(i, y[0], ctx.v_coordinates([y[1][0]])).sum()))
@@ -358,15 +357,16 @@ def check_orthogonal(ws: Workspace) -> list[Case]:
     rng = ws.rng("orthogonal")
     count = ws.count(200)
     twists = [ncfg.i for ncfg in cfg.norm_cfgs()]
-    cases = []
+    draws = []
     for k in range(count + count // 4):
         g1, g2 = sl.random(rng), sl.random(rng)
-        with_heis = k >= count
-        if with_heis:
-            ha, hb = h1.random(rng), h1.random(rng)
-        else:
-            ha, hb = h1.identity(), h1.identity()
-        big = (block_embed(tower, g1, g2), heis_embed(tower, ha, hb))
+        ha, hb = (h1.random(rng), h1.random(rng)) if k >= count else (h1.identity(), h1.identity())
+        draws.append((k >= count, g1, g2, ha, hb))
+    bigs = [(block_embed(tower, g1, g2), heis_embed(tower, ha, hb)) for _, g1, g2, ha, hb in draws]
+    ctx2.keep_steps([s for s, _ in bigs])
+    ctx1.keep_steps([g for _, g1, g2, _, _ in draws for g in (g1, g2)])
+    cases = []
+    for (with_heis, g1, g2, ha, hb), big in zip(draws, bigs):
         for i in twists:
             lhs = ctx2.extended_trace(i, big)
             rhs = ctx1.extended_trace(i, (g1, ha)) * ctx1.extended_trace(i, (g2, hb))

@@ -4,8 +4,8 @@ Matrices are numpy int64 arrays with entries reduced mod p; row reduction, null
 spaces, determinants and inverses work on stacks of them, batched over leading
 axes.  Determinants and inverses of matrices up to _EXPAND_MAX square expand
 over permutations in a few whole-stack operations, with no column loop, so a
-stack of one costs little more than a scalar.
-Polynomials are 1-d coefficient arrays, low degree first.
+stack of one costs a few numpy calls.  Polynomials are 1-d coefficient arrays,
+low degree first.
 """
 
 from __future__ import annotations
@@ -103,8 +103,7 @@ def inverse(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     shape = np.shape(mat)
     k = shape[-1]
     if not _expands(k, p):
-        m = np.asarray(mat, dtype=np.int64) % p
-        aug, mask = rref(np.concatenate([m, np.broadcast_to(np.eye(k, dtype=np.int64), shape)], axis=-1), p)
+        aug, mask = _reduce_with_identity(mat, p)
         return aug[..., k:], mask[..., :k].all(axis=-1)
     flat = np.asarray(mat, dtype=np.int64).reshape(*shape[:-2], k * k) % p
     if k == 1:
@@ -174,12 +173,18 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     return x
 
 
+def _reduce_with_identity(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """rref of [M | I] for matrices M (…, rows, cols)."""
+    m = np.array(mat, dtype=np.int64) % p
+    rows = m.shape[-2]
+    eye = np.broadcast_to(np.eye(rows, dtype=np.int64), (*m.shape[:-2], rows, rows))
+    return rref(np.concatenate([m, eye], axis=-1), p)
+
+
 def left_inverse(mat: np.ndarray, p: int) -> np.ndarray:
     """Left inverses of full-column-rank matrices (…, rows, cols), rows >= cols."""
-    m = np.array(mat, dtype=np.int64) % p
-    rows, cols = m.shape[-2:]
-    eye = np.broadcast_to(np.eye(rows, dtype=np.int64), (*m.shape[:-2], rows, rows))
-    aug, mask = rref(np.concatenate([m, eye], axis=-1), p)
+    cols = np.shape(mat)[-1]
+    aug, mask = _reduce_with_identity(mat, p)
     if not mask[..., :cols].all():
         raise Singular("matrix does not have full column rank")
     return aug[..., :cols, cols:]

@@ -62,7 +62,8 @@ from .fieldtower import Tower
 from .grouplib import SympSpace, mat_identity, mat_inv, mat_vec
 
 _STEP_CACHE_CAP = 6000
-_PATH_CAP = 1 << 16  # paths held at once by one stacked trace walk
+_STACK_CAP = 128  # elements factored at once
+_PATH_CAP = 1 << 13  # paths held at once by one stacked trace walk
 _SEARCH_CHUNK = 4096  # correction blocks tried at once by the full search
 _EXACT_BOUND = 2**53  # float64 holds every integer below this exactly
 
@@ -258,13 +259,18 @@ class RepContext:
         per-element step of a whole stack, so callers with many elements at hand
         give them here first."""
         todo = [g for g in dict.fromkeys(gs) if g not in self._step_cache]
-        if not todo:
-            return
-        for where, tags, blocks in _siegel_words(self.tower, self.n, self.level, _digits(self.tower, todo, 2 * self.n)):
-            signs, w, steps = self._word_steps(tags, blocks)
+        for where, signs, w, steps in self._stacked_steps(todo):
             for e, at in enumerate(where.tolist()):
                 one = (int(signs[e]), w, self._element_steps(steps, e, e + 1))
                 _remember(self._step_cache, todo[at], one, self._cache_cap)
+
+    def _stacked_steps(self, gs: list):
+        """The steps of the symplectic gs, factored in stacks of at most _STACK_CAP
+        elements: (indices into gs, signs, w, steps) per cell of each stack."""
+        for start in range(0, len(gs), _STACK_CAP):
+            digits = _digits(self.tower, gs[start : start + _STACK_CAP], 2 * self.n)
+            for where, tags, blocks in _siegel_words(self.tower, self.n, self.level, digits):
+                yield (where + start, *self._word_steps(tags, blocks))
 
     def _sp_steps(self, s: tuple) -> tuple[int, int, list]:
         """Sign, Weyl count and steps of the Siegel word of a symplectic s: a stack of one."""
@@ -281,11 +287,13 @@ class RepContext:
         rows: a monomial step (cols, exps) has the entry ζ^exps[y] at (y,
         cols[y]), a column of the same element; a Weyl step (bty, None) the
         entry ζ^(x·Bᵀy) at (y, x) for every column x of the element, bty
-        holding the point index of Bᵀy within the element.  By Gérardin's formulas (module docstring), u(b) is diagonal with
-        the ψ'-exponent of (b/2)y·y, levi(a) sends y to aᵀy with the sign
-        ε'(det a), and weyl(B) carries ε'(-2)^n·ε'(det B).  The signs are read off
-        coordinates: ε'(x) is the Legendre symbol of N(x), and N(det M) is the
-        F_p-determinant of y ↦ M·y.
+        holding the point index of Bᵀy within the element.
+
+        By the generator formulas (module docstring), u(b) is diagonal with the
+        ψ'-exponent of (b/2)y·y, levi(a) sends y to aᵀy with the sign ε'(det a),
+        and weyl(B) carries ε'(-2)^n·ε'(det B).  The signs are read off
+        coordinates: ε'(x) is the Legendre symbol of the norm N(x) to F_p, and
+        N(det M) is the F_p-determinant of y ↦ M·y.
         """
         coords, p, dim = self._coordinates(), self.p, self.dim
         count, unip = len(blocks), np.array([tag == "unip" for tag in tags])
@@ -316,7 +324,7 @@ class RepContext:
     def _rows(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """The rows of count elements laid end to end, and the first row of each row's element."""
         if count == 1:
-            return self._every, self._flat
+            return self._every, self._flat  # _flat: dim zeros
         rows = np.arange(count * self.dim)
         return rows, rows - rows % self.dim
 
@@ -400,15 +408,14 @@ class RepContext:
         """tr ρ̃'(σ^i, g) for every symplectic g of the sequence gs, in one pass.
 
         The stack is checked and factored on digit arrays (`_siegel_words`), one
-        word shape per cell of the c block; each cell's words become stacked
-        steps (`_word_steps`) and one row of ψ'-exponent counts per element
-        (`_trace_rows`), walked in chunks of at most _PATH_CAP paths.  A
-        repeated element is traced once.
+        word shape per cell of the c block, in stacks of at most _STACK_CAP
+        elements; each cell's words become stacked steps (`_word_steps`) and
+        one row of ψ'-exponent counts per element (`_trace_rows`), walked in
+        chunks of at most _PATH_CAP paths.  A repeated element is traced once.
         """
         todo = list(dict.fromkeys(gs))
         out = [None] * len(todo)
-        for where, tags, blocks in _siegel_words(self.tower, self.n, self.level, _digits(self.tower, todo, 2 * self.n)):
-            signs, w, steps = self._word_steps(tags, blocks)
+        for where, signs, w, steps in self._stacked_steps(todo):
             size = max(1, _PATH_CAP // self.dim ** max(w, 1))
             for k in range(0, len(where), size):
                 part = self._element_steps(steps, k, min(k + size, len(where)))
@@ -831,7 +838,7 @@ def _check_word(tower: Tower, n: int, g: np.ndarray, tags: tuple, blocks: np.nda
 
 def gsp_character_values(ctx: RepContext, partition) -> dict:
     """Values of π_d = Ind_{Sp}^{GSp} ρ_d on the classes of GSp(F_{q^d})."""
-    return {rep: extended_gsp_trace(ctx, 0, rep) for rep in partition.reps}
+    return dict(zip(partition.reps, extended_gsp_traces(ctx, 0, partition.reps)))
 
 
 def extended_gsp_trace(ctx: RepContext, i: int, g: tuple) -> CycNum:
@@ -842,13 +849,22 @@ def extended_gsp_trace(ctx: RepContext, i: int, g: tuple) -> CycNum:
     columns by σ^i(λ), of multiplier λ⁻¹·μ(g)·σ^i(λ); so z lies in Sp exactly
     when σ^i(λ)·μ(g) = λ, and only those λ contribute tr ρ̃'(σ^i, z).
     """
+    return extended_gsp_traces(ctx, i, [g])[0]
+
+
+def extended_gsp_traces(ctx: RepContext, i: int, gs) -> list[CycNum]:
+    """`extended_gsp_trace` at every g of gs, the elements z of all of them traced in one pass."""
     tower, n, size = ctx.tower, ctx.n, 2 * ctx.n
-    mu = SympSpace(n).form(tower, g[0::size], g[n::size])  # ⟨g e₁, g f₁⟩
-    total = CycNum.zero(ctx.p)
-    for lam in tower.level_elements(ctx.level)[1:]:  # zero comes first
-        lam_i = tower.frobenius(lam, i)
-        if tower.mul(lam_i, mu) == lam:
-            row, col = [tower.inv(lam)] * n + [tower.one] * n, [lam_i] * n + [tower.one] * n
-            z = tuple(tower.mul(tower.mul(row[k // size], x), col[k % size]) for k, x in enumerate(g))
-            total = total + ctx.extended_trace(i, z)
-    return total
+    zs, owners = [], []
+    for k, g in enumerate(gs):
+        mu = SympSpace(n).form(tower, g[0::size], g[n::size])  # ⟨g e₁, g f₁⟩
+        for lam in tower.level_elements(ctx.level)[1:]:  # zero comes first
+            lam_i = tower.frobenius(lam, i)
+            if tower.mul(lam_i, mu) == lam:
+                row, col = [tower.inv(lam)] * n + [tower.one] * n, [lam_i] * n + [tower.one] * n
+                zs.append(tuple(tower.mul(tower.mul(row[j // size], x), col[j % size]) for j, x in enumerate(g)))
+                owners.append(k)
+    totals = [CycNum.zero(ctx.p) for _ in gs]
+    for k, tr in zip(owners, ctx.extended_traces(i, zs)):
+        totals[k] = totals[k] + tr
+    return totals
