@@ -406,6 +406,7 @@ def check_parabolic(ws: Workspace) -> list[Case]:
         raise GroupTooLarge(f"parabolic enumerates {points} points (j, b, h), over the cap {cfg.enum_cap}")
     ctx = ws.ctx(m)
     borel = [g for g in ws.sp().elements() if g[2] == tower.zero]  # c = 0, in sorted order
+    ctx.keep_steps(borel)
     # coset reps of Γ⋉B·H_⊥ in Γ⋉B·H: Heisenberg translations along f_1, the
     # X* slot of V (n = 1); ε'∘det ⊗ ψ' is ε'(a)·ψ'(t) on B·H_⊥
     heis_parts = ws.sph().heis.elements()
@@ -469,6 +470,7 @@ def _torus_level_one(ws: Workspace, tor: TorusSL2) -> list[Case]:
     om = omega(tor)
     heis_elems = ws.sph(level=1).heis.elements()
     vs, ts = ctx1.heis_points()
+    ctx1.keep_steps(tor.elements())
     cases = []
     for tau in tor.elements():
         sign, w, rows = ctx1.slice_traces(0, tau, vs, ts)
@@ -509,6 +511,7 @@ def _torus_extended(ws: Workspace, tor: TorusSL2, tor1: TorusSL2) -> list[Case]:
     Q = len(field)
     vpoints = [(a, b) for a in field for b in field]
     torus_elems = tor.elements()
+    ctx.keep_steps(torus_elems)
     vs = ctx.v_points()
     twist = [eta(j) if even else 1 for j in range(m)]  # η(σʲ), for m even
     nu_prime = {}  # (j, τ) ↦ rows of ν' = ±ν over every v at t = 0

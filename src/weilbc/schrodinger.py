@@ -730,6 +730,9 @@ def _check_symplectic(tower: Tower, n: int, level: int, g: np.ndarray) -> None:
         raise NotSymplectic("input matrix is not symplectic at this level")
 
 
+_BIG_CELL = ("unip", "weyl", "unip")
+
+
 def _siegel_cells(tower: Tower, n: int, level: int, g: np.ndarray) -> list:
     """Siegel words of a stack of symplectic digit matrices g = [[a, b], [c, d]]
     (E, 2n, 2n, A), one word shape per cell of the c block: a list of
@@ -745,10 +748,10 @@ def _siegel_cells(tower: Tower, n: int, level: int, g: np.ndarray) -> list:
     """
     p = tower.p
     a, b, c, d = g[:, :n, :n], g[:, :n, n:], g[:, n:, :n], g[:, n:, n:]
-    nonzero = np.flatnonzero(c.reshape(len(g), -1).any(axis=1))
-    cells = []
-    if len(nonzero) < len(g):
-        k = np.flatnonzero(~c.reshape(len(g), -1).any(axis=1))
+    has_c = c.reshape(len(g), -1).any(axis=1)
+    nonzero, cells = np.flatnonzero(has_c), []
+    if not has_c.all():
+        k = np.flatnonzero(~has_c)
         cells.append((k, ("unip", "levi"), np.stack([tower.matmul(b[k], a[k].swapaxes(1, 2)), a[k]], axis=1)))
     ci, big = tower.matinv(c[nonzero])
     if big.any():
@@ -764,9 +767,6 @@ def _siegel_cells(tower: Tower, n: int, level: int, g: np.ndarray) -> list:
         blocks = np.concatenate([_big_cell(tower, -ab % p, cdi, c[k]), np.stack([minus_one, -b0 % p], axis=1)], axis=1)
         cells.append((k, _BIG_CELL + ("weyl", "unip"), blocks))
     return cells
-
-
-_BIG_CELL = ("unip", "weyl", "unip")
 
 
 def _big_cell(tower: Tower, a: np.ndarray, ci: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -800,10 +800,11 @@ def _candidates(tower: Tower, n: int, level: int):
     field = tower.digit_array(tower.level_elements(level)).astype(np.int64)
     slots = [(i, j) for i in range(n) for j in range(i, n)]
     combos = iproduct(range(len(field)), repeat=len(slots))
-    while chunk := np.array(list(islice(combos, _SEARCH_CHUNK))):
+    while chunk := list(islice(combos, _SEARCH_CHUNK)):
+        picks = np.array(chunk)
         blocks = np.zeros((len(chunk), n, n, A), dtype=np.int64)
         for s, (i, j) in enumerate(slots):
-            blocks[:, i, j] = blocks[:, j, i] = field[chunk[:, s]]
+            blocks[:, i, j] = blocks[:, j, i] = field[picks[:, s]]
         yield blocks
 
 

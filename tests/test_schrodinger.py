@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -304,6 +305,27 @@ def test_singular_corner_found_by_a_diagonal_correction(monkeypatch):
     word = siegel_factor(t, 3, 2, g)  # the word check inside is the certificate
     assert [tag for tag, _ in word].count("weyl") == 2
     assert calls == {"mat_mul": 0, "blocks": 8}
+
+
+def test_full_correction_search_after_the_diagonal_blocks(t92, monkeypatch):
+    """When no diagonal 0/1 block serves, the search goes on over every symmetric
+    block in order, the (0, 0) entry slowest: here the diagonal chunk is withheld,
+    and each corner still gets the first such block with c·b0 + d invertible."""
+    candidates = schrodinger._candidates
+    monkeypatch.setattr(schrodinger, "_candidates", lambda *args: islice(candidates(*args), 1, None))
+    corners = _singular_corners(t92) + [_LOWER]
+    for g in corners:
+        word = siegel_factor(t92, 2, 2, g)  # the word check is the certificate
+        assert [tag for tag, _ in word].count("weyl") == 2
+    digits = schrodinger._digits(t92, corners, 4)
+    c, d = digits[:, 2:, :2], digits[:, 2:, 2:]
+    got = schrodinger._corrections(t92, 2, 2, c, d)
+    field = t92.level_elements(2)
+    for k, g in enumerate(corners):
+        cg, dg = (g[8], g[9], g[12], g[13]), (g[10], g[11], g[14], g[15])
+        first = next(b0 for b0 in ((x, y, y, z) for x in field for y in field for z in field)
+                     if mat_det(t92, tuple(t92.add(u, v) for u, v in zip(mat_mul(t92, cg, b0, 2), dg)), 2))
+        assert t92.from_digit_array(got[k].reshape(-1, t92.ambient_degree)) == first
 
 
 def test_rho_identity_and_minus_one(ctx1, t92):
