@@ -238,44 +238,52 @@ def check_homomorphism(ws: Workspace) -> list[Case]:
     sp = ws.sp()
     heis = sph.heis
     rng = ws.rng("homomorphism")
-    count = ws.count(200)
-    # every random element is drawn first, in the order of the case families below,
-    # so that all their Sp parts are factored in one pass
-    pairs = [(sph.random(rng), sph.random(rng)) for _ in range(count)]
-    unitary = [sp.random(rng) for _ in range(20)]
-    moved = [sph.random(rng) for _ in range(min(100, count))]
-    acting = [(sp.random(rng), heis.random(rng)) for _ in range(50)]
-    conjugated = []
-    for _ in range(50):
-        i = rng.randrange(cfg.m)
-        g, h = sph.random(rng), sph.random(rng)
-        conjugated.append((i, g, sph.twisted_conj(h, g, i)))
-    products = [sph.mul(g1, g2) for g1, g2 in pairs]
-    frobs = [sph.frob(g, 1) for g in moved]
-    inverses = [sp.inv(s) for s, _ in acting]
-    sph_parts = chain(products, chain.from_iterable(pairs), moved, frobs, (z for _, g, y in conjugated for z in (g, y)))
-    ctx.keep_steps([g[0] for g in sph_parts] + unitary + [s for s, _ in acting] + inverses)
     cases = []
+    count = ws.count(200)
+    pairs = [(sph.random(rng), sph.random(rng)) for _ in range(count)]
+    products = [sph.mul(g1, g2) for g1, g2 in pairs]
+    ctx.keep_steps([g[0] for g in chain(products, chain.from_iterable(pairs))])
     for k, ((g1, g2), g12) in enumerate(zip(pairs, products)):
-        cases.append(Case.of(f"rho(g1 g2) = rho(g1) rho(g2) #{k}", ctx.build_rho(g12), ctx.build_rho(g1) @ ctx.build_rho(g2)))
+        lhs = ctx.build_rho(g12)
+        rhs = ctx.build_rho(g1) @ ctx.build_rho(g2)
+        cases.append(Case.of(f"rho(g1 g2) = rho(g1) rho(g2) #{k}", lhs, rhs))
+    unitary = [sp.random(rng) for _ in range(20)]
+    ctx.keep_steps(unitary)
     for k, g in enumerate(unitary):
         op = ctx.build_rho(g)
-        cases.append(Case.of(f"unitarity #{k}", op @ op.conj_transpose(), ctx.identity_op()))
+        prod = op @ op.conj_transpose()
+        cases.append(Case.of(f"unitarity #{k}", prod, ctx.identity_op()))
     Isig = ctx.op_galois(1)
     Isig_inv = ctx.op_galois(-1)
-    for k, (g, g_sigma) in enumerate(zip(moved, frobs)):
-        cases.append(Case.of(f"I_sigma intertwining #{k}", (Isig @ ctx.build_rho(g)) @ Isig_inv, ctx.build_rho(g_sigma)))
+    drawn = [sph.random(rng) for _ in range(min(100, count))]
+    frobs = [sph.frob(g, 1) for g in drawn]
+    ctx.keep_steps([g[0] for g in chain(drawn, frobs)])
+    for k, (g, g_sigma) in enumerate(zip(drawn, frobs)):
+        lhs = (Isig @ ctx.build_rho(g)) @ Isig_inv
+        rhs = ctx.build_rho(g_sigma)
+        cases.append(Case.of(f"I_sigma intertwining #{k}", lhs, rhs))
     zero_v = tuple(ws.tower.zero for _ in range(2 * cfg.n))
     for kk in ws.tower.level_elements(cfg.m):
         op = ctx.op_heis((zero_v, kk))
         want = ctx.identity_op().scale(ws.tower.psi(kk, cfg.m, ws.scale))
         cases.append(Case.of(f"central character k={kk}", op, want))
+    acting = [(sp.random(rng), heis.random(rng)) for _ in range(50)]
+    inverses = [sp.inv(s) for s, _ in acting]
+    ctx.keep_steps([s for s, _ in acting] + inverses)
     for k, ((s, h), s_inv) in enumerate(zip(acting, inverses)):
         lhs = (ctx.build_rho(s) @ ctx.op_heis(h)) @ ctx.build_rho(s_inv)
         rhs = ctx.op_heis(sp_act_heis(ws.tower, s, h, cfg.n))
         cases.append(Case.of(f"Sp action on H #{k}", lhs, rhs))
-    for k, (i, g, y) in enumerate(conjugated):
-        cases.append(Case.of(f"twisted class function i={i} #{k}", ctx.extended_trace(i, g), ctx.extended_trace(i, y)))
+    conjugated = []
+    for k in range(50):
+        i = rng.randrange(cfg.m)
+        g, h = sph.random(rng), sph.random(rng)
+        conjugated.append((i, g, sph.twisted_conj(h, g, i)))
+    ctx.keep_steps([z[0] for _, g, moved in conjugated for z in (g, moved)])
+    for k, (i, g, moved) in enumerate(conjugated):
+        lhs = ctx.extended_trace(i, g)
+        rhs = ctx.extended_trace(i, moved)
+        cases.append(Case.of(f"twisted class function i={i} #{k}", lhs, rhs))
     return cases
 
 
@@ -360,13 +368,17 @@ def check_orthogonal(ws: Workspace) -> list[Case]:
     draws = []
     for k in range(count + count // 4):
         g1, g2 = sl.random(rng), sl.random(rng)
-        ha, hb = (h1.random(rng), h1.random(rng)) if k >= count else (h1.identity(), h1.identity())
-        draws.append((k >= count, g1, g2, ha, hb))
-    bigs = [(block_embed(tower, g1, g2), heis_embed(tower, ha, hb)) for _, g1, g2, ha, hb in draws]
-    ctx2.keep_steps([s for s, _ in bigs])
-    ctx1.keep_steps([g for _, g1, g2, _, _ in draws for g in (g1, g2)])
+        with_heis = k >= count
+        if with_heis:
+            ha, hb = h1.random(rng), h1.random(rng)
+        else:
+            ha, hb = h1.identity(), h1.identity()
+        big = (block_embed(tower, g1, g2), heis_embed(tower, ha, hb))
+        draws.append((with_heis, g1, g2, ha, hb, big))
+    ctx2.keep_steps([big[0] for *_, big in draws])
+    ctx1.keep_steps([g for _, g1, g2, *_ in draws for g in (g1, g2)])
     cases = []
-    for (with_heis, g1, g2, ha, hb), big in zip(draws, bigs):
+    for with_heis, g1, g2, ha, hb, big in draws:
         for i in twists:
             lhs = ctx2.extended_trace(i, big)
             rhs = ctx1.extended_trace(i, (g1, ha)) * ctx1.extended_trace(i, (g2, hb))

@@ -2,23 +2,14 @@
 
 Matrices are numpy int64 arrays with entries reduced mod p; row reduction, null
 spaces, determinants and inverses work on stacks of them, batched over leading
-axes.  Determinants and inverses of matrices up to _EXPAND_MAX square expand
-over permutations in a few whole-stack operations, with no column loop, so a
-stack of one costs a few numpy calls.  Polynomials are 1-d coefficient arrays,
-low degree first.
+axes.  Polynomials are 1-d coefficient arrays, low degree first.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import permutations
-from math import factorial
-
 import numpy as np
 
 from .errors import DimensionMismatch, DivisionByZero, Singular
-
-_EXPAND_MAX = 4  # largest size whose determinants and inverses expand over permutations
 
 
 def _pow_mod(a, e: int, p: int):
@@ -40,48 +31,12 @@ def legendre(a, p: int):
     return np.where(r == p - 1, -1, r)
 
 
-@lru_cache(maxsize=None)
-def _expansion(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leibniz terms of a k×k determinant: the flat positions i·k + π(i) of each
-    permutation π, one row per π, and the signs of the π."""
-    perms = list(permutations(range(k)))
-    signs = [(-1) ** sum(a > b for i, a in enumerate(row) for b in row[i + 1 :]) for row in perms]
-    places = [[i * k + j for i, j in enumerate(row)] for row in perms]
-    return np.array(places, dtype=np.intp).reshape(len(perms), k), np.array(signs, dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def _cofactors(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leibniz terms of the adjugate of a k×k matrix, k ≥ 2: entry (j, i), at row
-    j·k + i, is (−1)^(i+j) times the minor without row i and column j.  Returns
-    the flat positions of each term, (k², (k−1)!, k−1), and the signs (k²,)."""
-    places, _ = _expansion(k - 1)
-    terms, signs = [], []
-    for j in range(k):
-        for i in range(k):
-            rows, cols = [r for r in range(k) if r != i], [c for c in range(k) if c != j]
-            minor = np.array([r * k + c for r in rows for c in cols], dtype=np.intp)
-            terms.append(minor[places])
-            signs.append((-1) ** (i + j))
-    return np.array(terms), np.array(signs, dtype=np.int64)
-
-
-def _expands(k: int, p: int) -> bool:
-    """Whether k×k determinants mod p expand over permutations: a small k, and the
-    k! products of k residues sum inside int64."""
-    return 1 <= k <= _EXPAND_MAX and factorial(k) * (p - 1) ** k < 2**62
-
-
 def det(mat: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of square matrices (…, k, k), batched over the leading axes:
-    the Leibniz expansion for k ≤ _EXPAND_MAX, else elimination, whose column loop
-    runs once for the whole batch, each matrix taking its own pivot."""
+    """Determinants mod p of square matrices (…, k, k), batched over the leading axes, by
+    elimination: the column loop runs once for the whole batch, each matrix taking its
+    own pivot."""
     shape = np.shape(mat)
     k = shape[-1]
-    if _expands(k, p):
-        places, signs = _expansion(k)
-        flat = np.asarray(mat, dtype=np.int64).reshape(*shape[:-2], k * k) % p
-        return flat[..., places].prod(axis=-1) @ signs % p
     m = np.array(mat, dtype=np.int64).reshape(-1, k, k) % p
     at, out = np.arange(len(m)), np.ones(len(m), dtype=np.int64)
     for c in range(k):
@@ -97,22 +52,10 @@ def det(mat: np.ndarray, p: int) -> np.ndarray:
 
 def inverse(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverses mod p of square matrices (…, k, k) and the mask (…) of the invertible
-    ones, whose inverses alone are meaningful: the adjugate over the determinant for
-    k ≤ _EXPAND_MAX, the minors expanded in one gather, else the right half of the
-    reduced [M | I]."""
-    shape = np.shape(mat)
-    k = shape[-1]
-    if not _expands(k, p):
-        aug, mask = _reduce_with_identity(mat, p)
-        return aug[..., k:], mask[..., :k].all(axis=-1)
-    flat = np.asarray(mat, dtype=np.int64).reshape(*shape[:-2], k * k) % p
-    if k == 1:
-        adj = np.ones_like(flat)
-    else:
-        terms, signs = _cofactors(k)
-        adj = flat[..., terms].prod(axis=-1) @ _expansion(k - 1)[1] * signs % p  # (…, k²), row-major
-    d = (flat[..., :k] * adj[..., ::k]).sum(axis=-1) % p  # expanded along the first row
-    return (adj * inv_mod(d, p)[..., None] % p).reshape(shape), d != 0
+    ones, whose inverses alone are meaningful: the right half of the reduced [M | I]."""
+    k = np.shape(mat)[-1]
+    aug, mask = _reduce_with_identity(mat, p)
+    return aug[..., k:], mask[..., :k].all(axis=-1)
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

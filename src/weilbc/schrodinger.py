@@ -257,8 +257,9 @@ class RepContext:
         their steps in the memo, for the operators and traces of gs, and of Sp·H
         elements over them, that follow.  A stack of one costs several times a
         per-element step of a whole stack, so callers with many elements at hand
-        give them here first."""
-        todo = [g for g in dict.fromkeys(gs) if g not in self._step_cache]
+        give them here first, a few hundred at a time: only the first of them up
+        to the memo's cap are kept, so that none evicts another before it is read."""
+        todo = [g for g in dict.fromkeys(gs) if g not in self._step_cache][: self._cache_cap]
         for where, signs, w, steps in self._stacked_steps(todo):
             for e, at in enumerate(where.tolist()):
                 one = (int(signs[e]), w, self._element_steps(steps, e, e + 1))

@@ -332,6 +332,22 @@ def test_star_makes_no_per_element_trace_or_factorization(monkeypatch):
     assert calls == {"extended_trace": 0, "siegel_factor": 0}
 
 
+def test_homomorphism_reads_every_element_from_its_prefetch(monkeypatch):
+    """At (p, n, m) = (3, 2, 2), dim 81, the step memo holds 700 entries and
+    homomorphism's 200-sample draws about a thousand Sp parts: factored family by
+    family, none is evicted before it is read, so no element is factored alone."""
+    calls = {"siegel_factor": 0}
+    factor = schrodinger.siegel_factor
+
+    def counted_factor(*args):
+        calls["siegel_factor"] += 1
+        return factor(*args)
+
+    monkeypatch.setattr(schrodinger, "siegel_factor", counted_factor)
+    assert run_check("homomorphism", RunConfig(p=3, n=2, m=2, sample=200, seed=42)).ok
+    assert calls == {"siegel_factor": 0}
+
+
 def _inject(monkeypatch, level, j, s, k):
     """Add 1 to the ζ⁰ count of point k in the trace rows of slice (j, s) at level."""
     honest = RepContext.slice_traces

@@ -208,8 +208,7 @@ def _det_by_rows(mat, p):
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_det_and_inverse_match_elimination(p, k):
-    """Up to 4×4 both expand over permutations, above that they eliminate; either
-    way a stack gets each matrix's determinant, and an inverse exactly where it is nonzero."""
+    """A stack gets each matrix's determinant, and an inverse exactly where it is nonzero."""
     rng = np.random.default_rng(10 * p + k)
     full = rng.integers(0, p, size=(40, k, k))
     thin = rng.integers(0, p, size=(20, k, 1)) @ rng.integers(0, p, size=(20, 1, k)) % p  # rank ≤ 1
