@@ -31,31 +31,40 @@ def legendre(a, p: int):
     return np.where(r == p - 1, -1, r)
 
 
-def det(mat: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of square matrices (…, k, k), batched over the leading axes, by
-    elimination: the column loop runs once for the whole batch, each matrix taking its
-    own pivot."""
-    shape = np.shape(mat)
-    k = shape[-1]
-    m = np.array(mat, dtype=np.int64).reshape(-1, k, k) % p
+def _gauss_jordan(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss–Jordan elimination of the first k columns of a stack m (E, k, w), w >= k,
+    reduced mod p: the determinants (E,) of the leading k×k blocks, and m with each
+    invertible block turned into the identity.  The column loop runs once for the
+    whole stack; each matrix takes its own pivot."""
     at, out = np.arange(len(m)), np.ones(len(m), dtype=np.int64)
-    for c in range(k):
+    for c in range(m.shape[1]):
         r = (m[:, c:, c] != 0).argmax(axis=1) + c  # c itself when the column has no pivot
         prow = m[at, r]
         m[at, r] = m[:, c]
         piv = prow[:, c]
         out = out * np.where(r == c, piv, -piv) % p  # a swap flips the sign
-        f = m[:, c + 1 :, c] * inv_mod(piv, p)[:, None] % p
-        m[:, c + 1 :] = (m[:, c + 1 :] - f[:, :, None] * prow[:, None]) % p
-    return out.reshape(shape[:-2])
+        prow = prow * inv_mod(piv, p)[:, None] % p  # zero where there is no pivot
+        m = (m - m[:, :, c, None] * prow[:, None]) % p  # clears column c; row c is set below
+        m[:, c] = prow
+    return out, m
+
+
+def det(mat: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of square matrices (…, k, k), batched over the leading axes."""
+    shape = np.shape(mat)
+    m = np.array(mat, dtype=np.int64).reshape(-1, *shape[-2:]) % p
+    return _gauss_jordan(m, p)[0].reshape(shape[:-2])
 
 
 def inverse(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverses mod p of square matrices (…, k, k) and the mask (…) of the invertible
-    ones, whose inverses alone are meaningful: the right half of the reduced [M | I]."""
-    k = np.shape(mat)[-1]
-    aug, mask = _reduce_with_identity(mat, p)
-    return aug[..., k:], mask[..., :k].all(axis=-1)
+    ones, whose inverses alone are meaningful: the right half of [M | I] after
+    elimination."""
+    shape = np.shape(mat)
+    k = shape[-1]
+    m = np.array(mat, dtype=np.int64).reshape(-1, k, k) % p
+    d, m = _gauss_jordan(np.concatenate([m, np.broadcast_to(np.eye(k, dtype=np.int64), m.shape)], axis=-1), p)
+    return m[:, :, k:].reshape(shape), (d != 0).reshape(shape[:-2])
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,18 +125,12 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     return x
 
 
-def _reduce_with_identity(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """rref of [M | I] for matrices M (…, rows, cols)."""
-    m = np.array(mat, dtype=np.int64) % p
-    rows = m.shape[-2]
-    eye = np.broadcast_to(np.eye(rows, dtype=np.int64), (*m.shape[:-2], rows, rows))
-    return rref(np.concatenate([m, eye], axis=-1), p)
-
-
 def left_inverse(mat: np.ndarray, p: int) -> np.ndarray:
     """Left inverses of full-column-rank matrices (…, rows, cols), rows >= cols."""
-    cols = np.shape(mat)[-1]
-    aug, mask = _reduce_with_identity(mat, p)
+    m = np.array(mat, dtype=np.int64) % p
+    rows, cols = m.shape[-2:]
+    eye = np.broadcast_to(np.eye(rows, dtype=np.int64), (*m.shape[:-2], rows, rows))
+    aug, mask = rref(np.concatenate([m, eye], axis=-1), p)
     if not mask[..., :cols].all():
         raise Singular("matrix does not have full column rank")
     return aug[..., :cols, cols:]
