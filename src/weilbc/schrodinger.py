@@ -29,11 +29,11 @@ c = 0, c invertible and c singular, factored with one word shape per cell,
 and certified (the word's product is g) in a few whole-stack numpy
 operations (`_siegel_words`).  Each cell's words become steps over the
 stack's rows laid end to end (`_word_steps`), their signs read off F_p
-determinants of the factors' actions on point coordinates.  One element is
-the stack of one: `siegel_factor` and the per-element steps run the same
-factorization and checks, at several times the per-element cost of a stack,
-so `extended_traces` traces a whole sample and `keep_steps` factors the
-elements an operator loop will meet in one pass.
+determinants of the factors' actions on point coordinates.  It is the only
+factorization.  One element is the stack of one, at several times the
+per-element cost of a stack, so `extended_traces` traces a whole sample and
+`keep_steps`, the one writer of the memo, factors the elements an operator
+loop will meet in one pass; `siegel_factor` is a tuple view of a stack of one.
 
 Every trace takes its paths through the steps from one walker, `_paths`,
 and builds no matrix: the extended trace closes each path in its last Weyl
@@ -226,57 +226,45 @@ class RepContext:
     # -- the steps of ρ(g) ----------------------------------------------------------
 
     def _steps(self, g) -> tuple[int, int, list]:
-        """ρ(g) = sign·G^{-n·w}·F_1⋯F_k for g in Sp, H or Sp·H.
+        """ρ(g) = sign·G^{-n·w}·F_1⋯F_k for g in Sp, H or Sp·H: (sign, w, [F_1, …, F_k]).
 
-        Returns (sign, w, [F_1, …, F_k]), the steps of g as a stack of one
-        (`_word_steps`).  The Sp part of g gives the steps of its Siegel word,
-        whose Levi and Weyl signs make up sign and whose w Weyl factors each
-        carry G^{-n}; the H part gives one monomial step.  The context's one
-        memo (bounded) holds the steps of Sp parts that serve many Heisenberg
-        parts (`_kept_steps`) and of the elements given to `keep_steps`; a
-        symplectic g is looked up there, but its steps are not kept.
+        The Sp part gives the steps of its Siegel word (`_sp_steps`), whose Levi and
+        Weyl signs make up sign and whose w Weyl factors each carry G^{-n}; the H
+        part gives one monomial step.
         """
         kind = _element_kind(g, self.n)
         if kind == "sp":
-            got = self._step_cache.get(g)
-            return self._sp_steps(g) if got is None else got
-        sign, w, steps = (1, 0, []) if kind == "heis" else self._kept_steps(g[0])
+            return self._sp_steps(g)
+        sign, w, steps = (1, 0, []) if kind == "heis" else self._sp_steps(g[0])
         return sign, w, steps + [self._heis_step(g if kind == "heis" else g[1])]
 
-    def _kept_steps(self, s: tuple) -> tuple[int, int, list]:
-        """The steps of an Sp part that serves many Heisenberg parts (an Sp·H
-        element, a slice), kept in the memo."""
-        got = self._step_cache.get(s)
-        if got is None:
-            got = self._sp_steps(s)
-            _remember(self._step_cache, s, got, self._cache_cap)
-        return got
-
     def keep_steps(self, gs) -> None:
-        """Factor the symplectic elements gs in one pass (`_siegel_words`) and keep
-        their steps in the memo, for the operators and traces of gs, and of Sp·H
-        elements over them, that follow.  A stack of one costs several times a
-        per-element step of a whole stack, so callers with many elements at hand
-        give them here first, a few hundred at a time: only the first of them up
-        to the memo's cap are kept, so that none evicts another before it is read."""
-        todo = [g for g in dict.fromkeys(gs) if g not in self._step_cache][: self._cache_cap]
+        """Replace the memo by the steps of the first _cache_cap distinct symplectic
+        elements of gs, factored in one pass (`_stacked_steps`), for the operators and
+        traces over them that follow: a stack of one costs several times an element
+        of a stack.  Callers give one family of elements at a time."""
+        todo, memo = list(dict.fromkeys(gs))[: self._cache_cap], {}
         for where, signs, w, steps in self._stacked_steps(todo):
             for e, at in enumerate(where.tolist()):
-                one = (int(signs[e]), w, self._element_steps(steps, e, e + 1))
-                _remember(self._step_cache, todo[at], one, self._cache_cap)
+                memo[todo[at]] = int(signs[e]), w, self._element_steps(steps, e, e + 1)
+        self._step_cache = memo
 
     def _stacked_steps(self, gs: list):
-        """The steps of the symplectic gs, factored in stacks of at most _STACK_CAP
-        elements: (indices into gs, signs, w, steps) per cell of each stack."""
+        """The steps of the symplectic gs (else DimensionMismatch), factored in stacks of
+        at most _STACK_CAP elements: (indices into gs, signs, w, steps) per cell of each stack."""
+        if bad := [g for g in gs if _element_kind(g, self.n) != "sp"]:
+            raise DimensionMismatch(f"expected a {2 * self.n}x{2 * self.n} matrix, got {bad[0]!r}")
         for start in range(0, len(gs), _STACK_CAP):
             digits = _digits(self.tower, gs[start : start + _STACK_CAP], 2 * self.n)
             for where, tags, blocks in _siegel_words(self.tower, self.n, self.level, digits):
                 yield (where + start, *self._word_steps(tags, blocks))
 
     def _sp_steps(self, s: tuple) -> tuple[int, int, list]:
-        """Sign, Weyl count and steps of the Siegel word of a symplectic s: a stack of one."""
-        tags, params = zip(*siegel_factor(self.tower, self.n, self.level, s))
-        signs, w, steps = self._word_steps(tags, _digits(self.tower, params, self.n)[None])
+        """Sign, Weyl count and steps of the Siegel word of a symplectic s: read from
+        the memo (`keep_steps`), or factored as a stack of one and not kept."""
+        if s in self._step_cache:
+            return self._step_cache[s]
+        ((_, signs, w, steps),) = self._stacked_steps([s])
         return int(signs[0]), w, steps
 
     def _word_steps(self, tags: tuple, blocks: np.ndarray) -> tuple[np.ndarray, int, list]:
@@ -468,7 +456,7 @@ class RepContext:
         to c + x* with the exponent of t − ½x·x* − c·x, and a path counts for
         a point when it ends at σʲ(y).  Costs O(paths·H) for the match.
         """
-        sign, w, steps = self._kept_steps(s)
+        sign, w, steps = self._sp_steps(s)
         coords, p = self._coordinates(), self.p
         starts, ends, exp = self._paths(steps)
         x, xs = vs[:, : vs.shape[1] // 2], vs[:, vs.shape[1] // 2 :]
@@ -635,13 +623,6 @@ class _Coordinates:
         return (self.pairing(us[:, :h], vs[:, h:]) - self.pairing(us[:, h:], vs[:, :h])) % self.ctx.p
 
 
-def _remember(memo: dict, key, value, cap: int) -> None:
-    """Store value under key, first evicting the oldest entry if memo holds cap."""
-    if len(memo) >= cap:
-        memo.pop(next(iter(memo)))
-    memo[key] = value
-
-
 def _element_kind(g, n: int) -> str:
     """Distinguish matrix / Heisenberg (v,t) / product (s,(v,t)) tuples."""
     if not isinstance(g, tuple):
@@ -674,28 +655,18 @@ def _identity_digits(tower: Tower, size: int) -> np.ndarray:
 def siegel_factor(tower: Tower, n: int, level: int, g: tuple) -> list:
     """Factor a symplectic matrix into unipotent/Levi/Weyl generators.
 
-    Returns tags ('unip', b), ('levi', a), ('weyl', B), trivial factors dropped;
-    the product of the tagged matrices equals g exactly (checked).  The
-    factorization and both checks are those of `_siegel_words` on a stack of one.
+    Returns tags ('unip', b), ('levi', a), ('weyl', B): the checked word of
+    `_siegel_words` on a stack of one, as tuples, with zero unipotent and
+    identity Levi factors dropped (the identity keeps its Levi factor).  A
+    reader's view of one word; the library factors through `_stacked_steps`.
     """
     size = 2 * n
     if len(g) != size * size:
         raise DimensionMismatch(f"expected a {size}x{size} matrix")
-    digits = _digits(tower, [g], size)
-    _check_symplectic(tower, n, level, digits)
-    word = _siegel_factor_inner(tower, n, level, g)
-    tags, params = zip(*word) if word else ((), ())
-    _check_word(tower, n, digits, tags, _digits(tower, params, n)[None])
-    return word
-
-
-def _siegel_factor_inner(tower: Tower, n: int, level: int, g: tuple) -> list:
-    """The Siegel word of one symplectic g as tagged tuples, zero unipotent and
-    identity Levi factors dropped (the identity keeps its Levi factor)."""
-    ((_, tags, blocks),) = _siegel_cells(tower, n, level, _digits(tower, [g], 2 * n))
+    ((_, tags, blocks),) = _siegel_words(tower, n, level, _digits(tower, [g], size))
     flat = tower.from_digit_array(blocks.reshape(-1, tower.ambient_degree))
-    ident, size = mat_identity(tower, n), n * n
-    word = [(tag, flat[f * size : (f + 1) * size]) for f, tag in enumerate(tags)]
+    ident, sq = mat_identity(tower, n), n * n
+    word = [(tag, flat[f * sq : (f + 1) * sq]) for f, tag in enumerate(tags)]
     kept = [(tag, par) for tag, par in word if not (tag == "unip" and not any(par) or tag == "levi" and par == ident)]
     return kept or [("levi", ident)]
 

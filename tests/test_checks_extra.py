@@ -310,42 +310,66 @@ def test_exhaustive_slices_make_no_per_point_call(monkeypatch):
         assert calls == {"extended_trace": order + 100, "induced_trace": 0}
 
 
+def _count_stacks_of_one(monkeypatch) -> dict:
+    """Count the Siegel factorizations of a single element (stacks of one) from now on."""
+    calls = {"stacks of one": 0}
+    words = schrodinger._siegel_words
+
+    def counted_words(tower, n, level, g):
+        calls["stacks of one"] += len(g) == 1
+        return words(tower, n, level, g)
+
+    monkeypatch.setattr(schrodinger, "_siegel_words", counted_words)
+    return calls
+
+
 def test_star_makes_no_per_element_trace_or_factorization(monkeypatch):
     """star over SL2(F9) traces its whole sample in one pass and factors its
-    distinct norms in one pass: no per-element extended trace, no per-element
-    Siegel factorization."""
-    calls = {"extended_trace": 0, "siegel_factor": 0}
-    trace, factor = RepContext.extended_trace, schrodinger.siegel_factor
+    distinct norms in one pass: no per-element extended trace, no stack of one."""
+    calls = {"extended_trace": 0}
+    trace = RepContext.extended_trace
 
     def counted_trace(*args):
         calls["extended_trace"] += 1
         return trace(*args)
 
-    def counted_factor(*args):
-        calls["siegel_factor"] += 1
-        return factor(*args)
-
     monkeypatch.setattr(RepContext, "extended_trace", counted_trace)
-    monkeypatch.setattr(schrodinger, "siegel_factor", counted_factor)
+    stacks = _count_stacks_of_one(monkeypatch)
     report = run_check("star", RunConfig(p=3, n=1, m=2, pairs=((1, 1),), sample="all", seed=42))
     assert report.ok and len(report.cases) == 720
-    assert calls == {"extended_trace": 0, "siegel_factor": 0}
+    assert calls == {"extended_trace": 0} and stacks == {"stacks of one": 0}
 
 
 def test_homomorphism_reads_every_element_from_its_prefetch(monkeypatch):
     """At (p, n, m) = (3, 2, 2), dim 81, the step memo holds 700 entries and
     homomorphism's 200-sample draws about a thousand Sp parts: factored family by
-    family, none is evicted before it is read, so no element is factored alone."""
-    calls = {"siegel_factor": 0}
-    factor = schrodinger.siegel_factor
-
-    def counted_factor(*args):
-        calls["siegel_factor"] += 1
-        return factor(*args)
-
-    monkeypatch.setattr(schrodinger, "siegel_factor", counted_factor)
+    family, each within the cap, every element is read from its family's
+    prefetch, so no element is factored alone."""
+    stacks = _count_stacks_of_one(monkeypatch)
     assert run_check("homomorphism", RunConfig(p=3, n=2, m=2, sample=200, seed=42)).ok
-    assert calls == {"siegel_factor": 0}
+    assert stacks == {"stacks of one": 0}
+
+
+def test_library_factors_only_in_stacks(monkeypatch):
+    """siegel_factor is the tests' view of one word: every check that factors
+    symplectic elements runs with it refused, and no other library module binds it."""
+    def refuse(*args):
+        raise AssertionError("siegel_factor called")
+
+    modules = [importlib.import_module(f"weilbc.{m}") for m in
+               ("characters", "checks", "cli", "cyclotomic", "fieldtower", "grouplib", "modp", "normmap")]
+    monkeypatch.setattr(schrodinger, "siegel_factor", refuse)
+    assert all("siegel_factor" not in vars(mod) for mod in modules)
+    for check, cfg in [
+        ("star", RunConfig(p=3, n=1, m=2, pairs=((1, 1),), sample=20, seed=42)),
+        ("homomorphism", RunConfig(p=3, n=1, m=2, sample=20, seed=42)),
+        ("support", RunConfig(p=3, n=1, m=2, sample=20, seed=42)),
+        ("orthogonal", RunConfig(p=3, n=2, m=2, pairs=((1, 1),), sample=4, seed=42)),
+        ("parabolic", RunConfig(p=3, n=1, m=2, seed=42)),
+        ("sl2-torus", RunConfig(p=3, n=1, m=2, sample=20, seed=42)),
+    ]:
+        report = run_check(check, cfg)
+        assert report.ok and report.cases, check
 
 
 def _inject(monkeypatch, level, j, s, k):

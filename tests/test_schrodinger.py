@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from weilbc import grouplib, schrodinger
 from weilbc.characters import coset_pairs, induced_trace, weil_torus_restriction
 from weilbc.cyclotomic import CycNum
-from weilbc.errors import FactorizationFailed, NotSymplectic, OperatorOverflow, Singular
+from weilbc.errors import (DimensionMismatch, FactorizationFailed, NotSymplectic, OperatorOverflow,
+                           Singular)
 from weilbc.fieldtower import build_tower
 from weilbc.grouplib import (HeisGroup, SpHGroup, SympGroup, TorusSL2, conjugacy_classes, mat_det, mat_identity, mat_mul,
                              mat_vec, membership, sp_act_heis)
@@ -514,23 +515,49 @@ def test_coordinates_index_every_point(key, level, n):
 
 
 def test_steps_factor_the_sp_part_once(t92, monkeypatch):
-    calls = []
+    """keep_steps is the memo's one writer.  Without it, each read of an Sp part
+    factors a stack of one and keeps nothing; after it, reads factor nothing; a
+    second keep_steps replaces the first."""
+    stacks = []
+    words = schrodinger._siegel_words
 
-    def counting(*args):
-        calls.append(args[-1])
-        return siegel_factor(*args)
+    def counting(tower, n, level, g):
+        stacks.append(len(g))
+        return words(tower, n, level, g)
 
-    monkeypatch.setattr(schrodinger, "siegel_factor", counting)
+    monkeypatch.setattr(schrodinger, "_siegel_words", counting)
     rng = random.Random(29)
     ctx = RepContext(t92, 2, 2)
-    s, h = SpHGroup(t92, 2, 2).random(rng)
-    ctx.extended_trace(0, (s, h))
-    ctx.extended_trace(1, (s, h))  # the same Sp·H element traced twice
-    assert calls == [s]
-    g = SympGroup(t92, 2, 2).random(rng)
-    ctx.build_rho(g)
-    ctx.extended_trace(1, g)  # a symplectic element's steps are not kept
-    assert calls == [s, g, g]
+    (s, h), g = SpHGroup(t92, 2, 2).random(rng), SympGroup(t92, 2, 2).random(rng)
+    vs = ctx.v_coordinates([h[0]])
+
+    def read():
+        return [ctx.extended_trace(0, (s, h)), ctx.extended_trace(1, (s, h)), ctx.build_rho(g),
+                ctx.extended_trace(1, g), ctx.slice_traces(1, s, vs)[2].tolist()]
+
+    alone = read()
+    assert stacks == [1] * 5
+    ctx.keep_steps([s, g, s])
+    assert stacks[5:] == [2]
+    assert read() == alone and len(stacks) == 6
+    ctx.keep_steps([g])
+    assert stacks[6:] == [1]
+    assert read() == alone and stacks[7:] == [1, 1, 1]  # s is no longer kept, g is
+
+
+def test_stacked_entry_points_refuse_a_malformed_element(t92):
+    """extended_traces and keep_steps take 2n×2n matrices: an Sp·H pair or a
+    tuple of the wrong length raises DimensionMismatch, as build_rho does."""
+    ctx = RepContext(t92, 1, 2)
+    pair = SpHGroup(t92, 1, 2).random(random.Random(31))
+    for bad in (pair, (1, 2, 3)):
+        with pytest.raises(DimensionMismatch):
+            ctx.extended_traces(0, [pair[0], bad])
+        with pytest.raises(DimensionMismatch):
+            ctx.keep_steps([bad])
+    with pytest.raises(DimensionMismatch):
+        ctx.build_rho((1, 2, 3))
+    assert ctx._step_cache == {}
 
 
 def _reference_heis(ctx, h):
@@ -617,11 +644,14 @@ def test_siegel_word_missing_a_factor_is_refused_property(p, n, level, seed, dat
     certificate check in siegel_factor raises FactorizationFailed."""
     spec = SympGroup(build_tower(p, 1, level), n, level)
     g = spec.random(random.Random(seed))
-    word = schrodinger._siegel_factor_inner(spec.tower, n, level, g)
-    k = data.draw(st.integers(0, len(word) - 1))
-    assume(_factor_matrix(spec, *word[k]) != spec.identity())
+    digits = schrodinger._digits(spec.tower, [g], 2 * n)
+    ((where, tags, blocks),) = schrodinger._siegel_cells(spec.tower, n, level, digits)
+    k = data.draw(st.integers(0, len(tags) - 1))
+    param = spec.tower.from_digit_array(blocks[0, k].reshape(-1, spec.tower.ambient_degree))
+    assume(_factor_matrix(spec, tags[k], param) != spec.identity())
+    kept = [f for f in range(len(tags)) if f != k]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(schrodinger, "_siegel_factor_inner", lambda *args: word[:k] + word[k + 1 :])
+        mp.setattr(schrodinger, "_siegel_cells", lambda *args: [(where, tags[:k] + tags[k + 1 :], blocks[:, kept])])
         with pytest.raises(FactorizationFailed, match="does not reproduce"):
             siegel_factor(spec.tower, n, level, g)
 
