@@ -115,5 +115,6 @@ def weil_torus_restriction(ctx, torus: TorusSL2) -> list:
     om = omega(torus)
     order = torus.order()
     ident = torus.identity()
-    return [(g, ctx.extended_trace(0, g), CycNum.rational(ctx.p, (order if g == ident else 0) - om[g]))
-            for g in torus.elements()]
+    elems = torus.elements()
+    return [(g, tr, CycNum.rational(ctx.p, (order if g == ident else 0) - om[g]))
+            for g, tr in zip(elems, ctx.extended_traces(0, elems))]

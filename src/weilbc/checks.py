@@ -241,37 +241,28 @@ def check_homomorphism(ws: Workspace) -> list[Case]:
     cases = []
     count = ws.count(200)
     pairs = [(sph.random(rng), sph.random(rng)) for _ in range(count)]
-    products = [sph.mul(g1, g2) for g1, g2 in pairs]
-    ctx.keep_steps([g[0] for g in chain(products, chain.from_iterable(pairs))])
-    for k, ((g1, g2), g12) in enumerate(zip(pairs, products)):
-        lhs = ctx.build_rho(g12)
-        rhs = ctx.build_rho(g1) @ ctx.build_rho(g2)
-        cases.append(Case.of(f"rho(g1 g2) = rho(g1) rho(g2) #{k}", lhs, rhs))
+    ops = ctx.rhos(chain.from_iterable((sph.mul(g1, g2), g1, g2) for g1, g2 in pairs))  # one family, read in threes
+    for k, (lhs, rho1, rho2) in enumerate(zip(ops, ops, ops)):
+        cases.append(Case.of(f"rho(g1 g2) = rho(g1) rho(g2) #{k}", lhs, rho1 @ rho2))
     unitary = [sp.random(rng) for _ in range(20)]
-    ctx.keep_steps(unitary)
-    for k, g in enumerate(unitary):
-        op = ctx.build_rho(g)
+    for k, op in enumerate(ctx.rhos(unitary)):
         prod = op @ op.conj_transpose()
         cases.append(Case.of(f"unitarity #{k}", prod, ctx.identity_op()))
     Isig = ctx.op_galois(1)
     Isig_inv = ctx.op_galois(-1)
     drawn = [sph.random(rng) for _ in range(min(100, count))]
-    frobs = [sph.frob(g, 1) for g in drawn]
-    ctx.keep_steps([g[0] for g in chain(drawn, frobs)])
-    for k, (g, g_sigma) in enumerate(zip(drawn, frobs)):
-        lhs = (Isig @ ctx.build_rho(g)) @ Isig_inv
-        rhs = ctx.build_rho(g_sigma)
-        cases.append(Case.of(f"I_sigma intertwining #{k}", lhs, rhs))
+    ops = ctx.rhos(chain.from_iterable((g, sph.frob(g, 1)) for g in drawn))
+    for k, (rho, rho_sigma) in enumerate(zip(ops, ops)):
+        cases.append(Case.of(f"I_sigma intertwining #{k}", (Isig @ rho) @ Isig_inv, rho_sigma))
     zero_v = tuple(ws.tower.zero for _ in range(2 * cfg.n))
     for kk in ws.tower.level_elements(cfg.m):
         op = ctx.op_heis((zero_v, kk))
         want = ctx.identity_op().scale(ws.tower.psi(kk, cfg.m, ws.scale))
         cases.append(Case.of(f"central character k={kk}", op, want))
     acting = [(sp.random(rng), heis.random(rng)) for _ in range(50)]
-    inverses = [sp.inv(s) for s, _ in acting]
-    ctx.keep_steps([s for s, _ in acting] + inverses)
-    for k, ((s, h), s_inv) in enumerate(zip(acting, inverses)):
-        lhs = (ctx.build_rho(s) @ ctx.op_heis(h)) @ ctx.build_rho(s_inv)
+    ops = ctx.rhos(chain.from_iterable((s, sp.inv(s)) for s, _ in acting))
+    for k, ((s, h), rho, rho_inv) in enumerate(zip(acting, ops, ops)):
+        lhs = (rho @ ctx.op_heis(h)) @ rho_inv
         rhs = ctx.op_heis(sp_act_heis(ws.tower, s, h, cfg.n))
         cases.append(Case.of(f"Sp action on H #{k}", lhs, rhs))
     conjugated = []
@@ -279,12 +270,19 @@ def check_homomorphism(ws: Workspace) -> list[Case]:
         i = rng.randrange(cfg.m)
         g, h = sph.random(rng), sph.random(rng)
         conjugated.append((i, g, sph.twisted_conj(h, g, i)))
-    ctx.keep_steps([z[0] for _, g, moved in conjugated for z in (g, moved)])
-    for k, (i, g, moved) in enumerate(conjugated):
-        lhs = ctx.extended_trace(i, g)
-        rhs = ctx.extended_trace(i, moved)
-        cases.append(Case.of(f"twisted class function i={i} #{k}", lhs, rhs))
+    traces = _traces_by_twist(ctx, [(i, z) for i, g, moved in conjugated for z in (g, moved)])
+    for k, (i, _, _) in enumerate(conjugated):
+        cases.append(Case.of(f"twisted class function i={i} #{k}", traces[2 * k], traces[2 * k + 1]))
     return cases
+
+
+def _traces_by_twist(ctx: RepContext, draws: list) -> list[CycNum]:
+    """tr ρ̃'(σ^i, g) at each (i, g) of draws, in draw order: one `extended_traces` call per twist."""
+    out = {}
+    for i in dict.fromkeys(i for i, _ in draws):
+        ks = [k for k, (j, _) in enumerate(draws) if j == i]
+        out.update(zip(ks, ctx.extended_traces(i, [draws[k][1] for k in ks])))
+    return [out[k] for k in range(len(draws))]
 
 
 def _norm_cases(ws: Workspace, spec, ncfg: NormConfig, label: str, var: str, lhs, rhs) -> list[Case]:
@@ -298,9 +296,8 @@ def _norm_cases(ws: Workspace, spec, ncfg: NormConfig, label: str, var: str, lhs
 
 
 def _operator_traces(ctx: RepContext, gs: list) -> list[CycNum]:
-    """tr ρ(g) of the dense operators of the symplectic gs, their steps factored in one pass."""
-    ctx.keep_steps(gs)
-    return [ctx.build_rho(g).trace() for g in gs]
+    """tr ρ(g) of the dense operators of the symplectic gs, their steps factored a stack at a time."""
+    return [rho.trace() for rho in ctx.rhos(gs)]
 
 
 def check_star(ws: Workspace) -> list[Case]:
@@ -343,10 +340,8 @@ def check_support(ws: Workspace) -> list[Case]:
     sph = ws.sph()
     rng = ws.rng("support")
     draws = [(rng.randrange(cfg.m), sph.random(rng)) for _ in range(ws.count(500))]
-    ctx.keep_steps([y[0] for _, y in draws])
     cases = []
-    for i, y in draws:
-        tr = ctx.extended_trace(i, y)
+    for (i, y), tr in zip(draws, _traces_by_twist(ctx, draws)):
         lhs = tr * tr.conj()
         rhs = CycNum.rational(cfg.p, int(ctx.translation_rows(i, y[0], ctx.v_coordinates([y[1][0]])).sum()))
         tag = " [off conjugates]" if rhs.is_zero() else ""
@@ -375,15 +370,14 @@ def check_orthogonal(ws: Workspace) -> list[Case]:
             ha, hb = h1.identity(), h1.identity()
         big = (block_embed(tower, g1, g2), heis_embed(tower, ha, hb))
         draws.append((with_heis, g1, g2, ha, hb, big))
-    ctx2.keep_steps([big[0] for *_, big in draws])
-    ctx1.keep_steps([g for _, g1, g2, *_ in draws for g in (g1, g2)])
+    lhs = {i: ctx2.extended_traces(i, [big for *_, big in draws]) for i in twists}
+    rhs = {i: ctx1.extended_traces(i, [z for _, g1, g2, ha, hb, _ in draws for z in ((g1, ha), (g2, hb))])
+           for i in twists}
     cases = []
-    for with_heis, g1, g2, ha, hb, big in draws:
+    for k, (with_heis, g1, g2, *_) in enumerate(draws):
         for i in twists:
-            lhs = ctx2.extended_trace(i, big)
-            rhs = ctx1.extended_trace(i, (g1, ha)) * ctx1.extended_trace(i, (g2, hb))
             tag = "sp-pair" if not with_heis else "sph-pair"
-            cases.append(Case.of(f"i={i},{tag},g1={g1},g2={g2}", lhs, rhs))
+            cases.append(Case.of(f"i={i},{tag},g1={g1},g2={g2}", lhs[i][k], rhs[i][2 * k] * rhs[i][2 * k + 1]))
     return cases
 
 
@@ -418,15 +412,13 @@ def check_parabolic(ws: Workspace) -> list[Case]:
         raise GroupTooLarge(f"parabolic enumerates {points} points (j, b, h), over the cap {cfg.enum_cap}")
     ctx = ws.ctx(m)
     borel = [g for g in ws.sp().elements() if g[2] == tower.zero]  # c = 0, in sorted order
-    ctx.keep_steps(borel)
     # coset reps of Γ⋉B·H_⊥ in Γ⋉B·H: Heisenberg translations along f_1, the
     # X* slot of V (n = 1); ε'∘det ⊗ ψ' is ε'(a)·ψ'(t) on B·H_⊥
     heis_parts = ws.sph().heis.elements()
     vs, ts = ctx.heis_points()
     cases = []
     for j in range(m):
-        for b in borel:
-            sign, w, rows = ctx.slice_traces(j, b, vs, ts)
+        for b, (sign, w, rows) in zip(borel, ctx.slice_traces(j, borel, vs, ts)):
             rhs = ctx.eps(b[0]) * ctx.translation_rows(j, b, vs, ts, slot=1)
             cases += _slice_cases(ctx, f"j={j},b={b} (all Heisenberg parts)", lambda h: f"j={j},b={b},h={h}",
                                   heis_parts, sign * rows, w, rhs)
@@ -455,24 +447,25 @@ def check_sl2_torus(ws: Workspace) -> list[Case]:
     return cases
 
 
-def _torus_nu(ctx: RepContext, tor: TorusSL2, om: dict, j: int, tau, vs, ts=None) -> np.ndarray:
-    """Rows of ν(σʲ, (τ, (v, t))) = Ind₁ - Ind₂ on Γ⋉T·H at the context's
-    level, at the points (vs, ts) of `RepContext.slice_traces`.
+def _torus_nu(ctx: RepContext, tor: TorusSL2, om: dict, j: int, vs, ts=None) -> dict:
+    """τ ↦ rows of ν(σʲ, (τ, (v, t))) = Ind₁ - Ind₂ on Γ⋉T·H at the context's
+    level, for every τ of the torus, at the points (vs, ts) of `RepContext.slice_traces`.
 
     Ind₁ induces ρ̃ from Γ⋉H over the torus reps r = (t₀, 1): r⁻¹·(τ, h)·σʲ(r)
-    has Sp part t₀⁻¹τσʲ(t₀) and Heisenberg part σʲ(t₀)⁻¹·h, so only the t₀
-    with t₀⁻¹τσʲ(t₀) = 1 contribute, each the trace of ρ̃ at (σʲ, σʲ(t₀)⁻¹·h).
+    has Sp part t₀⁻¹τσʲ(t₀) and Heisenberg part σʲ(t₀)⁻¹·h, so each t₀
+    contributes to the one τ = t₀σʲ(t₀)⁻¹ the trace of ρ̃ at (σʲ, σʲ(t₀)⁻¹·h):
+    for every t₀ at once, one slice at the identity over the moved points.
     Ind₂ induces om·ψ from Γ⋉T·Z over the Heisenberg translations, where z
     keeps the Sp part τ and lies in T·Z when its V-part vanishes.
     """
-    ident = tor.identity()
-    ind1 = np.zeros((len(vs), ctx.p), dtype=np.int64)
-    for t0 in tor.elements():
-        u = tor.frob(t0, j)
-        if tor.mul(tor.mul(tor.inv(t0), tau), u) == ident:
-            sign, _, rows = ctx.slice_traces(j, ident, ctx.move(tor.inv(u), vs), ts)
-            ind1 += sign * rows
-    return ind1 - om[tau] * ctx.translation_rows(j, tau, vs, ts)
+    elems = tor.elements()
+    us = [tor.frob(t0, j) for t0 in elems]
+    moved = np.concatenate([ctx.move(tor.inv(u), vs) for u in us])
+    ((sign, _, rows),) = ctx.slice_traces(j, [tor.identity()], moved, None if ts is None else np.tile(ts, len(us)))
+    nu = {tau: -om[tau] * ctx.translation_rows(j, tau, vs, ts) for tau in elems}
+    for t0, u, part in zip(elems, us, rows.reshape(len(us), len(vs), -1)):
+        nu[tor.mul(t0, tor.inv(u))] += sign * part
+    return nu
 
 
 def _torus_level_one(ws: Workspace, tor: TorusSL2) -> list[Case]:
@@ -482,12 +475,10 @@ def _torus_level_one(ws: Workspace, tor: TorusSL2) -> list[Case]:
     om = omega(tor)
     heis_elems = ws.sph(level=1).heis.elements()
     vs, ts = ctx1.heis_points()
-    ctx1.keep_steps(tor.elements())
+    nu = _torus_nu(ctx1, tor, om, 0, vs, ts)
     cases = []
-    for tau in tor.elements():
-        sign, w, rows = ctx1.slice_traces(0, tau, vs, ts)
-        nu = _torus_nu(ctx1, tor, om, 0, tau, vs, ts)
-        for h, row, nu_row in zip(heis_elems, rows, nu):
+    for tau, (sign, w, rows) in zip(tor.elements(), ctx1.slice_traces(0, tor.elements(), vs, ts)):
+        for h, row, nu_row in zip(heis_elems, rows, nu[tau]):
             cases.append(Case.of(f"nu at ({tau},{h})", ctx1.value(sign * row, w), ctx1.value(nu_row)))
     rows = weil_torus_restriction(ctx1, tor)
     for g, tr, expected in rows:
@@ -523,14 +514,13 @@ def _torus_extended(ws: Workspace, tor: TorusSL2, tor1: TorusSL2) -> list[Case]:
     Q = len(field)
     vpoints = [(a, b) for a in field for b in field]
     torus_elems = tor.elements()
-    ctx.keep_steps(torus_elems)
     vs = ctx.v_points()
     twist = [eta(j) if even else 1 for j in range(m)]  # η(σʲ), for m even
     nu_prime = {}  # (j, τ) ↦ rows of ν' = ±ν over every v at t = 0
     for j in range(m):
-        for tau in torus_elems:
-            sign, w, rows = ctx.slice_traces(j, tau, vs)
-            nu_prime[j, tau] = (-1 if even else 1) * _torus_nu(ctx, tor, omp, j, tau, vs)
+        nu = _torus_nu(ctx, tor, omp, j, vs)
+        for tau, (sign, w, rows) in zip(torus_elems, ctx.slice_traces(j, torus_elems, vs)):
+            nu_prime[j, tau] = (-1 if even else 1) * nu[tau]
             cases += _slice_cases(ctx, f"nu' identity j={j},tau={tau} (all v, t=0)",
                                   lambda v: f"nu' j={j},tau={tau},v={v}", vpoints, sign * twist[j] * rows, w,
                                   nu_prime[j, tau])
@@ -539,13 +529,15 @@ def _torus_extended(ws: Workspace, tor: TorusSL2, tor1: TorusSL2) -> list[Case]:
         return ctx.value(np.roll(nu_prime[j, tau][vpoints.index(v)], tower.psi_exponent(t, m, ws.scale)))
 
     rng = ws.rng("sl2-torus:t")
+    draws = []
     for k in range(100):
         j = rng.randrange(m)
         tau = rng.choice(torus_elems)
         v = rng.choice(vpoints)
         t = rng.choice(field)
-        lhs = ctx.extended_trace(j, (tau, (v, t))) * twist[j]  # the per-point path checks ψ' on the centre
-        cases.append(Case.of(f"nu' sampled t: j={j},tau={tau},v={v},t={t}", lhs, nu_at(j, tau, v, t)))
+        draws.append((j, (tau, (v, t))))
+    for (j, (tau, (v, t))), tr in zip(draws, _traces_by_twist(ctx, draws)):  # traced with t: checks ψ' on the centre
+        cases.append(Case.of(f"nu' sampled t: j={j},tau={tau},v={v},t={t}", tr * twist[j], nu_at(j, tau, v, t)))
     at_sigma = nu_at(1 % m, tor.identity(), vpoints[0], tower.zero)
     want = CycNum.rational(p, -tower.q if even else tower.q)
     cases.append(Case.of("tr nu'(sigma)", at_sigma, want))

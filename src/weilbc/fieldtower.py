@@ -13,7 +13,7 @@ in the smallest unsigned dtype that holds an element, or as Python ints past
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import lcm
 
 import numpy as np
@@ -224,6 +224,16 @@ class Tower:
     def from_digit_array(self, digits: np.ndarray) -> tuple:
         """Elements of digit rows, the inverse of digit_array."""
         return tuple(((np.asarray(digits) % self.p).astype(self._place.dtype) @ self._place).tolist())
+
+    def digit_stack(self, mats, size: int) -> np.ndarray:
+        """int64 digits (E, size, size, A) of a sequence of size×size matrices (flat tuples)."""
+        flat = self.digit_array(chain.from_iterable(mats)).astype(np.int64)
+        return flat.reshape(-1, size, size, self._A)
+
+    def from_digit_stack(self, digits: np.ndarray) -> list:
+        """The flat-tuple matrices of a digit stack (E, r, c, A), the inverse of digit_stack."""
+        flat = self.from_digit_array(digits.reshape(-1, self._A))
+        return list(zip(*[iter(flat)] * (digits.shape[1] * digits.shape[2])))  # consecutive runs of r·c entries
 
     def from_int(self, c: int) -> int:
         """The prime-field scalar c."""

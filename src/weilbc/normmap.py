@@ -25,7 +25,6 @@ ambient degree) through `Tower.matmul`, `Tower.block_matrix` and `modp`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd, lcm
 
 import numpy as np
@@ -94,19 +93,7 @@ class LangWitness:
     @property
     def alpha(self) -> list:
         """The α_b as group elements, one per target."""
-        return _elements(self.group.tower, self.digits)
-
-
-def _element_digits(spec: SympGroup, elements) -> np.ndarray:
-    """int64 digits (B, n2, n2, A) of a sequence of matrices over spec's tower."""
-    flat = spec.tower.digit_array(chain.from_iterable(elements)).astype(np.int64)
-    return flat.reshape(-1, spec.size, spec.size, spec.tower.ambient_degree)
-
-
-def _elements(tower: Tower, digits: np.ndarray) -> list:
-    """The matrices, as flat tuples, of a digit stack (B, n2, n2, A): the inverse of _element_digits."""
-    flat = tower.from_digit_array(digits.reshape(-1, tower.ambient_degree))
-    return list(zip(*[iter(flat)] * (digits.shape[1] * digits.shape[2])))  # consecutive runs of n2² entries
+        return self.group.tower.from_digit_stack(self.digits)
 
 
 def _twisted_products(tower: Tower, i: int, g: np.ndarray, ks: tuple) -> list:
@@ -253,7 +240,7 @@ def gyoja_norms(cfg: NormConfig, spec: SympGroup, gs, ambient_cap: int = DEFAULT
     # The Lang target is the t-fold twisted product itself: with
     # σ^d(α) = α·P_t, the commutation P_t·σ^d(P_μ) = P_μ·P_t of powers of
     # (σ^i, g) forces σ^d-stability of the conjugated norm.
-    p_t, p_mu = _twisted_products(spec.tower, cfg.i, _element_digits(spec, todo), (cfg.t, cfg.mu))
+    p_t, p_mu = _twisted_products(spec.tower, cfg.i, spec.tower.digit_stack(todo, spec.size), (cfg.t, cfg.mu))
     levels = _ambient_levels(spec, p_t, cfg.d)
     for level in dict.fromkeys(levels):
         members = [b for b, lv in enumerate(levels) if lv == level]
@@ -264,7 +251,7 @@ def gyoja_norms(cfg: NormConfig, spec: SympGroup, gs, ambient_cap: int = DEFAULT
             out = big.matmul(big.matmul(alpha, emb.embed_rows(p_mu[chunk])), _inverse(witness.group, alpha))
             if not np.array_equal(out @ big.frob_matrix(cfg.d).T % big.p, out):
                 raise WitnessFailed("norm did not land at level d")
-            norms = _elements(spec.tower, emb.pull_back_rows(out))
+            norms = spec.tower.from_digit_stack(emb.pull_back_rows(out))
             spec.norms.update(((cfg, todo[b], ambient_cap), N) for b, N in zip(chunk, norms))
     return [spec.norms[(cfg, g, ambient_cap)] for g in gs]
 

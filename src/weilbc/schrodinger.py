@@ -16,12 +16,12 @@ Generator formulas (X-coordinates first, matrices on column vectors):
 The Weyl constant pairs the plain (counting-measure) Gauss sum G with the
 ε'(-2)^n factor; the homomorphism test suite pins this normalization.
 
-Every element g of Sp, H or Sp·H has one model, its steps (`_steps`): the
-unipotent, Levi and Weyl factors of the Siegel word of its Sp part, one
-monomial step for its H part, and a constant sign·G^{-n·w} for w Weyl
-factors.  Unipotent, Levi and Heisenberg steps are monomial, and each Weyl
-entry is one ψ-exponent of the F_p-bilinear pairing x·w, tabulated per
-context as point coordinates and a trace-form Gram matrix.
+Every element g of Sp, H or Sp·H has one model, its steps: the unipotent,
+Levi and Weyl factors of the Siegel word of its Sp part, one monomial step
+for its H part, and a constant sign·G^{-n·w} for w Weyl factors.
+Unipotent, Levi and Heisenberg steps are monomial, and each Weyl entry is
+one ψ-exponent of the F_p-bilinear pairing x·w, tabulated per context as
+point coordinates and a trace-form Gram matrix.
 
 The model is stacked: a whole stack of symplectic elements, as digit arrays
 (E, 2n, 2n, A), is checked (gᵀJg = J), split by its c block into the cells
@@ -29,11 +29,11 @@ c = 0, c invertible and c singular, factored with one word shape per cell,
 and certified (the word's product is g) in a few whole-stack numpy
 operations (`_siegel_words`).  Each cell's words become steps over the
 stack's rows laid end to end (`_word_steps`), their signs read off F_p
-determinants of the factors' actions on point coordinates.  It is the only
-factorization.  One element is the stack of one, at several times the
-per-element cost of a stack, so `extended_traces` traces a whole sample and
-`keep_steps`, the one writer of the memo, factors the elements an operator
-loop will meet in one pass; `siegel_factor` is a tuple view of a stack of one.
+determinants of the factors' actions on point coordinates, and the cell's
+H parts one more step (`_stacked_steps`).  It is the only factorization,
+and nothing is kept: one element is the stack of one, at several times the
+per-element cost, so each consumer takes a whole family (`extended_traces`,
+`slice_traces`, `rhos`); `siegel_factor` is a tuple view of a stack of one.
 
 Every trace takes its paths through the steps from one walker, `_paths`,
 and builds no matrix: the extended trace closes each path in its last Weyl
@@ -49,7 +49,7 @@ are compared or multiplied (`build_rho`).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from itertools import product as iproduct
 from math import gcd
 
@@ -61,7 +61,6 @@ from .errors import DimensionMismatch, FactorizationFailed, NotSymplectic, Opera
 from .fieldtower import Tower
 from .grouplib import SympSpace, mat_identity, mat_inv, mat_vec
 
-_STEP_CACHE_CAP = 6000
 _STACK_CAP = 128  # elements factored at once
 _PATH_CAP = 1 << 13  # paths held at once by one stacked trace walk
 _SEARCH_CHUNK = 4096  # correction blocks tried at once by the full search
@@ -174,8 +173,6 @@ class RepContext:
         self.gauss_inv = self.gauss.inverse()
         self._every = np.arange(self.dim, dtype=np.intp)  # read-only: shared by steps
         self._flat = np.zeros(self.dim, dtype=np.intp)  # ζ-exponents of a permutation step
-        self._cache_cap = _STEP_CACHE_CAP if self.dim <= 32 else 700
-        self._step_cache: dict = {}
         self._gauss_pow: dict[int, CycNum] = {}
         self._gal_perm: dict[int, np.ndarray] = {}
         self._coords = None
@@ -225,47 +222,44 @@ class RepContext:
 
     # -- the steps of ρ(g) ----------------------------------------------------------
 
-    def _steps(self, g) -> tuple[int, int, list]:
-        """ρ(g) = sign·G^{-n·w}·F_1⋯F_k for g in Sp, H or Sp·H: (sign, w, [F_1, …, F_k]).
-
-        The Sp part gives the steps of its Siegel word (`_sp_steps`), whose Levi and
-        Weyl signs make up sign and whose w Weyl factors each carry G^{-n}; the H
-        part gives one monomial step.
-        """
-        kind = _element_kind(g, self.n)
-        if kind == "sp":
-            return self._sp_steps(g)
-        sign, w, steps = (1, 0, []) if kind == "heis" else self._sp_steps(g[0])
-        return sign, w, steps + [self._heis_step(g if kind == "heis" else g[1])]
-
-    def keep_steps(self, gs) -> None:
-        """Replace the memo by the steps of the first _cache_cap distinct symplectic
-        elements of gs, factored in one pass (`_stacked_steps`), for the operators and
-        traces over them that follow: a stack of one costs several times an element
-        of a stack.  Callers give one family of elements at a time."""
-        todo, memo = list(dict.fromkeys(gs))[: self._cache_cap], {}
-        for where, signs, w, steps in self._stacked_steps(todo):
-            for e, at in enumerate(where.tolist()):
-                memo[todo[at]] = int(signs[e]), w, self._element_steps(steps, e, e + 1)
-        self._step_cache = memo
+    def _steps(self, gs: list):
+        """(sign, w, [F_1, …, F_k]) with ρ(g) = sign·G^{-n·w}·F_1⋯F_k for each g of gs, in
+        order, factored a stack at a time (`_stacked_steps`): only one stack is held."""
+        for start in range(0, len(gs), _STACK_CAP):
+            got = [None] * len(gs[start : start + _STACK_CAP])
+            for where, signs, w, steps in self._stacked_steps(gs[start : start + _STACK_CAP]):
+                for e, at in enumerate(where.tolist()):
+                    got[at] = int(signs[e]), w, self._element_steps(steps, e, e + 1)
+            yield from got
 
     def _stacked_steps(self, gs: list):
-        """The steps of the symplectic gs (else DimensionMismatch), factored in stacks of
-        at most _STACK_CAP elements: (indices into gs, signs, w, steps) per cell of each stack."""
-        if bad := [g for g in gs if _element_kind(g, self.n) != "sp"]:
-            raise DimensionMismatch(f"expected a {2 * self.n}x{2 * self.n} matrix, got {bad[0]!r}")
-        for start in range(0, len(gs), _STACK_CAP):
-            digits = _digits(self.tower, gs[start : start + _STACK_CAP], 2 * self.n)
-            for where, tags, blocks in _siegel_words(self.tower, self.n, self.level, digits):
-                yield (where + start, *self._word_steps(tags, blocks))
+        """The steps of the Sp, H and Sp·H elements gs (else DimensionMismatch), factored
+        in stacks of at most _STACK_CAP: (indices into gs, signs, w, steps) per cell.
 
-    def _sp_steps(self, s: tuple) -> tuple[int, int, list]:
-        """Sign, Weyl count and steps of the Siegel word of a symplectic s: read from
-        the memo (`keep_steps`), or factored as a stack of one and not kept."""
-        if s in self._step_cache:
-            return self._step_cache[s]
-        ((_, signs, w, steps),) = self._stacked_steps([s])
-        return int(signs[0]), w, steps
+        Each Sp part gives the steps of its Siegel word, the identity (an H element's)
+        none, and in a cell that holds an H part each element's H part (zero for a
+        symplectic element) gives one more monomial step (`_heis_step`)."""
+        tower, n = self.tower, self.n
+        kinds = [_element_kind(g, n) for g in gs]
+        one, zero = mat_identity(tower, 2 * n), ((tower.zero,) * (2 * n), tower.zero)
+        sps = [g if kind == "sp" else one if kind == "heis" else g[0] for g, kind in zip(gs, kinds)]
+        hs = [zero if kind == "sp" else g if kind == "heis" else g[1] for g, kind in zip(gs, kinds)]
+        for start in range(0, len(gs), _STACK_CAP):
+            stack = sps[start : start + _STACK_CAP]
+            trivial = np.array([s == one for s in stack])
+            ones = np.flatnonzero(trivial)
+            cells = [(ones, np.ones(len(ones), dtype=np.int64), 0, [])] if len(ones) else []
+            if not trivial.all():
+                todo = np.flatnonzero(~trivial)
+                digits = tower.digit_stack([stack[k] for k in todo], 2 * n)
+                cells += [(todo[where], *self._word_steps(tags, blocks))
+                          for where, tags, blocks in _siegel_words(tower, n, self.level, digits)]
+            for where, signs, w, steps in cells:
+                where = where + start
+                if any(kinds[k] != "sp" for k in where.tolist()):
+                    parts = [self._heis_step(hs[k], e * self.dim) for e, k in enumerate(where.tolist())]
+                    steps.append(tuple(np.concatenate(part) for part in zip(*parts)))
+                yield where, signs, w, steps
 
     def _word_steps(self, tags: tuple, blocks: np.ndarray) -> tuple[np.ndarray, int, list]:
         """Signs (E,), Weyl count w and steps of a stack of E Siegel words of one shape.
@@ -312,14 +306,12 @@ class RepContext:
 
     def _rows(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """The rows of count elements laid end to end, and the first row of each row's element."""
-        if count == 1:
-            return self._every, self._flat  # _flat: dim zeros
         rows = np.arange(count * self.dim)
         return rows, rows - rows % self.dim
 
-    def _heis_step(self, h) -> tuple[np.ndarray, np.ndarray]:
-        """Step of h = (x, x*; t): row y has column y + x* and the
-        ψ'-exponent of t − ½·x·x* − y·x."""
+    def _heis_step(self, h, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Step of h = (x, x*; t), its rows and columns shifted by offset: row y
+        has column y + x* and the ψ'-exponent of t − ½·x·x* − y·x."""
         tower, n, coords = self.tower, self.n, self._coordinates()
         v, t = h
         dot = tower.zero
@@ -328,11 +320,11 @@ class RepContext:
         k = tower.psi_exponent(tower.sub(t, tower.mul(tower.half, dot)), self.level, self.scale)
         vec = coords.vector(v)
         cx, cxs = vec[: len(vec) // 2], vec[len(vec) // 2 :]
-        return coords.index((coords.pts + cxs) % self.p), (k - coords.pts_g @ cx) % self.p
+        return coords.index((coords.pts + cxs) % self.p) + offset, (k - coords.pts_g @ cx) % self.p
 
     def _generator_op(self, tag: str, block: tuple) -> WeilOperator:
         """The signed dense factor of one generator, with no Gauss-sum constant."""
-        signs, _, (step,) = self._word_steps((tag,), _digits(self.tower, [block], self.n)[None])
+        signs, _, (step,) = self._word_steps((tag,), self.tower.digit_stack([block], self.n)[None])
         return self._dense(step, int(signs[0]))
 
     def _weyl_exps(self, bty: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
@@ -378,27 +370,37 @@ class RepContext:
 
     # -- the representation ------------------------------------------------------------
 
-    def build_rho(self, g) -> WeilOperator:
-        """ρ of a symplectic matrix, Heisenberg element, or (s, h) product:
-        the product of the dense factors of its steps."""
-        sign, w, steps = self._steps(g)
-        out = self._dense(steps[0], sign)
-        for step in steps[1:]:
+    def build_rho(self, g, steps: tuple | None = None) -> WeilOperator:
+        """ρ of a symplectic matrix, Heisenberg element, or (s, h) product: the
+        product of the dense factors of its steps (sign, w, steps), given by
+        `rhos` or else factored as a stack of one.  Identity steps, the trivial
+        factors u(0) and levi(1) that a stacked word keeps for its cell's shape,
+        are skipped."""
+        sign, w, steps = next(self._steps([g])) if steps is None else steps
+        kept = [(c, e) for c, e in steps if e is None or e.any() or not np.array_equal(c, self._every)]
+        kept = kept or [(self._every, self._flat)]
+        out = self._dense(kept[0], sign)
+        for step in kept[1:]:
             out = out @ self._dense(step)
         return out.scale(self._weyl_constant(w)) if w else out
 
+    def rhos(self, gs):
+        """build_rho of each element of gs, in order, the steps factored a stack at a time."""
+        gs = list(gs)
+        for g, steps in zip(gs, self._steps(gs)):
+            yield self.build_rho(g, steps)
+
     def extended_trace(self, i: int, g) -> CycNum:
-        """tr ρ̃'(σ^i, g) = tr(ρ(g)·I_σ^i) for g in Sp·H at this level: the
-        sum Σ_y ρ(g)[y, σ^i y] along the steps of g (`_trace_rows`)."""
-        sign, w, steps = self._steps(g)
-        return self.value(sign * self._trace_rows(i, w, steps)[0], w)
+        """tr ρ̃'(σ^i, g) = tr(ρ(g)·I_σ^i): `extended_traces` of the stack of one."""
+        return self.extended_traces(i, [g])[0]
 
     def extended_traces(self, i: int, gs) -> list[CycNum]:
-        """tr ρ̃'(σ^i, g) for every symplectic g of the sequence gs, in one pass.
+        """tr ρ̃'(σ^i, g) for every g of the sequence gs (Sp, H or Sp·H), in one pass:
+        the sum Σ_y ρ(g)[y, σ^i y] along the steps of g.
 
         The stack is checked and factored on digit arrays (`_siegel_words`), one
         word shape per cell of the c block, in stacks of at most _STACK_CAP
-        elements; each cell's words become stacked steps (`_word_steps`) and
+        elements; each cell's words become stacked steps (`_stacked_steps`) and
         one row of ψ'-exponent counts per element (`_trace_rows`), walked in
         chunks of at most _PATH_CAP paths.  A repeated element is traced once.
         """
@@ -446,9 +448,10 @@ class RepContext:
         counts = np.bincount(starts // dim * (p + 1) + exps, minlength=count * (p + 1))
         return counts.reshape(count, p + 1)[:, :p]
 
-    def slice_traces(self, j: int, s: tuple, vs: np.ndarray, ts=None) -> tuple[int, int, np.ndarray]:
-        """tr ρ̃'(σʲ, (s, (v, t))) for one Sp part s and many Heisenberg parts:
-        (sign, w, rows) with the trace at point k sign·G^{-n·w}·Σ_e rows[k, e]·ζ^e.
+    def slice_traces(self, j: int, ss, vs: np.ndarray, ts=None):
+        """tr ρ̃'(σʲ, (s, (v, t))) for each Sp part s of the sequence ss and many
+        Heisenberg parts, one slice at a time: (sign, w, rows) per s, the trace at
+        point k sign·G^{-n·w}·Σ_e rows[k, e]·ζ^e.
 
         vs holds the coordinates (x, x*) of each v (`v_points`, `heis_points`,
         `move`), and ts the ψ'-exponents of the t (default 0).  The steps of s are walked once
@@ -456,16 +459,17 @@ class RepContext:
         to c + x* with the exponent of t − ½x·x* − c·x, and a path counts for
         a point when it ends at σʲ(y).  Costs O(paths·H) for the match.
         """
-        sign, w, steps = self._sp_steps(s)
         coords, p = self._coordinates(), self.p
-        starts, ends, exp = self._paths(steps)
         x, xs = vs[:, : vs.shape[1] // 2], vs[:, vs.shape[1] // 2 :]
         k = -self.tower.half * coords.pairing(x, xs) + (0 if ts is None else ts)
-        need = coords.index((coords.pts[self.galois_perm(-j)[starts]] - coords.pts[ends]) % p)  # x* closing a path
-        pi, hi = np.nonzero(need[:, None] == coords.index(xs)[None, :])
-        e = (exp[pi] + k[hi] - (coords.pts_g[ends[pi]] * x[hi]).sum(axis=1)) % p
-        check_int64(len(starts) * len(vs), "trace histogram")
-        return sign, w, np.bincount(hi * p + e, minlength=len(vs) * p).reshape(-1, p)
+        goal, moved = coords.pts[self.galois_perm(-j)], coords.index(xs)
+        for sign, w, steps in self._steps(list(ss)):
+            starts, ends, exp = self._paths(steps)
+            need = coords.index((goal[starts] - coords.pts[ends]) % p)  # x* closing a path
+            pi, hi = np.nonzero(need[:, None] == moved[None, :])
+            e = (exp[pi] + k[hi] - (coords.pts_g[ends[pi]] * x[hi]).sum(axis=1)) % p
+            check_int64(len(starts) * len(vs), "trace histogram")
+            yield sign, w, np.bincount(hi * p + e, minlength=len(vs) * p).reshape(-1, p)
 
     def _paths(self, steps: list, count: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every path through the steps of count elements (`_word_steps`) from
@@ -637,12 +641,6 @@ def _element_kind(g, n: int) -> str:
     raise DimensionMismatch(f"unrecognized element {g!r}")
 
 
-def _digits(tower: Tower, mats, size: int) -> np.ndarray:
-    """int64 digits (E, size, size, A) of a sequence of size×size matrices (flat tuples)."""
-    flat = tower.digit_array(chain.from_iterable(mats)).astype(np.int64)
-    return flat.reshape(-1, size, size, tower.ambient_degree)
-
-
 @lru_cache(maxsize=None)
 def _identity_digits(tower: Tower, size: int) -> np.ndarray:
     """Digits (size, size, A) of the identity matrix, read-only."""
@@ -663,10 +661,9 @@ def siegel_factor(tower: Tower, n: int, level: int, g: tuple) -> list:
     size = 2 * n
     if len(g) != size * size:
         raise DimensionMismatch(f"expected a {size}x{size} matrix")
-    ((_, tags, blocks),) = _siegel_words(tower, n, level, _digits(tower, [g], size))
-    flat = tower.from_digit_array(blocks.reshape(-1, tower.ambient_degree))
-    ident, sq = mat_identity(tower, n), n * n
-    word = [(tag, flat[f * sq : (f + 1) * sq]) for f, tag in enumerate(tags)]
+    ((_, tags, blocks),) = _siegel_words(tower, n, level, tower.digit_stack([g], size))
+    ident = mat_identity(tower, n)
+    word = zip(tags, tower.from_digit_stack(blocks[0]))
     kept = [(tag, par) for tag, par in word if not (tag == "unip" and not any(par) or tag == "levi" and par == ident)]
     return kept or [("levi", ident)]
 

@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread per test process, as bench/run.py sets for its workers: two numpy
+# processes at once on a small machine otherwise oversubscribe OpenBLAS; set before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import hashlib
 import json
 

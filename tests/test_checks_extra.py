@@ -127,9 +127,9 @@ def test_star_builds_one_operator_per_distinct_norm(monkeypatch):
     built = []
     build = RepContext.build_rho
 
-    def counting(ctx, g):
+    def counting(ctx, g, steps=None):
         built.append(g)
-        return build(ctx, g)
+        return build(ctx, g, steps)
 
     monkeypatch.setattr(RepContext, "build_rho", counting)
     cases = check_star(ws)
@@ -175,8 +175,8 @@ def test_parabolic_slices_match_the_per_point_path():
     unip = next(g for g in borel if g[1] != tower.zero and g[0] != tower.one)
     for j in (0, 1):
         pairs = coset_pairs(sph, reps, j)
-        for b in (sph.sp.identity(), unip):
-            sign, w, rows = ctx.slice_traces(j, b, vs, ts)
+        parts = (sph.sp.identity(), unip)
+        for b, (sign, w, rows) in zip(parts, ctx.slice_traces(j, parts, vs, ts)):
             induced = ctx.eps(b[0]) * ctx.translation_rows(j, b, vs, ts, slot=1)
             assert len(rows) == len(induced) == len(heis) == 729
             for k, h in enumerate(heis):
@@ -229,9 +229,9 @@ def test_torus_slices_match_the_per_point_path(m):
     weyl_tau = next(g for g in tor.elements() if len(siegel_factor(tower, 1, m, g)) == 3)
     for j in (0, 1):
         vpairs = coset_pairs(sph, [(sph.sp.identity(), (v, tower.zero)) for v in vpoints], j)
-        for tau in (tor.identity(), weyl_tau):
-            sign, w, rows = ctx.slice_traces(j, tau, vs)
-            nu = _torus_nu(ctx, tor, om, j, tau, vs)
+        nus, parts = _torus_nu(ctx, tor, om, j, vs), (tor.identity(), weyl_tau)
+        for tau, (sign, w, rows) in zip(parts, ctx.slice_traces(j, parts, vs)):
+            nu = nus[tau]
             nu_ref = _nu_reference(ctx, sph, tor, om, j, tau)
             ind2 = om[tau] * ctx.translation_rows(j, tau, vs)
             assert w == (tau == weyl_tau) and len(rows) == len(nu) == len(vpoints)
@@ -286,9 +286,9 @@ def test_library_makes_no_per_coset_call(monkeypatch):
 
 
 def test_exhaustive_slices_make_no_per_point_call(monkeypatch):
-    """parabolic and sl2-torus trace and induce whole slices: the only per-point
-    extended traces left are the |T(F_q)| values of ρ restricted to the torus
-    and the 100 sampled-t points."""
+    """parabolic and sl2-torus trace and induce whole slices, and trace the |T(F_q)|
+    values of ρ restricted to the torus and the 100 sampled-t points as families:
+    no per-point extended trace, no per-coset induction."""
     calls = {"extended_trace": 0, "induced_trace": 0}
     trace, induce = RepContext.extended_trace, characters.induced_trace
 
@@ -304,10 +304,9 @@ def test_exhaustive_slices_make_no_per_point_call(monkeypatch):
     monkeypatch.setattr(characters, "induced_trace", counted_induce)
     assert run_check("parabolic", RunConfig(p=3, n=1, m=2, seed=42)).ok
     assert calls == {"extended_trace": 0, "induced_trace": 0}
-    for m, order in ((2, 4), (3, 4)):
-        calls.update(extended_trace=0)
+    for m in (2, 3):
         assert run_check("sl2-torus", RunConfig(p=3, n=1, m=m, sample=100, seed=42)).ok
-        assert calls == {"extended_trace": order + 100, "induced_trace": 0}
+        assert calls == {"extended_trace": 0, "induced_trace": 0}
 
 
 def _count_stacks_of_one(monkeypatch) -> dict:
@@ -341,10 +340,9 @@ def test_star_makes_no_per_element_trace_or_factorization(monkeypatch):
 
 
 def test_homomorphism_reads_every_element_from_its_prefetch(monkeypatch):
-    """At (p, n, m) = (3, 2, 2), dim 81, the step memo holds 700 entries and
-    homomorphism's 200-sample draws about a thousand Sp parts: factored family by
-    family, each within the cap, every element is read from its family's
-    prefetch, so no element is factored alone."""
+    """At (p, n, m) = (3, 2, 2), dim 81, homomorphism's 200-sample draws about a
+    thousand Sp parts: each case family's operators and traces take the family
+    whole (`rhos`, `extended_traces`), so no element is factored alone."""
     stacks = _count_stacks_of_one(monkeypatch)
     assert run_check("homomorphism", RunConfig(p=3, n=2, m=2, sample=200, seed=42)).ok
     assert stacks == {"stacks of one": 0}
@@ -352,13 +350,15 @@ def test_homomorphism_reads_every_element_from_its_prefetch(monkeypatch):
 
 def test_library_factors_only_in_stacks(monkeypatch):
     """siegel_factor is the tests' view of one word: every check that factors
-    symplectic elements runs with it refused, and no other library module binds it."""
+    symplectic elements runs with it refused, and no other library module binds
+    it.  Each takes its case families whole: none factors an element alone."""
     def refuse(*args):
         raise AssertionError("siegel_factor called")
 
     modules = [importlib.import_module(f"weilbc.{m}") for m in
                ("characters", "checks", "cli", "cyclotomic", "fieldtower", "grouplib", "modp", "normmap")]
     monkeypatch.setattr(schrodinger, "siegel_factor", refuse)
+    stacks = _count_stacks_of_one(monkeypatch)
     assert all("siegel_factor" not in vars(mod) for mod in modules)
     for check, cfg in [
         ("star", RunConfig(p=3, n=1, m=2, pairs=((1, 1),), sample=20, seed=42)),
@@ -370,18 +370,20 @@ def test_library_factors_only_in_stacks(monkeypatch):
     ]:
         report = run_check(check, cfg)
         assert report.ok and report.cases, check
+        assert stacks == {"stacks of one": 0}, check
 
 
 def _inject(monkeypatch, level, j, s, k):
     """Add 1 to the ζ⁰ count of point k in the trace rows of slice (j, s) at level."""
     honest = RepContext.slice_traces
 
-    def faulty(ctx, j_, s_, vs, ts=None):
-        sign, w, rows = honest(ctx, j_, s_, vs, ts)
-        if (ctx.level, j_, s_) == (level, j, s):
-            rows = rows.copy()
-            rows[k, 0] += 1
-        return sign, w, rows
+    def faulty(ctx, j_, ss, vs, ts=None):
+        ss = list(ss)
+        for s_, (sign, w, rows) in zip(ss, honest(ctx, j_, ss, vs, ts)):
+            if (ctx.level, j_, s_) == (level, j, s):
+                rows = rows.copy()
+                rows[k, 0] += 1
+            yield sign, w, rows
 
     monkeypatch.setattr(RepContext, "slice_traces", faulty)
 
@@ -399,7 +401,7 @@ def test_a_faulty_point_fails_its_slice(monkeypatch):
     vpoints = [(a, b) for a in field for b in field]
     k, j = 40, 1
     g = (tau, (vpoints[k], tower.zero))
-    sign, w, _ = ctx.slice_traces(j, tau, ctx.v_points())
+    ((sign, w, _),) = ctx.slice_traces(j, [tau], ctx.v_points())
     true = ctx.extended_trace(j, g) * eta(j)  # = ν'(g): the identity holds there
     wrong = true + ctx._weyl_constant(w) * CycNum.rational(p, sign * eta(j))
     _inject(monkeypatch, 2, j, tau, k)
@@ -414,7 +416,7 @@ def test_a_faulty_point_fails_its_slice(monkeypatch):
     h = sph.heis.elements()[k]
     reps = _borel_reps(ws)
     in_sub, chi = _borel_chi(ws)
-    sign, _, _ = ctx.slice_traces(j, b, *ctx.heis_points())
+    ((sign, _, _),) = ctx.slice_traces(j, [b], *ctx.heis_points())
     _inject(monkeypatch, 2, j, b, k)
     report = run_check("parabolic", cfg, ws)
     assert not report.ok and report.n_fail == 2
@@ -428,12 +430,12 @@ def test_a_faulty_point_fails_its_slice(monkeypatch):
 
 def test_a_wrong_central_character_fails_the_sampled_t_cases(monkeypatch):
     """ρ̃' with ψ'(−t) in place of ψ'(t) on the centre: the t = 0 slices cannot
-    see it, so the sampled-t cases, traced one point at a time, must."""
+    see it, so the sampled-t cases, traced with their own t, must."""
     honest = RepContext._heis_step
 
-    def flipped(ctx, h):
+    def flipped(ctx, h, offset=0):
         v, t = h
-        return honest(ctx, (v, ctx.tower.neg(t)))
+        return honest(ctx, (v, ctx.tower.neg(t)), offset)
 
     monkeypatch.setattr(RepContext, "_heis_step", flipped)
     report = run_check("sl2-torus", RunConfig(p=3, n=1, m=2, seed=42))
@@ -456,10 +458,10 @@ def test_row_sums_refuse_an_int64_overflow(monkeypatch):
     ctx, tor = ws.ctx(2), ws.torus(2)
     tau = next(g for g in tor.elements() if len(siegel_factor(ws.tower, 1, 2, g)) == 3)
     vs = ctx.v_points()
-    _, w, rows = ctx.slice_traces(1, tau, vs)
+    ((_, w, rows),) = ctx.slice_traces(1, [tau], vs)
     monkeypatch.setattr(cyclotomic, "INT64_BOUND", 100)
     with pytest.raises(OperatorOverflow, match="trace histogram"):
-        ctx.slice_traces(1, tau, vs)
+        list(ctx.slice_traces(1, [tau], vs))
     with pytest.raises(OperatorOverflow, match="induced histogram"):
         ctx.translation_rows(1, tau, vs)
     with pytest.raises(OperatorOverflow, match="Gauss-sum product"):

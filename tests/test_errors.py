@@ -8,8 +8,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "weilbc"
 # Python protocols, not failures: a failed operand coercion is a TypeError, and
 # setting an attribute of an immutable object is an AttributeError
 PROTOCOL = {("_coerce", "TypeError"), ("__setattr__", "AttributeError")}
-# groups and Weil contexts own their memos (elements, partitions, norms, steps):
-# no caller hands one in or sets what one admits
+# groups own their memos (elements, partitions, norms) and a Weil context keeps no
+# step memo, only per-context tables: no caller hands one in or sets what one admits
 CACHE_PARAMS = {"cache", "part_cache", "keep"}
 
 

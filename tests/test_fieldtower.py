@@ -11,7 +11,7 @@ from weilbc.cyclotomic import CycNum
 from weilbc.errors import ConfigInvalid, EvenCharacteristic, InvariantBroken, LevelMismatch, NotPrime, ZeroArgument
 from weilbc.fieldtower import Tower, build_tower, enlarge_tower, find_modulus, get_embedding
 from weilbc.grouplib import HeisGroup, SympGroup, TorusSL2, mat_mul
-from weilbc.normmap import _ambient_levels, _element_digits, _level_inverse, choose_t, gyoja_norm, lang_solve
+from weilbc.normmap import _ambient_levels, _level_inverse, choose_t, gyoja_norm, lang_solve
 
 
 @pytest.fixture(scope="module")
@@ -258,14 +258,13 @@ def test_level_model_matches_sorted_span(key, d):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data(), size=st.integers(1, 4))
 def test_matmul_matches_mat_mul(kind, data, size):
-    """The digit-matrix kernel, alone and batched, against entry-by-entry mat_mul."""
+    """The digit-matrix kernel, alone and batched, on a digit stack against entry-by-entry mat_mul."""
     t, _, _ = data.draw(tower_and_elements(kind))
     field = t.level_elements(t.m)
     a, b = (tuple(data.draw(st.sampled_from(field)) for _ in range(size * size)) for _ in range(2))
-    da, db = (t.digit_array(x).reshape(size, size, -1) for x in (a, b))
-    got = t.matmul(np.stack([da, db]), db)
-    for k, left in enumerate((a, b)):
-        assert t.from_digit_array(got[k].reshape(size * size, -1)) == mat_mul(t, left, b, size)
+    digits = t.digit_stack([a, b], size)
+    got = t.matmul(digits, digits[1])
+    assert t.from_digit_stack(got) == [mat_mul(t, left, b, size) for left in (a, b)]
 
 
 EMBEDDINGS = [((3, 1, 2), (3, 1, 4)), ((3, 1, 2), (3, 1, 6)), ((3, 1, 3), (3, 1, 6)),
@@ -419,7 +418,7 @@ def test_library_hands_out_plain_ints():
     sl9, rng = SympGroup(t92, 1, 2), random.Random(0)
     for g in (sl9.random(rng) for _ in range(5)):
         plain(gyoja_norm(choose_t(1, 2), sl9, g))
-        target = _element_digits(sl9, [g])
+        target = t92.digit_stack([g], sl9.size)
         witness = lang_solve(sl9, target, 1, _ambient_levels(sl9, target, 1)[0])
         plain(chain.from_iterable(witness.alpha))
         emb = witness.embedding

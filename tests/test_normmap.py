@@ -60,7 +60,7 @@ def test_twisted_product_examples(t92):
 
 def _solve_one(spec, h, d, ambient_cap=DEFAULT_AMBIENT_CAP):
     """lang_solve on the stack of the one target h, at the ambient level its witness needs."""
-    target = normmap._element_digits(spec, [h])
+    target = spec.tower.digit_stack([h], spec.size)
     (level,) = normmap._ambient_levels(spec, target, d)
     return lang_solve(spec, target, d, level, ambient_cap)
 
@@ -147,7 +147,7 @@ def test_lang_solve_refuses_a_level_too_small(t92):
     sl = SympGroup(t92, 1, 2)
     by_level = {}
     for g in sl.elements():
-        target = normmap._element_digits(sl, [twisted_product(sl, 1, g, 1)])
+        target = sl.tower.digit_stack([twisted_product(sl, 1, g, 1)], sl.size)
         by_level.setdefault(normmap._ambient_levels(sl, target, 1)[0], target)
     assert sorted(by_level) == [2, 4, 6, 8, 12]
     for need, target in by_level.items():
@@ -507,7 +507,7 @@ def test_low_cap_names_the_first_offending_element():
     probe = SympGroup(t92, 1, 2)
     level = {}
     for g in probe.elements():
-        target = normmap._element_digits(probe, [twisted_product(probe, 1, g, cfg.t)])
+        target = probe.tower.digit_stack([twisted_product(probe, 1, g, cfg.t)], probe.size)
         level[g] = normmap._ambient_levels(probe, target, cfg.d)[0]
     above = sorted({lv for lv in level.values() if lv > 4})
     assert len(above) >= 2

@@ -318,7 +318,7 @@ def test_full_correction_search_after_the_diagonal_blocks(t92, monkeypatch):
     for g in corners:
         word = siegel_factor(t92, 2, 2, g)  # the word check is the certificate
         assert [tag for tag, _ in word].count("weyl") == 2
-    digits = schrodinger._digits(t92, corners, 4)
+    digits = t92.digit_stack(corners, 4)
     c, d = digits[:, 2:, :2], digits[:, 2:, 2:]
     got = schrodinger._corrections(t92, 2, 2, c, d)
     field = t92.level_elements(2)
@@ -515,9 +515,9 @@ def test_coordinates_index_every_point(key, level, n):
 
 
 def test_steps_factor_the_sp_part_once(t92, monkeypatch):
-    """keep_steps is the memo's one writer.  Without it, each read of an Sp part
-    factors a stack of one and keeps nothing; after it, reads factor nothing; a
-    second keep_steps replaces the first."""
+    """Nothing is kept: each family call (traces, operators, slices) factors its
+    elements' Sp parts in one stack, and the same call again factors them again and
+    gives the same values; the context holds only its per-context tables."""
     stacks = []
     words = schrodinger._siegel_words
 
@@ -531,33 +531,61 @@ def test_steps_factor_the_sp_part_once(t92, monkeypatch):
     (s, h), g = SpHGroup(t92, 2, 2).random(rng), SympGroup(t92, 2, 2).random(rng)
     vs = ctx.v_coordinates([h[0]])
 
-    def read():
-        return [ctx.extended_trace(0, (s, h)), ctx.extended_trace(1, (s, h)), ctx.build_rho(g),
-                ctx.extended_trace(1, g), ctx.slice_traces(1, s, vs)[2].tolist()]
+    def families():
+        return [ctx.extended_traces(0, [(s, h), g, s, (s, h)]), ctx.extended_traces(1, [(s, h), g]),
+                list(ctx.rhos([g, (s, h)])), [rows.tolist() for _, _, rows in ctx.slice_traces(1, [s, g], vs)]]
 
-    alone = read()
-    assert stacks == [1] * 5
-    ctx.keep_steps([s, g, s])
-    assert stacks[5:] == [2]
-    assert read() == alone and len(stacks) == 6
-    ctx.keep_steps([g])
-    assert stacks[6:] == [1]
-    assert read() == alone and stacks[7:] == [1, 1, 1]  # s is no longer kept, g is
+    first = families()
+    assert stacks == [3, 2, 2, 2]  # a repeated element is traced once
+    assert families() == first and stacks == [3, 2, 2, 2] * 2
+    assert {name for name, value in vars(ctx).items() if isinstance(value, dict)} == {"_gauss_pow", "_gal_perm"}
 
 
 def test_stacked_entry_points_refuse_a_malformed_element(t92):
-    """extended_traces and keep_steps take 2n×2n matrices: an Sp·H pair or a
-    tuple of the wrong length raises DimensionMismatch, as build_rho does."""
+    """Every entry point takes Sp, H and Sp·H elements, an Sp·H pair next to its
+    Sp part too; a tuple that is none of them raises DimensionMismatch at each."""
     ctx = RepContext(t92, 1, 2)
     pair = SpHGroup(t92, 1, 2).random(random.Random(31))
-    for bad in (pair, (1, 2, 3)):
+    assert ctx.extended_traces(0, [pair[0], pair]) == [ctx.extended_trace(0, pair[0]), ctx.extended_trace(0, pair)]
+    bad = (1, 2, 3)
+    for call in (lambda: ctx.extended_traces(0, [pair[0], bad]), lambda: ctx.extended_trace(0, bad),
+                 lambda: ctx.build_rho(bad), lambda: list(ctx.rhos([pair, bad])),
+                 lambda: list(ctx.slice_traces(0, [pair[0], bad], ctx.v_points()))):
         with pytest.raises(DimensionMismatch):
-            ctx.extended_traces(0, [pair[0], bad])
-        with pytest.raises(DimensionMismatch):
-            ctx.keep_steps([bad])
-    with pytest.raises(DimensionMismatch):
-        ctx.build_rho((1, 2, 3))
-    assert ctx._step_cache == {}
+            call()
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["sl2-f9", "sp4-f9"])
+def test_extended_traces_of_a_mixed_family_match_the_dense_oracle(t92, n):
+    """Sp, H and Sp·H elements in one stack, with repeats and the identity: each
+    value equals tr(ρ(g)·I_σ^i) of its dense operator, for i = 0 and 1."""
+    sph, ctx = SpHGroup(t92, n, 2), RepContext(t92, n, 2)
+    rng = random.Random(17)
+    pairs = [sph.random(rng) for _ in range(4)]
+    gs = [pairs[0][0], pairs[1][1], pairs[2], pairs[3][0], pairs[3][1], pairs[3], sph.sp.identity()]
+    gs += gs[:3]
+    dense = _dense_extended_traces(ctx, gs)
+    for i in (0, 1):
+        assert ctx.extended_traces(i, gs) == dense[i]
+
+
+def test_build_rho_skips_identity_steps(ctx2, t92, monkeypatch):
+    """A stacked word keeps u(0) and levi(1) for its cell's shape: build_rho takes
+    no dense product for such a step, and still gives the product of every step."""
+    upper = (1, 5, 0, 1)  # u(5)·levi(1), the c = 0 cell
+    h = ((3, 4), 2)
+    calls = []
+    matmul = WeilOperator.__matmul__
+    for g in (upper, (upper, h)):
+        sign, w, steps = next(ctx2._steps([g]))
+        full = ctx2._dense(steps[0], sign)
+        for step in steps[1:]:
+            full = full @ ctx2._dense(step)
+        with monkeypatch.context() as mp:
+            mp.setattr(WeilOperator, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+            rho = ctx2.build_rho(g)
+        assert rho == full and len(calls) < len(steps) - 1
+        calls.clear()
 
 
 def _reference_heis(ctx, h):
@@ -644,7 +672,7 @@ def test_siegel_word_missing_a_factor_is_refused_property(p, n, level, seed, dat
     certificate check in siegel_factor raises FactorizationFailed."""
     spec = SympGroup(build_tower(p, 1, level), n, level)
     g = spec.random(random.Random(seed))
-    digits = schrodinger._digits(spec.tower, [g], 2 * n)
+    digits = spec.tower.digit_stack([g], 2 * n)
     ((where, tags, blocks),) = schrodinger._siegel_cells(spec.tower, n, level, digits)
     k = data.draw(st.integers(0, len(tags) - 1))
     param = spec.tower.from_digit_array(blocks[0, k].reshape(-1, spec.tower.ambient_degree))
