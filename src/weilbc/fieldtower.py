@@ -216,8 +216,15 @@ class Tower:
 
     def digit_array(self, elems) -> np.ndarray:
         """Digit rows of an iterable of elements, shape (count, ambient degree),
-        in the smallest unsigned dtype that holds a digit."""
-        digits = np.fromiter(elems, dtype=self._place.dtype)[:, None] // self._place
+        in the smallest unsigned dtype that holds a digit.  Raises LevelMismatch
+        on an int outside 0..size−1, which is no element of the ambient field."""
+        try:
+            values = np.fromiter(elems, dtype=self._place.dtype)
+        except OverflowError as exc:
+            raise LevelMismatch(f"not an element of the field of {self.size} elements: {exc}") from None
+        if len(values) and (values.max() >= self.size or values.min() < 0):
+            raise LevelMismatch(f"not an element of the field of {self.size} elements")
+        digits = values[:, None] // self._place
         digits %= self.p
         return digits.astype(np.min_scalar_type(self.p - 1), copy=False)
 

@@ -19,6 +19,7 @@ from itertools import chain, product
 
 import numpy as np
 
+from . import modp
 from .errors import ConfigInvalid, DimensionMismatch, GroupTooLarge, InvariantBroken, LevelMismatch, Singular
 from .fieldtower import ENUM_CAP, Tower
 
@@ -97,32 +98,51 @@ def mat_det(tower: Tower, a: tuple, size: int):
 def mat_inv(tower: Tower, a: tuple, size: int) -> tuple:
     if size == 1:
         return (tower.inv(a[0]),)
-    if size == 2:
-        det = mat_det(tower, a, 2)
-        di = tower.inv(det)
-        return (
-            tower.mul(a[3], di),
-            tower.mul(tower.neg(a[1]), di),
-            tower.mul(tower.neg(a[2]), di),
-            tower.mul(a[0], di),
-        )
-    m = [list(a[i * size : (i + 1) * size]) + [tower.one if k == i else tower.zero for k in range(size)] for i in range(size)]
-    for c in range(size):
-        piv = next((r for r in range(c, size) if m[r][c] != tower.zero), None)
-        if piv is None:
-            raise Singular("singular matrix")
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-        inv = tower.inv(m[c][c])
-        m[c] = [tower.mul(x, inv) for x in m[c]]
-        for r in range(size):
-            if r != c and m[r][c] != tower.zero:
-                f = m[r][c]
-                m[r] = [tower.sub(x, tower.mul(f, y)) for x, y in zip(m[r], m[c])]
-    return tuple(m[i][size + j] for i in range(size) for j in range(size))
+    if size == 2:  # the adjugate over the determinant
+        di = tower.inv(mat_det(tower, a, 2))
+        return tuple(tower.mul(x, di) for x in (a[3], tower.neg(a[1]), tower.neg(a[2]), a[0]))
+    inv, ok = tower.matinv(tower.digit_stack([a], size))
+    if not ok[0]:
+        raise Singular("singular matrix")
+    return tower.from_digit_stack(inv)[0]
 
 
 # -- symplectic structure ---------------------------------------------------------
+
+
+def form_times(x: np.ndarray, axis: int, p: int) -> np.ndarray:
+    """J·x mod p along an axis of length 2n: (x_{n..2n-1}, −x_{0..n-1}), for
+    J = [[0, 1], [−1, 0]], the Gram matrix of ⟨e_i, f_j⟩ = δ_ij.  The one
+    definition of the form: J itself is J·1."""
+    x = np.swapaxes(x, 0, axis)
+    n = len(x) // 2
+    return np.swapaxes(np.concatenate([x[n:], -x[:n] % p]), 0, axis)
+
+
+def form_pairing(tower: Tower, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """⟨u_a, w_b⟩ = u_a·J·w_bᵀ for digit rows u (…, k, 2n, A) and w (…, l, 2n, A): shape (…, k, l, A)."""
+    return tower.matmul(u, np.swapaxes(form_times(w, -2, tower.p), -3, -2))
+
+
+def multipliers(tower: Tower, g: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multipliers λ, digits (…, A), of digit matrices g (…, 2n, 2n, A) with
+    gᵀ·J·g = λ·J, and the mask (…) of the g that satisfy it with λ ≠ 0 and whose
+    entries lie at the level (are fixed by σ^level)."""
+    p, n = tower.p, g.shape[-2] // 2
+    cols = np.swapaxes(g, -3, -2)
+    gram = form_pairing(tower, cols, cols)  # (gᵀJg)_ij = ⟨g_i, g_j⟩ for the columns g_i
+    lam = gram[..., 0, n, :]
+    J = form_times(np.eye(2 * n, dtype=np.int64), 0, p)
+    ok = (gram == J[:, :, None] * lam[..., None, None, :] % p).all(axis=(-3, -2, -1)) & lam.any(axis=-1)
+    if level != tower.m:
+        ok &= (g @ tower.frob_matrix(level).T % p == g).all(axis=(-3, -2, -1))
+    return lam, ok
+
+
+def is_symplectic(tower: Tower, g: np.ndarray, level: int) -> np.ndarray:
+    """The mask (…) of the digit matrices g (…, 2n, 2n, A) in Sp_2n at the level: multiplier 1."""
+    lam, ok = multipliers(tower, g, level)
+    return ok & (lam[..., 0] == 1) & ~lam[..., 1:].any(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -132,14 +152,7 @@ class SympSpace:
     n: int
 
     def gram(self, tower: Tower) -> tuple:
-        n = self.n
-        z, o = tower.zero, tower.one
-        size = 2 * n
-        J = [[z] * size for _ in range(size)]
-        for i in range(n):
-            J[i][n + i] = o
-            J[n + i][i] = tower.from_int(-1)
-        return tuple(v for row in J for v in row)
+        return tuple(form_times(np.eye(2 * self.n, dtype=np.int64), 0, tower.p).ravel().tolist())
 
     def form(self, tower: Tower, u: tuple, v: tuple):
         """⟨u, v⟩ = Σ u_i v_{n+i} - u_{n+i} v_i."""
@@ -152,31 +165,15 @@ class SympSpace:
 
 
 def membership(tower: Tower, g: tuple, n: int, level: int):
-    """Classify a 2n×2n matrix: ('sp', None), ('gsp', λ), or ('neither', None)."""
+    """Classify a 2n×2n matrix: ('sp', None), ('gsp', λ) or ('neither', None), by `multipliers`."""
     size = 2 * n
     if len(g) != size * size:
         raise DimensionMismatch(f"expected a {size}x{size} matrix")
-    for x in g:
-        if not tower.in_level(x, level):
-            return ("neither", None)
-    J = SympSpace(n).gram(tower)
-    gt = mat_transpose(g, size)
-    gJg = mat_mul(tower, mat_mul(tower, gt, J, size), g, size)
-    lam = None
-    for idx in range(size * size):
-        if J[idx] != tower.zero:
-            ratio = tower.mul(gJg[idx], tower.inv(J[idx]))
-            if lam is None:
-                lam = ratio
-            elif lam != ratio:
-                return ("neither", None)
-        elif gJg[idx] != tower.zero:
-            return ("neither", None)
-    if lam is None or lam == tower.zero:
+    lam, ok = multipliers(tower, tower.digit_stack([g], size), level)
+    if not ok[0]:
         return ("neither", None)
-    if lam == tower.one:
-        return ("sp", None)
-    return ("gsp", lam)
+    (lam,) = tower.from_digit_array(lam)
+    return ("sp", None) if lam == tower.one else ("gsp", lam)
 
 
 # -- Sp action on the Heisenberg group ---------------------------------------------
@@ -256,9 +253,7 @@ def _gen_of_mult_group(tower: Tower, level: int):
     """Smallest generator of F_{q^level}^× in canonical order."""
     elems = tower.level_elements(level)
     n = len(elems) - 1
-    for x in elems:
-        if x == tower.zero:
-            continue
+    for x in elems[1:]:  # zero comes first
         order = 1
         y = x
         while y != tower.one:
@@ -280,23 +275,18 @@ class SympGroup(_MatrixSpec):
         self.size = 2 * n
         self.similitude = similitude
         self.space = SympSpace(n)
-        self._J = self.space.gram(tower)
-        self._Jneg = mat_transpose(self._J, self.size)  # −J = Jᵀ, with no field arithmetic
         self.norms: dict = {}  # normmap.gyoja_norms by (NormConfig, g, ambient_cap)
 
     def inv(self, a):
-        tower = self.tower
-        if self.n == 1:
-            if self.similitude:
-                return mat_inv(tower, a, 2)
-            # det = 1: adjugate
-            return (a[3], tower.neg(a[1]), tower.neg(a[2]), a[0])
+        """g⁻¹ = μ⁻¹·J⁻¹·gᵀ·J = μ⁻¹·[[dᵀ, −bᵀ], [−cᵀ, aᵀ]] for g = [[a, b], [c, d]] of
+        multiplier μ = ⟨g e₁, g f₁⟩, which is 1 on Sp."""
+        tower, n, size = self.tower, self.n, self.size
+        out = [a[(j + n) % size * size + (i + n) % size] for i in range(size) for j in range(size)]
+        out = [x if (k // size < n) == (k % size < n) else tower.neg(x) for k, x in enumerate(out)]
         if not self.similitude:
-            # symplectic inverse g^{-1} = J^{-1} gᵀ J, division-free
-            return mat_mul(
-                tower, mat_mul(tower, self._Jneg, mat_transpose(a, self.size), self.size), self._J, self.size
-            )
-        return mat_inv(tower, a, self.size)
+            return tuple(out)
+        mu_inv = tower.inv(self.space.form(tower, a[0::size], a[n::size]))
+        return tuple(tower.mul(mu_inv, x) for x in out)
 
     def order(self) -> int:
         Q = self.tower.q**self.level
@@ -381,24 +371,55 @@ class SympGroup(_MatrixSpec):
 
     @_memoized
     def elements(self):
-        tower, n = self.tower, self.n
-        if n == 1:
-            # nested loops over the level in canonical order emit sorted order
-            field = tower.level_elements(self.level)
-            if self.similitude:
-                return [(a, b, c, d) for a in field for b in field for c in field for d in field
-                        if tower.sub(tower.mul(a, d), tower.mul(b, c)) != tower.zero]
-            nz = field[1:]  # zero comes first
-            elems = []
-            for b in nz:
-                c = tower.neg(tower.inv(b))  # a = 0 → -bc = 1
-                elems += [(tower.zero, b, c, d) for d in field]
-            for a in nz:
-                ai = tower.inv(a)
-                # det = ad - bc = 1 → d = (1 + bc)/a
-                elems += [(a, b, c, tower.mul(tower.add(tower.one, tower.mul(b, c)), ai)) for b in field for c in field]
-            return elems
-        return _closure(self)
+        """The group, from the sorted codes of its symplectic bases (`_basis_codes`), decoded once."""
+        tower, size, Q = self.tower, self.size, self.tower.q**self.level
+        codes = _basis_codes(tower, self.n, self.level, np.arange(1, Q) if self.similitude else np.ones(1, int))
+        if len(codes) != self.order() or not (np.diff(codes) > 0).all():
+            raise InvariantBroken(f"{len(codes)} symplectic bases for a group of order {self.order()}")
+        field, out = np.array(tower.level_elements(self.level)), []
+        for lo in range(0, len(codes), _ORBIT_CHUNK):  # entry ranks of a chunk, to tuples
+            out += zip(*(field[r].tolist() for r in np.unravel_index(codes[lo : lo + _ORBIT_CHUNK], (Q,) * size**2)))
+        return out
+
+
+def _basis_codes(tower: Tower, n: int, level: int, lams: np.ndarray) -> np.ndarray:
+    """Sorted codes (`_code_columns`) of the g in GSp_2n(F_{q^level}) whose multiplier λ has its
+    rank in lams, as symplectic bases (Taylor, The Geometry of the Classical Groups): g's columns
+    e_1, f_1, …, e_n, f_n, in level coordinates, are filled in turn, each one's pairings with the
+    earlier ones λ times J's entries.  The pairing is F_p-bilinear, so for the whole stack of
+    partial bases that is one F_p-system; the kernel vector of one more unknown, for an f-column's
+    λ, is a particular solution, and each combination of the others (nonzero for e) a column."""
+    size, p, Q, A = 2 * n, tower.p, tower.q**level, tower.ambient_degree
+    basis, pivots = tower._level_basis(level), tower.level_pivots(level)
+    k, place = len(pivots), p ** np.arange(len(pivots))
+    K = size * k
+    unit = np.zeros((K, size, A), dtype=np.int64)  # unit[s·k + a]: β_a in slot s
+    unit[np.arange(K), np.arange(K) // k] = np.tile(basis, (size, 1))
+    pair = form_pairing(tower, unit, unit)[..., pivots]  # coordinates of ⟨unit_u, unit_v⟩
+    weights = np.einsum("rc,a->cra", _code_weights(Q, size * size).reshape(size, size), place)
+    lam = lams[:, None] // place % p
+    cols = np.zeros((len(lams), 0, K), dtype=np.min_scalar_type(p - 1))  # the partial bases
+    codes = np.zeros(len(lams), dtype=np.int64)
+    for step in range(size):
+        i, f = divmod(step, 2)
+        system = np.tensordot(cols, pair, axes=(2, 0)).swapaxes(2, 3).reshape(len(cols), step * k, K)
+        if f:  # ⟨e_i, x⟩ = λ on the last k rows: the kernel vector with last entry 1 solves it
+            lift = np.zeros((len(cols), step * k, 1), dtype=np.int64)
+            lift[:, -k:, 0] = -lam % p
+            kern = modp.kernel_basis(np.concatenate([system, lift], axis=2), p)
+            base, kern = kern[:, -1, None, :K], kern[:, :-1, :K]
+        else:
+            kern, base = modp.kernel_basis(system, p), 0
+        r = kern.shape[1]
+        combos = np.arange(1 - f, p**r)[:, None] // p ** np.arange(r) % p  # (0, …, 0) only for f
+        new = sum((combos[:, c, None] * kern[:, None, c] for c in range(r)), base) % p  # (B, len(combos), K)
+        codes = np.repeat(codes, len(combos)) + new.reshape(-1, K) @ weights[n * f + i].ravel()
+        if step < size - 1:
+            lam = np.repeat(lam, len(combos), axis=0)
+            cols = np.concatenate([np.repeat(cols, len(combos), axis=0),
+                                   new.reshape(-1, 1, K).astype(cols.dtype)], axis=1)
+    codes.sort()
+    return codes
 
 
 class HeisGroup(GroupSpec):
@@ -440,11 +461,7 @@ class HeisGroup(GroupSpec):
     @_memoized
     def elements(self):
         field = self.tower.level_elements(self.level)
-        out = []
-        for vec in product(field, repeat=2 * self.n):
-            for t in field:
-                out.append((vec, t))
-        return out
+        return [(vec, t) for vec in product(field, repeat=2 * self.n) for t in field]
 
     def random(self, rng):
         field = self.tower.level_elements(self.level)
@@ -592,7 +609,7 @@ class Partition:
         return len(self.reps)
 
 
-_ORBIT_CHUNK = 1 << 15  # element rows mapped per numpy batch
+_ORBIT_CHUNK = 1 << 15  # element rows mapped or decoded per numpy batch
 
 
 def _sandwich_map(tower: Tower, s: tuple, t: tuple, size: int) -> np.ndarray:
@@ -770,25 +787,6 @@ class SemidirectGroup(GroupSpec):
 
     def random(self, rng):
         return (rng.randrange(self.m), self.base.random(rng))
-
-
-def _closure(spec: GroupSpec) -> list:
-    """Deterministic closure of the generator set; sorted canonically."""
-    gens = spec.generators()
-    seen = {spec.identity()}
-    queue = [spec.identity()]
-    while queue:
-        cur = queue.pop()
-        for s in gens:
-            nxt = spec.mul(cur, s)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-                if len(seen) > spec.cap:
-                    raise GroupTooLarge("closure exceeded the enumeration cap")
-    if len(seen) != spec.order():
-        raise InvariantBroken("generators do not generate the whole group")
-    return sorted(seen)
 
 
 def block_embed(tower: Tower, g1: tuple, g2: tuple) -> tuple:

@@ -7,6 +7,8 @@ axes.  Polynomials are 1-d coefficient arrays, low degree first.
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 from .errors import DimensionMismatch, DivisionByZero, Singular
@@ -72,7 +74,7 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     axes; returns (R, pivot-column mask of shape (…, cols)).  The column loop runs
     once for the whole batch; each matrix takes its own pivots."""
     shape = np.shape(mat)
-    m = np.array(mat, dtype=np.int64).reshape(-1, *shape[-2:]) % p
+    m = np.array(mat, dtype=np.int64).reshape(prod(shape[:-2]), *shape[-2:]) % p  # rows may be 0
     count, rows, cols = m.shape
     mask = np.zeros((count, cols), dtype=bool)
     nxt = np.zeros(count, dtype=np.int64)  # the next pivot row of each matrix

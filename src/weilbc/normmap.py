@@ -32,7 +32,8 @@ import numpy as np
 from . import modp
 from .errors import ConfigInvalid, WitnessFailed
 from .fieldtower import Embedding, Tower, enlarge_tower
-from .grouplib import GroupSpec, SympGroup, conjugacy_classes, twisted_classes
+from .grouplib import (GroupSpec, SympGroup, conjugacy_classes, form_pairing, form_times, is_symplectic,
+                       twisted_classes)
 
 _K0_GUARD = 100_000
 _CHUNK_BYTES = 1 << 17  # working-set bound of one stacked F_p-system, 128 KB of int64: peak RSS grows with it
@@ -123,18 +124,6 @@ def _semilinear(big: Tower, d: int, h: np.ndarray) -> np.ndarray:
     return (frob - big.block_matrix(np.swapaxes(h, -3, -2))) % big.p
 
 
-def _j(x: np.ndarray, axis: int) -> np.ndarray:
-    """J·x along an axis of length 2n: (x_{n..2n-1}, −x_{0..n-1})."""
-    x = x.swapaxes(0, axis)
-    n = len(x) // 2
-    return np.concatenate([x[n:], -x[:n]]).swapaxes(0, axis)
-
-
-def _pairing(big: Tower, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """⟨u_a, w_b⟩ = u_a·J·w_bᵀ for digit rows u (…, k, n2, A) and w (…, l, n2, A): shape (…, k, l, A)."""
-    return big.matmul(u, np.swapaxes(_j(w, -2) % big.p, -3, -2))
-
-
 def _level_inverse(big: Tower, c: np.ndarray, d: int) -> np.ndarray:
     """Digits of c⁻¹ = c^{q^d − 2} for digits c (…, A) in F_{q^d}^×, by squaring on the kernel."""
     out = base = c[..., None, None, :]
@@ -166,7 +155,7 @@ def _darboux_alpha(big: Tower, d: int, rows: np.ndarray) -> np.ndarray:
     left, us, ws = rows, [], []
     while left.shape[1]:
         u, left = left[:, 0], left[:, 1:]
-        forms = _pairing(big, u[:, None], left)[:, 0]
+        forms = form_pairing(big, u[:, None], left)[:, 0]
         nonzero = forms.any(axis=2)
         if not nonzero.any(axis=1).all():
             raise WitnessFailed("degenerate pairing on Lang solution space")
@@ -177,7 +166,7 @@ def _darboux_alpha(big: Tower, d: int, rows: np.ndarray) -> np.ndarray:
         w = big.matmul(_level_inverse(big, c, d)[:, None, None], left[at, pick][:, None])[:, 0]
         left = left[np.arange(left.shape[1]) != pick[:, None]].reshape(len(rows), -1, *left.shape[2:])
         if left.shape[1]:  # z ↦ z − ⟨z, w⟩·u + ⟨z, u⟩·w
-            ab = _pairing(big, left, np.stack([w, u], axis=1))
+            ab = form_pairing(big, left, np.stack([w, u], axis=1))
             coef = np.stack([-ab[:, :, 0], ab[:, :, 1]], axis=2) % p
             left = (left + big.matmul(coef, np.stack([u, w], axis=1))) % p
         us.append(u)
@@ -186,11 +175,12 @@ def _darboux_alpha(big: Tower, d: int, rows: np.ndarray) -> np.ndarray:
 
 
 def _inverse(big_spec: SympGroup, alpha: np.ndarray) -> np.ndarray:
-    """Digits of α⁻¹ for digit matrices α (…, n2, n2, A): J⁻¹·αᵀ·J on Sp, division-free; on GSp
-    `Tower.matinv`."""
+    """Digits of α⁻¹ for digit matrices α (…, n2, n2, A): on Sp, J⁻¹·αᵀ·J = J·(J·α)ᵀ, the
+    formula of `SympGroup.inv`, division-free; on GSp `Tower.matinv`, since a GSp witness is
+    any invertible basis of the Lang solution space, a similitude only when n = 1."""
     big = big_spec.tower
     if not big_spec.similitude:
-        return _j(np.swapaxes(_j(alpha, -3), -3, -2), -3) % big.p
+        return form_times(np.swapaxes(form_times(alpha, -3, big.p), -3, -2), -3, big.p)
     inv, ok = big.matinv(alpha)
     if not ok.all():
         raise WitnessFailed("Lang witness is singular")
@@ -206,9 +196,7 @@ def _lang_matrix(big_spec: SympGroup, h: np.ndarray, d: int) -> np.ndarray:
     basis = _fqd_basis_rows(big, d, kern.reshape(*kern.shape[:2], n2, -1))
     if not big_spec.similitude:
         alpha = _darboux_alpha(big, d, basis)
-        # the Sp inverse J⁻¹·αᵀ·J is exact only on Sp: check α·J·αᵀ = J
-        gram = big.digit_array(big_spec.space.gram(big)).reshape(alpha.shape[1:])
-        if not (_pairing(big, alpha, alpha) == gram).all():
+        if not is_symplectic(big, alpha, big.m).all():  # the Sp inverse J⁻¹·αᵀ·J is exact only on Sp
             raise WitnessFailed("Darboux witness is not symplectic")
     else:
         alpha = basis

@@ -59,7 +59,7 @@ from . import modp
 from .cyclotomic import CycNum, check_int64, gauss_sum
 from .errors import DimensionMismatch, FactorizationFailed, NotSymplectic, OperatorOverflow, Singular
 from .fieldtower import Tower
-from .grouplib import SympSpace, mat_identity, mat_inv, mat_vec
+from .grouplib import SympGroup, SympSpace, is_symplectic, mat_identity
 
 _STACK_CAP = 128  # elements factored at once
 _PATH_CAP = 1 << 13  # paths held at once by one stacked trace walk
@@ -363,8 +363,8 @@ class RepContext:
         j = j % self.level
         got = self._gal_perm.get(j)
         if got is None:
-            frob, coords = self.tower.frobenius, self._coordinates()
-            got = coords.index(coords.image(lambda v: tuple(frob(c, -j) for c in v)))
+            coords = self._coordinates()
+            got = coords.index(coords.frobenius(-j, coords.pts))
             self._gal_perm[j] = got
         return got
 
@@ -503,8 +503,8 @@ class RepContext:
         reps = coords.points(size if slot is None else 1)
         if slot is not None:
             reps = np.pad(reps, ((0, 0), (slot * width, (size - 1 - slot) * width)))
-        a = self.move(mat_inv(tower, s, size), reps)
-        b = reps @ coords.linear(lambda v: tuple(tower.frobenius(c, j) for c in v), size) % p
+        a = self.move(SympGroup(tower, self.n, self.level).inv(s), reps)
+        b = coords.frobenius(j, reps)
         ri, vi = np.nonzero(coords.index((a - b)[:, sel] % p)[:, None] == coords.index(vs[:, sel])[None, :])
         e = tower.half * (coords.symplectic(vs[vi], a[ri] + b[ri]) - coords.symplectic(a[ri], b[ri]))
         e = (e + (0 if ts is None else ts[vi])) % p
@@ -529,8 +529,7 @@ class RepContext:
 
     def move(self, g: tuple, vs: np.ndarray) -> np.ndarray:
         """Coordinates of g·v for the V-coordinate rows vs; g is symplectic."""
-        size = 2 * self.n
-        return vs @ self._coordinates().linear(lambda v: mat_vec(self.tower, g, v, size), size) % self.p
+        return vs @ self._coordinates().action(self.tower.digit_stack([g], 2 * self.n))[0] % self.p
 
     def value(self, row, w: int = 0) -> CycNum:
         """G^{-n·w}·Σ_e row[e]·ζ^e for an integer row of ψ'-exponent counts."""
@@ -560,9 +559,11 @@ class _Coordinates:
     matrix T[a, b] = Tr(scale·β_a·β_b) the ψ'-exponent of x·w for points x, w
     is c(x)·(1_n ⊗ T)·c(w) mod p, and an F_p-linear map of points (mat·y,
     Frobenius) is a linear map of coordinates.  The digit of a level element
-    at pivot a is its coordinate a, so a stack of level matrices acts on
-    coordinates through its F_p block matrices (`action`).  Building the
-    model costs O(k²) tower multiplications for the F_p-dimension k of the level.
+    at pivot a is its coordinate a, so each map is read off the F_p-matrix that
+    carries it out on ambient digits: a stack of level matrices acts through
+    its block matrices (`action`), σ^j through `Tower.frob_matrix`
+    (`frobenius`).  Building the model costs O(k²) tower multiplications for
+    the F_p-dimension k of the level.
     """
 
     def __init__(self, ctx: RepContext):
@@ -572,11 +573,8 @@ class _Coordinates:
         k = len(pivots)
         self.ctx = ctx
         self.basis = [elems[p**a] for a in range(k)]
-        pick = np.zeros((tower.ambient_degree, k), dtype=np.int64)
-        pick[pivots, np.arange(k)] = 1
-        # c(y) @ _embed are the stacked ambient digits of y, and digits @ _pick its coordinates
-        self._embed = np.kron(np.eye(n, dtype=np.int64), tower._level_basis(ctx.level))
-        self._pick = np.kron(np.eye(n, dtype=np.int64), pick)
+        # c(y) @ _embed are the ambient digits of a level element y, and its digits at _pivots its coordinates
+        self._embed, self._pivots = tower._level_basis(ctx.level), pivots
         place = p ** np.arange(k)
         self._of = dict(zip(elems, np.arange(len(elems))[:, None] // place % p))
         psi = [[tower.psi_exponent(tower.mul(a, b), ctx.level, ctx.scale) for b in self.basis] for a in self.basis]
@@ -592,21 +590,25 @@ class _Coordinates:
         """Coordinates of a tuple v of level elements, concatenated."""
         return np.concatenate([self._of[c] for c in v])
 
-    def linear(self, f, slots: int) -> np.ndarray:
-        """The matrix lin with c(f(y)) = c(y) @ lin mod p, for f F_p-linear on
-        slots-tuples of level elements; row (i, a) is c(f(β_a·e_i))."""
-        zero = self.ctx.tower.zero
-        return np.array([self.vector(f(tuple(beta if k == i else zero for k in range(slots))))
-                         for i in range(slots) for beta in self.basis])
-
-    def image(self, f) -> np.ndarray:
-        """Coordinates of f(y) for every basis point y; f is F_p-linear on points."""
-        return self.pts @ self.linear(f, self.ctx.n) % self.ctx.p
+    def _restrict(self, digit_map: np.ndarray) -> np.ndarray:
+        """The matrices lin (…, s·k, s·k) with c(f(y)) = c(y) @ lin mod p, for an F_p-linear f
+        of s-tuples of level elements into themselves that digit_map (…, s·A, s·A) carries
+        out on concatenated ambient digit rows."""
+        *lead, rows, cols = digit_map.shape
+        A = self._embed.shape[1]
+        lin = self._embed @ digit_map.reshape(*lead, rows // A, A, cols)  # rows (i, a) from c(β_a·e_i)
+        lin = lin.reshape(*lead, -1, cols // A, A)[..., self._pivots]  # columns (j, b) at the pivots
+        return lin.reshape(*lead, lin.shape[-3], -1) % self.ctx.p
 
     def action(self, mats: np.ndarray) -> np.ndarray:
-        """The matrices lin (E, n·k, n·k) with c(M·y) = c(y) @ lin mod p, for the
-        digit matrices M (E, n, n, A) of a stack of n×n matrices over the level."""
-        return self._embed @ self.ctx.tower.block_matrix(mats).swapaxes(-1, -2) @ self._pick % self.ctx.p
+        """The matrices lin (E, s·k, s·k) with c(M·y) = c(y) @ lin mod p, for the
+        digit matrices M (E, s, s, A) of a stack of s×s matrices over the level."""
+        return self._restrict(self.ctx.tower.block_matrix(mats).swapaxes(-1, -2))
+
+    def frobenius(self, j: int, ys: np.ndarray) -> np.ndarray:
+        """Coordinates of σ^j(y) for the coordinate rows ys of tuples of level elements."""
+        lin = self._restrict(self.ctx.tower.frob_matrix(j).T)
+        return (ys.reshape(len(ys), -1, len(lin)) @ lin % self.ctx.p).reshape(ys.shape)
 
     def index(self, coords: np.ndarray) -> np.ndarray:
         """Indices of coordinate rows of tuples (basis points when n-tuples)."""
@@ -672,31 +674,12 @@ def _siegel_words(tower: Tower, n: int, level: int, g: np.ndarray) -> list:
     """The checked Siegel words of a stack of digit matrices g (E, 2n, 2n, A):
     `_siegel_cells` after the stack's membership check, each cell's words
     checked against its elements.  Raises NotSymplectic or FactorizationFailed."""
-    _check_symplectic(tower, n, level, g)
+    if not is_symplectic(tower, g, level).all():
+        raise NotSymplectic("input matrix is not symplectic at this level")
     cells = _siegel_cells(tower, n, level, g)
     for where, tags, blocks in cells:
         _check_word(tower, n, g[where], tags, blocks)
     return cells
-
-
-@lru_cache(maxsize=None)
-def _form_digits(tower: Tower, n: int) -> np.ndarray:
-    """Digits (2n, 2n, A) of the Gram matrix J = [[0, 1], [−1, 0]], read-only."""
-    out = np.zeros((2 * n, 2 * n, tower.ambient_degree), dtype=np.int64)
-    out[np.arange(n), np.arange(n, 2 * n), 0] = 1
-    out[np.arange(n, 2 * n), np.arange(n), 0] = tower.p - 1
-    out.flags.writeable = False
-    return out
-
-
-def _check_symplectic(tower: Tower, n: int, level: int, g: np.ndarray) -> None:
-    """Raise NotSymplectic unless every digit matrix of the stack g lies in
-    Sp_2n at the level: entries fixed by σ^level and gᵀ·J·g = J."""
-    p = tower.p
-    fixed = level == tower.m or np.array_equal(g @ tower.frob_matrix(level).T % p, g)
-    jg = np.concatenate([g[:, n:], -g[:, :n] % p], axis=1)  # J·g
-    if not (fixed and (tower.matmul(g.swapaxes(1, 2), jg) == _form_digits(tower, n)).all()):
-        raise NotSymplectic("input matrix is not symplectic at this level")
 
 
 _BIG_CELL = ("unip", "weyl", "unip")

@@ -10,8 +10,9 @@ from weilbc import modp
 from weilbc.cyclotomic import CycNum
 from weilbc.errors import ConfigInvalid, EvenCharacteristic, InvariantBroken, LevelMismatch, NotPrime, ZeroArgument
 from weilbc.fieldtower import Tower, build_tower, enlarge_tower, find_modulus, get_embedding
-from weilbc.grouplib import HeisGroup, SympGroup, TorusSL2, mat_mul
+from weilbc.grouplib import HeisGroup, SympGroup, TorusSL2, mat_mul, membership
 from weilbc.normmap import _ambient_levels, _level_inverse, choose_t, gyoja_norm, lang_solve
+from weilbc.schrodinger import RepContext
 
 
 @pytest.fixture(scope="module")
@@ -384,6 +385,19 @@ def test_digit_codec_round_trip_property(data):
     t, x, y = data.draw(arith_tower_and_elements())
     assert t.from_digit_array(t.digit_array([x, y])) == (x, y)
     assert t.digit_array([x])[0].tolist() == _base_p(t, x)
+
+
+def test_digit_codec_refuses_a_non_element(t92):
+    """An int outside 0..size−1 is no element of the field: the codec behind every digit
+    stack refuses it with a typed error instead of reading 82 as 1 at F_9."""
+    for bad in (9, 82, -1, 2**70):
+        with pytest.raises(LevelMismatch):
+            t92.digit_array([0, bad])
+    with pytest.raises(LevelMismatch):
+        membership(t92, (82, 0, 0, 1), 1, 2)
+    with pytest.raises(LevelMismatch):
+        RepContext(t92, 1, 2).extended_traces(0, [(82, 0, 0, 1)])
+    assert t92.digit_array([8, 0]).tolist() == [[2, 2], [0, 0]]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

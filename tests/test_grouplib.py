@@ -1,10 +1,12 @@
+import hashlib
 import random
 from functools import cache
+from itertools import chain
 
 import pytest
 
 from weilbc import grouplib
-from weilbc.errors import GroupTooLarge
+from weilbc.errors import GroupTooLarge, InvariantBroken
 from weilbc.fieldtower import build_tower
 from weilbc.grouplib import (
     HeisGroup,
@@ -34,6 +36,9 @@ def test_membership_examples(t92):
 
 def test_membership_neither(t92):
     assert membership(t92, (1, 1, 1, 1), 1, 1)[0] == "neither"
+    diag = (3, 0, 0, t92.inv(3))  # 3 generates F9 over F3: in SL2(F9), not at level 1
+    assert membership(t92, diag, 1, 2) == ("sp", None)
+    assert membership(t92, diag, 1, 1)[0] == "neither"
 
 
 def test_heis_law_examples(t92):
@@ -208,16 +213,59 @@ def test_heis_mul_rejects_mixed_sizes(t92):
         HeisGroup(t92, 1, 1).mul(((1, 0), 0), ((1, 0, 0, 0), 0))
 
 
-def test_closure_rejects_generators_of_a_subgroup(t92):
-    from weilbc.errors import InvariantBroken
-    from weilbc.grouplib import _closure
+def _generated(spec) -> bool:
+    """Whether generators() generate the group: the left-multiplication orbit of the identity
+    under them, found on the digit array of all elements, is the whole group."""
+    tower, size, elems = spec.tower, spec.size, spec.elements()
+    digits = tower.digit_array(chain.from_iterable(elems)).reshape(len(elems), -1)
+    cols, weights = grouplib._code_columns(tower, spec.level, size * size)
+    codes = digits[:, cols] @ weights
+    one = spec.identity()
+    images = [grouplib._image_indices(digits, codes, grouplib._sandwich_map(tower, s, one, size), cols, weights,
+                                      tower.p) for s in spec.generators()]
+    labels = grouplib._min_labels(images, len(elems))
+    return bool((labels == labels[elems.index(one)]).all())
 
-    class UnipotentOnly(SympGroup):  # the unipotent generators span only the upper unipotents
+
+@pytest.mark.parametrize("group", ["sl", "gsp", "sl49", "sp4f3"])
+def test_generators_generate_the_group(group):
+    """The partitions take their orbits from generators(): they must generate the group."""
+    assert _generated(_group(group))
+
+
+def test_a_proper_subgroup_fails_the_generation_check(t92):
+    class UnipotentOnly(SympGroup):  # the first unipotent generator spans a group of order 3
         def generators(self):
             return super().generators()[:1]
 
+    assert not _generated(UnipotentOnly(t92, 2, 1))
+
+
+_PINNED = {  # SHA-256 of repr(elements()), recorded with the generator closure and the SL2/GL2 loops
+    "sl": "3db119d7eca1a93e5e3383baec9bca1ca28105e31a470fe28b26dff0ee0ee47a",
+    "gsp": "2d9a3aeda9557e24b9b1e191e448be9341e57664c1596925eea4bb1224361895",
+    "sl49": "6a271485eaa99db6ce18d29ca0cb7747ecb8d644337b2e0a90e125a2fea64d3a",
+    "sl9-computed": "c98a36164b48aa5614b5deb75d9838ae285668665fa44da460d40b70bece4594",
+    "sp4f3": "95b0a8337314a94bb82dca251f6d50ea9735663c68aad0fbc22be466b707e48c",
+    "gsp4f3": "f357b42a381a74acb4d79ebc84e1093a4f4eb2e81b50e6e553ea5d8f76eaa97d",
+}
+
+
+@pytest.mark.parametrize("group", sorted(_PINNED))
+def test_enumeration_is_pinned(group):
+    """elements() lists the group in sorted order, byte for byte as before the symplectic-basis enumerator."""
+    spec = _group(group)
+    elems = spec.elements()
+    assert len(elems) == spec.order()
+    assert hashlib.sha256(repr(elems).encode()).hexdigest() == _PINNED[group]
+
+
+def test_enumeration_refuses_a_wrong_count(t92, monkeypatch):
+    """A count of symplectic bases other than order() is an internal error."""
+    spec = SympGroup(t92, 1, 2)
+    monkeypatch.setattr(spec, "order", lambda: 721)
     with pytest.raises(InvariantBroken):
-        _closure(UnipotentOnly(t92, 2, 1))
+        spec.elements()
 
 
 def _reference_partition(spec, twist):
@@ -248,7 +296,7 @@ def _reference_partition(spec, twist):
 
 @cache
 def _group(name):
-    """Groups built once for the module: Sp4(F3) alone takes seconds to enumerate."""
+    """Groups built once for the module: their partitions, not their enumerations, are the cost."""
     t92 = build_tower(3, 1, 2)
     return {
         "sl": lambda: SympGroup(t92, 1, 2),  # SL2(F9)
@@ -257,6 +305,7 @@ def _group(name):
         "sl25": lambda: SympGroup(build_tower(5, 1, 2), 1, 2),
         "sl49": lambda: SympGroup(build_tower(7, 1, 2), 1, 2),
         "sp4f3": lambda: SympGroup(t92, 2, 1),
+        "gsp4f3": lambda: SympGroup(t92, 2, 1, similitude=True),
         "sl9-computed": lambda: SympGroup(build_tower(3, 1, 6), 1, 2),  # entries on a tower without tables
     }[name]()
 

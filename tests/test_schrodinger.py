@@ -128,6 +128,8 @@ def test_factorization_examples(t92):
 def test_factorization_rejects_nonsymplectic(t92):
     with pytest.raises(NotSymplectic):
         siegel_factor(t92, 1, 1, (1, 1, 1, 1))
+    with pytest.raises(NotSymplectic):  # in SL2(F9), not at level 1: 3 is the generator of F9 over F3
+        siegel_factor(t92, 1, 1, (3, 0, 0, t92.inv(3)))
 
 
 def test_factorization_certificates_exhaustive_sl2_f3(t92):
