@@ -13,6 +13,7 @@ in the smallest unsigned dtype that holds an element, or as Python ints past
 
 from __future__ import annotations
 
+import operator
 from itertools import accumulate, chain
 from math import lcm
 
@@ -33,7 +34,7 @@ from .errors import (
 
 TABLE_CAP = 100  # tabulate add/mul when the ambient field has at most this many elements
 ENUM_CAP = 1_000_000  # largest field level or group order to enumerate
-_ROOT_SCAN_P = 1024  # find_modulus scans F_p for roots up to this p; past it the scan outcosts Rabin's test
+_ROOT_SCAN_P = 1024  # find_modulus scans F_p for roots up to this p; past it the scan outcosts Berlekamp's test
 
 
 def is_prime(n: int) -> bool:
@@ -48,56 +49,26 @@ def is_prime(n: int) -> bool:
 
 
 def _frobenius_matrix(modulus: np.ndarray, p: int) -> np.ndarray:
-    """Matrix of g ↦ g^p mod modulus on coefficient columns."""
+    """Matrix of g ↦ g^p mod a monic modulus on coefficient columns: column j is x^{pj}, the
+    j-th Krylov column of Y = C^p, the p-th power of the companion matrix C (x times)."""
     deg = len(modulus) - 1
-    if deg == 1:
-        return np.ones((1, 1), dtype=np.int64)
-    xp = np.ones(1, dtype=np.int64)
-    for bit in bin(p)[2:]:  # x^p mod modulus by square and multiply, reduced once past the degree
-        xp = modp.poly_mul(xp, xp, p)
-        if bit == "1":
-            xp = np.concatenate([[0], xp])
-        if len(xp) > deg:
-            xp = modp.poly_mod(xp, modulus, p)
-    cols = []
-    cur = np.ones(1, dtype=np.int64)
-    for _ in range(deg):
-        col = np.zeros(deg, dtype=np.int64)
-        col[: len(cur)] = cur
-        cols.append(col)
-        cur = modp.poly_mod(modp.poly_mul(cur, xp, p), modulus, p)
-    return np.array(cols, dtype=np.int64).T % p
+    comp = np.eye(deg, k=-1, dtype=np.int64)
+    comp[:, -1] = -np.asarray(modulus[:-1], dtype=np.int64) % p
+    cols, power = np.eye(deg, 1, dtype=np.int64), modp.mat_pow(comp, p, p)
+    while cols.shape[1] < deg:  # [K | Y^k·K] holds the columns Y^j·1 for j < 2k
+        cols, power = np.hstack([cols, power @ cols % p]), power @ power % p
+    return cols[:, :deg]
 
 
 def _is_irreducible(poly: np.ndarray, p: int) -> bool:
-    """Rabin's test: x^{p^deg} ≡ x and gcd(x^{p^{deg/r}} - x, poly) = 1."""
+    """Berlekamp's test for degree >= 2: x^{p^deg} ≡ x makes poly squarefree with factors
+    of degrees dividing deg, and then nullity(Q − 1) for the Frobenius matrix Q counts them."""
     deg = len(poly) - 1
-    if deg == 1:
-        return True
-    if poly[0] == 0:
-        return False
-    frob = _frobenius_matrix(poly, p)
-    xvec = np.zeros(deg, dtype=np.int64)
-    xvec[1] = 1
-    top = modp.mat_pow(frob, deg, p) @ xvec % p
-    if not np.array_equal(top, xvec):
-        return False
-    r = 2
-    dd = deg
-    primes = []
-    while dd > 1:
-        if dd % r == 0:
-            primes.append(r)
-            while dd % r == 0:
-                dd //= r
-        r += 1
-    for r in primes:
-        img = modp.mat_pow(frob, deg // r, p) @ xvec % p
-        diff = modp.poly_trim((img - xvec) % p)
-        g = modp.poly_gcd(diff, poly, p)
-        if len(g) != 1:
-            return False
-    return True
+    frob, x = _frobenius_matrix(poly, p), np.eye(deg, dtype=np.int64)[1]
+    image = x
+    for _ in range(deg):  # x^{p^deg}, one matrix-vector product per power of p
+        image = frob @ image % p
+    return np.array_equal(image, x) and bool(modp.reverse_echelon(frob[None] - np.eye(deg, dtype=np.int64), deg - 1, p)[1][0])
 
 
 def find_modulus(p: int, degree: int) -> tuple[int, ...]:
@@ -115,10 +86,8 @@ def find_modulus(p: int, degree: int) -> tuple[int, ...]:
             values[k + 1] = values[k] * np.arange(p) % p
     for c0 in range(1, p):
         for rest in range(p ** (degree - 1)):
-            digits = [c0]
-            for pos in range(degree - 1):
-                digits.append(rest // p ** (degree - 2 - pos) % p)
-            cand = np.array(digits + [1], dtype=np.int64)
+            high = [rest // p ** (degree - 2 - pos) % p for pos in range(degree - 1)]
+            cand = np.array([c0, *high, 1], dtype=np.int64)
             if values is not None and not (cand @ values % p).all():
                 continue  # a root in F_p: reducible
             if _is_irreducible(cand, p):
@@ -217,10 +186,10 @@ class Tower:
     def digit_array(self, elems) -> np.ndarray:
         """Digit rows of an iterable of elements, shape (count, ambient degree),
         in the smallest unsigned dtype that holds a digit.  Raises LevelMismatch
-        on an int outside 0..size−1, which is no element of the ambient field."""
+        on a non-integer or an int outside 0..size−1: no element of the ambient field."""
         try:
-            values = np.fromiter(elems, dtype=self._place.dtype)
-        except OverflowError as exc:
+            values = np.fromiter(map(operator.index, elems), dtype=self._place.dtype)
+        except (OverflowError, TypeError) as exc:
             raise LevelMismatch(f"not an element of the field of {self.size} elements: {exc}") from None
         if len(values) and (values.max() >= self.size or values.min() < 0):
             raise LevelMismatch(f"not an element of the field of {self.size} elements")
@@ -366,14 +335,12 @@ class Tower:
         has its highest nonzero digit, 1, at pivot k, where every other row is 0,
         and the pivots ascend."""
         lv = self._level(d)
-        if lv.basis is None:
-            mat = (self.frob_matrix(d) - np.eye(self._A, dtype=np.int64)) % self.p
-            kernel = modp.kernel_basis(mat, self.p)
-            if kernel.shape[0] != self.base_degree * d:
-                raise InvariantBroken(f"fixed field of level {d} has the wrong dimension")
-            high_first, mask = modp.rref(kernel[:, ::-1], self.p)
-            lv.basis = high_first[::-1, ::-1]
-            lv.pivots = [self._A - 1 - c for c in reversed(np.flatnonzero(mask).tolist())]
+        if lv.basis is None:  # the trace onto F_{q^d}, the sum of the powers of Frob^d, spans it
+            basis, certified = modp.fixed_space(self.frob_matrix(d)[None], self.m // d, self.base_degree * d, 1, self.p)
+            if not certified[0]:
+                raise InvariantBroken(f"Frobenius of level {d} does not have order {self.m // d}")
+            lv.basis = basis[0]
+            lv.pivots = [int(np.flatnonzero(row)[-1]) for row in lv.basis]
         return lv.basis
 
     def level_pivots(self, d: int) -> list[int]:
@@ -512,18 +479,15 @@ class Embedding:
         sub_elems = dst.level_elements(A1 // dst.base_degree) if A1 % dst.base_degree == 0 else None
         if sub_elems is None:
             raise ConfigInvalid("source field does not sit at a level of the destination tower")
-        best = None
-        f = src.modulus
-        for s in sub_elems:
-            acc = dst.from_int(f[-1])
-            for c in reversed(f[:-1]):
-                acc = dst.add(dst.mul(acc, s), dst.from_int(c))
-            if acc == dst.zero:
-                best = s
-                break  # elements come in canonical order: first root is the smallest
-        if best is None:
+        digits = dst.digit_array(sub_elems).astype(np.int64)
+        values = np.zeros_like(digits)
+        for c in reversed(src.modulus):  # Horner on the whole subfield at once
+            values = dst._product(values, digits)
+            values[:, 0] = (values[:, 0] + c) % p
+        roots = np.flatnonzero(~values.any(axis=1))
+        if not roots.size:
             raise InvariantBroken("source modulus has no root in destination")
-        self.root = best
+        self.root = best = sub_elems[roots[0]]  # elements come in canonical order: the first root is the smallest
         powers = accumulate([best] * (A1 - 1), dst.mul, initial=dst.one)  # 1, root, root², …
         self._mat = dst._decode(list(powers)).T  # (A2, A1)
         self._left_inv = modp.left_inverse(self._mat, p)

@@ -7,11 +7,13 @@ axes.  Polynomials are 1-d coefficient arrays, low degree first.
 
 from __future__ import annotations
 
+import random
+from functools import lru_cache
 from math import prod
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivisionByZero, Singular
+from .errors import DimensionMismatch, DivisionByZero, InvariantBroken, Singular
 
 
 def _pow_mod(a, e: int, p: int):
@@ -78,8 +80,8 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     count, rows, cols = m.shape
     mask = np.zeros((count, cols), dtype=bool)
     nxt = np.zeros(count, dtype=np.int64)  # the next pivot row of each matrix
-    bound = p - 1  # of |entries|: a step adds at most (p−1)², so m is reduced only before it could leave int64
-    for c in range(cols):
+    bound, top = p - 1, np.iinfo(np.int64).max - (p - 1) ** 2  # a step adds at most (p−1)² to |entries|,
+    for c in range(cols):  # so m is reduced only before it could leave int64
         if (nxt == rows).all():
             break
         col = m[:, :, c] % p
@@ -87,7 +89,7 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         b = np.flatnonzero(cand.any(axis=1))
         if not b.size:
             continue
-        if bound > np.iinfo(np.int64).max - (p - 1) ** 2:
+        if bound > top:
             m, bound = m % p, p - 1
         i, r = cand[b].argmax(axis=1), nxt[b]
         prow, f = m[b, i] % p, col[b]
@@ -112,6 +114,56 @@ def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
     moved[mask] = m[np.arange(m.shape[-2]) < rank[..., None]]
     kernel = ((np.eye(cols, dtype=np.int64) - moved) % p).swapaxes(-1, -2)
     return kernel[~mask].reshape(*mask.shape[:-1], nullity[0], cols)
+
+
+def reverse_echelon(rows: np.ndarray, rank: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse reduced echelon forms (B, rank, N) of the spans of rows (B, S >= rank, N), one pivot
+    step per row (its highest entry, 1; the pivots ascend), and the mask (B,) of spans of dimension rank."""
+    m, at = rows[:, :, ::-1] % p, np.arange(len(rows))
+    full = np.ones(len(m), dtype=bool)
+    for j in range(rank):
+        nz = m[:, j:] != 0
+        c = nz.any(axis=1).argmax(axis=1)
+        r = nz[at, :, c].argmax(axis=1) + j
+        full &= nz[at, r - j, c]
+        prow = m[at, r]
+        m[at, r] = m[:, j]
+        prow = prow * inv_mod(prow[at, c], p)[:, None] % p  # zero where there is no pivot
+        m = (m - m[at, :, c][:, :, None] * prow[:, None]) % p  # row j is set below
+        m[:, j] = prow
+    return m[:, :rank][:, ::-1, ::-1], full & ~m[:, rank:].any(axis=(1, 2))
+
+
+@lru_cache
+def _scalars(width: int, count: int, p: int) -> np.ndarray:
+    """Digit columns (width, count) of fixed pseudo-random scalars, each with a nonzero digit 0."""
+    rng = random.Random(width)
+    return np.array([[rng.randrange(r == 0, p) for _ in range(count)] for r in range(width)], dtype=np.int64)
+
+
+def fixed_space(phi: np.ndarray, order: int, rank: int, blocks: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Galois descent for a stack of F_p-matrices phi (B, N, N) of maps Φ on `blocks` coordinates
+    over a cyclic extension of degree `order`, each semilinear for a generator of its Galois group:
+    where Φ^order = 1, T = Σ_{k<order} Φ^k maps onto the fixed space (Speiser), of dimension rank.
+    Returns the bases (B, rank, N) that kernel_basis(phi − 1) returns, spanned by T on the starts
+    c·e_i for a few fixed scalars c ≠ 0, or eliminated where those fall short; and the mask (B,)
+    of the Φ certified by Φ^order = 1 on the starts, whose bases alone are meaningful."""
+    width = phi.shape[-1] // blocks
+    starts = np.kron(np.eye(blocks, dtype=np.int64), _scalars(width, min(width, rank // blocks + 2), p))
+    x = start = np.broadcast_to(starts, (len(phi), *starts.shape))
+    total = np.zeros_like(x)
+    for _ in range(order):  # one stacked product per power of Φ
+        total += x
+        x = phi @ x % p
+    basis, full = reverse_echelon(total.swapaxes(1, 2), rank, p)
+    full &= (phi @ basis.swapaxes(1, 2) % p == basis.swapaxes(1, 2)).all(axis=(1, 2))  # Φ(v) = v
+    certified = (x == start).all(axis=(1, 2))
+    if (redo := certified & ~full).any():
+        kernel = kernel_basis((phi[redo] - np.eye(phi.shape[-1], dtype=np.int64)) % p, p)
+        if kernel.shape[-2] != rank:
+            raise InvariantBroken(f"a certified map fixes a space of dimension {kernel.shape[-2]}, not {rank}")
+        basis[redo] = kernel
+    return basis, certified
 
 
 def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
@@ -157,10 +209,6 @@ def poly_trim(a: np.ndarray) -> np.ndarray:
     return a[: int(nz[-1]) + 1]
 
 
-def poly_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return np.convolve(a.astype(np.int64), b.astype(np.int64)) % p
-
-
 def poly_divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     a = poly_trim(np.array(a, dtype=np.int64) % p)
     b = poly_trim(np.array(b, dtype=np.int64) % p)
@@ -178,20 +226,6 @@ def poly_divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.nd
         if coef:
             rem[k : k + db + 1] = (rem[k : k + db + 1] - coef * b) % p
     return quo, poly_trim(rem)
-
-
-def poly_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return poly_divmod(a, b, p)[1]
-
-
-def poly_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    a = poly_trim(np.array(a, dtype=np.int64) % p)
-    b = poly_trim(np.array(b, dtype=np.int64) % p)
-    while not (len(b) == 1 and b[0] == 0):
-        a, b = b, poly_mod(a, b, p)
-    if a[-1] != 0 and a[-1] != 1:
-        a = (a * inv_mod(int(a[-1]), p)) % p
-    return a
 
 
 def poly_xgcd_inverse(a: np.ndarray, mod: np.ndarray, p: int) -> np.ndarray:

@@ -5,16 +5,15 @@ the Lang equation α^{-1} σ^d(α) = σ^{-it}(g σ^i(g) ⋯ σ^{i(t-1)}(g)).
 
 Witness search: every solution of the Lang equation lies in G(F_{q^{d·k}})
 exactly when the d-twisted product of k copies of the target is trivial, so
-the minimal field of definition is computed first (a cheap loop at level m)
-and the equation is then solved by exact linear algebra over F_p.  The matrix
-equation σ^d(α) = α·h decouples into row equations σ^d(v) = v·h, the kernel of
-one F_p-linear system u ↦ σ^d(u) − hᵀ·u (`_semilinear`):
+the minimal field of definition is computed first (a cheap loop at level m).
+The rows of σ^d(α) = α·h are the fixed points of Φ(v) = σ^{-d}(v·h), where
+Φ^{L/d} = 1 at the ambient level L, found by Galois descent (`modp.fixed_space`):
 
 * for symplectic h the solution space carries an F_{q^d}-symplectic form
   v, w ↦ v·J·wᵀ, and a Darboux basis of that form stacks to a symplectic
   witness;
-* for similitude groups any F_{q^d}-basis of the solution space stacks to an
-  invertible witness.
+* for GSp2 = GL2 any F_{q^d}-basis of the solution space stacks to an
+  invertible witness; for n ≥ 2 it is no similitude, and norms are refused.
 
 Norms are solved in stacks: elements of one twist whose witnesses need one ambient
 level share one system shape, and every step, from the twisted products to the
@@ -118,10 +117,11 @@ def _ambient_levels(spec: SympGroup, h: np.ndarray, d: int) -> list[int]:
     raise WitnessFailed(f"twisted order of the Lang target exceeds {_K0_GUARD}")
 
 
-def _semilinear(big: Tower, d: int, h: np.ndarray) -> np.ndarray:
-    """F_p-matrices of u ↦ σ^d(u) − hᵀ·u on stacked digit columns u, one per h (…, n2, n2, A)."""
-    frob = np.kron(np.eye(h.shape[-2], dtype=np.int64), big.frob_matrix(d))
-    return (frob - big.block_matrix(np.swapaxes(h, -3, -2))) % big.p
+def _lang_map(big: Tower, d: int, h: np.ndarray) -> np.ndarray:
+    """F_p-matrices of Φ(v) = σ^{-d}(v·h) on stacked digit columns vᵀ, h (B, n2, n2, A): Φ(v) = v iff σ^d(v) = v·h."""
+    times_h = big.block_matrix(np.swapaxes(h, -3, -2))  # vᵀ ↦ hᵀ·vᵀ = (v·h)ᵀ
+    blocks = times_h.reshape(len(h), h.shape[-2], big.ambient_degree, -1)
+    return (big.frob_matrix(-d) @ blocks % big.p).reshape(times_h.shape)
 
 
 def _level_inverse(big: Tower, c: np.ndarray, d: int) -> np.ndarray:
@@ -189,9 +189,9 @@ def _inverse(big_spec: SympGroup, alpha: np.ndarray) -> np.ndarray:
 
 def _lang_matrix(big_spec: SympGroup, h: np.ndarray, d: int) -> np.ndarray:
     """Digits of witnesses of σ^d(α) = α·h for a stack of digit matrices h in Sp or GSp."""
-    big, n2 = big_spec.tower, big_spec.size
-    kern = modp.kernel_basis(_semilinear(big, d, h), big.p)
-    if kern.shape[1] < n2:  # an ambient level too small for the targets
+    big, n2 = big_spec.tower, big_spec.size  # the solutions have dimension n2 over F_{q^d}
+    kern, certified = modp.fixed_space(_lang_map(big, d, h), big.m // d, n2 * big.base_degree * d, n2, big.p)
+    if not certified.all():  # Φ^K ≠ 1: an ambient level too small for the targets
         raise WitnessFailed("Lang solution space thinner than expected")
     basis = _fqd_basis_rows(big, d, kern.reshape(*kern.shape[:2], n2, -1))
     if not big_spec.similitude:
@@ -210,8 +210,10 @@ def lang_solve(spec: SympGroup, targets: np.ndarray, d: int, level: int,
                ambient_cap: int = DEFAULT_AMBIENT_CAP) -> LangWitness:
     """Solve α^{-1}σ^d(α) = h, α in the group over the ambient level `level`, for each h of
     the stack targets: digit matrices (B, n2, n2, A) over spec's tower whose witnesses live
-    there (`_ambient_levels`), grouped by `gyoja_norms`.  A level too small for the stack
-    raises WitnessFailed, or DimensionMismatch when it suits some of the targets."""
+    there (`_ambient_levels`), grouped by `gyoja_norms`.  A level too small for a target of
+    the stack raises WitnessFailed; a similitude group with n ≥ 2, ConfigInvalid."""
+    if spec.similitude and spec.n > 1:  # its witnesses would be bases, similitudes only at n = 1
+        raise ConfigInvalid(f"Lang witnesses in GSp{2 * spec.n} are implemented for n = 1 (GSp2 = GL2)")
     big, emb = enlarge_tower(spec.tower, level, ambient_cap)
     big_spec = SympGroup(big, spec.n, big.m, similitude=spec.similitude)
     return LangWitness(_lang_matrix(big_spec, emb.embed_rows(targets), d), big.m, emb, big_spec)

@@ -365,8 +365,7 @@ def arith_tower_and_elements(draw):
 @given(data=st.data())
 def test_mul_and_inv_property(data):
     t, x, y = data.draw(arith_tower_and_elements())
-    got = modp.poly_mod(modp.poly_mul(np.array(_base_p(t, x)), np.array(_base_p(t, y)), t.p),
-                        np.array(t.modulus), t.p)
+    got = _remainder(np.convolve(_base_p(t, x), _base_p(t, y)) % t.p, t.modulus, t.p)
     assert t.mul(x, y) == sum(int(c) * t.p**k for k, c in enumerate(got))
     if x:
         assert t.mul(x, t.inv(x)) == t.one
@@ -388,16 +387,17 @@ def test_digit_codec_round_trip_property(data):
 
 
 def test_digit_codec_refuses_a_non_element(t92):
-    """An int outside 0..size−1 is no element of the field: the codec behind every digit
-    stack refuses it with a typed error instead of reading 82 as 1 at F_9."""
-    for bad in (9, 82, -1, 2**70):
+    """An int outside 0..size−1 or a non-integer is no element of the field: the codec behind
+    every digit stack refuses it with a typed error instead of reading 82 or 1.5 as 1 at F_9."""
+    for bad in (9, 82, -1, 2**70, 1.5, 1.0, "1", None):
         with pytest.raises(LevelMismatch):
             t92.digit_array([0, bad])
-    with pytest.raises(LevelMismatch):
-        membership(t92, (82, 0, 0, 1), 1, 2)
+    for bad in (82, 1.5):
+        with pytest.raises(LevelMismatch):
+            membership(t92, (bad, 0, 0, 1), 1, 2)
     with pytest.raises(LevelMismatch):
         RepContext(t92, 1, 2).extended_traces(0, [(82, 0, 0, 1)])
-    assert t92.digit_array([8, 0]).tolist() == [[2, 2], [0, 0]]
+    assert t92.digit_array([8, 0, np.int64(3), np.uint8(8)]).tolist() == [[2, 2], [0, 0], [0, 1], [2, 2]]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -462,6 +462,21 @@ MODULI = {
         "1000000000000000000000002141", "10000000000000000000000000111",
     ],
 }
+
+
+@pytest.mark.parametrize("p", sorted(MODULI))
+def test_level_bases_match_the_reversed_kernel(p):
+    """On every tower (p, 1, m) of the recorded range and each level d | m, the trace-spanned
+    level basis equals the null space of Frob^d − 1 brought to reduced echelon form from its
+    highest digit, and its pivots are that form's."""
+    for m in range(2, len(MODULI[p]) + 2):
+        t = build_tower(p, 1, m)
+        eye = np.eye(m, dtype=np.int64)
+        for d in (d for d in range(1, m + 1) if m % d == 0):
+            kernel = modp.kernel_basis((t.frob_matrix(d) - eye) % p, p)
+            high_first, mask = modp.rref(kernel[:, ::-1], p)
+            assert np.array_equal(t._level_basis(d), high_first[::-1, ::-1]), (m, d)
+            assert t.level_pivots(d) == [m - 1 - c for c in reversed(np.flatnonzero(mask).tolist())]
 
 
 @pytest.mark.parametrize("p", sorted(MODULI))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weilbc import modp
-from weilbc.errors import DimensionMismatch, Singular, WeilbcError
+from weilbc.errors import DimensionMismatch, InvariantBroken, Singular, WeilbcError
 
 
 def _rref_by_rows(mat, p):
@@ -219,3 +219,61 @@ def test_det_and_inverse_match_elimination(p, k):
     inv, ok = modp.inverse(stack, p)
     assert ok.tolist() == [d != 0 for d in want]
     assert (np.einsum("eij,ejk->eik", stack[ok], inv[ok]) % p == np.eye(k, dtype=np.int64)).all()
+
+
+# -- Galois descent: fixed spaces of semilinear maps ----------------------------------------
+
+
+def _frobenius_stack(p, degree, d):
+    """The matrix (1, A, A) of x ↦ x^{p^d} on F_{p^degree}, semilinear of order degree/d."""
+    from weilbc.fieldtower import build_tower
+
+    return build_tower(p, 1, degree).frob_matrix(d)[None]
+
+
+def test_fixed_space_falls_back_to_the_kernel(monkeypatch):
+    """At F_27 the trace of 1 is 3 = 0: with the one start 1, T spans nothing, and the fixed
+    space F_3 comes from the null space of Φ − 1."""
+    monkeypatch.setattr(modp, "_scalars", lambda width, count, p: np.eye(width, 1, dtype=np.int64))
+    phi = _frobenius_stack(3, 3, 1)
+    basis, certified = modp.fixed_space(phi, 3, 1, 1, 3)
+    assert certified.all() and basis.tolist() == [[[1, 0, 0]]]
+
+
+def test_fixed_space_flags_an_uncertified_map():
+    """Frobenius of F_81 has order 4, not 2: Φ² ≠ 1 on the starts, so the item is not certified,
+    next to a certified one."""
+    phi = np.concatenate([_frobenius_stack(3, 4, 1), _frobenius_stack(3, 4, 2)])
+    basis, certified = modp.fixed_space(phi, 2, 2, 1, 3)
+    assert certified.tolist() == [False, True]
+    assert np.array_equal(basis[1], modp.kernel_basis((phi[1] - np.eye(4, dtype=np.int64)) % 3, 3))
+
+
+def test_fixed_space_refuses_a_certified_map_without_the_dimension(monkeypatch):
+    """The identity has order 1 and a 2-dimensional fixed space.  Asked for 1 dimension, T on
+    the start e_0 + e_1 gives a fixed line; on e_0 and e_1 it gives the plane, which sends the
+    item to the null space of Φ − 1, of the wrong dimension: that raises."""
+    start = np.ones((2, 1), dtype=np.int64)
+    monkeypatch.setattr(modp, "_scalars", lambda width, count, p: start)
+    basis, certified = modp.fixed_space(np.eye(2, dtype=np.int64)[None], 1, 1, 1, 5)
+    assert certified.all() and basis.tolist() == [[[1, 1]]]
+    start = np.eye(2, dtype=np.int64)
+    with pytest.raises(InvariantBroken, match="dimension 2, not 1"):
+        modp.fixed_space(np.eye(2, dtype=np.int64)[None], 1, 1, 1, 5)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_reverse_echelon_matches_rref_from_the_highest_column(p):
+    """reverse_echelon of a stack is rref of each matrix with its columns reversed, read back
+    (rows and columns reversed), with the mask of the spans of the asked dimension."""
+    rng = np.random.default_rng(p)
+    for rows, cols, rank in [(4, 6, 3), (6, 6, 2), (3, 9, 3), (5, 4, 4)]:
+        stack = rng.integers(0, p, size=(30, rank, cols))
+        stack = np.concatenate([rng.integers(0, p, size=(30, rows, rank)) @ stack % p,
+                                rng.integers(0, p, size=(10, rows, cols))])
+        got, full = modp.reverse_echelon(stack, rank, p)
+        for k, mat in enumerate(stack):
+            form, mask = modp.rref(mat[:, ::-1], p)
+            assert full[k] == (mask.sum() == rank)
+            if full[k]:
+                assert np.array_equal(got[k], form[:rank][::-1, ::-1])

@@ -535,3 +535,65 @@ def test_exhaustive_star_solves_by_level(monkeypatch):
     report = run_check("star", cfg, Workspace(cfg))
     assert len(report.cases) == 720 and report.n_fail == 0
     assert sum(calls) == 720 and len(calls) <= 30
+
+
+# -- Lang kernels by Galois descent against the elimination of the semilinear system ----------
+
+
+def _descent_cases():
+    """(group, elements, twist, levels the stacks must reach) per case."""
+    t92 = build_tower(3, 1, 2)
+    yield "sl2-f9-all", lambda: (SympGroup(t92, 1, 2), None, 1, {2, 4, 6, 8, 12})
+    yield "sp4-f9-40", lambda: (SympGroup(t92, 2, 2), 40, 1, {4, 6, 8, 10, 12, 16, 18, 20, 24, 36})
+    yield "gsp2-f9-30", lambda: (SympGroup(t92, 1, 2, similitude=True), 30, 1, None)
+    yield "sl2-f81-d2", lambda: (SympGroup(build_tower(3, 1, 4), 1, 4), 40, 2, None)
+    yield "sl2-f81-base2", lambda: (SympGroup(build_tower(3, 2, 2), 1, 2), 40, 1, None)
+    yield "sl2-f25", lambda: (SympGroup(build_tower(5, 1, 2), 1, 2), 40, 1, None)
+    yield "sl2-f49", lambda: (SympGroup(build_tower(7, 1, 2), 1, 2), 40, 1, None)
+    yield "sp6-f9", lambda: (SympGroup(t92, 3, 2), 3, 1, {6, 8, 36})
+
+
+_DESCENT = dict(_descent_cases())
+
+
+@pytest.mark.parametrize("case", sorted(_DESCENT))
+def test_lang_kernels_match_the_elimination(case, monkeypatch):
+    """Every Lang kernel that gyoja_norms finds by descent equals the null-space basis, by F_p
+    elimination, of the system u ↦ σ^d(u) − hᵀ·u built here from the embedded target h."""
+    spec, count, i, levels = _DESCENT[case]()
+    gs = spec.elements() if count is None else _seed0_samples(spec, count)
+    seen, lang_map, fixed = [], normmap._lang_map, normmap.modp.fixed_space
+
+    def recording_map(big, d, h):
+        phi = lang_map(big, d, h)
+        seen.append([phi, big, d, h])
+        return phi
+
+    def recording_fixed(phi, *args):
+        basis, certified = fixed(phi, *args)
+        if seen and phi is seen[-1][0]:
+            seen[-1][0] = (basis, certified)
+        return basis, certified
+
+    monkeypatch.setattr(normmap, "_lang_map", recording_map)
+    monkeypatch.setattr(normmap.modp, "fixed_space", recording_fixed)
+    gyoja_norms(choose_t(i, spec.level), spec, gs)
+    assert seen and (levels is None or {big.m for _, big, _, _ in seen} == levels)
+    for (basis, certified), big, d, h in seen:
+        frob = np.kron(np.eye(spec.size, dtype=np.int64), big.frob_matrix(d))
+        system = (frob - big.block_matrix(np.swapaxes(h, -3, -2))) % big.p
+        assert certified.all()
+        assert np.array_equal(basis, normmap.modp.kernel_basis(system, big.p))
+
+
+def test_similitude_norms_refuse_n_above_one(t92):
+    """A GSp4 Lang witness would be a basis of the solution space, no similitude: lang_solve and
+    gyoja_norms raise ConfigInvalid; GSp2 = GL2 is solved."""
+    gsp4 = SympGroup(t92, 2, 2, similitude=True)
+    g = gsp4.random(random.Random(0))
+    with pytest.raises(ConfigInvalid, match="GSp4"):
+        gyoja_norm(choose_t(1, 2), gsp4, g)
+    with pytest.raises(ConfigInvalid, match="GSp4"):
+        lang_solve(gsp4, t92.digit_stack([g], 4), 1, 4)
+    gsp2 = SympGroup(t92, 1, 2, similitude=True)
+    assert len(gyoja_norm(choose_t(1, 2), gsp2, gsp2.random(random.Random(0)))) == 4
