@@ -68,7 +68,7 @@ def _is_irreducible(poly: np.ndarray, p: int) -> bool:
     image = x
     for _ in range(deg):  # x^{p^deg}, one matrix-vector product per power of p
         image = frob @ image % p
-    return np.array_equal(image, x) and bool(modp.reverse_echelon(frob[None] - np.eye(deg, dtype=np.int64), deg - 1, p)[1][0])
+    return np.array_equal(image, x) and bool(modp.rref(frob - np.eye(deg, dtype=np.int64), p)[1].sum() == deg - 1)
 
 
 def find_modulus(p: int, degree: int) -> tuple[int, ...]:

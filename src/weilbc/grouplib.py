@@ -70,29 +70,13 @@ def mat_neg(tower: Tower, a: tuple) -> tuple:
 
 
 def mat_det(tower: Tower, a: tuple, size: int):
+    """The determinant of a 1×1 or 2×2 tuple matrix; larger sizes raise DimensionMismatch
+    (stacks of digit matrices go through `modp.det` on their F_p block matrices)."""
     if size == 1:
         return a[0]
     if size == 2:
         return tower.sub(tower.mul(a[0], a[3]), tower.mul(a[1], a[2]))
-    # Gaussian elimination with exact field arithmetic
-    m = [list(a[i * size : (i + 1) * size]) for i in range(size)]
-    det = tower.one
-    for c in range(size):
-        piv = next((r for r in range(c, size) if m[r][c] != tower.zero), None)
-        if piv is None:
-            return tower.zero
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = tower.neg(det)
-        det = tower.mul(det, m[c][c])
-        inv = tower.inv(m[c][c])
-        for r in range(c + 1, size):
-            if m[r][c] == tower.zero:
-                continue
-            f = tower.mul(m[r][c], inv)
-            for k in range(c, size):
-                m[r][k] = tower.sub(m[r][k], tower.mul(f, m[c][k]))
-    return det
+    raise DimensionMismatch(f"mat_det takes sizes 1 and 2, not {size}")
 
 
 def mat_inv(tower: Tower, a: tuple, size: int) -> tuple:

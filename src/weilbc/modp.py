@@ -2,7 +2,9 @@
 
 Matrices are numpy int64 arrays with entries reduced mod p; row reduction, null
 spaces, determinants and inverses work on stacks of them, batched over leading
-axes.  Polynomials are 1-d coefficient arrays, low degree first.
+axes, and all read one stacked Gauss–Jordan loop (`_eliminate`): its reduced
+stack, its pivot columns and its pivots.  Polynomials are 1-d
+coefficient arrays, low degree first.
 """
 
 from __future__ import annotations
@@ -35,70 +37,70 @@ def legendre(a, p: int):
     return np.where(r == p - 1, -1, r)
 
 
-def _gauss_jordan(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss–Jordan elimination of the first k columns of a stack m (E, k, w), w >= k,
-    reduced mod p: the determinants (E,) of the leading k×k blocks, and m with each
-    invertible block turned into the identity.  The column loop runs once for the
-    whole stack; each matrix takes its own pivot."""
-    at, out = np.arange(len(m)), np.ones(len(m), dtype=np.int64)
-    for c in range(m.shape[1]):
-        r = (m[:, c:, c] != 0).argmax(axis=1) + c  # c itself when the column has no pivot
-        prow = m[at, r]
-        m[at, r] = m[:, c]
-        piv = prow[:, c]
-        out = out * np.where(r == c, piv, -piv) % p  # a swap flips the sign
-        prow = prow * inv_mod(piv, p)[:, None] % p  # zero where there is no pivot
-        m = (m - m[:, :, c, None] * prow[:, None]) % p  # clears column c; row c is set below
-        m[:, c] = prow
-    return out, m
+def _eliminate(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss–Jordan elimination of a stack m (B, rows, cols) reduced mod p, in place: the reduced
+    stack, and the pivot column and the pivot of each step (B, min(rows, cols)), the pivot 0 once
+    a matrix has none.  Step j takes, per matrix, the first column c with a nonzero entry in rows
+    >= j, moves the first such row i to row j, scales it to 1 and clears column c; row j goes to
+    row i negated, so that the product of the pivots is the determinant.  The loop stops when no
+    matrix has a pivot left.  Rows >= j are zero left of column j, so a step touches columns >= j
+    alone; entries stay below p there."""
+    count, rows, cols = m.shape
+    at, steps = np.arange(count), min(rows, cols)
+    pcol, pval = np.zeros((count, steps), dtype=np.int64), np.zeros((count, steps), dtype=np.int64)
+    for j in range(steps):
+        below = m[:, j:]
+        first = (below != 0).swapaxes(1, 2).reshape(count, cols * (rows - j)).argmax(axis=1)  # column-major
+        c, r = np.divmod(first, rows - j)
+        prow = below[at, r]
+        piv = prow[at, c]  # 0 where there is no pivot: rows >= j are zero there
+        if not np.count_nonzero(piv):
+            break
+        pcol[:, j], pval[:, j] = c, piv
+        below[at, r] = -m[:, j]  # reduced below
+        prow = prow[:, j:] * inv_mod(piv, p)[:, None] % p
+        right = m[:, :, j:]
+        right -= m[at, :, c][:, :, None] * prow[:, None]  # clears column c; row j is set below
+        right -= right // p * p  # mod p: floor division by a constant is cheaper than %
+        right[:, j] = prow
+    return m, pcol, pval
+
+
+def _stack(mat: np.ndarray, p: int) -> np.ndarray:
+    """A copy of the matrices mat (…, rows, cols) as one stack (B, rows, cols), reduced mod p."""
+    shape = np.shape(mat)
+    return (np.asarray(mat, dtype=np.int64) % p).reshape(prod(shape[:-2]), *shape[-2:])  # rows may be 0
 
 
 def det(mat: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of square matrices (…, k, k), batched over the leading axes."""
+    """Determinants mod p of square matrices (…, k, k), batched over the leading axes: the
+    product of the pivots, 0 where a step finds none."""
     shape = np.shape(mat)
-    m = np.array(mat, dtype=np.int64).reshape(-1, *shape[-2:]) % p
-    return _gauss_jordan(m, p)[0].reshape(shape[:-2])
+    out = np.ones(prod(shape[:-2]), dtype=np.int64)
+    for piv in _eliminate(_stack(mat, p), p)[2].T:
+        out = out * piv % p
+    return out.reshape(shape[:-2])
 
 
 def inverse(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverses mod p of square matrices (…, k, k) and the mask (…) of the invertible
     ones, whose inverses alone are meaningful: the right half of [M | I] after
-    elimination."""
+    elimination, where the pivots are the diagonal."""
     shape = np.shape(mat)
     k = shape[-1]
-    m = np.array(mat, dtype=np.int64).reshape(-1, k, k) % p
-    d, m = _gauss_jordan(np.concatenate([m, np.broadcast_to(np.eye(k, dtype=np.int64), m.shape)], axis=-1), p)
-    return m[:, :, k:].reshape(shape), (d != 0).reshape(shape[:-2])
+    m = _stack(mat, p)
+    m, pcol, _ = _eliminate(np.concatenate([m, np.broadcast_to(np.eye(k, dtype=np.int64), m.shape)], axis=-1), p)
+    return m[:, :, k:].reshape(shape), (pcol == np.arange(k)).all(axis=1).reshape(shape[:-2])  # [M | I] has rank k
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-reduced echelon forms of matrices (…, rows, cols), batched over the leading
-    axes; returns (R, pivot-column mask of shape (…, cols)).  The column loop runs
-    once for the whole batch; each matrix takes its own pivots."""
+    axes; returns (R, pivot-column mask of shape (…, cols))."""
     shape = np.shape(mat)
-    m = np.array(mat, dtype=np.int64).reshape(prod(shape[:-2]), *shape[-2:]) % p  # rows may be 0
-    count, rows, cols = m.shape
-    mask = np.zeros((count, cols), dtype=bool)
-    nxt = np.zeros(count, dtype=np.int64)  # the next pivot row of each matrix
-    bound, top = p - 1, np.iinfo(np.int64).max - (p - 1) ** 2  # a step adds at most (p−1)² to |entries|,
-    for c in range(cols):  # so m is reduced only before it could leave int64
-        if (nxt == rows).all():
-            break
-        col = m[:, :, c] % p
-        cand = (col != 0) & (np.arange(rows) >= nxt[:, None])
-        b = np.flatnonzero(cand.any(axis=1))
-        if not b.size:
-            continue
-        if bound > top:
-            m, bound = m % p, p - 1
-        i, r = cand[b].argmax(axis=1), nxt[b]
-        prow, f = m[b, i] % p, col[b]
-        m[b, i], f[np.arange(b.size), i] = m[b, r], col[b, r]  # swap rows r and i; row r is set below
-        prow = prow * inv_mod(prow[:, c], p)[:, None] % p
-        m[b, :, c:] -= f[:, :, None] * prow[:, None, c:]  # clears column c; left of c, prow is 0
-        m[b, r], mask[b, c], bound = prow, True, bound + (p - 1) ** 2
-        nxt[b] += 1
-    return (m % p).reshape(shape), mask.reshape(*shape[:-2], cols)
+    m, pcol, pval = _eliminate(_stack(mat, p), p)
+    mask = np.zeros((len(m), shape[-1] + 1), dtype=bool)
+    mask[np.arange(len(m))[:, None], np.where(pval != 0, pcol, -1)] = True  # −1: the spare last column
+    return m.reshape(shape), mask[:, :-1].reshape(*shape[:-2], shape[-1])
 
 
 def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
@@ -114,24 +116,6 @@ def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
     moved[mask] = m[np.arange(m.shape[-2]) < rank[..., None]]
     kernel = ((np.eye(cols, dtype=np.int64) - moved) % p).swapaxes(-1, -2)
     return kernel[~mask].reshape(*mask.shape[:-1], nullity[0], cols)
-
-
-def reverse_echelon(rows: np.ndarray, rank: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse reduced echelon forms (B, rank, N) of the spans of rows (B, S >= rank, N), one pivot
-    step per row (its highest entry, 1; the pivots ascend), and the mask (B,) of spans of dimension rank."""
-    m, at = rows[:, :, ::-1] % p, np.arange(len(rows))
-    full = np.ones(len(m), dtype=bool)
-    for j in range(rank):
-        nz = m[:, j:] != 0
-        c = nz.any(axis=1).argmax(axis=1)
-        r = nz[at, :, c].argmax(axis=1) + j
-        full &= nz[at, r - j, c]
-        prow = m[at, r]
-        m[at, r] = m[:, j]
-        prow = prow * inv_mod(prow[at, c], p)[:, None] % p  # zero where there is no pivot
-        m = (m - m[at, :, c][:, :, None] * prow[:, None]) % p  # row j is set below
-        m[:, j] = prow
-    return m[:, :rank][:, ::-1, ::-1], full & ~m[:, rank:].any(axis=(1, 2))
 
 
 @lru_cache
@@ -155,7 +139,8 @@ def fixed_space(phi: np.ndarray, order: int, rank: int, blocks: int, p: int) -> 
     for _ in range(order):  # one stacked product per power of Φ
         total += x
         x = phi @ x % p
-    basis, full = reverse_echelon(total.swapaxes(1, 2), rank, p)
+    form, mask = rref(total.swapaxes(1, 2)[:, :, ::-1], p)  # echelon from the highest column
+    basis, full = form[:, :rank, ::-1][:, ::-1], mask.sum(axis=1) == rank
     full &= (phi @ basis.swapaxes(1, 2) % p == basis.swapaxes(1, 2)).all(axis=(1, 2))  # Φ(v) = v
     certified = (x == start).all(axis=(1, 2))
     if (redo := certified & ~full).any():

@@ -49,7 +49,6 @@ are compared or multiplied (`build_rho`).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
 from itertools import product as iproduct
 from math import gcd
 
@@ -63,7 +62,6 @@ from .grouplib import SympGroup, SympSpace, is_symplectic, mat_identity
 
 _STACK_CAP = 128  # elements factored at once
 _PATH_CAP = 1 << 13  # paths held at once by one stacked trace walk
-_SEARCH_CHUNK = 4096  # correction blocks tried at once by the full search
 _EXACT_BOUND = 2**53  # float64 holds every integer below this exactly
 
 
@@ -676,7 +674,7 @@ def _siegel_words(tower: Tower, n: int, level: int, g: np.ndarray) -> list:
     checked against its elements.  Raises NotSymplectic or FactorizationFailed."""
     if not is_symplectic(tower, g, level).all():
         raise NotSymplectic("input matrix is not symplectic at this level")
-    cells = _siegel_cells(tower, n, level, g)
+    cells = _siegel_cells(tower, n, g)
     for where, tags, blocks in cells:
         _check_word(tower, n, g[where], tags, blocks)
     return cells
@@ -685,7 +683,7 @@ def _siegel_words(tower: Tower, n: int, level: int, g: np.ndarray) -> list:
 _BIG_CELL = ("unip", "weyl", "unip")
 
 
-def _siegel_cells(tower: Tower, n: int, level: int, g: np.ndarray) -> list:
+def _siegel_cells(tower: Tower, n: int, g: np.ndarray) -> list:
     """Siegel words of a stack of symplectic digit matrices g = [[a, b], [c, d]]
     (E, 2n, 2n, A), one word shape per cell of the c block: a list of
     (element indices, factor tags, digit blocks (E_cell, factors, n, n, A))
@@ -693,8 +691,8 @@ def _siegel_cells(tower: Tower, n: int, level: int, g: np.ndarray) -> list:
 
     * c = 0: g = u(b·aᵀ)·levi(a);
     * c invertible: g = u(a·c⁻¹)·weyl(−(cᵀ)⁻¹)·u(c⁻¹·d) (`_big_cell`);
-    * c singular: with b0 symmetric and c·b0 + d invertible (`_corrections`),
-      g·u(b0)·w lies in the big cell and g = (its word)·weyl(−1)·u(−b0).
+    * c singular: with b0 a diagonal 0/1 block and c·b0 + d invertible
+      (`_corrections`), g·u(b0)·w lies in the big cell and g = (its word)·weyl(−1)·u(−b0).
 
     The word check is left to the caller (`_check_word`).
     """
@@ -711,7 +709,7 @@ def _siegel_cells(tower: Tower, n: int, level: int, g: np.ndarray) -> list:
         cells.append((k, _BIG_CELL, _big_cell(tower, a[k], ci[big], d[k])))
     if not big.all():
         k = nonzero[~big]
-        b0 = _corrections(tower, n, level, c[k], d[k])
+        b0 = _corrections(tower, n, c[k], d[k])
         # g·u(b0)·w = [[−(a·b0 + b), a], [−(c·b0 + d), c]] for w = weyl(1)
         ab, cd = tower.matmul(a[k], b0) + b[k], tower.matmul(c[k], b0) + d[k]
         cdi, _ = tower.matinv(-cd % p)  # invertible by the choice of b0
@@ -726,38 +724,23 @@ def _big_cell(tower: Tower, a: np.ndarray, ci: np.ndarray, d: np.ndarray) -> np.
     return np.stack([tower.matmul(a, ci), -ci.swapaxes(1, 2) % tower.p, tower.matmul(ci, d)], axis=1)
 
 
-def _corrections(tower: Tower, n: int, level: int, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Per pair of digit blocks (c, d), the first candidate b0 (`_candidates`)
-    with c·b0 + d invertible: digit blocks (E, n, n, A)."""
-    p, out, left = tower.p, np.zeros_like(c), np.arange(len(c))
-    for blocks in _candidates(tower, n, level):
-        tries = (tower.matmul(c[left, None], blocks[None]) + d[left, None]) % p
-        ok = modp.det(tower.block_matrix(tries), p) != 0
-        found = ok.any(axis=1)
-        out[left[found]] = blocks[ok[found].argmax(axis=1)]
-        left = left[~found]
-        if not len(left):
-            return out
-    raise FactorizationFailed("no symmetric correction block found")
+def _corrections(tower: Tower, n: int, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per pair of digit blocks (c, d) of a symplectic element, the first diagonal
+    block b0 with entries 0 and 1, the (0, 0) entry varying slowest, such that
+    c·b0 + d is invertible: digit blocks (E, n, n, A), from one stacked determinant.
 
-
-def _candidates(tower: Tower, n: int, level: int):
-    """Symmetric correction blocks, as digit stacks (K, n, n, A): first the 2^n
-    diagonal blocks with entries 0 and 1, then every symmetric block over the
-    level in chunks, the (0, 0) entry varying slowest."""
-    A = tower.ambient_degree
-    diag = np.zeros((2**n, n, n, A), dtype=np.int64)
+    One always exists.  The rows of [c d] span a Lagrangian, which some coordinate
+    Lagrangian meets trivially (Arnold's lemma): some minor that takes c's column
+    j for j in S and d's for the rest is nonzero.  That minor is the coefficient
+    of Π_{j∈S} x_j in det(c·diag(x) + d), which is multi-affine in x, and a
+    nonzero multi-affine polynomial is nonzero somewhere on {0, 1}^n."""
+    diag = np.zeros((2**n, n, n, tower.ambient_degree), dtype=np.int64)
     diag[:, np.arange(n), np.arange(n), 0] = list(iproduct((0, 1), repeat=n))
-    yield diag
-    field = tower.digit_array(tower.level_elements(level)).astype(np.int64)
-    slots = [(i, j) for i in range(n) for j in range(i, n)]
-    combos = iproduct(range(len(field)), repeat=len(slots))
-    while chunk := list(islice(combos, _SEARCH_CHUNK)):
-        picks = np.array(chunk)
-        blocks = np.zeros((len(chunk), n, n, A), dtype=np.int64)
-        for s, (i, j) in enumerate(slots):
-            blocks[:, i, j] = blocks[:, j, i] = field[picks[:, s]]
-        yield blocks
+    tries = (tower.matmul(c[:, None], diag[None]) + d[:, None]) % tower.p
+    ok = modp.det(tower.block_matrix(tries), tower.p) != 0
+    if not ok.any(axis=1).all():
+        raise FactorizationFailed("no diagonal correction block found")
+    return diag[ok.argmax(axis=1)]
 
 
 def _check_word(tower: Tower, n: int, g: np.ndarray, tags: tuple, blocks: np.ndarray) -> None:

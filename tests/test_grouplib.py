@@ -206,6 +206,16 @@ def test_membership_dimension_mismatch(t92):
         membership(t92, (1, 0, 0), 1, 1)
 
 
+def test_mat_det_refuses_sizes_above_two(t92):
+    """mat_det keeps the 1×1 and 2×2 formulas; a 3×3 tuple matrix is refused, not eliminated."""
+    from weilbc.errors import DimensionMismatch
+
+    assert grouplib.mat_det(t92, (2,), 1) == 2
+    assert grouplib.mat_det(t92, (1, 2, 0, 1), 2) == 1
+    with pytest.raises(DimensionMismatch):
+        grouplib.mat_det(t92, grouplib.mat_identity(t92, 3), 3)
+
+
 def test_heis_mul_rejects_mixed_sizes(t92):
     from weilbc.errors import LevelMismatch
 

@@ -38,6 +38,9 @@ def _random_matrices(p, rng):
         inner = max(1, min(rows, cols) // 2)
         yield rng.integers(0, p, size=(rows, inner)) @ rng.integers(0, p, size=(inner, cols)) % p
     yield np.zeros((5, 7), dtype=np.int64)
+    shifted = rng.integers(0, p, size=(5, 5))
+    shifted[:, :2] = 0  # the first pivot moves two columns right
+    yield shifted
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -212,7 +215,9 @@ def test_det_and_inverse_match_elimination(p, k):
     rng = np.random.default_rng(10 * p + k)
     full = rng.integers(0, p, size=(40, k, k))
     thin = rng.integers(0, p, size=(20, k, 1)) @ rng.integers(0, p, size=(20, 1, k)) % p  # rank ≤ 1
-    stack = np.concatenate([full, thin, np.zeros((1, k, k), dtype=np.int64)])
+    shifted = rng.integers(0, p, size=(10, k, k))
+    shifted[:, :, 0] = 0  # the first pivot moves right
+    stack = np.concatenate([full, thin, np.zeros((1, k, k), dtype=np.int64), shifted])
     want = [_det_by_rows(m, p) for m in stack]
     assert modp.det(stack, p).tolist() == want
     assert modp.det(stack[:60].reshape(3, 20, k, k), p).ravel().tolist() == want[:60]  # any leading axes
@@ -263,17 +268,39 @@ def test_fixed_space_refuses_a_certified_map_without_the_dimension(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_reverse_echelon_matches_rref_from_the_highest_column(p):
-    """reverse_echelon of a stack is rref of each matrix with its columns reversed, read back
-    (rows and columns reversed), with the mask of the spans of the asked dimension."""
+def test_fixed_space_basis_is_the_echelon_form_from_the_highest_column(p):
+    """For involutions Φ = P·diag(1, …, 1, −1, …, −1)·P⁻¹, the fixed space is spanned by
+    P's first rank columns; fixed_space returns its reduced echelon form taken from the
+    highest column (rref of the columns reversed, read back), which is kernel_basis(Φ − 1)."""
     rng = np.random.default_rng(p)
-    for rows, cols, rank in [(4, 6, 3), (6, 6, 2), (3, 9, 3), (5, 4, 4)]:
-        stack = rng.integers(0, p, size=(30, rank, cols))
-        stack = np.concatenate([rng.integers(0, p, size=(30, rows, rank)) @ stack % p,
-                                rng.integers(0, p, size=(10, rows, cols))])
-        got, full = modp.reverse_echelon(stack, rank, p)
-        for k, mat in enumerate(stack):
-            form, mask = modp.rref(mat[:, ::-1], p)
-            assert full[k] == (mask.sum() == rank)
-            if full[k]:
-                assert np.array_equal(got[k], form[:rank][::-1, ::-1])
+    for size, rank in [(4, 1), (6, 3), (6, 5), (9, 4)]:
+        mats = rng.integers(0, p, size=(60, size, size))
+        mats = mats[modp.det(mats, p) != 0][:20]
+        sign = np.diag([1] * rank + [p - 1] * (size - rank))
+        phi = mats @ sign @ modp.inverse(mats, p)[0] % p
+        basis, certified = modp.fixed_space(phi, 2, rank, 1, p)
+        assert certified.all()
+        for k, mat in enumerate(mats):
+            form, mask = modp.rref(mat[:, :rank].T[:, ::-1], p)
+            assert mask.sum() == rank
+            assert np.array_equal(basis[k], form[::-1, ::-1])
+        assert np.array_equal(basis, modp.kernel_basis((phi - np.eye(size, dtype=np.int64)) % p, p))
+
+
+@pytest.mark.parametrize("p", [3, 7, 2**31 - 1])
+def test_wide_stack_runs_out_of_rows_before_columns(p):
+    """A stack (B, 3, 9) whose rows run out before its columns: matrices of rank 3 (one with
+    pivots only in the last three columns), rank 2 and rank 0 each keep their own pivots."""
+    rng = np.random.default_rng(3)
+    stack = rng.integers(0, p, size=(12, 3, 9))
+    stack[:4, 2] = 2 * stack[:4, 0] % p  # rank 2
+    stack[4:6, :, :6] = 0  # pivots only among the last three columns
+    stack[4:6, :, 6:] = np.triu(stack[4:6, :, 6:], 1) + np.eye(3, dtype=np.int64)
+    stack[6] = 0
+    stack[7:, :, :3] = np.tril(stack[7:, :, :3], -1) + np.eye(3, dtype=np.int64)  # rank 3
+    form, mask = modp.rref(stack, p)
+    for k, mat in enumerate(stack):
+        want, pivots = _rref_ints(mat.tolist(), p)
+        assert form[k].tolist() == want and np.flatnonzero(mask[k]).tolist() == pivots
+    assert mask.sum(axis=1).tolist() == [2] * 4 + [3] * 2 + [0] + [3] * 5
+    assert (np.flatnonzero(mask[4]) >= 6).all()

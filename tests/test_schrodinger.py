@@ -1,5 +1,4 @@
 import random
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -281,54 +280,51 @@ def test_extended_traces_refuse_a_broken_word(ctx2, t92, monkeypatch):
 
 def test_singular_corner_found_by_a_diagonal_correction(monkeypatch):
     """The Sp6(F9) element with c = diag(−1, 0, 0) and d = diag(0, 1, 1), a Weyl
-    element in the first coordinate: the correction b0 = diag(1, 0, 0) is among
-    the 2^n diagonal blocks tried first, so the full symmetric search never runs
-    and no tuple matrix product is taken."""
+    element in the first coordinate: its correction is b0 = diag(1, 0, 0), the
+    second of the 2^n diagonal blocks (the zero block leaves d singular), and no
+    tuple matrix product is taken."""
     t = build_tower(3, 1, 2)
     minus = t.from_int(-1)
     g = [0] * 36
     for i, (a, b, c, d) in enumerate([(0, 1, minus, 0), (1, 0, 0, 1), (1, 0, 0, 1)]):
         g[i * 6 + i], g[i * 6 + 3 + i], g[(3 + i) * 6 + i], g[(3 + i) * 6 + 3 + i] = a, b, c, d
     g = tuple(g)
-    calls = {"mat_mul": 0, "blocks": 0}
+    calls = {"mat_mul": 0}
     mat_mul_ = grouplib.mat_mul
-    candidates = schrodinger._candidates
 
     def counted_mat_mul(*args):
         calls["mat_mul"] += 1
         return mat_mul_(*args)
 
-    def counted_candidates(*args):
-        for blocks in candidates(*args):
-            calls["blocks"] += len(blocks)
-            yield blocks
-
     monkeypatch.setattr(grouplib, "mat_mul", counted_mat_mul)
-    monkeypatch.setattr(schrodinger, "_candidates", counted_candidates)
     word = siegel_factor(t, 3, 2, g)  # the word check inside is the certificate
     assert [tag for tag, _ in word].count("weyl") == 2
-    assert calls == {"mat_mul": 0, "blocks": 8}
+    assert calls == {"mat_mul": 0}
+    digits = t.digit_stack([g], 6)
+    (b0,) = schrodinger._corrections(t, 3, digits[:, 3:, :3], digits[:, 3:, 3:])
+    assert t.from_digit_stack(b0[None])[0] == (1, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
-def test_full_correction_search_after_the_diagonal_blocks(t92, monkeypatch):
-    """When no diagonal 0/1 block serves, the search goes on over every symmetric
-    block in order, the (0, 0) entry slowest: here the diagonal chunk is withheld,
-    and each corner still gets the first such block with c·b0 + d invertible."""
-    candidates = schrodinger._candidates
-    monkeypatch.setattr(schrodinger, "_candidates", lambda *args: islice(candidates(*args), 1, None))
-    corners = _singular_corners(t92) + [_LOWER]
-    for g in corners:
-        word = siegel_factor(t92, 2, 2, g)  # the word check is the certificate
-        assert [tag for tag, _ in word].count("weyl") == 2
-    digits = t92.digit_stack(corners, 4)
-    c, d = digits[:, 2:, :2], digits[:, 2:, 2:]
-    got = schrodinger._corrections(t92, 2, 2, c, d)
-    field = t92.level_elements(2)
-    for k, g in enumerate(corners):
-        cg, dg = (g[8], g[9], g[12], g[13]), (g[10], g[11], g[14], g[15])
-        first = next(b0 for b0 in ((x, y, y, z) for x in field for y in field for z in field)
-                     if mat_det(t92, tuple(t92.add(u, v) for u, v in zip(mat_mul(t92, cg, b0, 2), dg)), 2))
-        assert t92.from_digit_array(got[k].reshape(-1, t92.ambient_degree)) == first
+def test_every_singular_corner_of_sp4_f3_has_a_diagonal_correction(t92):
+    """Every element of Sp4(F3) with c nonzero and singular (15,552 of 51,840) gets the
+    first diagonal 0/1 block b0, in order, with c·b0 + d invertible, checked here on F_3
+    integers; `_siegel_words`, the certificate under `siegel_factor`, factors the whole
+    stack and checks every word against its element."""
+    digits = t92.digit_stack(list(SympGroup(t92, 2, 1).elements()), 4)
+    c = digits[:, 2:, :2]
+    corner = c.reshape(len(c), -1).any(axis=1) & ~t92.matinv(c)[1]
+    digits = digits[corner]
+    assert len(digits) == 15552 and not digits[..., 1:].any()  # F_3 lies in digit 0
+    cs, ds = digits[:, 2:, :2, 0], digits[:, 2:, 2:, 0]
+    diags = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    tries = [cs * np.array(x) + ds for x in diags]  # c·diag(x) scales c's columns
+    dets = np.stack([(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % 3 for m in tries], axis=1)
+    assert dets.any(axis=1).all()
+    want = np.array(diags)[dets.astype(bool).argmax(axis=1)]
+    b0 = schrodinger._corrections(t92, 2, digits[:, 2:, :2], digits[:, 2:, 2:])
+    assert np.array_equal(b0[:, [0, 1], [0, 1], 0], want) and not b0[:, [0, 1], [1, 0]].any()
+    ((where, tags, _),) = schrodinger._siegel_words(t92, 2, 1, digits)
+    assert len(where) == len(digits) and tags == ("unip", "weyl", "unip", "weyl", "unip")
 
 
 def test_rho_identity_and_minus_one(ctx1, t92):
@@ -675,7 +671,7 @@ def test_siegel_word_missing_a_factor_is_refused_property(p, n, level, seed, dat
     spec = SympGroup(build_tower(p, 1, level), n, level)
     g = spec.random(random.Random(seed))
     digits = spec.tower.digit_stack([g], 2 * n)
-    ((where, tags, blocks),) = schrodinger._siegel_cells(spec.tower, n, level, digits)
+    ((where, tags, blocks),) = schrodinger._siegel_cells(spec.tower, n, digits)
     k = data.draw(st.integers(0, len(tags) - 1))
     param = spec.tower.from_digit_array(blocks[0, k].reshape(-1, spec.tower.ambient_degree))
     assume(_factor_matrix(spec, tags[k], param) != spec.identity())
