@@ -6,7 +6,6 @@ from .grouplib import (
     HeisGroup,
     SpHGroup,
     SympGroup,
-    SympSpace,
     TorusSL2,
     conjugacy_classes,
     membership,
@@ -26,7 +25,6 @@ __all__ = [
     "HeisGroup",
     "SpHGroup",
     "SympGroup",
-    "SympSpace",
     "TorusSL2",
     "conjugacy_classes",
     "membership",

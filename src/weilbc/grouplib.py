@@ -9,6 +9,9 @@ Group elements are hashable tuples:
 * twisted elements: (i, g) for (σ^i, g) = (1,g)(σ^i,1).
 
 Field elements are ints, so the canonical order of elements is tuple order.
+The Siegel generators u(b), levi(a) and weyl(B) of Sp have one builder on digit
+stacks, `siegel_matrices`: SympGroup's generators decode it, and the Siegel
+word certificate in `schrodinger` multiplies its output.
 """
 
 from __future__ import annotations
@@ -57,16 +60,8 @@ def mat_vec(tower: Tower, a: tuple, v: tuple, size: int) -> tuple:
     return tuple(out)
 
 
-def mat_transpose(a: tuple, size: int) -> tuple:
-    return tuple(a[j * size + i] for i in range(size) for j in range(size))
-
-
 def mat_frob(tower: Tower, a: tuple, j: int) -> tuple:
     return tuple(tower.frobenius(x, j) for x in a)
-
-
-def mat_neg(tower: Tower, a: tuple) -> tuple:
-    return tuple(tower.neg(x) for x in a)
 
 
 def mat_det(tower: Tower, a: tuple, size: int):
@@ -77,18 +72,6 @@ def mat_det(tower: Tower, a: tuple, size: int):
     if size == 2:
         return tower.sub(tower.mul(a[0], a[3]), tower.mul(a[1], a[2]))
     raise DimensionMismatch(f"mat_det takes sizes 1 and 2, not {size}")
-
-
-def mat_inv(tower: Tower, a: tuple, size: int) -> tuple:
-    if size == 1:
-        return (tower.inv(a[0]),)
-    if size == 2:  # the adjugate over the determinant
-        di = tower.inv(mat_det(tower, a, 2))
-        return tuple(tower.mul(x, di) for x in (a[3], tower.neg(a[1]), tower.neg(a[2]), a[0]))
-    inv, ok = tower.matinv(tower.digit_stack([a], size))
-    if not ok[0]:
-        raise Singular("singular matrix")
-    return tower.from_digit_stack(inv)[0]
 
 
 # -- symplectic structure ---------------------------------------------------------
@@ -129,23 +112,32 @@ def is_symplectic(tower: Tower, g: np.ndarray, level: int) -> np.ndarray:
     return ok & (lam[..., 0] == 1) & ~lam[..., 1:].any(axis=-1)
 
 
-@dataclass(frozen=True)
-class SympSpace:
-    """Standard symplectic space of dimension 2n with ⟨e_i, f_j⟩ = δ_ij."""
+def form(tower: Tower, u: tuple, v: tuple):
+    """⟨u, v⟩ = Σ u_i v_{n+i} − u_{n+i} v_i for 2n-tuples u, v of field elements."""
+    n, acc = len(u) // 2, tower.zero
+    for i in range(n):
+        acc = tower.sub(tower.add(acc, tower.mul(u[i], v[n + i])), tower.mul(u[n + i], v[i]))
+    return acc
 
-    n: int
 
-    def gram(self, tower: Tower) -> tuple:
-        return tuple(form_times(np.eye(2 * self.n, dtype=np.int64), 0, tower.p).ravel().tolist())
-
-    def form(self, tower: Tower, u: tuple, v: tuple):
-        """⟨u, v⟩ = Σ u_i v_{n+i} - u_{n+i} v_i."""
-        n = self.n
-        acc = tower.zero
-        for i in range(n):
-            acc = tower.add(acc, tower.mul(u[i], v[n + i]))
-            acc = tower.sub(acc, tower.mul(u[n + i], v[i]))
-        return acc
+def siegel_matrices(tower: Tower, tags: tuple, blocks: np.ndarray) -> np.ndarray:
+    """The digit matrices (E, factors, 2n, 2n, A) of the Siegel generators named by tags,
+    from their parameter blocks (E, factors, n, n, A): u(b) = [[1, b], [0, 1]], levi(a) =
+    diag(a, (aᵀ)⁻¹) and weyl(B) = [[0, B], [−(Bᵀ)⁻¹, 0]].  One inverse serves every Levi and
+    Weyl block of the stack; a singular one raises Singular."""
+    E, F, n, _, A = blocks.shape
+    unip, levi, weyl = (np.array([tag == name for tag in tags], dtype=bool) for name in ("unip", "levi", "weyl"))
+    out = np.zeros((E, F, 2 * n, 2 * n, A), dtype=np.int64)
+    out[:, unip, :, :, 0] = np.eye(2 * n, dtype=np.int64)
+    out[:, ~levi, :n, n:] = blocks[:, ~levi]
+    out[:, levi, :n, :n] = blocks[:, levi]
+    if not unip.all():
+        inv, ok = tower.matinv(blocks[:, ~unip].swapaxes(2, 3))
+        if not ok.all():
+            raise Singular("singular Levi or Weyl block")
+        out[:, levi, n:, n:] = inv[:, levi[~unip]]
+        out[:, weyl, n:, :n] = -inv[:, weyl[~unip]] % tower.p
+    return out
 
 
 def membership(tower: Tower, g: tuple, n: int, level: int):
@@ -175,7 +167,7 @@ class GroupSpec:
     """Common interface: elements are hashable, operations are pure.
 
     A group memoizes its element tuple and its partitions (by twist, 0 for
-    the ordinary classes); SympGroup also its norms.
+    the ordinary classes); SympGroup also its norms and its generators.
     """
 
     def __init__(self, tower: Tower, level: int, cap: int = ENUM_CAP):
@@ -224,9 +216,6 @@ class _MatrixSpec(GroupSpec):
     def frob(self, a, j):
         return mat_frob(self.tower, a, j)
 
-    def inv(self, a):
-        return mat_inv(self.tower, a, self.size)
-
     def orbit_maps(self, twist: int) -> tuple:
         """The group whose elements() each coset lists (here self, one coset) and,
         per coset, the digit maps of the generator actions x ↦ s·x·σ^twist(s)⁻¹."""
@@ -258,7 +247,7 @@ class SympGroup(_MatrixSpec):
         self.n = n
         self.size = 2 * n
         self.similitude = similitude
-        self.space = SympSpace(n)
+        self._generators: tuple | None = None
         self.norms: dict = {}  # normmap.gyoja_norms by (NormConfig, g, ambient_cap)
 
     def inv(self, a):
@@ -269,7 +258,7 @@ class SympGroup(_MatrixSpec):
         out = [x if (k // size < n) == (k % size < n) else tower.neg(x) for k, x in enumerate(out)]
         if not self.similitude:
             return tuple(out)
-        mu_inv = tower.inv(self.space.form(tower, a[0::size], a[n::size]))
+        mu_inv = tower.inv(form(tower, a[0::size], a[n::size]))
         return tuple(tower.mul(mu_inv, x) for x in out)
 
     def order(self) -> int:
@@ -287,37 +276,22 @@ class SympGroup(_MatrixSpec):
         kind, lam = membership(self.tower, a, self.n, self.level)
         return kind == "sp" or (self.similitude and kind == "gsp")
 
+    def _siegel(self, tags: tuple, blocks: list) -> list:
+        """The generators tags of the n×n parameter blocks, as tuples (`siegel_matrices`)."""
+        digits = self.tower.digit_stack(blocks, self.n)[None]
+        return self.tower.from_digit_stack(siegel_matrices(self.tower, tags, digits)[0])
+
     def unipotent(self, b: tuple) -> tuple:
         """[[1, b], [0, 1]] with b an n×n block (must be symmetric)."""
-        n, tower = self.n, self.tower
-        g = list(mat_identity(tower, 2 * n))
-        for i in range(n):
-            for j in range(n):
-                g[i * 2 * n + n + j] = b[i * n + j]
-        return tuple(g)
+        return self._siegel(("unip",), [b])[0]
 
     def levi(self, a: tuple) -> tuple:
-        """diag(a, (aᵀ)^{-1}) for a invertible n×n."""
-        n, tower = self.n, self.tower
-        astar_inv = mat_inv(tower, mat_transpose(a, n), n)
-        g = [tower.zero] * (4 * n * n)
-        for i in range(n):
-            for j in range(n):
-                g[i * 2 * n + j] = a[i * n + j]
-                g[(n + i) * 2 * n + n + j] = astar_inv[i * n + j]
-        return tuple(g)
+        """diag(a, (aᵀ)^{-1}) for a invertible n×n, else Singular."""
+        return self._siegel(("levi",), [a])[0]
 
     def weyl(self, b: tuple | None = None) -> tuple:
         """Antidiagonal [[0, B], [-(Bᵀ)^{-1}, 0]]; B defaults to the identity."""
-        n, tower = self.n, self.tower
-        B = mat_identity(tower, n) if b is None else b
-        C = mat_neg(tower, mat_inv(tower, mat_transpose(B, n), n))
-        g = [tower.zero] * (4 * n * n)
-        for i in range(n):
-            for j in range(n):
-                g[i * 2 * n + n + j] = B[i * n + j]
-                g[(n + i) * 2 * n + j] = C[i * n + j]
-        return tuple(g)
+        return self._siegel(("weyl",), [mat_identity(self.tower, self.n) if b is None else b])[0]
 
     def similitude_rep(self, lam) -> tuple:
         """diag(λ·1, 1): similitude factor λ."""
@@ -327,31 +301,33 @@ class SympGroup(_MatrixSpec):
             g[i * 2 * n + i] = lam
         return tuple(g)
 
-    def generators(self) -> list:
+    def generators(self) -> tuple:
+        """u(c·(e_ij + e_ji)) for i ≤ j and c in {1, ζ}, levi(diag(ζ, 1, …)), for n > 1 the Levi
+        swap of e_1 and e_2, weyl(1) and, for GSp, diag(ζ·1, 1), with ζ the smallest generator
+        of F_{q^level}^×: built once, in one `siegel_matrices` call, and kept."""
+        if self._generators is not None:
+            return self._generators
         n, tower = self.n, self.tower
-        gens = []
         zeta = _gen_of_mult_group(tower, self.level)
         coeffs = [tower.one] if zeta == tower.one else [tower.one, zeta]
+        blocks = []
         for i in range(n):
             for j in range(i, n):
                 for c in coeffs:
                     b = [tower.zero] * (n * n)
                     b[i * n + j] = c
                     b[j * n + i] = c
-                    gens.append(self.unipotent(tuple(b)))
-        a = list(mat_identity(tower, n))
-        a[0] = zeta
-        gens.append(self.levi(tuple(a)))
+                    blocks.append(b)
+        levis = [list(mat_identity(tower, n))]
+        levis[0][0] = zeta
         if n > 1:
-            perm = [tower.zero] * (n * n)
-            perm[1], perm[n] = tower.one, tower.one
-            for k in range(2, n):
-                perm[k * n + k] = tower.one
-            gens.append(self.levi(tuple(perm)))
-        gens.append(self.weyl())
-        if self.similitude:
-            gens.append(self.similitude_rep(zeta))
-        return gens
+            swap = list(mat_identity(tower, n))  # e_1 ↔ e_2
+            swap[0], swap[1], swap[n], swap[n + 1] = tower.zero, tower.one, tower.one, tower.zero
+            levis.append(swap)
+        tags = ("unip",) * len(blocks) + ("levi",) * len(levis) + ("weyl",)
+        gens = self._siegel(tags, blocks + levis + [mat_identity(tower, n)])
+        self._generators = tuple(gens + [self.similitude_rep(zeta)] if self.similitude else gens)
+        return self._generators
 
     @_memoized
     def elements(self):
@@ -412,7 +388,6 @@ class HeisGroup(GroupSpec):
     def __init__(self, tower: Tower, n: int, level: int, cap: int = ENUM_CAP):
         super().__init__(tower, level, cap)
         self.n = n
-        self.space = SympSpace(n)
 
     def identity(self):
         return (tuple(self.tower.zero for _ in range(2 * self.n)), self.tower.zero)
@@ -423,7 +398,7 @@ class HeisGroup(GroupSpec):
         if len(v1) != len(v2):
             raise LevelMismatch("Heisenberg elements of different sizes")
         v = tuple(tower.add(x, y) for x, y in zip(v1, v2))
-        t = tower.add(tower.add(t1, t2), tower.mul(tower.half, self.space.form(tower, v1, v2)))
+        t = tower.add(tower.add(t1, t2), tower.mul(tower.half, form(tower, v1, v2)))
         return (v, t)
 
     def inv(self, a):
@@ -520,6 +495,11 @@ class TorusSL2(_MatrixSpec):
 
     def matrix(self, a, b):
         return (a, self.tower.mul(b, self.w), b, a)
+
+    def inv(self, g):
+        """The adjugate [[d, −b], [−c, a]], the inverse on determinant one."""
+        neg = self.tower.neg
+        return (g[3], neg(g[1]), neg(g[2]), g[0])
 
     def contains(self, g):
         tower = self.tower

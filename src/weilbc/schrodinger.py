@@ -58,7 +58,7 @@ from . import modp
 from .cyclotomic import CycNum, check_int64, gauss_sum
 from .errors import DimensionMismatch, FactorizationFailed, NotSymplectic, OperatorOverflow, Singular
 from .fieldtower import Tower
-from .grouplib import SympGroup, SympSpace, is_symplectic, mat_identity
+from .grouplib import SympGroup, form, is_symplectic, mat_identity, siegel_matrices
 
 _STACK_CAP = 128  # elements factored at once
 _PATH_CAP = 1 << 13  # paths held at once by one stacked trace walk
@@ -84,16 +84,6 @@ def _unit_vectors(p: int) -> np.ndarray:
         out[e, e] = 1
     out[p - 1, :] = -1
     return out
-
-
-def _conj_matrix(p: int) -> np.ndarray:
-    mat = np.zeros((p - 1, p - 1), dtype=np.int64)
-    mat[0, 0] = 1
-    if p > 2:
-        mat[:, 1] = -1
-    for k in range(2, p - 1):
-        mat[p - k, k] = 1
-    return mat
 
 
 class WeilOperator:
@@ -162,11 +152,9 @@ class RepContext:
         self.points = list(iproduct(elems, repeat=n))
         self.dim = len(self.points)
         self._units = _unit_vectors(self.p)
-        self.conjmat = _conj_matrix(self.p)
-        self._fold_pairs = [
-            [(r, s) for r in range(self.p - 1) for s in range(self.p - 1) if (r + s) % self.p == t]
-            for t in range(self.p)
-        ]
+        self.conjmat = self._units[-np.arange(self.p - 1) % self.p].T  # column e: the vector of ζ^{−e}
+        exps = np.arange(self.p - 1)
+        self._fold_table = self._units[(exps[:, None] + exps).ravel() % self.p]  # row (r, s): ζ^{r+s}
         self.gauss = gauss_sum(tower, level, self.scale)
         self.gauss_inv = self.gauss.inverse()
         self._every = np.arange(self.dim, dtype=np.intp)  # read-only: shared by steps
@@ -180,12 +168,7 @@ class RepContext:
 
     def fold(self, full: np.ndarray) -> np.ndarray:
         """Reduce (..., p-1, p-1) products to canonical (..., p-1) coefficients."""
-        shape = full.shape[:-2] + (self.p,)
-        out = np.zeros(shape, dtype=np.int64)
-        for t in range(self.p):
-            for r, s in self._fold_pairs[t]:
-                out[..., t] += full[..., r, s]
-        return out[..., : self.p - 1] - out[..., self.p - 1 :]
+        return full.reshape(*full.shape[:-2], -1) @ self._fold_table
 
     def eps(self, x) -> int:
         return self.tower.quad_char(x, self.level)
@@ -676,7 +659,7 @@ def _siegel_words(tower: Tower, n: int, level: int, g: np.ndarray) -> list:
         raise NotSymplectic("input matrix is not symplectic at this level")
     cells = _siegel_cells(tower, n, g)
     for where, tags, blocks in cells:
-        _check_word(tower, n, g[where], tags, blocks)
+        _check_word(tower, g[where], tags, blocks)
     return cells
 
 
@@ -743,28 +726,14 @@ def _corrections(tower: Tower, n: int, c: np.ndarray, d: np.ndarray) -> np.ndarr
     return diag[ok.argmax(axis=1)]
 
 
-def _check_word(tower: Tower, n: int, g: np.ndarray, tags: tuple, blocks: np.ndarray) -> None:
+def _check_word(tower: Tower, g: np.ndarray, tags: tuple, blocks: np.ndarray) -> None:
     """Raise FactorizationFailed unless, for each element of the stack g, the
-    product of its word's generators is g: u(b) = [[1, b], [0, 1]], levi(a) =
-    diag(a, (aᵀ)⁻¹) and weyl(B) = [[0, B], [−(Bᵀ)⁻¹, 0]], built from their
-    parameters alone (one inverse for every Levi and Weyl block of the stack)."""
-    p, A = tower.p, tower.ambient_degree
-    inverted = [f for f, tag in enumerate(tags) if tag != "unip"]
-    if inverted:
-        inv, ok = tower.matinv(blocks[:, inverted].swapaxes(2, 3))
-        if not ok.all():
-            raise Singular("singular matrix")
-    prod = np.broadcast_to(_identity_digits(tower, 2 * n), g.shape)
-    for f, tag in enumerate(tags):
-        gen = np.zeros((len(blocks), 2 * n, 2 * n, A), dtype=np.int64)
-        if tag == "unip":
-            gen[:] = _identity_digits(tower, 2 * n)
-            gen[:, :n, n:] = blocks[:, f]
-        elif tag == "levi":
-            gen[:, :n, :n], gen[:, n:, n:] = blocks[:, f], inv[:, inverted.index(f)]
-        else:
-            gen[:, :n, n:], gen[:, n:, :n] = blocks[:, f], -inv[:, inverted.index(f)] % p
-        prod = gen if f == 0 else tower.matmul(prod, gen)
+    product of its word's generators, built from their parameters alone
+    (`siegel_matrices`), is g."""
+    gens = siegel_matrices(tower, tags, blocks)
+    prod = gens[:, 0]
+    for f in range(1, len(tags)):
+        prod = tower.matmul(prod, gens[:, f])
     if not np.array_equal(prod, g):
         raise FactorizationFailed("factor word does not reproduce the element")
 
@@ -793,7 +762,7 @@ def extended_gsp_traces(ctx: RepContext, i: int, gs) -> list[CycNum]:
     tower, n, size = ctx.tower, ctx.n, 2 * ctx.n
     zs, owners = [], []
     for k, g in enumerate(gs):
-        mu = SympSpace(n).form(tower, g[0::size], g[n::size])  # ⟨g e₁, g f₁⟩
+        mu = form(tower, g[0::size], g[n::size])  # ⟨g e₁, g f₁⟩
         for lam in tower.level_elements(ctx.level)[1:]:  # zero comes first
             lam_i = tower.frobenius(lam, i)
             if tower.mul(lam_i, mu) == lam:

@@ -6,14 +6,13 @@ from itertools import chain
 import pytest
 
 from weilbc import grouplib
-from weilbc.errors import GroupTooLarge, InvariantBroken
+from weilbc.errors import GroupTooLarge, InvariantBroken, Singular
 from weilbc.fieldtower import build_tower
 from weilbc.grouplib import (
     HeisGroup,
     SemidirectGroup,
     SpHGroup,
     SympGroup,
-    SympSpace,
     TorusSL2,
     conjugacy_classes,
     membership,
@@ -27,7 +26,7 @@ def t92():
 
 
 def test_membership_examples(t92):
-    J = SympSpace(1).gram(t92)
+    J = (0, 1, 2, 0)  # [[0, 1], [−1, 0]] over F_3
     assert membership(t92, J, 1, 1) == ("sp", None)
     assert membership(t92, (2, 0, 0, 2), 1, 1) == ("sp", None)
     kind, lam = membership(t92, (2, 0, 0, 1), 1, 1)
@@ -170,6 +169,11 @@ def test_torus_meets_borel_in_center(t92):
     assert sorted(meet) == sorted([(1, 0, 0, 1), (2, 0, 0, 2)])
 
 
+def test_torus_inverse_is_the_adjugate(t92):
+    for tor in (TorusSL2(t92, 1), TorusSL2(t92, 2)):
+        assert all(tor.mul(g, tor.inv(g)) == tor.identity() for g in tor.elements())
+
+
 def test_sph_group_law(t92):
     sph = SpHGroup(t92, 1, 2)
     rng = random.Random(2)
@@ -214,6 +218,105 @@ def test_mat_det_refuses_sizes_above_two(t92):
     assert grouplib.mat_det(t92, (1, 2, 0, 1), 2) == 1
     with pytest.raises(DimensionMismatch):
         grouplib.mat_det(t92, grouplib.mat_identity(t92, 3), 3)
+
+
+def _siegel_oracle(tower, tag, m, n):
+    """u(m), levi(m) or weyl(m) as a tuple, from the block formulas [[1, b], [0, 1]],
+    diag(a, (aᵀ)⁻¹) and [[0, B], [−(Bᵀ)⁻¹, 0]], (Mᵀ)⁻¹ by the 1×1 inverse or the 2×2 adjugate."""
+    size = 2 * n
+    g = [tower.one if tag == "unip" and i == j else tower.zero for i in range(size) for j in range(size)]
+    if tag != "unip":
+        mt = [m[j * n + i] for i in range(n) for j in range(n)]
+        if n == 1:
+            inv = [tower.inv(mt[0])]
+        else:
+            di = tower.inv(tower.sub(tower.mul(mt[0], mt[3]), tower.mul(mt[1], mt[2])))
+            inv = [tower.mul(di, x) for x in (mt[3], tower.neg(mt[1]), tower.neg(mt[2]), mt[0])]
+    for i in range(n):
+        for j in range(n):
+            if tag == "levi":
+                g[i * size + j], g[(n + i) * size + n + j] = m[i * n + j], inv[i * n + j]
+            else:
+                g[i * size + n + j] = m[i * n + j]
+                if tag == "weyl":
+                    g[(n + i) * size + j] = tower.neg(inv[i * n + j])
+    return tuple(g)
+
+
+def _siegel_parameters(tower, n):
+    """Every 1×1 parameter over F_9 (nonzero for levi and weyl) at n = 1; at n = 2, 12 seeded
+    symmetric blocks for u and 12 seeded invertible blocks each for levi and weyl."""
+    field = tower.level_elements(2)
+    if n == 1:
+        return [("unip", (x,)) for x in field] + [(tag, (x,)) for tag in ("levi", "weyl") for x in field[1:]]
+    rng, out = random.Random(11), []
+    for tag in ("unip", "levi", "weyl"):
+        while sum(t == tag for t, _ in out) < 12:
+            a, b, c, d = (rng.choice(field) for _ in range(4))
+            if tag == "unip":
+                out.append((tag, (a, b, b, d)))
+            elif tower.sub(tower.mul(a, d), tower.mul(b, c)) != tower.zero:
+                out.append((tag, (a, b, c, d)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_siegel_generators_match_the_block_formulas(t92, n):
+    """The one builder, stacked and through SympGroup's decodes, against tuple formulas
+    that share none of its code; every result lies in Sp."""
+    spec, params = SympGroup(t92, n, 2), _siegel_parameters(t92, n)
+    want = [_siegel_oracle(t92, tag, m, n) for tag, m in params]
+    tags = tuple(tag for tag, _ in params)
+    stacked = grouplib.siegel_matrices(t92, tags, t92.digit_stack([m for _, m in params], n)[None])
+    assert t92.from_digit_stack(stacked[0]) == want
+    assert [{"unip": spec.unipotent, "levi": spec.levi, "weyl": spec.weyl}[tag](m) for tag, m in params] == want
+    assert all(membership(t92, g, n, 2) == ("sp", None) for g in want)
+    assert spec.weyl() == _siegel_oracle(t92, "weyl", grouplib.mat_identity(t92, n), n)
+
+
+@pytest.mark.parametrize("n, block", [(1, (0,)), (2, (1, 1, 1, 1))], ids=["n1", "n2"])
+def test_singular_siegel_blocks_raise_singular(t92, n, block):
+    spec = SympGroup(t92, n, 2)
+    with pytest.raises(Singular):
+        spec.levi(block)
+    with pytest.raises(Singular):
+        spec.weyl(block)
+
+
+def test_generators_are_built_once_per_group(t92, monkeypatch):
+    """200 random draws from each of three groups call the builder once per group."""
+    calls = []
+    orig = grouplib.siegel_matrices
+
+    def counted(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(grouplib, "siegel_matrices", counted)
+    groups = [SympGroup(t92, 1, 2), SympGroup(t92, 2, 2), SympGroup(t92, 1, 2, similitude=True)]
+    rng = random.Random(0)
+    for spec in groups:
+        for _ in range(200):
+            spec.random(rng)
+        assert spec.generators() is spec.generators()
+    assert len(calls) == len(groups)
+
+
+_DRAWS_PINNED = {  # SHA-256 of repr of 200 draws at Random(23), recorded with the per-draw generator lists
+    "sl": "8fb493881ac36709096690df56f353e35492250fa1936dcbdf9b86845122fa0d",
+    "sp4": "d297b528f9426fa5d10cab5acd759cd3661dfbf66f32aa33c12db44f4229a901",
+    "gsp": "c676adcbf0d487e88e6a035235ea783707b8bd187a4deb418412e253d1764a1b",
+}
+
+
+@pytest.mark.parametrize("group", sorted(_DRAWS_PINNED))
+def test_random_draws_are_pinned(t92, group):
+    """The generators, their order included, fix every sampled draw: SL2(F_9), Sp4(F_9), GSp2(F_9)."""
+    spec = {"sl": lambda: SympGroup(t92, 1, 2), "sp4": lambda: SympGroup(t92, 2, 2),
+            "gsp": lambda: SympGroup(t92, 1, 2, similitude=True)}[group]()
+    rng = random.Random(23)
+    draws = [spec.random(rng) for _ in range(200)]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == _DRAWS_PINNED[group]
 
 
 def test_heis_mul_rejects_mixed_sizes(t92):
