@@ -46,7 +46,9 @@ from .characters import (
     omega_prime,
     weil_torus_restriction,
 )
-from .schrodinger import RepContext, WeilOperator, extended_gsp_traces, gsp_character_values
+from .schrodinger import RepContext, WeilOperator, extended_gsp_traces
+
+_EVERY_MEMBER_ORDER = 2000  # gyoja-bijection checks every element, the isometry and the class count up to this order
 
 
 @dataclass(frozen=True)
@@ -218,9 +220,8 @@ def check_gauss(ws: Workspace) -> list[Case]:
         lhs = G * G
         rhs = CycNum.rational(p, tower.quad_char(tower.from_int(p - 1), d) * tower.q**d)
         cases.append(Case.of(f"G_{d}^2 = eps(-1) q^{d}", lhs, rhs))
-        tot = CycNum.zero(p)
-        for x in tower.level_elements(d):
-            tot = tot + tower.psi(x, d, ws.scale)
+        exps = tower.digit_array(tower.level_elements(d)) @ tower.psi_row(d, ws.scale) % p
+        tot = CycNum.from_counts(p, np.bincount(exps, minlength=p))
         cases.append(Case.of(f"sum psi level {d} = 0", tot, CycNum.zero(p)))
     for d in tower.levels():
         if 2 * d in tower.levels():
@@ -255,9 +256,10 @@ def check_homomorphism(ws: Workspace) -> list[Case]:
     for k, (rho, rho_sigma) in enumerate(zip(ops, ops)):
         cases.append(Case.of(f"I_sigma intertwining #{k}", (Isig @ rho) @ Isig_inv, rho_sigma))
     zero_v = tuple(ws.tower.zero for _ in range(2 * cfg.n))
-    for kk in ws.tower.level_elements(cfg.m):
+    field = ws.tower.level_elements(cfg.m)
+    for kk, e in zip(field, (ws.tower.digit_array(field) @ ws.tower.psi_row(cfg.m, ws.scale) % cfg.p).tolist()):
         op = ctx.op_heis((zero_v, kk))
-        want = ctx.identity_op().scale(ws.tower.psi(kk, cfg.m, ws.scale))
+        want = ctx.identity_op().scale(CycNum.root_of_unity(cfg.p, e))
         cases.append(Case.of(f"central character k={kk}", op, want))
     acting = [(sp.random(rng), heis.random(rng)) for _ in range(50)]
     ops = ctx.rhos(chain.from_iterable((s, sp.inv(s)) for s, _ in acting))
@@ -317,16 +319,12 @@ def check_gsp(ws: Workspace) -> list[Case]:
     ctx_top = ws.ctx(cfg.m)
     cases = []
     for ncfg in cfg.norm_cfgs():
-        ctx_d = ws.ctx(ncfg.d)
-        gsp_d = ws.gsp(ncfg.d)
-        part_d = conjugacy_classes(gsp_d)
-        values = gsp_character_values(ctx_d, part_d)
-        pi_d = ClassFunction(part_d, tuple(values[rep] for rep in part_d.reps))
-        dim_case_lhs = pi_d.at(gsp_d.identity())
+        ctx_d = ws.ctx(ncfg.d)  # π_d = Ind_Sp^GSp ρ_d is the untwisted extended GSp trace at level d
+        (dim_case_lhs,) = extended_gsp_traces(ctx_d, 0, [ws.gsp(ncfg.d).identity()])
         dim_expected = CycNum.rational(cfg.p, (ws.tower.q**ncfg.d - 1) * ws.tower.q ** (ncfg.d * cfg.n))
         cases.append(Case.of(f"dim pi_{ncfg.d}", dim_case_lhs, dim_expected))
-        cases += _norm_cases(ws, ws.gsp(), ncfg, "gsp", "g'",
-                             lambda gs: extended_gsp_traces(ctx_top, ncfg.i, gs), lambda norms: [pi_d.at(N) for N in norms])
+        cases += _norm_cases(ws, ws.gsp(), ncfg, "gsp", "g'", lambda gs: extended_gsp_traces(ctx_top, ncfg.i, gs),
+                             lambda norms: extended_gsp_traces(ctx_d, 0, norms))
     return cases
 
 
@@ -555,17 +553,16 @@ def check_gyoja_bijection(ws: Workspace) -> list[Case]:
     cases = []
     for ncfg in cfg.norm_cfgs():
         sp_d = ws.sp(level=ncfg.d)
-        # small groups: verify well-definedness on every element, not a sample
-        members = 10**9 if sp_top.order() <= 2000 else 2
+        members = sp_top.order() if sp_top.order() <= _EVERY_MEMBER_ORDER else 2
         rep = verify_bijection(ncfg, sp_top, sp_d, cfg.ambient_cap, members_per_class=members)
         tag = f"i={ncfg.i},t={ncfg.t}"
         cases.append(Case.of(f"{tag} class counts", rep.twisted_count, rep.target_count))
         for label, verdict in (("well defined", rep.well_defined), ("injective", rep.injective),
                                ("surjective", rep.surjective), ("sigma equivariant", rep.sigma_equivariant)):
             cases.append(Case.of(f"{tag} {label}", verdict, True))
-    if sp_top.order() <= 2000:
+    if sp_top.order() <= _EVERY_MEMBER_ORDER:
         cases += _isometry_cases(ws)
-    if cfg.m == 2 and sp_top.order() <= 2000:
+    if cfg.m == 2 and sp_top.order() <= _EVERY_MEMBER_ORDER:
         cases.append(_dimension_count_case(ws))
     return cases
 

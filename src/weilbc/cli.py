@@ -60,13 +60,6 @@ def parse_pairs(text: str) -> tuple:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    sample: object = args.sample
-    if sample != "all":
-        try:
-            sample = int(sample)
-        except ValueError:
-            print(f"error: --sample must be an integer or 'all', got {args.sample!r}", file=sys.stderr)
-            return 2
     try:
         cfg = RunConfig(
             p=args.p,
@@ -75,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
             m=args.m,
             pairs=parse_pairs(args.pairs),
             psi_scale=args.psi_scale,
-            sample=sample,
+            sample=int(args.sample) if args.sample.isdecimal() else args.sample,  # else validate() refuses it
             seed=args.seed,
             ambient_cap=args.ambient_cap,
             enum_cap=args.enum_cap,

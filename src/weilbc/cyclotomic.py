@@ -9,6 +9,7 @@ unique, hence equality is coefficient-wise.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -73,6 +74,11 @@ class CycNum:
         vec = [0] * (p - 1)
         vec[k] = 1
         return cls(p, vec)
+
+    @classmethod
+    def from_counts(cls, p: int, counts) -> "CycNum":
+        """Σ_e counts[e]·ζ^e for a row of p integer counts of ψ-exponents."""
+        return cls(p, [int(c) - int(counts[-1]) for c in counts[:-1]])
 
     # -- ring operations ------------------------------------------------------
 
@@ -187,8 +193,8 @@ class CycNum:
 
 
 def gauss_sum(tower, d: int, scale=None) -> CycNum:
-    """G_d = Σ_{x in F_{q^d}} ψ_d(x²); satisfies G_d² = ε_d(-1)·q^d."""
-    total = CycNum.zero(tower.p)
-    for x in tower.level_elements(d):
-        total = total + tower.psi(tower.mul(x, x), d, scale)
-    return total
+    """G_d = Σ_{x in F_{q^d}} ψ_d(x²); satisfies G_d² = ε_d(-1)·q^d.  The ψ_d-exponent of x²
+    is c·T·c on the coordinates c of x, for the trace-form Gram matrix T (`Tower.trace_form`)."""
+    coords = tower.level_coordinates(tower.level_elements(d), d)
+    counts = Counter(((coords @ tower.trace_form(d, scale) * coords).sum(axis=1) % tower.p).tolist())
+    return CycNum.from_counts(tower.p, [counts[e] for e in range(tower.p)])

@@ -8,7 +8,11 @@ of at most TABLE_CAP elements tabulate add, mul, neg and inv; larger ones
 compute on digits.  Both go through one codec (`_decode`, `_encode` and the
 array forms `digit_array`, `from_digit_array`) on the place values p^k, held
 in the smallest unsigned dtype that holds an element, or as Python ints past
-2^63, and through one polynomial product, `_product`.
+2^63.  Level arithmetic is F_p-linear algebra on digits: one product kernel
+(`block_matrix`, read off the Krylov rows x^r of the companion matrix), ψ as
+one trace row (`psi_row`, ψ_d(x) = ζ_p^{digits(x)·row}, and its Gram matrix
+`trace_form`), and one level codec (`level_coordinates`, the pivot digits;
+`level_code`, those read in base p, then the entries in base q^d).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .errors import (
     ConfigInvalid,
     DivisionByZero,
     EvenCharacteristic,
+    GroupTooLarge,
     InvariantBroken,
     LevelMismatch,
     NotPrime,
@@ -48,16 +53,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _frobenius_matrix(modulus: np.ndarray, p: int) -> np.ndarray:
-    """Matrix of g ↦ g^p mod a monic modulus on coefficient columns: column j is x^{pj}, the
-    j-th Krylov column of Y = C^p, the p-th power of the companion matrix C (x times)."""
-    deg = len(modulus) - 1
-    comp = np.eye(deg, k=-1, dtype=np.int64)
+def _companion(modulus, p: int) -> np.ndarray:
+    """Companion matrix C of a monic modulus: multiplication by x on coefficient columns."""
+    comp = np.eye(len(modulus) - 1, k=-1, dtype=np.int64)
     comp[:, -1] = -np.asarray(modulus[:-1], dtype=np.int64) % p
-    cols, power = np.eye(deg, 1, dtype=np.int64), modp.mat_pow(comp, p, p)
-    while cols.shape[1] < deg:  # [K | Y^k·K] holds the columns Y^j·1 for j < 2k
+    return comp
+
+
+def _krylov(mat: np.ndarray, count: int, p: int) -> np.ndarray:
+    """The Krylov columns mat^j·e_0 for j < count: for the companion matrix C, the digits of x^j."""
+    cols, power = np.eye(len(mat), 1, dtype=np.int64), mat
+    while cols.shape[1] < count:  # [K | Y^k·K] holds the columns Y^j·e_0 for j < 2k
         cols, power = np.hstack([cols, power @ cols % p]), power @ power % p
-    return cols[:, :deg]
+    return cols[:, :count]
+
+
+def _frobenius_matrix(modulus, p: int) -> np.ndarray:
+    """Matrix of g ↦ g^p mod a monic modulus on coefficient columns: column j is x^{pj}, the
+    j-th Krylov column of C^p for the companion matrix C."""
+    return _krylov(modp.mat_pow(_companion(modulus, p), p, p), len(modulus) - 1, p)
 
 
 def _is_irreducible(poly: np.ndarray, p: int) -> bool:
@@ -96,7 +110,7 @@ def find_modulus(p: int, degree: int) -> tuple[int, ...]:
 
 
 class _LevelData:
-    __slots__ = ("d", "size", "basis", "pivots", "elements", "psi_tables", "quad")
+    __slots__ = ("d", "size", "basis", "pivots", "elements", "psi_rows", "quad")
 
     def __init__(self, d: int, size: int):
         self.d = d
@@ -104,7 +118,7 @@ class _LevelData:
         self.basis = None
         self.pivots = None
         self.elements = None
-        self.psi_tables: dict = {}
+        self.psi_rows: dict = {}
         self.quad: dict = {}
 
 
@@ -130,20 +144,9 @@ class Tower:
         self.tabulated = self.size <= TABLE_CAP
         A = self.ambient_degree
         self._A = A
-        self._pmat = _frobenius_matrix(np.array(self.modulus, dtype=np.int64), p)
-        # reduction rows: x^{A+j} mod modulus for j = 0..A-2
-        red = []
-        cur = np.array(self.modulus[:-1], dtype=np.int64) * (-1) % p  # x^A mod f
-        for _ in range(max(A - 1, 0)):
-            red.append(cur.copy())
-            cur = np.roll(cur, 1)
-            if cur[0]:
-                top = cur[0]
-                cur[0] = 0
-                cur = (cur + top * red[0]) % p
-        self._redmat = np.array(red, dtype=np.int64) if red else np.zeros((0, A), dtype=np.int64)
-        # A×A windows of [I_A; _redmat], whose row r is the digit vector of x^r
-        powers = np.vstack([np.eye(A, dtype=np.int64), self._redmat])
+        self._pmat = _frobenius_matrix(self.modulus, p)
+        # A×A windows of the Krylov rows x^r, r ≤ 2A − 2: window i holds x^{i+r} in row r
+        powers = _krylov(_companion(self.modulus, p), 2 * A - 1, p).T
         self._windows = np.lib.stride_tricks.sliding_window_view(powers, (A, A))[:, 0]
         self._place = np.array([p**k for k in range(A)], dtype=np.min_scalar_type(self.size - 1)
                                if self.size <= 2**63 else object)
@@ -161,20 +164,10 @@ class Tower:
     def _build_tables(self):
         dig = self._decode(np.arange(self.size))
         self._add_t = [list(self.from_digit_array(row)) for row in dig[:, None] + dig[None]]
-        self._mul_t = [list(self.from_digit_array(row)) for row in self._product(dig[:, None], dig[None])]
+        products = (self.block_matrix(dig[:, None, None]) @ dig.T).swapaxes(1, 2)  # [x, y]: digits of x·y
+        self._mul_t = [list(self.from_digit_array(row)) for row in products]
         self._neg_t = list(self.from_digit_array(-dig))
         self._inv_t = [0] + [self.pow(x, self.size - 2) for x in range(1, self.size)]
-
-    def _product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Digits of x·y for digit arrays x, y (…, A), broadcast over the leading axes:
-        the convolution, each partial sum reduced mod p, folded by the rows of _redmat."""
-        A, p = self._A, self.p
-        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
-        full = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1] + (2 * A - 1,), dtype=np.int64)
-        for k in range(A):
-            full[..., k : k + A] += x[..., k, None] * y
-        full %= p
-        return (full[..., :A] + full[..., A:] @ self._redmat) % p
 
     def _decode(self, x) -> np.ndarray:
         """int64 digits (…, A) of an element or an array of elements."""
@@ -233,7 +226,7 @@ class Tower:
     def mul(self, a, b):
         if self.tabulated:
             return self._mul_t[a][b]
-        return self._encode(self._product(self._decode(a), self._decode(b)))
+        return self._encode(self.mul_matrix(a) @ self._decode(b))
 
     def inv(self, a):
         if a == self.zero:
@@ -292,7 +285,7 @@ class Tower:
         if t * A * (self.p - 1) ** 2 > np.iinfo(np.int64).max:
             raise InvariantBroken(f"{t * A} products of digits mod {self.p} could overflow int64")
         x = np.asarray(x, dtype=np.int64)
-        # [..., i, k, r, c]: digit c of x_ik·x^r, from the windows of [I_A; _redmat]
+        # [..., i, k, r, c]: digit c of x_ik·x^r, from the windows of the Krylov rows
         blocks = x @ self._windows.reshape(A, A * A)
         blocks -= blocks // self.p * self.p  # mod p: floor division by a constant is cheaper than %
         blocks = blocks.reshape(*x.shape[:-1], A, A)
@@ -367,6 +360,32 @@ class Tower:
             lv.elements = list(self.from_digit_array(digits @ basis))
         return lv.elements
 
+    def level_coordinates(self, elems, d: int) -> np.ndarray:
+        """Coordinates (count, k), int64, of an iterable of elements of F_{q^d}: their pivot
+        digits, the coefficients on the level basis.  Raises LevelMismatch on any other element."""
+        digits = self.digit_array(elems)
+        coords = digits[:, self.level_pivots(d)].astype(np.int64)
+        if (coords @ self._level_basis(d) % self.p != digits).any():
+            raise LevelMismatch("element does not lie at the stated level")
+        return coords
+
+    def level_code(self, d: int, entries: int) -> tuple[np.ndarray, np.ndarray]:
+        """Columns and weights that code a tuple of `entries` elements of F_{q^d} from its
+        concatenated digit row: row[cols] are their coordinates, and row[cols] @ weights reads
+        each entry's in base p (its rank in level_elements), then the entries in base q^d, the
+        first most significant, so codes sort as the tuples do."""
+        pivots = self.level_pivots(d)
+        cols = (np.arange(entries)[:, None] * self._A + pivots).ravel()
+        return cols, np.outer(self.code_weights(self.q**d, entries), self.p ** np.arange(len(pivots))).ravel()
+
+    @staticmethod
+    def code_weights(Q: int, entries: int) -> np.ndarray:
+        """Place values Q^(entries-1), …, Q, 1 of a code whose digits are entry ranks in F_Q;
+        refuses a code that could pass int64."""
+        if Q**entries > 2**63:
+            raise GroupTooLarge(f"codes of {entries} entries over a field of {Q} elements pass 2^63")
+        return np.array([Q ** (entries - 1 - k) for k in range(entries)], dtype=np.int64)
+
     def in_level(self, x, d: int) -> bool:
         return self.frobenius(x, d) == x
 
@@ -413,30 +432,35 @@ class Tower:
             lv.quad[x] = got
         return got
 
-    def psi_exponent(self, x, d: int, scale=None) -> int:
-        """Exponent e with ψ_d(x) = ζ_p^e, for ψ_d(x) = ζ_p^{Tr_{F_{q^d}/F_p}(scale·x)}."""
+    def psi_row(self, d: int, scale=None) -> np.ndarray:
+        """Row r (A,) with ψ_d(x) = ζ_p^{digits(x)·r} on F_{q^d}, for ψ_d(x) = ζ_p^{Tr(scale·x)}
+        and Tr the trace to F_p: the first row of Σ_{k<bd} P^k, for the p-power Frobenius P,
+        times multiplication by the scale.  Built once per (level, scale), after checking on
+        the level basis that the trace lands in F_p."""
         scale = self.one if scale is None else scale
         lv = self._level(d)
-        table = lv.psi_tables.get(scale)
-        if table is None:
-            table = {}
-            lv.psi_tables[scale] = table
-        got = table.get(x)
-        if got is None:
-            if not self.in_level(x, d):  # the table holds level elements only
-                raise LevelMismatch("element does not lie at the stated level")
-            y = self.mul(scale, x)
-            vec = self._decode(y)
-            acc = np.zeros(self._A, dtype=np.int64)
-            mat = np.eye(self._A, dtype=np.int64)
-            for _ in range(self.base_degree * d):
-                acc = (acc + mat @ vec) % self.p
-                mat = self._pmat @ mat % self.p
-            if acc[1:].any():
+        row = lv.psi_rows.get(scale)
+        if row is None:
+            frobs = (modp.mat_pow(self._pmat, k, self.p) for k in range(self.base_degree * d))  # x ↦ x^{p^k}
+            trace = sum(frobs) @ self.mul_matrix(scale) % self.p
+            if (self._level_basis(d) @ trace.T % self.p)[:, 1:].any():
                 raise InvariantBroken("trace did not land in the prime field")
-            got = int(acc[0])
-            table[x] = got
-        return got
+            row = lv.psi_rows[scale] = trace[0]
+            row.flags.writeable = False  # shared by every caller
+        return row
+
+    def psi_exponent(self, x, d: int, scale=None) -> int:
+        """Exponent e with ψ_d(x) = ζ_p^e, for ψ_d(x) = ζ_p^{Tr_{F_{q^d}/F_p}(scale·x)}."""
+        if not self.in_level(x, d):
+            raise LevelMismatch("element does not lie at the stated level")
+        return int(self._decode(x) @ self.psi_row(d, scale) % self.p)
+
+    def trace_form(self, d: int, scale=None) -> np.ndarray:
+        """Gram matrix T (k, k) of (x, y) ↦ Tr(scale·x·y) on the level basis β: T[a, b] is the
+        ψ_d-exponent of β_a·β_b, so that of x·y is c(x)·T·c(y) for the coordinates c."""
+        basis = self._level_basis(d).astype(np.int64)
+        products = self.block_matrix(basis[:, None, None]) @ basis.T  # [a, :, b]: digits of β_a·β_b
+        return self.psi_row(d, scale) @ products % self.p
 
     def psi(self, x, d: int, scale=None) -> CycNum:
         return CycNum.root_of_unity(self.p, self.psi_exponent(x, d, scale))
@@ -482,9 +506,10 @@ class Embedding:
         if sub_elems is None:
             raise ConfigInvalid("source field does not sit at a level of the destination tower")
         digits = dst.digit_array(sub_elems).astype(np.int64)
+        times = dst.block_matrix(digits[:, None, None])  # multiplication by each element
         values = np.zeros_like(digits)
         for c in reversed(src.modulus):  # Horner on the whole subfield at once
-            values = dst._product(values, digits)
+            values = (times @ values[:, :, None])[:, :, 0] % p
             values[:, 0] = (values[:, 0] + c) % p
         roots = np.flatnonzero(~values.any(axis=1))
         if not roots.size:

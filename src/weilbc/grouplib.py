@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from itertools import chain, product
+from itertools import accumulate, chain, product
 
 import numpy as np
 
@@ -222,21 +222,15 @@ class _MatrixSpec(GroupSpec):
         return self, [_twisted_maps(self, twist)]
 
 
-def _gen_of_mult_group(tower: Tower, level: int):
-    """Smallest generator of F_{q^level}^× in canonical order."""
-    elems = tower.level_elements(level)
-    n = len(elems) - 1
-    for x in elems[1:]:  # zero comes first
-        order = 1
-        y = x
-        while y != tower.one:
-            y = tower.mul(y, x)
-            order += 1
-            if order > n:
-                break
-        if order == n:
-            return x
-    raise InvariantBroken("no generator found")
+def _cyclic_generator(elems, mul, one, order: int):
+    """The first of elems, in canonical order, whose order is `order`, the group order."""
+    for g in elems:
+        y, k = g, 1
+        while y != one and k < order:
+            y, k = mul(y, g), k + 1
+        if y == one and k == order:
+            return g
+    raise InvariantBroken("the group is not cyclic")
 
 
 class SympGroup(_MatrixSpec):
@@ -308,7 +302,7 @@ class SympGroup(_MatrixSpec):
         if self._generators is not None:
             return self._generators
         n, tower = self.n, self.tower
-        zeta = _gen_of_mult_group(tower, self.level)
+        zeta = _cyclic_generator(tower.level_elements(self.level)[1:], tower.mul, tower.one, tower.q**self.level - 1)
         coeffs = [tower.one] if zeta == tower.one else [tower.one, zeta]
         blocks = []
         for i in range(n):
@@ -343,20 +337,20 @@ class SympGroup(_MatrixSpec):
 
 
 def _basis_codes(tower: Tower, n: int, level: int, lams: np.ndarray) -> np.ndarray:
-    """Sorted codes (`_code_columns`) of the g in GSp_2n(F_{q^level}) whose multiplier λ has its
+    """Sorted codes (`Tower.level_code`) of the g in GSp_2n(F_{q^level}) whose multiplier λ has its
     rank in lams, as symplectic bases (Taylor, The Geometry of the Classical Groups): g's columns
     e_1, f_1, …, e_n, f_n, in level coordinates, are filled in turn, each one's pairings with the
     earlier ones λ times J's entries.  The pairing is F_p-bilinear, so for the whole stack of
     partial bases that is one F_p-system; the kernel vector of one more unknown, for an f-column's
     λ, is a particular solution, and each combination of the others (nonzero for e) a column."""
-    size, p, Q, A = 2 * n, tower.p, tower.q**level, tower.ambient_degree
+    size, p, A = 2 * n, tower.p, tower.ambient_degree
     basis, pivots = tower._level_basis(level), tower.level_pivots(level)
     k, place = len(pivots), p ** np.arange(len(pivots))
     K = size * k
     unit = np.zeros((K, size, A), dtype=np.int64)  # unit[s·k + a]: β_a in slot s
     unit[np.arange(K), np.arange(K) // k] = np.tile(basis, (size, 1))
     pair = form_pairing(tower, unit, unit)[..., pivots]  # coordinates of ⟨unit_u, unit_v⟩
-    weights = np.einsum("rc,a->cra", _code_weights(Q, size * size).reshape(size, size), place)
+    weights = tower.level_code(level, size * size)[1].reshape(size, size, k).swapaxes(0, 1)  # [c, r, a]
     lam = lams[:, None] // place % p
     cols = np.zeros((len(lams), 0, K), dtype=np.min_scalar_type(p - 1))  # the partial bases
     codes = np.zeros(len(lams), dtype=np.int64)
@@ -523,28 +517,12 @@ class TorusSL2(_MatrixSpec):
 
     @cached_property
     def generator(self):
-        n = self.order()
-        for g in self.elements():
-            order = 1
-            y = g
-            e = self.identity()
-            while y != e:
-                y = self.mul(y, g)
-                order += 1
-                if order > n:
-                    break
-            if order == n:
-                return g
-        raise InvariantBroken("the torus is not cyclic")
+        return _cyclic_generator(self.elements(), self.mul, self.identity(), self.order())
 
     @cached_property
     def _log(self) -> dict:
-        table = {}
-        cur = self.identity()
-        for k in range(self.order()):
-            table[cur] = k
-            cur = self.mul(cur, self.generator)
-        return table
+        powers = accumulate([self.generator] * (self.order() - 1), self.mul, initial=self.identity())
+        return {g: k for k, g in enumerate(powers)}
 
     def log(self, g) -> int:
         """Discrete log with respect to the canonical generator."""
@@ -589,27 +567,6 @@ def _sandwich_map(tower: Tower, s: tuple, t: tuple, size: int) -> np.ndarray:
 def _twisted_maps(spec: _MatrixSpec, twist: int) -> list:
     """Digit maps of x ↦ s·x·σ^twist(s)⁻¹, one per generator s of spec."""
     return [_sandwich_map(spec.tower, s, spec.inv(spec.frob(s, twist)), spec.size) for s in spec.generators()]
-
-
-def _code_weights(Q: int, entries: int) -> np.ndarray:
-    """Place values Q^(entries-1), …, Q, 1 of a matrix code whose digits are
-    entry ranks in F_Q; refuses a code that could pass int64."""
-    if Q**entries > 2**63:
-        raise GroupTooLarge(f"codes of {entries} entries over a field of {Q} elements pass 2^63")
-    return np.array([Q ** (entries - 1 - k) for k in range(entries)], dtype=np.int64)
-
-
-def _code_columns(tower: Tower, level: int, entries: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns and weights that code a matrix over F_{q^level} from its digit row:
-    row[cols] @ weights is each entry's rank in level_elements(level), read in
-    base q^level with the first entry most significant, so codes sort as
-    the matrices do.  An element's rank is its pivot digits read in base p.
-    """
-    pivots = tower.level_pivots(level)
-    A = tower.ambient_degree
-    cols = (np.arange(entries)[:, None] * A + pivots).ravel()
-    weights = np.outer(_code_weights(tower.q**level, entries), [tower.p**i for i in range(len(pivots))]).ravel()
-    return cols, weights
 
 
 def _image_indices(digits: np.ndarray, codes: np.ndarray, mat: np.ndarray, cols: np.ndarray,
@@ -661,7 +618,7 @@ def _orbit_labels(spec: GroupSpec, twist: int) -> np.ndarray:
     elems = base.elements()
     tower, entries = base.tower, base.size * base.size
     digits = tower.digit_array(chain.from_iterable(elems)).reshape(len(elems), -1)
-    cols, weights = _code_columns(tower, base.level, entries)
+    cols, weights = tower.level_code(base.level, entries)
     codes = digits[:, cols] @ weights
     if not (np.diff(codes) > 0).all():
         raise InvariantBroken("elements() is not in sorted order")

@@ -32,7 +32,7 @@ from . import modp
 from .errors import ConfigInvalid, WitnessFailed
 from .fieldtower import Embedding, Tower, enlarge_tower
 from .grouplib import (GroupSpec, SympGroup, conjugacy_classes, form_pairing, form_times, is_symplectic,
-                       twisted_classes)
+                       multipliers, twisted_classes)
 
 _K0_GUARD = 100_000
 _CHUNK_BYTES = 1 << 17  # working-set bound of one stacked F_p-system, 128 KB of int64: peak RSS grows with it
@@ -222,8 +222,9 @@ def lang_solve(spec: SympGroup, targets: np.ndarray, d: int, level: int,
 def gyoja_norms(cfg: NormConfig, spec: SympGroup, gs, ambient_cap: int = DEFAULT_AMBIENT_CAP) -> list:
     """The norms in G(F_d) of (σ^i, g) for the elements g of the sequence gs, memoized
     on spec: the ones missing are solved in one stack per ambient level, in order of
-    first appearance, cut into chunks of _CHUNK_BYTES per F_p-system.  For i = 0 the
-    map is the identity on ordinary classes by convention."""
+    first appearance, cut into chunks of _CHUNK_BYTES per F_p-system; a chunk whose norms
+    are not all in G(F_d) raises WitnessFailed.  For i = 0 the map is the identity on
+    ordinary classes by convention."""
     if cfg.i == 0:
         return list(gs)
     todo = [g for g in dict.fromkeys(gs) if (cfg, g, ambient_cap) not in spec.norms]
@@ -239,9 +240,11 @@ def gyoja_norms(cfg: NormConfig, spec: SympGroup, gs, ambient_cap: int = DEFAULT
             witness = lang_solve(spec, p_t[chunk], cfg.d, level, ambient_cap)
             big, emb, alpha = witness.group.tower, witness.embedding, witness.digits
             out = big.matmul(big.matmul(alpha, emb.embed_rows(p_mu[chunk])), _inverse(witness.group, alpha))
-            if not np.array_equal(out @ big.frob_matrix(cfg.d).T % big.p, out):
-                raise WitnessFailed("norm did not land at level d")
-            norms = spec.tower.from_digit_stack(emb.pull_back_rows(out))
+            out, small = emb.pull_back_rows(out), spec.tower  # in G(F_d): at level d, of multiplier 1 on Sp
+            member = multipliers(small, out, cfg.d)[1] if spec.similitude else is_symplectic(small, out, cfg.d)
+            if not member.all():
+                raise WitnessFailed("norm is not in G(F_d)")
+            norms = spec.tower.from_digit_stack(out)
             spec.norms.update(((cfg, todo[b], ambient_cap), N) for b, N in zip(chunk, norms))
     return [spec.norms[(cfg, g, ambient_cap)] for g in gs]
 

@@ -49,7 +49,7 @@ are compared or multiplied (`build_rho`).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from math import gcd
 
 import numpy as np
@@ -219,7 +219,7 @@ class RepContext:
 
         Each Sp part gives the steps of its Siegel word, the identity (an H element's)
         none, and in a cell that holds an H part each element's H part (zero for a
-        symplectic element) gives one more monomial step (`_heis_step`)."""
+        symplectic element) gives one more monomial step (`_heis_steps`)."""
         tower, n = self.tower, self.n
         kinds = [_element_kind(g, n) for g in gs]
         one, zero = mat_identity(tower, 2 * n), ((tower.zero,) * (2 * n), tower.zero)
@@ -238,8 +238,7 @@ class RepContext:
             for where, signs, w, steps in cells:
                 where = where + start
                 if any(kinds[k] != "sp" for k in where.tolist()):
-                    parts = [self._heis_step(hs[k], e * self.dim) for e, k in enumerate(where.tolist())]
-                    steps.append(tuple(np.concatenate(part) for part in zip(*parts)))
+                    steps.append(self._heis_steps([hs[k] for k in where.tolist()]))
                 yield where, signs, w, steps
 
     def _word_steps(self, tags: tuple, blocks: np.ndarray) -> tuple[np.ndarray, int, list]:
@@ -290,18 +289,15 @@ class RepContext:
         rows = np.arange(count * self.dim)
         return rows, rows - rows % self.dim
 
-    def _heis_step(self, h, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Step of h = (x, x*; t), its rows and columns shifted by offset: row y
-        has column y + x* and the ψ'-exponent of t − ½·x·x* − y·x."""
-        tower, n, coords = self.tower, self.n, self._coordinates()
-        v, t = h
-        dot = tower.zero
-        for i in range(n):
-            dot = tower.add(dot, tower.mul(v[i], v[n + i]))
-        k = tower.psi_exponent(tower.sub(t, tower.mul(tower.half, dot)), self.level, self.scale)
-        vec = coords.vector(v)
-        cx, cxs = vec[: len(vec) // 2], vec[len(vec) // 2 :]
-        return coords.index((coords.pts + cxs) % self.p) + offset, (k - coords.pts_g @ cx) % self.p
+    def _heis_steps(self, hs: list) -> tuple[np.ndarray, np.ndarray]:
+        """The monomial step of the elements hs = [(x, x*; t), …], their rows laid end to end:
+        row y of each has column y + x* and the ψ'-exponent of t − ½·x·x* − y·x."""
+        coords, width = self._coordinates(), self.n * len(self._coordinates().basis)
+        vec = coords.vector(chain.from_iterable((*v, t) for v, t in hs)).reshape(len(hs), -1)
+        cx, cxs, ct = vec[:, :width], vec[:, width : 2 * width], vec[:, 2 * width :]
+        k = ct @ coords.psi - self.tower.half * coords.pairing(cx, cxs)
+        cols = coords.index((coords.pts + cxs[:, None]) % self.p) + np.arange(len(hs))[:, None] * self.dim
+        return cols.ravel(), ((k[:, None] - cx @ coords.pts_g.T) % self.p).ravel()
 
     def _generator_op(self, tag: str, block: tuple) -> WeilOperator:
         """The signed dense factor of one generator, with no Gauss-sum constant."""
@@ -320,7 +316,7 @@ class RepContext:
 
     def op_heis(self, h) -> WeilOperator:
         """Operator of a Heisenberg element (v, t)."""
-        return self._dense(self._heis_step(h))
+        return self._dense(self._heis_steps([h]))
 
     def op_unip(self, b: tuple) -> WeilOperator:
         """Diagonal operator of [[1,b],[0,1]]; b must be symmetric n×n."""
@@ -499,14 +495,15 @@ class RepContext:
 
     def v_coordinates(self, vs) -> np.ndarray:
         """Coordinate rows, laid out as in `v_points`, of V-parts vs (2n-tuples of level elements)."""
-        return np.array([self._coordinates().vector(v) for v in vs])
+        coords = self._coordinates()
+        return coords.vector(chain.from_iterable(vs)).reshape(-1, 2 * self.n * len(coords.basis))
 
     def heis_points(self) -> tuple[np.ndarray, np.ndarray]:
         """V-part coordinates and ψ'-exponents of t of every (v, t) in H at this
         level, v outer and t inner as `HeisGroup.elements` lists them."""
-        psi = [self.tower.psi_exponent(t, self.level, self.scale) for t in self.tower.level_elements(self.level)]
+        psi = self._coordinates().points(1) @ self._coordinates().psi % self.p
         vs = self.v_points()
-        return np.repeat(vs, self.Q, axis=0), np.tile(np.array(psi, dtype=np.int64), len(vs))
+        return np.repeat(vs, self.Q, axis=0), np.tile(psi, len(vs))
 
     def move(self, g: tuple, vs: np.ndarray) -> np.ndarray:
         """Coordinates of g·v for the V-coordinate rows vs; g is symplectic."""
@@ -514,7 +511,7 @@ class RepContext:
 
     def value(self, row, w: int = 0) -> CycNum:
         """G^{-n·w}·Σ_e row[e]·ζ^e for an integer row of ψ'-exponent counts."""
-        total = CycNum(self.p, [int(c) - int(row[-1]) for c in row[:-1]])
+        total = CycNum.from_counts(self.p, row)
         return self._weyl_constant(w) * total if w else total
 
     def gauss_rows(self, rows: np.ndarray, w: int) -> np.ndarray:
@@ -534,42 +531,34 @@ class RepContext:
 class _Coordinates:
     """Basis points of a RepContext as vectors over F_p.
 
-    The coordinates of elems[r], for the level's elements elems, are the
-    base-p digits of r: its coefficients on the tower's level basis β, whose
-    vectors are elems[p^a].  The trace form is F_p-bilinear, so with Gram
-    matrix T[a, b] = Tr(scale·β_a·β_b) the ψ'-exponent of x·w for points x, w
-    is c(x)·(1_n ⊗ T)·c(w) mod p, and an F_p-linear map of points (mat·y,
-    Frobenius) is a linear map of coordinates.  The digit of a level element
-    at pivot a is its coordinate a, so each map is read off the F_p-matrix that
+    The coordinates of a level element are those of the tower's level codec
+    (`Tower.level_coordinates`): its pivot digits, its coefficients on the
+    level basis β, so elems[r] has the base-p digits of r, and a tuple's index
+    is its code (`Tower.level_code`).  The trace form is F_p-bilinear, so with
+    its Gram matrix T (`Tower.trace_form`) the ψ'-exponent of x·w for points
+    x, w is c(x)·(1_n ⊗ T)·c(w) mod p, that of t is c(t)·psi (the ψ row read
+    on the basis), and an F_p-linear map of points (mat·y, Frobenius) is a
+    linear map of coordinates.  Each map is read off the F_p-matrix that
     carries it out on ambient digits: a stack of level matrices acts through
     its block matrices (`action`), σ^j through `Tower.frob_matrix`
-    (`frobenius`).  Building the model costs O(k²) tower multiplications for
-    the F_p-dimension k of the level.
+    (`frobenius`).
     """
 
     def __init__(self, ctx: RepContext):
-        tower, p, n = ctx.tower, ctx.p, ctx.n
-        elems = tower.level_elements(ctx.level)
-        pivots = tower.level_pivots(ctx.level)
-        k = len(pivots)
+        tower, p, n, level = ctx.tower, ctx.p, ctx.n, ctx.level
         self.ctx = ctx
-        self.basis = [elems[p**a] for a in range(k)]
         # c(y) @ _embed are the ambient digits of a level element y, and its digits at _pivots its coordinates
-        self._embed, self._pivots = tower._level_basis(ctx.level), pivots
-        place = p ** np.arange(k)
-        self._of = dict(zip(elems, np.arange(len(elems))[:, None] // place % p))
-        psi = [[tower.psi_exponent(tower.mul(a, b), ctx.level, ctx.scale) for b in self.basis] for a in self.basis]
-        gram = np.array(psi, dtype=np.int64)
-        # the tuple (elems[r_0], …, elems[r_{s-1}]) has index Σ_i r_i·Q^(s-1-i):
-        # the last s·k of the weights of 2n-tuples, the widest tuples indexed
-        self._weights = np.outer(len(elems) ** np.arange(2 * n - 1, -1, -1), place).ravel()
+        self._embed, self._pivots = tower._level_basis(level), tower.level_pivots(level)
+        self.basis = [tower.level_elements(level)[p**a] for a in range(len(self._pivots))]
+        self._weights = tower.level_code(level, 2 * n)[1]  # the widest tuples indexed, 2n-tuples
+        self.psi = self._embed @ tower.psi_row(level, ctx.scale) % p
         self.pts = self.points(n)
-        self._gram = np.kron(np.eye(n, dtype=np.int64), gram)
+        self._gram = np.kron(np.eye(n, dtype=np.int64), tower.trace_form(level, ctx.scale))
         self.pts_g = self.pts @ self._gram % p
 
     def vector(self, v) -> np.ndarray:
-        """Coordinates of a tuple v of level elements, concatenated."""
-        return np.concatenate([self._of[c] for c in v])
+        """Coordinates of a tuple v of level elements, concatenated; LevelMismatch for any other."""
+        return self.ctx.tower.level_coordinates(v, self.ctx.level).ravel()
 
     def _restrict(self, digit_map: np.ndarray) -> np.ndarray:
         """The matrices lin (…, s·k, s·k) with c(f(y)) = c(y) @ lin mod p, for an F_p-linear f
@@ -611,13 +600,13 @@ class _Coordinates:
 
 
 def _element_kind(g, n: int) -> str:
-    """Distinguish matrix / Heisenberg (v,t) / product (s,(v,t)) tuples."""
+    """Distinguish matrix / Heisenberg (v,t) / product (s,(v,t)) tuples, each v of 2n entries."""
     if not isinstance(g, tuple):
         raise DimensionMismatch(f"unrecognized element {g!r}")
     if len(g) == (2 * n) ** 2:
         return "sp"
     if len(g) == 2 and isinstance(g[0], tuple):
-        if len(g[0]) == (2 * n) ** 2:
+        if len(g[0]) == (2 * n) ** 2 and _element_kind(g[1], n) == "heis":
             return "sph"
         if len(g[0]) == 2 * n:
             return "heis"

@@ -431,13 +431,12 @@ def test_a_faulty_point_fails_its_slice(monkeypatch):
 def test_a_wrong_central_character_fails_the_sampled_t_cases(monkeypatch):
     """ρ̃' with ψ'(−t) in place of ψ'(t) on the centre: the t = 0 slices cannot
     see it, so the sampled-t cases, traced with their own t, must."""
-    honest = RepContext._heis_step
+    honest = RepContext._heis_steps
 
-    def flipped(ctx, h, offset=0):
-        v, t = h
-        return honest(ctx, (v, ctx.tower.neg(t)), offset)
+    def flipped(ctx, hs):
+        return honest(ctx, [(v, ctx.tower.neg(t)) for v, t in hs])
 
-    monkeypatch.setattr(RepContext, "_heis_step", flipped)
+    monkeypatch.setattr(RepContext, "_heis_steps", flipped)
     report = run_check("sl2-torus", RunConfig(p=3, n=1, m=2, seed=42))
     failed = [c.input for c in report.cases if not c.equal]
     assert not report.ok and all(x.startswith("nu' sampled t: ") for x in failed)

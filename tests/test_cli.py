@@ -46,8 +46,10 @@ def test_cli_rejects_bad_pair(capsys):
 
 
 def test_cli_rejects_bad_sample(capsys):
-    rc = main(["star", "--sample", "few"])
-    assert rc == 2
+    for bad in ("few", "0", "-3"):  # every refusal is the typed ConfigInvalid, exit code 2
+        rc = main(["star", "--sample", bad])
+        assert rc == 2
+        assert "error: ConfigInvalid: " in capsys.readouterr().err
 
 
 def test_cli_out_file(tmp_path, capsys):

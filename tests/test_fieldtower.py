@@ -1,13 +1,14 @@
 import random
-from itertools import chain
+from functools import cache
+from itertools import accumulate, chain
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilbc import modp
-from weilbc.cyclotomic import CycNum
+from weilbc import fieldtower, modp
+from weilbc.cyclotomic import CycNum, gauss_sum
 from weilbc.errors import ConfigInvalid, EvenCharacteristic, InvariantBroken, LevelMismatch, NotPrime, ZeroArgument
 from weilbc.fieldtower import Tower, build_tower, enlarge_tower, find_modulus, get_embedding
 from weilbc.grouplib import HeisGroup, SympGroup, TorusSL2, mat_mul, membership
@@ -152,6 +153,69 @@ def test_psi_scaling():
     a = 2
     for x in t.level_elements(2):
         assert t.psi(x, 2, scale=a) == t.psi(t.mul(a, x), 2)
+
+
+PSI_TOWERS = [(3, 1, 4), (5, 1, 2), (7, 1, 2), (3, 2, 3)]  # F_{3^4}, F_{5^2}, F_{7^2}, and F_{9^3} over F_9
+
+
+@cache
+def _traces(key: tuple, nonsquare: bool) -> tuple:
+    """(scale, {d: [Tr(scale·x) for x in level_elements(d)]}), the trace to F_p summed per
+    element as Σ_{k<bd} y^{p^k} with y = scale·x: the oracle of the ψ row."""
+    t = build_tower(*key)
+    scale = next(x for x in t.level_elements(1)[1:] if t.quad_char(x, 1) == -1) if nonsquare else t.one
+    out = {}
+    for d in t.levels():
+        out[d] = []
+        for x in t.level_elements(d):
+            y, total = t.mul(scale, x), t.zero
+            for k in range(t.base_degree * d):
+                total = t.add(total, t.pow(y, t.p**k))
+            assert total < t.p  # in F_p
+            out[d].append(total)
+    return scale, out
+
+
+@pytest.mark.parametrize("nonsquare", [False, True])
+@pytest.mark.parametrize("key", PSI_TOWERS, ids=lambda key: "-".join(map(str, key)))
+def test_psi_row_is_the_trace_of_every_element(key, nonsquare):
+    """digits(x)·psi_row(d, scale) is Tr(scale·x) on every level element, at scale 1 and at a
+    nonsquare of F_q; psi_exponent reads the same row."""
+    t = build_tower(*key)
+    scale, traces = _traces(key, nonsquare)
+    for d, want in traces.items():
+        elems = t.level_elements(d)
+        assert (t.digit_array(elems) @ t.psi_row(d, scale) % t.p).tolist() == want
+        assert [t.psi_exponent(x, d, scale) for x in elems] == want
+
+
+@pytest.mark.parametrize("nonsquare", [False, True])
+@pytest.mark.parametrize("key", PSI_TOWERS, ids=lambda key: "-".join(map(str, key)))
+def test_gauss_sum_is_the_per_element_sum(key, nonsquare):
+    """gauss_sum, read off the trace-form Gram matrix, is Σ_x ψ(x²) summed per element."""
+    t = build_tower(*key)
+    scale, traces = _traces(key, nonsquare)
+    for d, want in traces.items():
+        rank = {x: r for r, x in enumerate(t.level_elements(d))}
+        total = CycNum.zero(t.p)
+        for x in t.level_elements(d):
+            total = total + CycNum.root_of_unity(t.p, want[rank[t.mul(x, x)]])
+        assert gauss_sum(t, d, scale) == total
+
+
+@pytest.mark.parametrize("key", [(3, 1, 4), (5, 1, 2), (7, 1, 3), (3, 2, 3), (3, 1, 1)],
+                         ids=lambda key: "-".join(map(str, key)))
+def test_companion_rows_are_the_powers_of_x(key):
+    """The Krylov rows of the companion matrix, which every product reads, are x^r for
+    r ≤ 2A − 2: repeated multiplication by x reduced in the test, and repeated `mul` by x."""
+    t = build_tower(*key)
+    A, x = t.ambient_degree, t.p % t.size  # x: the class of the variable, 0 when the modulus is x
+    rows = fieldtower._krylov(fieldtower._companion(t.modulus, t.p), 2 * A - 1, t.p).T
+    power = [1] + [0] * (A - 1)
+    for row in rows:
+        assert row.tolist() == power
+        power = _poly_mulmod(power, _base_p(t, x), t.modulus, t.p)
+    assert list(t.from_digit_array(rows)) == list(accumulate([x] * (2 * A - 2), t.mul, initial=t.one))
 
 
 def test_enlargement_reembeds_consistently(t92):
@@ -336,8 +400,8 @@ def _base_p(t, x) -> list:
 
 
 def test_mul_is_exact_for_a_large_prime():
-    """Every digit product stays exact at p = 4000037, where an unreduced
-    convolution folded by the reduction rows would leave int64."""
+    """Every digit product stays exact at p = 4000037, where unreduced sums
+    of digit products would leave int64."""
     t = Tower(4000037, 1, 2)
     rng = random.Random(1)
     for _ in range(500):

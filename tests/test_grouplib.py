@@ -7,7 +7,7 @@ import pytest
 
 from weilbc import grouplib
 from weilbc.errors import GroupTooLarge, InvariantBroken, Singular
-from weilbc.fieldtower import build_tower
+from weilbc.fieldtower import Tower, build_tower
 from weilbc.grouplib import (
     HeisGroup,
     SemidirectGroup,
@@ -331,7 +331,7 @@ def _generated(spec) -> bool:
     under them, found on the digit array of all elements, is the whole group."""
     tower, size, elems = spec.tower, spec.size, spec.elements()
     digits = tower.digit_array(chain.from_iterable(elems)).reshape(len(elems), -1)
-    cols, weights = grouplib._code_columns(tower, spec.level, size * size)
+    cols, weights = tower.level_code(spec.level, size * size)
     codes = digits[:, cols] @ weights
     one = spec.identity()
     images = [grouplib._image_indices(digits, codes, grouplib._sandwich_map(tower, s, one, size), cols, weights,
@@ -467,12 +467,12 @@ def test_semidirect_group_has_ordinary_classes_only():
 def test_code_width_guard_refuses_int64_overflow():
     """Element codes are int64: a matrix size and field size whose codes could
     pass 2^63 are refused before any code is formed."""
-    assert grouplib._code_weights(9, 16)[0] == 9**15  # Sp4(F9): 9^16 < 2^63
-    assert grouplib._code_weights(2**21, 3).tolist() == [2**42, 2**21, 1]  # exactly 2^63 fits
+    assert Tower.code_weights(9, 16)[0] == 9**15  # Sp4(F9): 9^16 < 2^63
+    assert Tower.code_weights(2**21, 3).tolist() == [2**42, 2**21, 1]  # exactly 2^63 fits
     with pytest.raises(GroupTooLarge):
-        grouplib._code_weights(27, 16)  # Sp4(F27): 27^16 ≈ 7.9·10^22
+        Tower.code_weights(27, 16)  # Sp4(F27): 27^16 ≈ 7.9·10^22
     with pytest.raises(GroupTooLarge):
-        grouplib._code_weights(2**21 + 1, 3)
+        Tower.code_weights(2**21 + 1, 3)
 
 
 def test_group_memoizes_elements_and_partitions(t92):

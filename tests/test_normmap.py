@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from weilbc import normmap
 from weilbc.errors import AmbientCapExceeded, ConfigInvalid, WeilbcError, WitnessFailed
-from weilbc.fieldtower import Tower, build_tower
+from weilbc.fieldtower import Embedding, Tower, build_tower
 from weilbc.characters import indicator_basis, lift_class_function
 from weilbc.grouplib import SympGroup, TorusSL2, conjugacy_classes, mat_det, mat_frob, twisted_classes
 from weilbc.normmap import (
@@ -139,6 +139,23 @@ def test_bad_witness_raises_witness_failed(t92, monkeypatch, symplectic, message
     sl = SympGroup(t92, 1, 2)
     with pytest.raises(WitnessFailed, match=message):
         _solve_one(sl, sl.random(random.Random(4)), 1)
+
+
+def test_norms_outside_the_group_raise_witness_failed(t92, monkeypatch):
+    """gyoja_norms checks each chunk's pulled-back norms with one stacked multiplier check:
+    a norm with one entry changed leaves SL2 and is refused."""
+    honest = Embedding.pull_back_rows
+
+    def perturbed(self, y):
+        out = honest(self, y)
+        out[..., 0, 0, 0] = (out[..., 0, 0, 0] + 1) % self.src.p
+        return out
+
+    sl = SympGroup(t92, 1, 2)
+    gs = _seed0_samples(sl, 20)
+    monkeypatch.setattr(Embedding, "pull_back_rows", perturbed)
+    with pytest.raises(WitnessFailed, match="not in G"):
+        gyoja_norms(choose_t(1, 2), sl, gs)
 
 
 def test_lang_solve_refuses_a_level_too_small(t92):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from weilbc import grouplib, schrodinger
 from weilbc.characters import coset_pairs, induced_trace, weil_torus_restriction
 from weilbc.cyclotomic import CycNum
-from weilbc.errors import (DimensionMismatch, FactorizationFailed, NotSymplectic, OperatorOverflow,
+from weilbc.errors import (DimensionMismatch, FactorizationFailed, LevelMismatch, NotSymplectic, OperatorOverflow,
                            Singular)
 from weilbc.fieldtower import build_tower
 from weilbc.grouplib import (HeisGroup, SpHGroup, SympGroup, TorusSL2, conjugacy_classes, mat_det, mat_identity, mat_mul,
@@ -541,16 +541,17 @@ def test_steps_factor_the_sp_part_once(t92, monkeypatch):
 
 def test_stacked_entry_points_refuse_a_malformed_element(t92):
     """Every entry point takes Sp, H and Sp·H elements, an Sp·H pair next to its
-    Sp part too; a tuple that is none of them raises DimensionMismatch at each."""
+    Sp part too; a tuple that is none of them, or an Sp·H pair whose V-part has
+    the wrong length, raises DimensionMismatch at each."""
     ctx = RepContext(t92, 1, 2)
     pair = SpHGroup(t92, 1, 2).random(random.Random(31))
     assert ctx.extended_traces(0, [pair[0], pair]) == [ctx.extended_trace(0, pair[0]), ctx.extended_trace(0, pair)]
-    bad = (1, 2, 3)
-    for call in (lambda: ctx.extended_traces(0, [pair[0], bad]), lambda: ctx.extended_trace(0, bad),
-                 lambda: ctx.build_rho(bad), lambda: list(ctx.rhos([pair, bad])),
-                 lambda: list(ctx.slice_traces(0, [pair[0], bad], ctx.v_points()))):
-        with pytest.raises(DimensionMismatch):
-            call()
+    for bad in [(1, 2, 3), (pair[0], ((1, 2, 3), 0))]:
+        for call in (lambda: ctx.extended_traces(0, [pair[0], bad]), lambda: ctx.extended_trace(0, bad),
+                     lambda: ctx.build_rho(bad), lambda: list(ctx.rhos([pair, bad])),
+                     lambda: list(ctx.slice_traces(0, [pair[0], bad], ctx.v_points()))):
+            with pytest.raises(DimensionMismatch):
+                call()
 
 
 @pytest.mark.parametrize("n", [1, 2], ids=["sl2-f9", "sp4-f9"])
@@ -791,3 +792,16 @@ def test_twisted_character_norm_oracle(m, count):
             N = gyoja_norm(ncfg, sp, g, 64)
             want = CycNum.rational(3, tower.q ** (ncfg.d * _kernel_dim(tower, N, 2)))
             assert _abs2(ctx.extended_trace(i, g)) == want
+
+
+def test_a_heisenberg_part_outside_the_level_raises_level_mismatch(t92):
+    """The level codec refuses a V-part or central part outside the context's level with
+    LevelMismatch, through v_coordinates and through every stacked trace."""
+    ctx = RepContext(t92, 1, 1)
+    x = next(y for y in t92.level_elements(2) if not t92.in_level(y, 1))
+    with pytest.raises(LevelMismatch):
+        ctx.v_coordinates([(x, 0)])
+    one = SympGroup(t92, 1, 1).identity()
+    for g in [((x, 0), 0), ((0, 1), x), (one, ((0, x), 0))]:
+        with pytest.raises(LevelMismatch):
+            ctx.extended_traces(0, [g])
